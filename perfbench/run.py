@@ -58,15 +58,21 @@ COLD_SEED_BASE = 1000
 # The server's peak RSS is read after this many rounds, so every run
 # reports it after the same registry growth.
 RSS_ROUND = 10
+# Requests per client and round.  The mix is synthetic: no request log of
+# `wrt serve` exists.  RATIONALE.md gives the reason for each value.
 ROUND_MIX = {"cold": 1, "fresh": 9, "eco": 30, "warm": 260}
+WARM_VECTORS = 3
 ECO_GATES_PER_CIRCUIT = 8
+# The traced run fails when the layer spans cover less of a batch verb.
+MIN_COVERAGE = 0.9
 
-
-# This host's machine-speed probe time in its fast phases.  Every time
-# metric is scaled by PROBE_REF_S / (median probe time of the run): the
-# host's speed drifts by up to 1.5x over tens of seconds, and the probe
-# tracks the drift (see RATIONALE.md, "Noise").
+# The 2-vCPU host's speed drifts by up to 1.5x in phases that can cover a
+# whole run, and then move every time in it alike.  A fixed pure-Python
+# loop that shares no code with `wrt` slows down in step, so every time
+# metric is reported at the speed where the loop takes PROBE_REF_S; the
+# constant only sets the scale (RATIONALE.md, "Noise").
 PROBE_REF_S = 0.030
+PROBES = []  # the loop's times: before each batch verb, serve round and set-up
 
 
 def now():
@@ -74,13 +80,18 @@ def now():
 
 
 def probe():
-    """Seconds of a fixed pure-Python loop that shares no code with the
-    program under test."""
     start = now()
     x = 0
     for i in range(300_000):
         x = (x * 31 + i) & 0xFFFFFFFF
-    return now() - start
+    PROBES.append(now() - start)
+
+
+def at_reference_speed(metrics):
+    """The time metrics scaled to the reference host speed; `rss_mb` is
+    not a time and stays as measured."""
+    speed = PROBE_REF_S / statistics.median(PROBES)
+    return {name: v if name == "rss_mb" else v * speed for name, v in metrics.items()}, speed
 
 
 def rel(path):
@@ -222,34 +233,38 @@ class Client:
 class BatchWorkload:
     """A fixed list of cold batch verbs, run round after round."""
 
-    setup_reps = 9
+    setup_reps = 1
 
     def __init__(self, wrt, helper_bin, seed):
         self.wrt, self.helper_bin, self.seed = wrt, helper_bin, seed
         self.netlists = []  # (gates, generator seed, path) written in set-up
-        self.probes = []
 
     def setup(self):
-        self.probes.append(probe())
+        probe()
         start = now()
         for gates, nseed, path in self.netlists:
             generate(self.wrt, gates, nseed, path)
         warm_up(self.wrt)
         return now() - start
 
-    def run_round(self):
-        """One pass over the verb list, a speed probe before each verb;
-        the round's wall time is its verbs' summed latency."""
+    def run_round(self, setups=None):
+        """One pass over the verb list; the round's wall time is its verbs'
+        summed latency.  With `setups`, the set-up is repeated after each
+        verb: it takes tens of milliseconds, and set-ups taken back to back
+        fall in one of the host's speed phases, which would then decide
+        the run's setup_s."""
         runs = []
         for kind, argv in self.ops:
-            self.probes.append(probe())
+            probe()
             runs.append(VerbRun(self.wrt, kind, argv))
+            if setups is not None:
+                setups.append(self.setup())
         return sum(r.latency for r in runs), runs
 
-    def timed(self, seconds):
+    def timed(self, seconds, setups):
         rounds, start = [], now()
         while True:
-            rounds.append(self.run_round())
+            rounds.append(self.run_round(setups))
             if now() - start + 0.5 * rounds[-1][0] >= seconds:
                 return rounds
 
@@ -262,27 +277,31 @@ class BatchWorkload:
 
     def end_to_end(self, setups, seconds):
         self.prepare_expected()
-        rounds = self.timed(seconds)
+        rounds = self.timed(seconds, setups)
         failures = list(self.guard())
         for _, runs in rounds:
             self.check(runs, failures)
         lat = [r.latency for _, runs in rounds for r in runs]
-        # The verbs differ in cost by up to 100x, so the median verb of a
-        # run is whichever verb sits in the middle, and it jumps between
-        # verbs from run to run; a cold verb's latency is taken as the
-        # round's mean instead (every batch verb is cold).
-        verb_ms = 1000 * statistics.median(w / len(runs) for w, runs in rounds)
-        times = {
+        # Each verb's latency is its median over the rounds.  The verbs
+        # differ in cost up to 100x, so a median over all samples would sit
+        # between two verbs' extreme rounds; the median is taken over the
+        # verbs' own medians instead.
+        verb = [statistics.median(runs[i].latency for _, runs in rounds)
+                for i in range(len(self.ops))]
+        metrics = {
             "setup_s": statistics.median(setups),
             "wall_s": statistics.median(w for w, _ in rounds),
             "estimate_s": statistics.median(
                 sum(r.latency for r in runs if r.kind == "estimate") for _, runs in rounds),
-            "op_p50_ms": verb_ms,
-            "cold_p50_ms": verb_ms,
+            "op_p50_ms": 1000 * statistics.median(verb),
+            # Every batch verb is cold: a fresh process on a netlist it has
+            # not seen.
+            "cold_p50_ms": 1000 * statistics.median(verb),
+            "rss_mb": statistics.median(max(r.rss_mb for r in runs) for _, runs in rounds),
         }
-        rss = statistics.median(max(r.rss_mb for r in runs) for _, runs in rounds)
-        summary = f"{len(rounds)} rounds of {len(self.ops)} cold verbs ({len(lat)} samples)"
-        return scaled(times, self.probes, rss, summary), len(lat), failures
+        summary = (f"{len(rounds)} rounds of {len(self.ops)} cold verbs ({len(lat)} samples); "
+                   "verb medians (ms) " + " ".join(f"{1000 * v:.1f}" for v in verb))
+        return metrics, summary, len(lat), failures
 
     def traced(self, seconds):
         _, runs = self.run_round()
@@ -305,6 +324,9 @@ class BatchWorkload:
             for line in trace.lines.get(f"op{i}", []):
                 if line not in printed:
                     failures.append(f"{' '.join(r.argv)}: replay result `{line}` not in stdout")
+            if trace.coverage(f"op{i}") < MIN_COVERAGE:
+                failures.append(f"{' '.join(r.argv)}: layer spans cover "
+                                f"{trace.coverage(f'op{i}'):.3f} of the replay")
         return trace.layer_metrics(e2e, rounds=1), len(runs), failures
 
     def guard(self):
@@ -370,12 +392,11 @@ class RegistryFlow(BatchWorkload):
 class ServeMix:
     """One `wrt serve` child and two closed-loop clients."""
 
-    setup_reps = 3
+    setup_reps = 2
 
     def __init__(self, wrt, helper_bin, seed):
         self.wrt, self.helper_bin, self.seed = wrt, helper_bin, seed
         self.server = None
-        self.probes = []
         self.pool = [(COLD_GATES, COLD_SEED_BASE + k, WORK / f"cold_{k}.bench")
                      for k in range(COLD_POOL)]
         inputs = warm_up(wrt)
@@ -384,7 +405,7 @@ class ServeMix:
         def vector(n):
             return ",".join(f"{rng.uniform(0.05, 0.95):.3f}" for _ in range(n))
 
-        warm = {c: [""] + [f" --weights {vector(inputs[c])}" for _ in range(2)]
+        warm = {c: [""] + [f" --weights {vector(inputs[c])}" for _ in range(WARM_VECTORS - 1)]
                 for c in SERVE_CIRCUITS}
         self.prime = [f"estimate {c}{w}" for c in SERVE_CIRCUITS for w in warm[c]]
         flips = defaultdict(list)
@@ -418,7 +439,7 @@ class ServeMix:
         """Writes the cold-netlist pool, warms the binary, and spawns and
         primes the server."""
         self.shutdown()
-        self.probes.append(probe())
+        probe()
         start = now()
         for gates, nseed, path in self.pool:
             generate(self.wrt, gates, nseed, path)
@@ -466,7 +487,7 @@ class ServeMix:
             for _ in self.plan:
                 if walls and now() - start + 0.5 * walls[-1] >= seconds:
                     break
-                self.probes.append(probe())  # the clients wait at the barrier
+                probe()  # the clients wait at the barrier
                 round_start = now()
                 barrier.wait()
                 barrier.wait()
@@ -489,7 +510,12 @@ class ServeMix:
 
     def end_to_end(self, setups, seconds):
         walls, rounds, rss = self.timed(seconds)
-        reqs = [q for clients in rounds for reqs in clients for q in reqs]
+        # As many set-ups again after the timed phase: set-ups taken back
+        # to back fall in one of the host's speed phases, which would then
+        # decide the run's setup_s.
+        setups += [self.setup() for _ in range(self.setup_reps)]
+        self.shutdown()
+        reqs =[q for clients in rounds for reqs in clients for q in reqs]
         expected = expected_outputs(self.helper_bin, sorted({q[1] for q in reqs}), self.prime)
         failures = [f"`{line}`: {tag} frame differs from in-process execute"
                     for _, line, _, tag, payload in reqs
@@ -498,7 +524,7 @@ class ServeMix:
         def lat(kinds):
             return [q[2] for q in reqs if q[0] in kinds]
 
-        times = {
+        metrics = {
             "setup_s": statistics.median(setups),
             "wall_s": statistics.median(walls),
             "estimate_s": statistics.median(
@@ -506,10 +532,17 @@ class ServeMix:
                 for clients in rounds),
             "op_p50_ms": 1000 * statistics.median(lat(ROUND_MIX)),
             "cold_p50_ms": 1000 * statistics.median(lat({"cold"})),
+            "rss_mb": rss,
         }
-        summary = (f"{len(walls)} rounds, {len(reqs)} requests "
-                   f"({len(lat({'cold'}))} cold) from {SERVE_CLIENTS} closed-loop clients")
-        return scaled(times, self.probes, rss, summary), len(reqs), failures
+        # Each kind's share of the clients' busy time: how much weight the
+        # mix gives each path in wall_s.
+        busy = sum(lat(ROUND_MIX))
+        shares = " ".join(
+            f"{kind} {len(lat({kind}))} x {1000 * statistics.median(lat({kind})):.2f} ms "
+            f"= {sum(lat({kind})) / busy:.1%}" for kind in ROUND_MIX)
+        summary = (f"{len(walls)} rounds, {len(reqs)} requests from {SERVE_CLIENTS} "
+                   f"closed-loop clients; {shares}")
+        return metrics, summary, len(reqs), failures
 
     def traced(self, seconds):
         # A third of the run's time: the replay costs twice the requests.
@@ -524,17 +557,6 @@ class ServeMix:
         failures += [f"`{q[1]}`: err frame" for q in reqs if q[3] != "ok"]
         e2e = {f"q{i}": ("request", q[2]) for i, q in enumerate(reqs)}
         return trace.layer_metrics(e2e, rounds=len(walls)), len(reqs), failures
-
-
-def scaled(times, probes, rss_mb, summary):
-    """End-to-end metrics: the time metrics at the reference machine speed
-    (the raw medians and the probe go into the summary line)."""
-    speed = PROBE_REF_S / statistics.median(probes)
-    metrics = {name: value * speed for name, value in times.items()}
-    metrics["rss_mb"] = rss_mb
-    raw = ", ".join(f"{name} {value:.4g}" for name, value in times.items())
-    return metrics, (f"{summary}; raw {raw}; probe median {statistics.median(probes):.4f} s "
-                     f"over {len(probes)} probes, scale {speed:.3f}")
 
 
 # --------------------------------------------------------------- tracing
@@ -567,9 +589,16 @@ class Trace:
         # Self time: a span's duration minus what its child spans cover.
         self.self_ns = {sid: s[4] - s[3] - covered[sid] for sid, s in self.spans.items()}
         self.covered = covered
+        self.roots = {s[0]: sid for sid, s in self.spans.items()
+                      if s[1] == "-" and s[2] in ROOT_SPANS}
 
     def self_s(self, name):
         return sum(self.self_ns[sid] for sid, s in self.spans.items() if s[2] == name) / 1e9
+
+    def coverage(self, req):
+        """The share of a request's root span its layer spans cover."""
+        sid = self.roots[req]
+        return self.covered[sid] / (self.spans[sid][4] - self.spans[sid][3])
 
     def layer_metrics(self, e2e, rounds):
         """Per-layer metrics per round; `e2e` maps a request id to its
@@ -581,8 +610,6 @@ class Trace:
             return a / b if b else 0.0
 
         c = self.counts
-        roots = {s[0]: sid for sid, s in self.spans.items()
-                 if s[1] == "-" and s[2] in ("serve.request",) + VERB_SPANS}
         execute = {s[0]: (s[4] - s[3]) / 1e9 for s in self.spans.values()
                    if s[2] == "serve.execute"}
         # Coverage: the layer spans' share of each replayed verb's wall.
@@ -590,7 +617,7 @@ class Trace:
         verb_cover, verb_wall = defaultdict(float), defaultdict(float)
         untraced = 0.0
         for req, (verb, _) in e2e.items():
-            sid = roots[req]
+            sid = self.roots[req]
             verb_cover[verb] += self.covered[sid] / 1e9
             verb_wall[verb] += (self.spans[sid][4] - self.spans[sid][3]) / 1e9
             untraced += execute[req]
@@ -645,7 +672,7 @@ class Trace:
         return m
 
 
-VERB_SPANS = ("verb.estimate", "verb.simulate", "verb.optimize", "verb.atpg")
+ROOT_SPANS = ("serve.request", "verb.estimate", "verb.simulate", "verb.optimize", "verb.atpg")
 
 WORKLOADS = {"tiled_cold": TiledCold, "registry_flow": RegistryFlow, "serve_mix": ServeMix}
 
@@ -678,7 +705,11 @@ def main():
             summary = "traced run"
         else:
             setups = [workload.setup() for _ in range(workload.setup_reps)]
-            (metrics, summary), attempted, failures = workload.end_to_end(setups, args.seconds)
+            raw, summary, attempted, failures = workload.end_to_end(setups, args.seconds)
+            metrics, speed = at_reference_speed(raw)
+            summary += ("; as measured " + ", ".join(f"{k} {v:.4g}" for k, v in raw.items())
+                        + f"; probe median {statistics.median(PROBES) * 1000:.2f} ms "
+                        f"over {len(PROBES)}, scale {speed:.3f}")
     finally:
         if isinstance(workload, ServeMix):
             workload.shutdown()
