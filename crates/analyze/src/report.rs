@@ -78,7 +78,8 @@ pub fn analyze(circuit: &Circuit) -> AnalysisReport {
     let findings = lint_circuit(circuit, &scoap);
     let census = census(circuit);
 
-    let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
+    // Checkpoint lists come out already collapsed.
+    let faults = FaultList::checkpoints(circuit);
     let mut costed: Vec<(u32, String)> = faults
         .as_slice()
         .iter()

@@ -47,7 +47,12 @@
 //!   `BENCH_scale.json`, rows ordered by increasing circuit size) must
 //!   stay flat or decrease — each row may exceed its predecessor by at
 //!   most 5% (name strings grow a digit at larger sizes); a rising curve
-//!   means a superlinear term crept into the flat circuit core.
+//!   means a superlinear term crept into the flat circuit core;
+//! * `"fault_prep_us_per_gate"` values (the same sweep's fault-list
+//!   preparation time per gate) may at most double from one row to the
+//!   next — adjacent sizes differ by 4–5x, so a quadratic term at least
+//!   quadruples the per-gate cost, while wall-clock noise and cache
+//!   effects stay well under 2x.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_guard --
 //! [FILE ...]`; with no arguments it checks the two default artifacts in
@@ -162,6 +167,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut guided: Vec<(f64, usize)> = Vec::new();
     let mut unguided: Vec<(f64, usize)> = Vec::new();
     let mut bytes_per_gate: Vec<(f64, usize)> = Vec::new();
+    let mut prep_per_gate: Vec<(f64, usize)> = Vec::new();
     // The simulation artifact is the one with 2D-tiled headline fields;
     // the eval-reduction floors below apply only to it (other artifacts
     // reuse the `eval_reduction` key for differently-scaled metrics).
@@ -223,6 +229,11 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         if v.key == "bytes_per_gate" {
             if let Ok(x) = v.value.parse::<f64>() {
                 bytes_per_gate.push((x, v.line));
+            }
+        }
+        if v.key == "fault_prep_us_per_gate" {
+            if let Ok(x) = v.value.parse::<f64>() {
+                prep_per_gate.push((x, v.line));
             }
         }
         if v.key == "guided_backtracks" || v.key == "unguided_backtracks" {
@@ -306,6 +317,16 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         if next > prev * 1.05 {
             violations.push(format!(
                 "{path}:{line}: bytes_per_gate rose {prev} -> {next} (>5%) — superlinear memory term"
+            ));
+        }
+    }
+    // Scale-sweep fault-prep slope: per-gate time may at most double
+    // between adjacent sizes.
+    for pair in prep_per_gate.windows(2) {
+        let ((prev, _), (next, line)) = (pair[0], pair[1]);
+        if next > prev * 2.0 {
+            violations.push(format!(
+                "{path}:{line}: fault_prep_us_per_gate rose {prev} -> {next} (>2x) — superlinear fault-list preparation"
             ));
         }
     }
@@ -498,6 +519,17 @@ mod tests {
         let v = check_artifact("x.json", text);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("superlinear memory term"));
+    }
+
+    #[test]
+    fn linear_fault_prep_passes_and_a_quadratic_slope_is_flagged() {
+        let linear = "{ \"rows\": [ { \"fault_prep_us_per_gate\": 0.30, \"bit_identical\": true }, { \"fault_prep_us_per_gate\": 0.45, \"bit_identical\": true }, { \"fault_prep_us_per_gate\": 0.41, \"bit_identical\": true } ] }";
+        assert!(check_artifact("s.json", linear).is_empty());
+        // 50k -> 200k gates with a quadratic term: 4x the per-gate cost.
+        let quadratic = "{ \"rows\": [ { \"fault_prep_us_per_gate\": 140.0, \"bit_identical\": true }, { \"fault_prep_us_per_gate\": 560.0, \"bit_identical\": true } ] }";
+        let v = check_artifact("s.json", quadratic);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("fault_prep_us_per_gate"));
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub const REDUNDANCY_SUPPORT_LIMIT: usize = 14;
 /// constant-line argument — mirroring the paper's "all faults of F must
 /// be detectable" and the PROTEST redundancy note under Table 2.
 pub fn experiment_faults(circuit: &Circuit) -> FaultList {
-    let checkpoints = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
+    // Checkpoint lists come out already collapsed (no equivalence rule
+    // pairs two checkpoint faults), so there is nothing to collapse.
+    let checkpoints = FaultList::checkpoints(circuit);
     let redundant = constant_line_faults(circuit, &checkpoints, REDUNDANCY_SUPPORT_LIMIT);
     let keep: Vec<_> = checkpoints
         .iter()

@@ -114,7 +114,7 @@ impl FanoutCones {
 /// Linear merge of two sorted, duplicate-free node lists into `out`
 /// (sorted, deduplicated).  The single merge implementation behind both
 /// [`ConeUnion::absorb`] and [`ConeUnion::merged_with`].
-fn merge_sorted_nodes(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+pub fn merge_sorted_nodes(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
     out.clear();
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0, 0);

@@ -43,7 +43,8 @@ mod write;
 
 pub use builder::CircuitBuilder;
 pub use cone::{
-    input_support, output_cone, transitive_fanin, transitive_fanout, ConeUnion, FanoutCones,
+    input_support, merge_sorted_nodes, output_cone, transitive_fanin, transitive_fanout,
+    ConeUnion, FanoutCones,
 };
 pub use error::{BuildCircuitError, ParseBenchError};
 pub use gate::GateKind;

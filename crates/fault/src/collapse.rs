@@ -1,7 +1,5 @@
 //! Fault collapsing: equivalence classes and dominance reduction.
 
-use std::collections::HashMap;
-
 use wrt_circuit::{Circuit, GateKind};
 
 use crate::fault::{Fault, FaultSite};
@@ -37,10 +35,12 @@ use crate::list::{FaultId, FaultList};
 /// ```
 #[derive(Debug, Clone)]
 pub struct EquivalenceClasses {
-    /// Union-find parent, by fault index.
-    class_of: Vec<usize>,
-    /// Members per class root (computed at the end).
-    classes: HashMap<usize, Vec<FaultId>>,
+    /// Dense class number per fault index; classes are numbered in order
+    /// of their smallest member.
+    class_of: Vec<u32>,
+    /// Class `c`'s members, ascending, are `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<FaultId>,
     faults: Vec<Fault>,
 }
 
@@ -49,12 +49,9 @@ impl EquivalenceClasses {
     pub fn compute(circuit: &Circuit, list: &FaultList) -> Self {
         let n = list.len();
         let mut uf = UnionFind::new(n);
-        let index: HashMap<Fault, usize> = list
-            .iter()
-            .map(|(id, f)| (f, id.index()))
-            .collect();
+        let index = DenseIndex::new(circuit, list);
         let union = |a: Fault, b: Fault, uf: &mut UnionFind| {
-            if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
+            if let (Some(ia), Some(ib)) = (index.get(circuit, a), index.get(circuit, b)) {
                 uf.union(ia, ib);
             }
         };
@@ -110,23 +107,41 @@ impl EquivalenceClasses {
             }
         }
 
-        let mut classes: HashMap<usize, Vec<FaultId>> = HashMap::new();
-        let mut class_of = vec![0usize; n];
-        for (i, slot) in class_of.iter_mut().enumerate() {
-            let root = uf.find(i);
-            *slot = root;
-            classes.entry(root).or_default().push(FaultId::from_index(i));
+        // Number the classes in order of their smallest member, then lay
+        // the members out class by class (a counting sort, so each class
+        // stays ascending).
+        let mut class_of_root = vec![u32::MAX; n];
+        let mut class_of = Vec::with_capacity(n);
+        let mut starts = vec![0u32];
+        for i in 0..n {
+            let slot = &mut class_of_root[uf.find(i)];
+            if *slot == u32::MAX {
+                *slot = u32::try_from(starts.len() - 1).expect("class count fits in u32");
+                starts.push(0);
+            }
+            class_of.push(*slot);
+            starts[*slot as usize + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        let mut fill = starts.clone();
+        let mut members = vec![FaultId(0); n];
+        for (i, &c) in class_of.iter().enumerate() {
+            members[fill[c as usize] as usize] = FaultId::from_index(i);
+            fill[c as usize] += 1;
         }
         EquivalenceClasses {
             class_of,
-            classes,
+            starts,
+            members,
             faults: list.as_slice().to_vec(),
         }
     }
 
     /// Number of equivalence classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.starts.len() - 1
     }
 
     /// Whether two faults of the original list are equivalent.
@@ -134,9 +149,10 @@ impl EquivalenceClasses {
         self.class_of[a.index()] == self.class_of[b.index()]
     }
 
-    /// The members of the class containing `id`.
+    /// The members of the class containing `id`, ascending.
     pub fn class_members(&self, id: FaultId) -> &[FaultId] {
-        &self.classes[&self.class_of[id.index()]]
+        let c = self.class_of[id.index()] as usize;
+        &self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
     /// One representative fault per class, as a new [`FaultList`].
@@ -145,15 +161,52 @@ impl EquivalenceClasses {
     /// because fault lists enumerate drivers before sinks, this prefers
     /// faults closer to the primary inputs.
     pub fn representatives(&self) -> FaultList {
-        let mut reps: Vec<FaultId> = self
-            .classes
-            .values()
-            .map(|members| *members.iter().min().expect("classes are non-empty"))
-            .collect();
-        reps.sort();
-        reps.into_iter()
-            .map(|id| self.faults[id.index()])
+        self.starts[..self.num_classes()]
+            .iter()
+            .map(|&s| self.faults[self.members[s as usize].index()])
             .collect()
+    }
+}
+
+/// Fault → list index by direct addressing: two slots per node stem,
+/// then two per gate pin (pin `p` of gate `g` at edge
+/// `fanin_offset(g) + p`).  A fault listed twice maps to its last
+/// occurrence; faults that name no line of `circuit` are left out.
+struct DenseIndex {
+    slots: Vec<u32>,
+}
+
+impl DenseIndex {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(circuit: &Circuit, list: &FaultList) -> Self {
+        let mut slots = vec![Self::ABSENT; 2 * (circuit.num_nodes() + circuit.num_edges())];
+        for (id, fault) in list.iter() {
+            if let Some(slot) = Self::position(circuit, fault) {
+                slots[slot] = u32::try_from(id.index()).expect("fault index fits in u32");
+            }
+        }
+        DenseIndex { slots }
+    }
+
+    /// The fault's slot, or `None` when it names no line of `circuit`.
+    fn position(circuit: &Circuit, fault: Fault) -> Option<usize> {
+        let nodes = circuit.num_nodes();
+        let line = match fault.site {
+            FaultSite::Output(n) if n.index() < nodes => n.index(),
+            FaultSite::InputPin { gate, pin }
+                if gate.index() < nodes && pin < circuit.fanin(gate).len() =>
+            {
+                nodes + circuit.fanin_offset(gate) + pin
+            }
+            _ => return None,
+        };
+        Some(2 * line + usize::from(fault.stuck_value))
+    }
+
+    fn get(&self, circuit: &Circuit, fault: Fault) -> Option<usize> {
+        let i = self.slots[Self::position(circuit, fault)?];
+        (i != Self::ABSENT).then_some(i as usize)
     }
 }
 

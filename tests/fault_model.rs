@@ -102,6 +102,17 @@ proptest! {
         }
     }
 
+    /// Checkpoint lists are already collapsed: no equivalence rule pairs
+    /// two checkpoint faults (branch ≡ stem needs a fanout-free line, whose
+    /// branch is no checkpoint; the gate-local rules need a gate-output
+    /// fault, and only primary-input stems are checkpoints), so the verbs
+    /// skip `collapse_equivalent` on them.
+    #[test]
+    fn checkpoint_lists_are_already_collapsed(circuit in arb_circuit()) {
+        let checkpoints = FaultList::checkpoints(&circuit);
+        prop_assert_eq!(checkpoints.collapse_equivalent(&circuit), checkpoints);
+    }
+
     /// Dominance collapsing never loses coverage: a pattern set detecting
     /// all remaining faults detects all dropped ones too.
     #[test]
@@ -154,5 +165,35 @@ proptest! {
                 "functions differ at {:?}", assignment
             );
         }
+    }
+}
+
+/// Equivalence-class counts of every registry circuit's full fault
+/// universe, recorded from the original hash-map implementation of
+/// `EquivalenceClasses`; checkpoint lists collapse to themselves.
+#[test]
+fn registry_collapse_matches_recorded_class_counts() {
+    let recorded = [
+        ("s1", 1202, 536),
+        ("s2", 23096, 16370),
+        ("c432ish", 1270, 590),
+        ("c499ish", 1422, 840),
+        ("c880ish", 1066, 498),
+        ("c1355ish", 3618, 1816),
+        ("c1908ish", 2772, 1392),
+        ("c2670ish", 1306, 658),
+        ("c3540ish", 2292, 1074),
+        ("c5315ish", 3154, 1462),
+        ("c6288ish", 8512, 5728),
+        ("c7552ish", 3010, 1538),
+    ];
+    for (name, faults, classes) in recorded {
+        let circuit = wrt::workloads::by_name(name).expect("registry circuit");
+        let full = FaultList::full(&circuit);
+        assert_eq!(full.len(), faults, "{name}");
+        let reps = full.collapse_equivalent(&circuit);
+        assert_eq!(reps.len(), classes, "{name}");
+        let checkpoints = FaultList::checkpoints(&circuit);
+        assert_eq!(checkpoints.collapse_equivalent(&circuit), checkpoints, "{name}");
     }
 }
