@@ -1,11 +1,11 @@
-//! Machine-readable optimizer benchmark: full COP vs incremental COP vs
-//! the batched pending-overlay COP.
+//! Machine-readable optimizer benchmark: full COP vs incremental COP with
+//! per-move materialization vs the batched pending overlay.
 //!
 //! Runs the PROTEST-style optimizer three times per circuit — once with
-//! the full-recompute [`CopEngine`], once with the per-move
-//! cone-restricted [`IncrementalCop`] (PR 3 behavior, `--commit-batch 1`)
-//! and once with the batched pending-overlay engine (`--commit-batch
-//! K`) — and writes `BENCH_optimize.json` (circuit, inputs, sweeps,
+//! the full-recompute [`CopEngine`], once with the cone-restricted
+//! [`IncrementalCop`] at commit batch 1 (every coordinate move
+//! materialized on its own) and once at commit batch `K` (moves deferred
+//! and materialized `K` at a time) — and writes `BENCH_optimize.json` (circuit, inputs, sweeps,
 //! engine calls, node evaluations per engine, pending-overlay
 //! materialization/frontier stats, wall time, bit-identity of the
 //! resulting descents), so the optimizer hot path's trajectory is
@@ -56,7 +56,7 @@ struct Row {
 }
 
 impl Row {
-    /// Node-evaluation reduction of the per-move incremental engine vs
+    /// Node-evaluation reduction of the batch-1 incremental engine vs
     /// full recompute (the machine-independent measure of the
     /// O(circuit) → O(cone) win).
     fn eval_reduction(&self) -> f64 {
@@ -64,8 +64,8 @@ impl Row {
     }
 
     /// Node-evaluation reduction of the batched pending-overlay engine
-    /// vs the per-move incremental engine (the PR 5 lever: deferred
-    /// commits sharing one materialization pass).
+    /// vs the batch-1 engine (deferred moves sharing one materialization
+    /// pass).
     fn pending_eval_reduction(&self) -> f64 {
         self.incremental_node_evals as f64 / self.pending_node_evals as f64
     }
@@ -146,7 +146,7 @@ fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig, commit_batch: usize
     // the whole netlist; `engine_calls` counts estimates (a pair = 2).
     let full_node_evals = full.engine_calls as u64 * 2 * circuit.num_nodes() as u64;
 
-    let mut incremental_engine = IncrementalCop::new();
+    let mut incremental_engine = IncrementalCop::new().with_commit_batch(1);
     let start = Instant::now();
     let incremental = optimize(circuit, &faults, &mut incremental_engine, config);
     let incremental_seconds = start.elapsed().as_secs_f64();
@@ -249,7 +249,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"optimize_full_vs_incremental_vs_pending_cop\",\n  \"note\": \"eval_reduction is the machine-independent metric: COP node evaluations per optimizer run, full recompute vs cone-restricted per-move incremental (bit-identical descents). pending_overlay tracks the batched engine: coordinate moves are deferred (free) into a union-of-cones frontier and resolved in one shared materialization pass per batch, so its eval_reduction_vs_incremental isolates the batching win — largest on the wide-cone c5315ish and the globally connected c6288ish multiplier, the two circuits whose per-move commits (or stateless fallbacks) used to bound the PR 3 engine. cache_hits counts forward recomputations skipped by the cross-query pending value cache (union-frontier values reused across query epochs, invalidated cone-grained per deferred move) — verdict: the extra stamp layer pays, cutting pending forward evals 15.5% and total pending evals 7% on the acceptance circuit c5315ish. Read alongside BENCH_sim.json, which tracks the fault-simulation (Monte-Carlo engine) side of the same hot path.\",\n  \"max_sweeps\": {},\n  \"commit_batch\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"optimize_full_vs_incremental_vs_pending_cop\",\n  \"note\": \"eval_reduction is the machine-independent metric: COP node evaluations per optimizer run, full recompute vs cone-restricted incremental at commit batch 1 (bit-identical descents). Batch 1 materializes every coordinate move on its own through the pending path, with no global-cone guard: it walks the whole dirty region of each move even where the cone covers the netlist. pending_overlay tracks the batched engine: coordinate moves are deferred (free) into a union-of-cones frontier and resolved in one shared materialization pass per batch, so its eval_reduction_vs_incremental isolates the batching win — largest on the wide-cone c5315ish and the globally connected c6288ish multiplier. cache_hits counts forward recomputations skipped by the cross-query pending value cache (union-frontier values reused across query epochs, invalidated cone-grained per deferred move) — verdict: the extra stamp layer pays, cutting pending forward evals 15.5% and total pending evals 7% on the acceptance circuit c5315ish. Read alongside BENCH_sim.json, which tracks the fault-simulation (Monte-Carlo engine) side of the same hot path.\",\n  \"max_sweeps\": {},\n  \"commit_batch\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         config.max_sweeps,
         commit_batch,
         smoke,
@@ -269,15 +269,15 @@ fn main() {
             .all(|r| r.pending_node_evals < r.incremental_node_evals);
         assert!(
             pending_always_reduces,
-            "the pending overlay must strictly reduce node evaluations vs per-move commits"
+            "the pending overlay must strictly reduce node evaluations vs batch 1"
         );
     } else {
-        // `--commit-batch 0|1` runs the per-move engine twice: a useful
-        // baseline sanity check, whose work must match exactly.
+        // `--commit-batch 0|1` runs the batch-1 engine twice: a useful
+        // sanity check, whose work must match exactly.
         assert!(
             rows.iter()
                 .all(|r| r.pending_node_evals == r.incremental_node_evals),
-            "commit batch {commit_batch} must reproduce the per-move engine's work exactly"
+            "commit batch {commit_batch} must reproduce the batch-1 engine's work exactly"
         );
     }
 }

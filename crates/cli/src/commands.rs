@@ -325,20 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn commit_batch_edge_values_degrade_to_per_move_mode() {
-        // 0 and 1 are the documented per-move (PR 3) fallbacks; both
-        // must run end to end, as must the batched default.
-        for batch in ["0", "1", "4"] {
-            let a = args(&["s1", "--commit-batch", batch]);
-            assert!(optimize(&a).is_ok(), "--commit-batch {batch}");
+    fn commit_batch_flag_is_a_removed_error() {
+        // The per-move mode it selected is gone; the flag must fail
+        // loudly (unknown flags are otherwise ignored), whatever the
+        // value or engine.
+        for a in [
+            args(&["s1", "--commit-batch", "4"]),
+            args(&["s1", "--commit-batch", "lots"]),
+            args(&["s1", "--engine", "cop", "--commit-batch", "1"]),
+        ] {
+            let err = optimize(&a).unwrap_err();
+            assert!(err.contains("--commit-batch was removed"), "{err}");
         }
-        // Malformed values are clean errors, not panics.
-        assert!(optimize(&args(&["s1", "--commit-batch", "lots"])).is_err());
-        // The flag is tied to the engine that implements it.
-        assert!(engine_arg(&args(&["--engine", "cop", "--commit-batch", "4"])).is_err());
-        assert!(
-            engine_arg(&args(&["--engine", "stafan", "--commit-batch", "2"])).is_err()
-        );
+        assert!(engine_arg(&args(&["--commit-batch"])).is_err());
     }
 
     #[test]

@@ -838,9 +838,7 @@ mod tests {
                 );
                 assert_eq!(got.sweeps, reference.sweeps, "batch {batch}");
                 assert_eq!(got.engine_calls, reference.engine_calls, "batch {batch}");
-                let stats = batched.stats();
-                assert_eq!(stats.incremental_commits, 0, "batch {batch} defers moves");
-                assert!(stats.pending_moves > 0, "batch {batch}");
+                assert!(batched.stats().pending_moves > 0, "batch {batch}");
             }
         }
     }

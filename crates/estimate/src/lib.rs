@@ -12,10 +12,16 @@
 //! * [`IncrementalCop`] — the same model with an incremental,
 //!   cone-restricted evaluation strategy (bit-identical estimates) that
 //!   answers the optimizer's single-coordinate PREPARE queries in
-//!   O(fanout cone) instead of O(circuit); its batched pending-overlay
-//!   mode ([`IncrementalCop::with_commit_batch`]) additionally defers
-//!   coordinate commits and resolves them in shared materialization
-//!   passes, which is what keeps wide- and global-cone circuits fast;
+//!   O(fanout cone) instead of O(circuit); coordinate moves are deferred
+//!   into a pending overlay and resolved in shared materialization
+//!   passes ([`IncrementalCop::with_commit_batch`]), which is what keeps
+//!   wide- and global-cone circuits fast;
+//! * [`CopBaseline`] and [`SessionCop`] — a shareable COP solution plus
+//!   per-session what-if ECO queries (virtual gate-kind mutations).
+//!   They and [`IncrementalCop`] run on one COP overlay: an immutable
+//!   baseline solution plus an epoch-stamped delta that one forward walk
+//!   and one push-on-change backward walk keep bit-identical to a full
+//!   recompute;
 //! * [`StafanEngine`] — STAFAN-style statistical counting on a fault-free
 //!   bit-parallel sample \[AgJa84\];
 //! * [`MonteCarloEngine`] — direct PPSFP fault-simulation sampling;
@@ -56,6 +62,7 @@ mod engine;
 mod exact;
 mod hybrid;
 mod incremental;
+mod overlay;
 mod rank;
 mod redundancy;
 mod shared;

@@ -12,26 +12,23 @@
 //!   `Arc<Circuit>`), so any number of sessions share it by `Arc` and
 //!   answer per-fault queries through `&self` with zero locking.
 //! * [`SessionCop`] — per-session scratch layered over an
-//!   `Arc<CopBaseline>`: stamped copy-on-write overlays for signal
-//!   probabilities, observabilities, and pin observabilities.  A what-if
-//!   ECO query ([`SessionCop::what_if`]) mutates k gate kinds *virtually*:
-//!   a cone-restricted forward pass plus a push-on-change backward pass
-//!   touch only the dirtied region, instead of the `2·n` node
-//!   evaluations a cold recompute costs — with results bit-identical to
-//!   rebuilding the mutated circuit and running full COP, because both
-//!   paths evaluate nodes through the same kind-parameterized helpers
-//!   and unchanged values are reused bitwise from the baseline.
+//!   `Arc<CopBaseline>`: the crate's one COP overlay (`overlay.rs`, the
+//!   same one [`crate::IncrementalCop`] runs on).  A what-if ECO query
+//!   ([`SessionCop::what_if`]) mutates k gate kinds *virtually*: the
+//!   overlay's eager walk over the mutated gates' fanout cone, with the
+//!   new kinds as an override, touches only the dirtied region instead of
+//!   the `2·n` node evaluations a cold recompute costs — with results
+//!   bit-identical to rebuilding the mutated circuit and running full
+//!   COP, because both paths evaluate nodes through the same
+//!   kind-parameterized helpers and unchanged values are reused bitwise
+//!   from the baseline.
 
 use std::sync::Arc;
 
 use wrt_circuit::{transitive_fanout, Circuit, GateKind, NodeId};
 use wrt_fault::FaultList;
 
-use crate::cop::{
-    node_probability_of_kind, observabilities_cop, pin_sensitivity_of_kind,
-    signal_probabilities_cop, stem_observability,
-};
-use crate::engine::cop_fault_probability;
+use crate::overlay::{CopSolution, Overlay};
 
 /// An immutable, shareable COP solution for one circuit at one weight
 /// vector: signal probabilities, node observabilities, and edge-indexed
@@ -42,10 +39,7 @@ use crate::engine::cop_fault_probability;
 #[derive(Debug)]
 pub struct CopBaseline {
     circuit: Arc<Circuit>,
-    weights: Arc<[f64]>,
-    p: Vec<f64>,
-    obs: Vec<f64>,
-    pin_obs: Vec<f64>,
+    solution: CopSolution,
 }
 
 impl CopBaseline {
@@ -55,15 +49,8 @@ impl CopBaseline {
     ///
     /// Panics if `weights.len() != circuit.num_inputs()`.
     pub fn build(circuit: Arc<Circuit>, weights: &[f64]) -> Self {
-        let p = signal_probabilities_cop(&circuit, weights);
-        let (obs, pin_obs) = observabilities_cop(&circuit, &p);
-        CopBaseline {
-            weights: weights.into(),
-            circuit,
-            p,
-            obs,
-            pin_obs,
-        }
+        let solution = CopSolution::compute(&circuit, weights);
+        CopBaseline { circuit, solution }
     }
 
     /// The circuit this baseline was computed for.
@@ -71,39 +58,26 @@ impl CopBaseline {
         &self.circuit
     }
 
-    /// The input weight vector the baseline was computed at (shared,
-    /// copy-on-write: sessions clone the `Arc`, never the data).
-    pub fn weights(&self) -> &Arc<[f64]> {
-        &self.weights
+    /// The input weight vector the baseline was computed at.
+    pub fn weights(&self) -> &[f64] {
+        &self.solution.weights
     }
 
     /// Signal probability of one node.
     pub fn probability(&self, id: NodeId) -> f64 {
-        self.p[id.index()]
+        self.solution.p[id.index()]
     }
 
     /// Observability of one node.
     pub fn observability(&self, id: NodeId) -> f64 {
-        self.obs[id.index()]
+        self.solution.obs[id.index()]
     }
 
     /// COP detection probability of every fault in `faults`, through the
-    /// same [`cop_fault_probability`] helper every other engine uses —
+    /// same `cop_fault_probability` helper every other engine uses —
     /// bit-identical to `CopEngine` at the same weights.
     pub fn detection_probabilities(&self, faults: &FaultList) -> Vec<f64> {
-        faults
-            .as_slice()
-            .iter()
-            .map(|fault| {
-                cop_fault_probability(
-                    &self.circuit,
-                    fault,
-                    &|f: NodeId| self.p[f.index()],
-                    &|n: NodeId| self.obs[n.index()],
-                    &|g: NodeId, pin: usize| self.pin_obs[self.circuit.fanin_offset(g) + pin],
-                )
-            })
-            .collect()
+        self.solution.detection_probabilities(&self.circuit, faults)
     }
 
     /// Node evaluations a cold recompute of this baseline costs: one
@@ -158,14 +132,7 @@ impl EcoStats {
 #[derive(Debug)]
 pub struct SessionCop {
     baseline: Arc<CopBaseline>,
-    token: u32,
-    p_new: Vec<f64>,
-    p_stamp: Vec<u32>,
-    obs_new: Vec<f64>,
-    obs_stamp: Vec<u32>,
-    pin_new: Vec<f64>,
-    pin_stamp: Vec<u32>,
-    touch_stamp: Vec<u32>,
+    overlay: Overlay,
     /// Sorted `(gate, kind)` overrides of the current query.
     overrides: Vec<(NodeId, GateKind)>,
 }
@@ -173,18 +140,10 @@ pub struct SessionCop {
 impl SessionCop {
     /// Wraps a shared baseline in fresh per-session scratch.
     pub fn new(baseline: Arc<CopBaseline>) -> Self {
-        let n = baseline.circuit.num_nodes();
-        let e = baseline.circuit.num_edges();
+        let overlay = Overlay::new(baseline.circuit.num_nodes(), baseline.circuit.num_edges());
         SessionCop {
             baseline,
-            token: 0,
-            p_new: vec![0.0; n],
-            p_stamp: vec![0; n],
-            obs_new: vec![0.0; n],
-            obs_stamp: vec![0; n],
-            pin_new: vec![0.0; e],
-            pin_stamp: vec![0; e],
-            touch_stamp: vec![0; n],
+            overlay,
             overrides: Vec::new(),
         }
     }
@@ -192,13 +151,6 @@ impl SessionCop {
     /// The shared baseline this session is layered over.
     pub fn baseline(&self) -> &Arc<CopBaseline> {
         &self.baseline
-    }
-
-    fn kind_of(&self, id: NodeId) -> GateKind {
-        match self.overrides.binary_search_by_key(&id, |&(g, _)| g) {
-            Ok(i) => self.overrides[i].1,
-            Err(_) => self.baseline.circuit.node(id).kind(),
-        }
     }
 
     /// Answers a what-if ECO query: with the gates in `mutations`
@@ -222,7 +174,7 @@ impl SessionCop {
         mutations: &[EcoMutation],
         faults: &FaultList,
     ) -> Result<(Vec<f64>, EcoStats), String> {
-        let circuit = Arc::clone(&self.baseline.circuit);
+        let circuit = &self.baseline.circuit;
         if mutations.is_empty() {
             return Err("an ECO query mutates at least one gate".into());
         }
@@ -262,159 +214,44 @@ impl SessionCop {
             return Err("duplicate gate in ECO mutation list".into());
         }
 
-        self.token += 1;
-        let token = self.token;
-        let weights = Arc::clone(&self.baseline.weights);
+        // The eager overlay walk over the mutated gates' fanout cone: the
+        // mutated gates seed the backward walk (their pin sensitivities
+        // follow their new kinds), and every kind lookup sees the
+        // overrides.
         let roots: Vec<NodeId> = self.overrides.iter().map(|&(g, _)| g).collect();
-        let cone = transitive_fanout(&circuit, &roots);
-        let mut stats = EcoStats {
+        let cone = transitive_fanout(circuit, &roots);
+        let base = &self.baseline.solution;
+        let overrides = &self.overrides;
+        let overlay = &mut self.overlay;
+        overlay.next_epoch();
+        let (forward_before, backward_before) = (overlay.forward_evals, overlay.backward_evals);
+        overlay.eager_walk(
+            circuit,
+            base,
+            &cone,
+            &roots,
+            |k| base.weights[k],
+            |id, native| match overrides.binary_search_by_key(&id, |&(g, _)| g) {
+                Ok(i) => overrides[i].1,
+                Err(_) => native,
+            },
+        );
+        let stats = EcoStats {
             cone_nodes: cone.len(),
-            forward_evals: 0,
-            backward_evals: 0,
-            changed_probabilities: 0,
-            changed_observabilities: 0,
+            forward_evals: overlay.forward_evals - forward_before,
+            backward_evals: overlay.backward_evals - backward_before,
+            changed_probabilities: overlay.touched_p.len(),
+            changed_observabilities: overlay
+                .touched_obs
+                .iter()
+                .filter(|&&id| overlay.obs(base, id).to_bits() != base.obs[id.index()].to_bits())
+                .count(),
             cold_evals: self.baseline.cold_evals(),
         };
-
-        // Forward: recompute signal probabilities inside the cone, in
-        // ascending (topological) order, reading overlay-then-baseline.
-        for &id in &cone {
-            let node = circuit.node(id);
-            let kind = self.kind_of(id);
-            let val = {
-                let p_stamp = &self.p_stamp;
-                let p_new = &self.p_new;
-                let base = &self.baseline;
-                node_probability_of_kind(
-                    &circuit,
-                    id,
-                    kind,
-                    node.fanin(),
-                    &|k: usize| weights[k],
-                    &|f: NodeId| {
-                        if p_stamp[f.index()] == token {
-                            p_new[f.index()]
-                        } else {
-                            base.p[f.index()]
-                        }
-                    },
-                )
-            };
-            stats.forward_evals += 1;
-            if val.to_bits() != self.baseline.p[id.index()].to_bits() {
-                stats.changed_probabilities += 1;
-            }
-            self.p_new[id.index()] = val;
-            self.p_stamp[id.index()] = token;
-            // Every cone node must refresh its fanin pin observabilities
-            // in the backward pass (its probability or kind may have
-            // changed the sensitivities), so seed the touch set with the
-            // whole cone.
-            self.touch_stamp[id.index()] = token;
-        }
-
-        // Backward: recompute observabilities for touched nodes in
-        // descending (reverse topological) order.  A node is touched when
-        // it is in the cone, or when a changed fanin-pin observability of
-        // some sink was pushed down to it — so the pass dies out exactly
-        // where the mutation stops mattering, mirroring the full pass of
-        // `observabilities_cop` bit for bit on the region it does visit.
-        let max_idx = cone.last().map_or(0, |id| id.index());
-        for idx in (0..=max_idx).rev() {
-            if self.touch_stamp[idx] != token {
-                continue;
-            }
-            let id = NodeId::from_index(idx);
-            let new_obs = {
-                let pin_stamp = &self.pin_stamp;
-                let pin_new = &self.pin_new;
-                let base = &self.baseline;
-                stem_observability(&circuit, id, &|sink: NodeId, pin: usize| {
-                    let e = circuit.fanin_offset(sink) + pin;
-                    if pin_stamp[e] == token {
-                        pin_new[e]
-                    } else {
-                        base.pin_obs[e]
-                    }
-                })
-            };
-            stats.backward_evals += 1;
-            let obs_changed = new_obs.to_bits() != self.baseline.obs[idx].to_bits();
-            if obs_changed {
-                stats.changed_observabilities += 1;
-            }
-            self.obs_new[idx] = new_obs;
-            self.obs_stamp[idx] = token;
-            // Refresh this node's own fanin pin observabilities when its
-            // observability moved or its sensitivities may have (any cone
-            // node: probability/kind changes reach the siblings' pins).
-            let in_cone = self.p_stamp[idx] == token;
-            if !(obs_changed || in_cone) {
-                continue;
-            }
-            let node = circuit.node(id);
-            let kind = self.kind_of(id);
-            let fanin = node.fanin();
-            let base_edge = circuit.fanin_offset(id);
-            for pin in 0..fanin.len() {
-                let val = {
-                    let p_stamp = &self.p_stamp;
-                    let p_new = &self.p_new;
-                    let base = &self.baseline;
-                    new_obs
-                        * pin_sensitivity_of_kind(kind, fanin, pin, &|f: NodeId| {
-                            if p_stamp[f.index()] == token {
-                                p_new[f.index()]
-                            } else {
-                                base.p[f.index()]
-                            }
-                        })
-                };
-                let e = base_edge + pin;
-                self.pin_new[e] = val;
-                self.pin_stamp[e] = token;
-                if val.to_bits() != self.baseline.pin_obs[e].to_bits() {
-                    self.touch_stamp[fanin[pin].index()] = token;
-                }
-            }
-        }
-
-        // Per-fault detection probabilities through the one shared
-        // helper, overlay-then-baseline on every lookup.
-        let dp = faults
-            .as_slice()
-            .iter()
-            .map(|fault| {
-                let s = &*self;
-                cop_fault_probability(
-                    &circuit,
-                    fault,
-                    &|f: NodeId| {
-                        if s.p_stamp[f.index()] == token {
-                            s.p_new[f.index()]
-                        } else {
-                            s.baseline.p[f.index()]
-                        }
-                    },
-                    &|n: NodeId| {
-                        if s.obs_stamp[n.index()] == token {
-                            s.obs_new[n.index()]
-                        } else {
-                            s.baseline.obs[n.index()]
-                        }
-                    },
-                    &|g: NodeId, pin: usize| {
-                        let e = circuit.fanin_offset(g) + pin;
-                        if s.pin_stamp[e] == token {
-                            s.pin_new[e]
-                        } else {
-                            s.baseline.pin_obs[e]
-                        }
-                    },
-                )
-            })
-            .collect();
-        Ok((dp, stats))
+        Ok((
+            overlay.detection_probabilities(circuit, base, faults),
+            stats,
+        ))
     }
 }
 
@@ -562,6 +399,39 @@ mod tests {
             let reference_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
             assert_eq!(dp_bits, reference_bits);
         }
+    }
+
+    #[test]
+    fn epoch_wrap_keeps_back_to_back_queries_exact() {
+        // Start the session two epochs before the u32 wrap: the queries
+        // run at epochs MAX, then (after the refill) 1 and 2.  Without the
+        // refill the second query would read every zero-stamped slot as
+        // live and answer from stale overlay values.
+        let circuit = Arc::new(wrt_workloads::by_name("c880ish").expect("workload"));
+        let faults = experiment_faults(&circuit);
+        let weights = vec![0.5; circuit.num_inputs()];
+        let baseline = Arc::new(CopBaseline::build(Arc::clone(&circuit), &weights));
+        let mut session = SessionCop::new(baseline);
+        session.overlay.set_epoch(u32::MAX - 1);
+        let gates: Vec<NodeId> = circuit
+            .iter()
+            .filter(|(_, n)| matches!(n.kind(), GateKind::And | GateKind::Nand))
+            .map(|(id, _)| id)
+            .take(3)
+            .collect();
+        for &gate in &gates {
+            let mutations = [EcoMutation {
+                gate,
+                kind: GateKind::Nor,
+            }];
+            let (dp, _) = session.what_if(&mutations, &faults).expect("valid ECO");
+            let mutated = rebuild_mutated(&circuit, &mutations);
+            let reference = CopEngine::new().estimate(&mutated, &faults, &weights);
+            let dp_bits: Vec<u64> = dp.iter().map(|x| x.to_bits()).collect();
+            let reference_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(dp_bits, reference_bits, "gate {gate}");
+        }
+        assert_eq!(session.overlay.epoch, 2);
     }
 
     #[test]

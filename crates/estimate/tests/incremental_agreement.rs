@@ -1,72 +1,16 @@
 //! Property test: [`IncrementalCop`] is bit-identical to the full
 //! recompute [`CopEngine`] across random circuits, random weight vectors
 //! (including the 0.0/1.0 boundary points PREPARE uses), and random
-//! sequences of single-coordinate perturbations and commits — in every
-//! engine mode: per-move commits (guard on and off) and the batched
-//! pending overlay with randomized batch sizes and forced
+//! sequences of single-coordinate perturbations and moves — for every
+//! commit batch size, with randomized batch sizes and forced
 //! materialization points.
 
+mod common;
+
+use common::{arb_circuit, arb_weight, bits, NUM_INPUTS};
 use proptest::prelude::*;
-use wrt_circuit::{Circuit, CircuitBuilder, GateKind};
 use wrt_estimate::{CopEngine, DetectionProbabilityEngine, IncrementalCop};
 use wrt_fault::FaultList;
-
-const NUM_INPUTS: usize = 5;
-
-/// A small random circuit over [`NUM_INPUTS`] inputs with two outputs:
-/// a mix of gate kinds over randomly picked (possibly reconvergent,
-/// possibly dead) fanins.
-fn arb_circuit() -> impl Strategy<Value = Circuit> {
-    let kinds = prop::sample::select(vec![
-        GateKind::And,
-        GateKind::Nand,
-        GateKind::Or,
-        GateKind::Nor,
-        GateKind::Xor,
-        GateKind::Xnor,
-        GateKind::Not,
-        GateKind::Buf,
-    ]);
-    proptest::collection::vec(
-        (kinds, proptest::collection::vec(0usize..100, 1..4)),
-        NUM_INPUTS..24,
-    )
-    .prop_map(|specs| {
-        let mut b = CircuitBuilder::named("rand");
-        let mut ids = Vec::new();
-        for i in 0..NUM_INPUTS {
-            ids.push(b.input(format!("i{i}")));
-        }
-        for (kind, picks) in specs {
-            let fanin: Vec<_> = if matches!(kind, GateKind::Not | GateKind::Buf) {
-                vec![ids[picks[0] % ids.len()]]
-            } else {
-                picks.iter().map(|&p| ids[p % ids.len()]).collect()
-            };
-            ids.push(b.gate_auto(kind, &fanin).expect("valid"));
-        }
-        b.mark_output(*ids.last().expect("nonempty"));
-        b.mark_output(ids[NUM_INPUTS]);
-        b.build().expect("valid circuit")
-    })
-}
-
-/// Weights drawn from a palette that includes the exact boundary points
-/// `0.0` and `1.0` (PREPARE's perturbation targets) alongside interior
-/// values, so pruning on exact f64 equality gets exercised at the edges.
-fn arb_weight() -> impl Strategy<Value = f64> {
-    (0usize..6, 0.0f64..1.0).prop_map(|(pick, uniform)| match pick {
-        0 => 0.0,
-        1 => 1.0,
-        2 => 0.5,
-        3 => 0.25,
-        _ => uniform,
-    })
-}
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -80,16 +24,13 @@ proptest! {
     ) {
         let faults = FaultList::full(&circuit);
         let mut full = CopEngine::new();
-        // Every engine mode must agree with the reference: the default
-        // per-move mode (global-cone guard on, so small dense circuits
-        // mostly take the stateless path), the forced incremental
-        // overlay path, and two batched pending-overlay configurations —
-        // a randomized batch size and a batch larger than the whole walk
-        // (materialization then happens only at frontier-budget or
-        // ANALYSIS points, or where `flush_mask` forces one).
+        // Every batch size must agree with the reference: K = 1
+        // (materialize after every move), a randomized batch size, and a
+        // batch larger than the whole walk (materialization then happens
+        // only at frontier-budget or ANALYSIS points, or where
+        // `flush_mask` forces one).
         let mut engines = [
-            IncrementalCop::new(),
-            IncrementalCop::new().with_global_cone_guard(false),
+            IncrementalCop::new().with_commit_batch(1),
             IncrementalCop::new().with_commit_batch(batch),
             IncrementalCop::new().with_commit_batch(64),
         ];
@@ -103,9 +44,8 @@ proptest! {
         }
 
         // A simulated optimizer walk: PREPARE both boundary points of a
-        // coordinate, then move that coordinate (the per-move engines
-        // commit a cone-restricted baseline update; the batched engines
-        // defer the move into the pending overlay).
+        // coordinate, then move that coordinate (deferred into the
+        // pending overlay until the batch fills).
         for (step, (coordinate, next_value)) in walk.into_iter().enumerate() {
             let (f0, f1) = full.estimate_coordinate_pair(&circuit, &faults, &weights, coordinate);
             for incremental in engines.iter_mut() {
@@ -118,13 +58,13 @@ proptest! {
             // Forced materialization points: resolve the large-batch
             // engine's pending layer at walk steps picked by the mask.
             if flush_mask & (1 << (step % 8)) != 0 {
-                engines[3].flush_pending(&circuit);
-                prop_assert_eq!(engines[3].pending_len(), 0);
+                engines[2].flush_pending(&circuit);
+                prop_assert_eq!(engines[2].pending_len(), 0);
             }
         }
 
         // Final ANALYSIS-style full query at the walked-to vector
-        // (materializes whatever is still pending in the batched engines).
+        // (materializes whatever is still pending).
         let reference = full.estimate(&circuit, &faults, &weights);
         for incremental in engines.iter_mut() {
             let inc = incremental.estimate(&circuit, &faults, &weights);
@@ -132,14 +72,12 @@ proptest! {
             prop_assert_eq!(incremental.pending_len(), 0);
         }
 
-        // The guard-off engine must have gone through the incremental
-        // path: its single-coordinate walk never triggers more than the
-        // initial rebuild (plus the one a multi-coordinate jump from the
+        // The single-coordinate walk never rebuilds more than the
+        // initial baseline (plus the one a multi-coordinate jump from the
         // starting vector may cost) — not one rebuild per call.
-        prop_assert!(engines[1].stats().full_rebuilds <= 2);
-        // The batched engines defer instead of per-move committing.
-        prop_assert_eq!(engines[2].stats().incremental_commits, 0);
-        prop_assert_eq!(engines[3].stats().incremental_commits, 0);
-        prop_assert_eq!(engines[2].stats().stateless_estimates, 0);
+        for incremental in &engines {
+            prop_assert!(incremental.stats().full_rebuilds <= 2);
+            prop_assert_eq!(incremental.stats().stateless_estimates, 0);
+        }
     }
 }

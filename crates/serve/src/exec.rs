@@ -67,20 +67,18 @@ commands:
            reports the testability deltas — changed probabilities /
            observabilities / fault detection probabilities and the K
            largest detection-probability moves — from the session's
-           pending-overlay machinery instead of a cold recompute.
+           COP overlay over the cached baseline instead of a cold
+           recompute.
            Results are bit-identical to rebuilding the mutated circuit.
   optimize <circuit> [--grid G] [--confidence C] [--engine E] [--threads T]
-           [--seed S] [--mc-patterns N] [--commit-batch K]
-           [--seed-weights uniform|scoap]
+           [--seed S] [--mc-patterns N] [--seed-weights uniform|scoap]
            [--time-limit SECS] [--max-evals N] [--checkpoint F] [--resume F]
            optimized input probabilities;
            E = incremental-cop (default; cone-restricted per-coordinate
-           recompute, bit-identical to cop) | cop | stafan | monte-carlo
+           recompute that defers up to 4 coordinate moves before folding
+           them into its baseline, bit-identical to cop) | cop | stafan |
+           monte-carlo
            (--seed and --mc-patterns apply to the sampling engines).
-           --commit-batch K (incremental-cop only, default 4) defers up
-           to K coordinate moves in a pending overlay before
-           materializing; K = 0 or 1 commits every move immediately.
-           Results are bit-identical for every K.
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
   simulate <circuit> --patterns N [--weights w1,w2,...] [--seed S] [--threads T]
@@ -709,6 +707,12 @@ pub fn flush(ctx: &ExecContext) -> String {
 /// Sampling-only flags are rejected for engines that cannot honor them,
 /// instead of being silently ignored.
 pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>, String> {
+    // Unknown flags are otherwise ignored, so a removed one must say so.
+    if args.iter().any(|a| a == "--commit-batch") {
+        return Err("--commit-batch was removed: incremental-cop always defers up to 4 \
+             coordinate moves before materializing them"
+            .into());
+    }
     let engine = flag_value(args, "--engine").unwrap_or("incremental-cop");
     if !["incremental-cop", "cop", "stafan", "monte-carlo"].contains(&engine) {
         return Err(format!(
@@ -727,21 +731,10 @@ pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>
     if engine.ends_with("cop") && flag_value(args, "--seed").is_some() {
         return Err("--seed only applies to sampling engines (stafan, monte-carlo)".into());
     }
-    if engine != "incremental-cop" && flag_value(args, "--commit-batch").is_some() {
-        return Err(
-            "--commit-batch only applies to the pending-overlay engine; use --engine incremental-cop"
-                .into(),
-        );
-    }
     let threads: usize = parse_flag(args, "--threads", 0)?;
     let seed: u64 = parse_flag(args, "--seed", 42)?;
     Ok(match engine {
-        "incremental-cop" => {
-            // Default batch 4: the measured sweet spot on the wide- and
-            // global-cone workloads; 0/1 fall back to per-move commits.
-            let batch: usize = parse_flag(args, "--commit-batch", 4)?;
-            Box::new(IncrementalCop::new().with_commit_batch(batch))
-        }
+        "incremental-cop" => Box::new(IncrementalCop::new()),
         "cop" => Box::new(CopEngine::new()),
         "stafan" => Box::new(StafanEngine::new(64 * 256, seed)),
         "monte-carlo" => {

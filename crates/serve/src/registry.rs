@@ -90,7 +90,7 @@ impl CircuitEntry {
     fn cached_baseline(&self, key: u64, weights: &[f64]) -> Option<Arc<CopBaseline>> {
         let map = self.baselines.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         map.get(&key)
-            .filter(|b| b.weights().as_ref() == weights)
+            .filter(|b| b.weights() == weights)
             .map(Arc::clone)
     }
 }
@@ -188,7 +188,7 @@ impl Registry {
         drop(map);
         // Hash collision between distinct weight vectors: serve the
         // correct baseline unshared rather than the colliding one.
-        if winner.weights().as_ref() == weights {
+        if winner.weights() == weights {
             winner
         } else {
             built
