@@ -34,6 +34,11 @@
 //!   artifacts reuse the `eval_reduction` key for different metrics
 //!   (e.g. COP evals per optimizer run) with their own scales, so the
 //!   floors deliberately do not apply there;
+//! * in the same artifact, every row that records the tiled engine's
+//!   eval split must record all of it, and its stripe-0 and later-stripe
+//!   evals must add up: `tiled_probe_node_evals +
+//!   tiled_event_axis_node_evals == tiled_node_evals` — the engine has
+//!   no third axis, so any other spend is a bookkeeping error;
 //! * in the serving artifact (recognized by its `warm_over_cold`
 //!   fields — only `bench_serve` emits them), every `"warm_over_cold"`
 //!   ratio must be at least `1.0` — a resident server answering primed
@@ -158,6 +163,15 @@ fn bare_values(text: &str) -> Vec<BareValue> {
     out
 }
 
+/// The tiled engine's eval split of one simulation-artifact row.
+struct TiledSplit {
+    circuit: String,
+    line: usize,
+    total: Option<u64>,
+    stripe0: Option<u64>,
+    later: Option<u64>,
+}
+
 /// Validates one artifact; returns human-readable violations.
 fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut violations = Vec::new();
@@ -180,7 +194,30 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         .any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
     let mut warm_headline_rows = 0usize;
+    let mut splits: Vec<TiledSplit> = Vec::new();
     for v in &values {
+        let split_key = matches!(
+            v.key.as_str(),
+            "tiled_node_evals" | "tiled_probe_node_evals" | "tiled_event_axis_node_evals"
+        );
+        if is_sim_artifact && split_key {
+            if splits.last().is_none_or(|s| s.circuit != v.circuit) {
+                splits.push(TiledSplit {
+                    circuit: v.circuit.clone(),
+                    line: v.line,
+                    total: None,
+                    stripe0: None,
+                    later: None,
+                });
+            }
+            let split = splits.last_mut().expect("pushed above");
+            let slot = match v.key.as_str() {
+                "tiled_node_evals" => &mut split.total,
+                "tiled_probe_node_evals" => &mut split.stripe0,
+                _ => &mut split.later,
+            };
+            *slot = v.value.parse().ok();
+        }
         // Simulation eval-reduction floors: both the 1D event headline
         // and the 2D tiled headline must beat the dense baseline on
         // every circuit, and clear 1.3x on the c6288ish multiplier.
@@ -271,6 +308,19 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                     v.line, v.key
                 )),
             },
+        }
+    }
+    for split in &splits {
+        match (split.total, split.stripe0, split.later) {
+            (Some(total), Some(stripe0), Some(later)) if stripe0 + later == total => {}
+            (Some(total), Some(stripe0), Some(later)) => violations.push(format!(
+                "{path}:{}: tiled_probe_node_evals {stripe0} + tiled_event_axis_node_evals {later} != tiled_node_evals {total} on {}",
+                split.line, split.circuit
+            )),
+            _ => violations.push(format!(
+                "{path}:{}: {} lacks an integer tiled_node_evals, tiled_probe_node_evals or tiled_event_axis_node_evals",
+                split.line, split.circuit
+            )),
         }
     }
     if is_serve_artifact && !is_smoke && warm_headline_rows < 2 {
@@ -489,6 +539,25 @@ mod tests {
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("more gates than dense"));
+    }
+
+    #[test]
+    fn tiled_eval_splits_must_add_up() {
+        let row = |total: &str, stripe0: &str, later: &str| {
+            format!(
+                "{{ \"smoke\": true, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"tiled_node_evals\": {total}, \"tiled_event_axis_node_evals\": {later}, \"tiled_probe_node_evals\": {stripe0}, \"bit_identical\": true }}, {{ \"circuit\": \"c880ish\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"tiled_node_evals\": 9, \"tiled_event_axis_node_evals\": 0, \"tiled_probe_node_evals\": 9, \"bit_identical\": true }} ] }}"
+            )
+        };
+        assert!(check_artifact("x.json", &row("100", "93", "7")).is_empty());
+        // A third axis (or a lost one) no longer adds up.
+        let v = check_artifact("x.json", &row("100", "90", "7"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("!= tiled_node_evals 100 on s1"), "{v:?}");
+        // Dropping one field of the split is flagged, not skipped.
+        let gutted = row("100", "93", "7").replace("\"tiled_probe_node_evals\": 93, ", "");
+        let v = check_artifact("x.json", &gutted);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("s1 lacks"), "{v:?}");
     }
 
     #[test]

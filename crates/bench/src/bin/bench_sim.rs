@@ -1,7 +1,6 @@
 //! Machine-readable PPSFP benchmark: dense cone walk vs event-driven
 //! sparse propagation over multi-word superblocks vs the 2D tiled
-//! engine (fault shards × pattern stripes with dense multi-fault
-//! batching).
+//! engine (fault shards × pattern stripes, stripe 0 first).
 //!
 //! Writes `BENCH_sim.json`.  The headline metrics are
 //! **machine-independent**: gate evaluations per detected fault, dense
@@ -42,7 +41,7 @@ use std::time::Instant;
 use wrt_circuit::{transitive_fanout, Circuit};
 use wrt_fault::FaultList;
 use wrt_sim::{
-    available_threads, fault_coverage_opts, fault_coverage_tiled, superblock_split, BatchMode,
+    available_threads, fault_coverage_opts, fault_coverage_tiled, superblock_split,
     EventSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, TileOptions,
     TileStats, WeightedPatterns,
 };
@@ -96,9 +95,8 @@ impl Row {
     }
 
     /// The 2D headline: dense ÷ tiled-engine gate evaluations, the tiled
-    /// side counting everything it spends — event axis, dense batch
-    /// passes, classification probe, and cross-stripe re-probing of
-    /// already-detected faults.
+    /// side counting everything it spends — stripe 0, the later stripes,
+    /// and their re-probing of faults an earlier later-stripe detected.
     fn eval_reduction_2d(&self) -> f64 {
         self.dense_node_evals as f64 / self.tiled_stats.sim.node_evals.max(1) as f64
     }
@@ -126,7 +124,7 @@ impl Row {
         };
         let t = &self.tiled_stats;
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_batch_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"batches\": {},\n      \"batch_dense_faults\": {},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -153,7 +151,6 @@ impl Row {
             self.tiled_seconds,
             t.sim.node_evals,
             t.event_node_evals,
-            t.batch_node_evals,
             t.probe_node_evals,
             self.eval_reduction_2d(),
             t.block_words,
@@ -161,8 +158,6 @@ impl Row {
             t.shards,
             t.tiles,
             t.steals,
-            t.batches,
-            t.batch_dense_faults,
             self.identical,
         )
     }
@@ -270,11 +265,9 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
             event_opts,
         )
     });
-    // The 2D tiled engine: auto width/stripes, shards = threads, batch
-    // classification on.
+    // The 2D tiled engine: auto width/stripes, shards = threads.
     let tiled_opts = TileOptions {
         threads,
-        batch: BatchMode::Auto,
         ..TileOptions::default()
     };
     let (tiled_seconds, (tiled, tiled_stats)) = time_best(reps, || {
@@ -353,7 +346,7 @@ fn main() {
         let row = bench_circuit(&circuit, patterns, block_words, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
-             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity)  batched {}  identical {}",
+             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity)  identical {}",
             row.circuit,
             row.faults,
             row.dense_evals_per_detected(),
@@ -362,7 +355,6 @@ fn main() {
             row.eval_reduction(),
             row.eval_reduction_2d(),
             row.sparsity_reduction(),
-            row.tiled_stats.batch_dense_faults,
             row.identical,
         );
         rows.push(row);
@@ -370,7 +362,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_event_axis + tiled_batch + tiled_probe node evals), at its auto-resolved tiled_block_words, pattern_stripes and fault_shards. batch_dense_faults faults were peeled into `batches` shared dense multi-fault passes. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_probe_node_evals, spent on stripe 0 - the first superblock, one tile per fault shard - plus tiled_event_axis_node_evals, spent on the later stripes after the faults stripe 0 detected were dropped), at its auto-resolved tiled_block_words, pattern_stripes (stripe 0 included) and fault_shards; with one stripe after stripe 0 it spends exactly the 1D event evals at that width. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         threads,

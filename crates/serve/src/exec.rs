@@ -33,7 +33,7 @@ use wrt_estimate::{
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
 use wrt_sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, BatchMode, SimEngineKind, SimOptions,
+    fault_coverage_robust, fault_coverage_tiled_robust, SimEngineKind, SimOptions,
     TileOptions, WeightedPatterns,
 };
 
@@ -89,10 +89,12 @@ commands:
            over W-word superblocks (--block-words 1|2|4|8|16, default 4);
            --engine dense is the single-word reference cone walk.
            --pattern-stripes P switches to the 2D tiled engine (fault
-           shards × pattern stripes with work stealing and dense
-           multi-fault batching; requires --engine event): P = 0 picks
-           the stripe count automatically, oversized P is clamped, and
-           --block-words defaults to auto instead of 4.
+           shards × pattern stripes with work stealing; requires --engine
+           event): stripe 0, the first superblock, runs as one tile per
+           shard, then P more stripes cut the rest of the stream; P = 0
+           picks the count automatically, oversized P is clamped, and
+           --block-words defaults to auto instead of 4.  Gate evals are
+           reported for stripe 0 and the later stripes.
            Coverage is bit-identical for every engine/width/thread/stripe
            choice.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
@@ -845,9 +847,8 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         let topts = TileOptions {
             block_words,
             pattern_stripes: stripes,
-            fault_shards: 0,
             threads,
-            batch: BatchMode::Auto,
+            ..TileOptions::default()
         };
         let outcome = fault_coverage_tiled_robust(
             circuit,
@@ -884,14 +885,13 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         let _ = writeln!(
             out,
             "engine tiled-2d (W={}): {} stripe(s) × {} shard(s) on {} thread(s), \
-             {} tile(s), {} steal(s), {} batched fault(s) in {} batch(es)",
+             {} tile(s), {} steal(s)",
             s.block_words, s.stripes, s.shards, s.threads, s.tiles, s.steals,
-            s.batch_dense_faults, s.batches,
         );
         let _ = writeln!(
             out,
-            "gate evals: {} total ({} event axis, {} batch axis, {} probe)",
-            s.sim.node_evals, s.event_node_evals, s.batch_node_evals, s.probe_node_evals,
+            "gate evals: {} total ({} stripe 0, {} later stripes)",
+            s.sim.node_evals, s.probe_node_evals, s.event_node_evals,
         );
         return Ok(out);
     }

@@ -244,10 +244,9 @@ impl SimStats {
 }
 
 /// Per-fault work profile of an [`EventSimulator`], collected on demand
-/// (see [`EventSimulator::enable_eval_profile`]).  This is what the 2D
-/// tiled engine's batch classifier feeds on, and what `bench_sim` uses to
-/// *derive* the dense engine's eval count on circuits too large to run
-/// the dense engine outright.
+/// (see [`EventSimulator::enable_eval_profile`]).  This is what
+/// `bench_sim` uses to *derive* the dense engine's eval count on circuits
+/// too large to run the dense engine outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvalProfile {
     /// Scheduled gate evaluations per fault (root injection excluded),
@@ -585,13 +584,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     /// Clears the accumulated work counters.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-    }
-
-    /// The shared fault-free simulator, holding the good values of the
-    /// most recent superblock.  The tiled engine's dense batch passes
-    /// read per-block good values from here instead of re-simulating.
-    pub fn good_sim(&self) -> &WideLogicSim<'c, W> {
-        &self.good
     }
 
     /// Starts (or restarts) per-fault profiling; counters begin at zero.

@@ -24,10 +24,11 @@
 //!   for the ready-set invariants.
 //!
 //! On top of both sits the **2D tiled engine** ([`fault_coverage_tiled`]):
-//! fault-shard × pattern-stripe tiles pulled from a work-stealing queue,
-//! with high-reach faults peeled off into shared dense multi-fault batch
-//! passes ([`BatchMode`]).  Bit-identical to serial for every thread
-//! count, stripe size, and steal order — see the `tile` module docs.
+//! fault-shard × pattern-stripe tiles pulled from a work-stealing queue in
+//! two passes — stripe 0 (the first superblock) as one tile per shard,
+//! then the later stripes without the faults stripe 0 detected.
+//! Bit-identical to serial, with the same gate evals, for every thread
+//! count, shard count, and steal order — see the `tile` module docs.
 //!
 //! [`fault_coverage_opts`] / [`detection_counts_opts`] (and their
 //! `_sharded_opts` variants) run the configured engine and also report

@@ -1,5 +1,5 @@
 //! 2D fault×pattern tiled PPSFP: fault-shard × pattern-stripe tiles over
-//! a work-stealing queue, with shared dense multi-fault batch passes.
+//! a work-stealing queue, run in two passes.
 //!
 //! The 1D sharded engine (`parallel.rs`) decomposes along faults only:
 //! every worker streams the *full* pattern set against its shard.  The
@@ -11,86 +11,67 @@
 //! *stealing* from other shards once home work drains — so a worker stuck
 //! on a heavy shard no longer serializes the run.
 //!
+//! # Two passes
+//!
+//! Stripe 0 is always the stream's first superblock.  The first pass runs
+//! it as one tile per shard, with every fault of the shard on the
+//! worklist; the second pass runs the later stripes, once every stripe-0
+//! tile is merged.  Under fault dropping, the faults stripe 0 detected
+//! leave the second pass's worklists: stripe 0 holds the earliest
+//! patterns, so no later stripe can lower their first detection.  That is
+//! exactly the serial engine's drop, so when the rest of the stream forms
+//! a single stripe the tiled engine spends exactly the 1D event engine's
+//! gate evals at the same width.  Both passes run the same worker loop,
+//! budget check and replay ladder.
+//!
 //! # Determinism
 //!
-//! Tiles share nothing: fault dropping acts only *within* a stripe, and
-//! the global result is a commutative merge of per-tile values — the
-//! minimum of per-stripe first-detection pattern indices for coverage,
+//! Tiles of one pass share nothing: apart from the stripe-0 retirement
+//! above, fault dropping acts only *within* a tile, and the global result
+//! is a commutative merge of per-tile values —
+//! the minimum of per-stripe first-detection pattern indices for coverage,
 //! the sum for detection counts.  A fault's first detection does not
 //! depend on dropping, so the min over stripes equals the serial
 //! first-detection index *exactly*, for every thread count, stripe size,
-//! shard count, and steal order (property-tested below).  The price is
-//! bounded redundancy: a fault detected in stripe 0 is still probed once
-//! per later stripe, where it typically dies in one or two frontier
-//! evaluations.
-//!
-//! # Shared dense multi-fault batching
-//!
-//! c6288ish-style faults defeat the event engine: their effects reach
-//! most of the cone, so event scheduling pays the full cone walk *plus*
-//! queue traffic, per fault.  In `Auto` mode, stripe 0 (the first
-//! superblock) runs serially as a *probe*: a normal event detection pass
-//! with per-fault eval profiling ([`crate::FaultEvalProfile`]) enabled,
-//! so classification costs no redundant simulation — and under fault
-//! dropping, faults the probe detects retire from every later stripe
-//! (stripe 0 holds the earliest patterns, so their minimum is final).
-//! Faults whose measured cost rivals their cone size are peeled off into
-//! **batches** of up to [`BATCH_LANES`] faults rooted near each other.
-//! One pass walks the batch's *union cone* once per 64-pattern block with
-//! `[u64; BATCH_LANES]` lanes — lane `k` carries fault `k`'s faulty
-//! values, diverging from the broadcast fault-free value only downstream
-//! of fault `k`'s root (per-fault XOR-difference masks fall out of the
-//! final lane-vs-good comparison).  The cone walk is amortized over the
-//! whole batch: 16 high-reach faults cost one union-cone walk instead of
-//! 16 nearly identical ones.
-//!
-//! The probe runs serially before fan-out, so the batch/event split is
-//! deterministic and thread-independent; batches are formed within a
-//! shard (shard fault order is root-sorted, keeping union cones tight).
+//! shard count, and steal order (property-tested below).  Gate evals are
+//! deterministic too: a fault's event work depends on its stripe's
+//! patterns, not on which shard or worker holds it.  The price of several
+//! later stripes is bounded redundancy: a fault first detected in stripe
+//! 2 is still probed in stripe 3, where it typically dies in one or two
+//! frontier evaluations.
 //!
 //! # Robustness
 //!
 //! Each tile runs under `catch_unwind` with a planted fail point
-//! (`tile::run`); a poisoned tile is requeued for serial replay — same
-//! engine first, then the dense engine — mirroring the 1D shard-replay
-//! ladder, and stolen tiles are covered exactly like home tiles.  Budgets
-//! check in at tile boundaries: the eval axis resolves upfront to the
-//! same deterministic pattern clip as `robust.rs`; deadline/cancel trips
-//! keep the maximal prefix of fully-completed stripes, so interrupted
-//! partials are well-formed pattern prefixes.
+//! (`tile::run`); a poisoned tile is replayed serially at the end of its
+//! pass — same engine first, then the dense engine — mirroring the 1D
+//! shard-replay ladder, and stolen tiles are covered exactly like home
+//! tiles.  Budgets check in before every claimed tile: the eval axis
+//! resolves upfront to the same deterministic pattern clip as
+//! `robust.rs`; a deadline/cancel trip abandons the claimed tile and the
+//! second pass, and the result keeps the maximal prefix of
+//! fully-completed stripes, so interrupted partials are well-formed
+//! pattern prefixes.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use wrt_circuit::{transitive_fanout, Circuit, GateKind, NodeId};
-use wrt_fault::{Fault, FaultList, FaultPartition};
+use wrt_circuit::Circuit;
+use wrt_fault::{FaultId, FaultList, FaultPartition};
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, DegradeStep, InjectedFailure, RunOutcome};
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, first_set_bit, inject_root_lanes, superblock_split, with_block_words,
-    EventSimulator, SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
+    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator, SimStats,
+    SuperBlock, SUPPORTED_BLOCK_WORDS,
 };
 use crate::fault_sim::{FaultSimulator, FaultWorklist};
-use crate::logic::{eval_gate_lanes, WideLogicSim};
 use crate::parallel::{recommended_threads, ShardRecovery};
 use crate::patterns::{PatternBlock, PatternSource};
 use crate::robust::{eval_clip, wrap_outcome};
-
-/// Faults per dense multi-fault batch pass (`[u64; BATCH_LANES]` lanes).
-/// Fixed independently of the event engine's superblock width `W`: batch
-/// lanes span *faults*, superblock lanes span *patterns*.
-pub const BATCH_LANES: usize = 16;
-
-/// Probe threshold: a fault is a batch *candidate* when its profiled
-/// event cost is at least this many evals per 64-pattern block.
-const PROBE_MIN_EVALS_PER_BLOCK: f64 = 2.0;
-
-/// A candidate group is committed as a batch only when its union-cone
-/// walk undercuts the profiled event cost by this factor.
-const BATCH_COMMIT_ALPHA: f64 = 0.9;
 
 /// Auto width cap: per-node lane scratch (`num_nodes * W * 8` bytes)
 /// should stay cache-friendly.
@@ -100,18 +81,14 @@ const LANE_SCRATCH_BUDGET_BYTES: usize = 8 << 20;
 /// per-stripe fault probing.
 const AUTO_MAX_STRIPES: usize = 4;
 
-/// How the engine decides which faults go to dense batch passes.
+/// The tiled engine has no batch axis; this single-variant enum is kept
+/// only so the frozen `perfbench/trace` helper, which names
+/// `BatchMode::Auto`, still builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
-    /// Probe the first superblock and batch faults whose measured event
-    /// cost rivals their union cone (the default).
+    /// The only mode.
     #[default]
     Auto,
-    /// Everything stays on the event axis (pure 2D tiling).
-    Off,
-    /// Batch every fault, skipping the cost test — for tests that must
-    /// exercise the batch walk on circuits too small to qualify.
-    Force,
 }
 
 /// Configuration of the 2D tiled engine.  Every `0` means "resolve
@@ -122,14 +99,16 @@ pub struct TileOptions {
     /// or 0 to pick the widest width that fits the pattern count and the
     /// lane-scratch cache budget.
     pub block_words: usize,
-    /// Pattern stripes, or 0 for auto.  Requests beyond the block count
-    /// are clamped (each stripe holds at least one superblock's blocks).
+    /// Stripes after stripe 0 (the first superblock), or 0 for auto.
+    /// Requests beyond the block count are clamped (each stripe holds at
+    /// least one superblock's blocks).
     pub pattern_stripes: usize,
     /// Fault shards, or 0 to match the thread count.
     pub fault_shards: usize,
     /// Worker threads, or 0 for [`recommended_threads`].
     pub threads: usize,
-    /// Batch classification mode.
+    /// Accepted and ignored; kept only for the frozen `perfbench/trace`
+    /// helper (see [`BatchMode`]).
     pub batch: BatchMode,
 }
 
@@ -166,26 +145,22 @@ impl TileOptions {
 /// Work counters and shape of one 2D tiled run.
 ///
 /// Everything except `steals` is deterministic for fixed inputs and
-/// options: the per-axis eval split depends on the (serial) probe and the
-/// shard/stripe layout, not on scheduling.  `steals` — tiles executed by
-/// a non-home worker — depends on thread timing and is diagnostic only.
+/// options: the per-pass eval split depends on the stripe layout, not on
+/// sharding or scheduling.  `steals` — tiles executed by a non-home
+/// worker — depends on thread timing and is diagnostic only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TileStats {
-    /// Combined work counters (event axis + batch axis + probe).
+    /// Combined work counters of both passes, replays included.
     pub sim: SimStats,
-    /// Gate evals spent on the event axis (excluding the probe).
+    /// Gate evals of the second pass (stripes 1 and later).
     pub event_node_evals: u64,
-    /// Gate evals spent in dense batch passes (one per union-cone gate
-    /// per 64-pattern block, amortized over the whole batch).
-    pub batch_node_evals: u64,
-    /// Gate evals spent by the serial probe stripe (Auto mode only).
-    /// The probe is productive work: it is stripe 0's detection pass,
-    /// run serially with per-fault profiling to drive the batch/event
-    /// classification.
+    /// Gate evals of stripe 0 (the first pass), so that
+    /// `probe_node_evals + event_node_evals == sim.node_evals`.  The name
+    /// is kept only for the frozen `perfbench/trace` helper.
     pub probe_node_evals: u64,
     /// Resolved superblock width of the event axis.
     pub block_words: usize,
-    /// Resolved pattern-stripe count.
+    /// Resolved pattern-stripe count, stripe 0 included.
     pub stripes: usize,
     /// Resolved fault-shard count.
     pub shards: usize,
@@ -196,9 +171,8 @@ pub struct TileStats {
     /// Tiles executed by a worker away from its home shard
     /// (nondeterministic; diagnostic only).
     pub steals: u64,
-    /// Committed dense multi-fault batches.
-    pub batches: u64,
-    /// Faults routed to the dense batch axis.
+    /// Always 0: the engine has no batch axis.  Kept only so the frozen
+    /// `perfbench/trace` helper still builds.
     pub batch_dense_faults: u64,
 }
 
@@ -224,26 +198,14 @@ enum Mode {
     Counts,
 }
 
-/// One committed dense multi-fault batch: up to [`BATCH_LANES`] faults of
-/// one shard, their union cone in topological order, and the cone's
-/// primary outputs.
-struct Batch {
-    /// Global fault indices, sorted by effect root (lane `k` = fault `k`).
-    members: Vec<u32>,
-    /// `(cone node index, lane)` injection overrides, sorted by node —
-    /// applied after a node's lanes are computed, so several members may
-    /// share a root (both polarities of a stem fault).
-    overrides: Vec<(u32, u8)>,
-    /// Union cone of the members' effect roots, ascending node id
-    /// (= topological order).
-    cone: Vec<NodeId>,
-    /// Cone nodes that are primary outputs.
-    outs: Vec<NodeId>,
+impl Mode {
+    fn drops(self) -> bool {
+        self == Mode::Coverage { drop: true }
+    }
 }
 
 /// Resolved run shape: the monomorphization width and thread/shard
-/// counts.  Stripe ranges are computed inside the monomorphized engine,
-/// where the probe split is known.
+/// counts.
 struct Layout {
     block_words: usize,
     shards: usize,
@@ -288,159 +250,36 @@ fn resolve_layout(
     }
 }
 
-/// Cuts the block range into stripe ranges.  When `probe_take > 0`, the
-/// first stripe is exactly the probe's superblock (it runs serially);
-/// the rest of the stream is cut into up to `requested` further stripes
-/// (0 = auto), each a whole number of `w`-block superblocks, so
-/// overstriping clamps to `ceil(blocks / w)` stripes.
-fn stripe_ranges(
-    total_blocks: usize,
-    probe_take: usize,
-    requested: usize,
-    w: usize,
-) -> Vec<std::ops::Range<usize>> {
-    let mut stripes = Vec::new();
-    if probe_take > 0 {
-        stripes.push(0..probe_take);
+/// Cuts the blocks into stripe ranges: stripe 0 is the first superblock,
+/// and the rest of the stream is cut into up to `requested` further
+/// stripes (0 = auto), each a whole number of `w`-block superblocks, so
+/// overstriping clamps to `ceil(rest / w)` stripes.
+fn stripe_ranges(blocks: &[PatternBlock], requested: usize, w: usize) -> Vec<Range<usize>> {
+    if blocks.is_empty() {
+        return Vec::new();
     }
-    let rest = total_blocks - probe_take;
+    let first = superblock_split(blocks, w);
+    let mut stripes = Vec::new();
+    stripes.push(0..first);
+    let rest = blocks.len() - first;
     if rest > 0 {
-        let max_stripes = rest.div_ceil(w);
         let requested = if requested == 0 {
             AUTO_MAX_STRIPES
         } else {
             requested
         }
-        .clamp(1, max_stripes);
+        .clamp(1, rest.div_ceil(w));
         // Round the stripe size up to a whole number of superblocks so
         // within-stripe grouping matches the serial engine's.
         let per = rest.div_ceil(requested).div_ceil(w) * w;
-        let mut start = probe_take;
-        while start < total_blocks {
-            let end = (start + per).min(total_blocks);
+        let mut start = first;
+        while start < blocks.len() {
+            let end = (start + per).min(blocks.len());
             stripes.push(start..end);
             start = end;
         }
     }
     stripes
-}
-
-/// Output of the serial classification pass: per-shard batches and
-/// per-shard event-axis members.
-struct Classified {
-    batches: Vec<Vec<Batch>>,
-    event_members: Vec<Vec<u32>>,
-}
-
-fn classify(
-    circuit: &Circuit,
-    fault_roots: &[NodeId],
-    partition: &FaultPartition,
-    mode: BatchMode,
-    profile: Option<&crate::event::FaultEvalProfile>,
-    probe_blocks: u64,
-    retired: &[bool],
-) -> Classified {
-    let shards = partition.num_shards();
-    let mut out = Classified {
-        batches: (0..shards).map(|_| Vec::new()).collect(),
-        event_members: (0..shards).map(|_| Vec::new()).collect(),
-    };
-    for s in 0..shards {
-        let mut candidates: Vec<u32> = Vec::new();
-        for &id in partition.shard(s) {
-            let i = id.index();
-            if retired[i] {
-                // Detected during the serial probe stripe under fault
-                // dropping: later stripes cannot lower its first
-                // detection, so it leaves both axes — exactly the serial
-                // engine's drop.
-                continue;
-            }
-            let is_candidate = match mode {
-                BatchMode::Off => false,
-                BatchMode::Force => true,
-                BatchMode::Auto => profile.is_some_and(|p| {
-                    p.evals[i] as f64 >= PROBE_MIN_EVALS_PER_BLOCK * probe_blocks as f64
-                }),
-            };
-            if is_candidate {
-                candidates.push(i as u32);
-            } else {
-                out.event_members[s].push(i as u32);
-            }
-        }
-        // Shard fault order is root-sorted, so chunks of neighbours share
-        // cone structure and the union cone stays tight.
-        for chunk in candidates.chunks(BATCH_LANES) {
-            let mut roots: Vec<NodeId> = chunk.iter().map(|&i| fault_roots[i as usize]).collect();
-            roots.dedup();
-            let cone = transitive_fanout(circuit, &roots);
-            let cone_gate_evals = cone
-                .iter()
-                .filter(|&&n| circuit.node(n).kind() != GateKind::Input)
-                .count() as u64;
-            let commit = match mode {
-                BatchMode::Force => true,
-                BatchMode::Off => unreachable!("no candidates in Off mode"),
-                BatchMode::Auto => {
-                    let event_per_block: f64 = profile.map_or(0.0, |p| {
-                        chunk.iter().map(|&i| p.evals[i as usize] as f64).sum::<f64>()
-                            / probe_blocks as f64
-                    });
-                    (cone_gate_evals as f64) < BATCH_COMMIT_ALPHA * event_per_block
-                }
-            };
-            if !commit {
-                out.event_members[s].extend_from_slice(chunk);
-                continue;
-            }
-            let overrides = chunk
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| (fault_roots[i as usize].index() as u32, k as u8))
-                .collect();
-            let outs = cone
-                .iter()
-                .copied()
-                .filter(|&n| circuit.is_output(n))
-                .collect();
-            out.batches[s].push(Batch {
-                members: chunk.to_vec(),
-                overrides,
-                cone,
-                outs,
-            });
-        }
-    }
-    out
-}
-
-/// Per-worker scratch of the dense batch walk: faulty lanes and epoch
-/// stamps over the whole node array, reused across passes.
-struct BatchScratch {
-    faulty: Vec<[u64; BATCH_LANES]>,
-    touched: Vec<u32>,
-    epoch: u32,
-}
-
-impl BatchScratch {
-    fn new(num_nodes: usize) -> Self {
-        BatchScratch {
-            faulty: vec![[0; BATCH_LANES]; num_nodes],
-            touched: vec![0; num_nodes],
-            epoch: 0,
-        }
-    }
-
-    fn bump(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.touched.fill(0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
 }
 
 /// Per-worker tile recorder: epoch-stamped per-fault slots so a tile's
@@ -472,25 +311,22 @@ impl TileRecorder {
         self.touched.clear();
     }
 
-    fn record_min(&mut self, i: u32, v: u64) {
-        let idx = i as usize;
-        if self.stamp[idx] != self.epoch {
-            self.stamp[idx] = self.epoch;
-            self.value[idx] = v;
-            self.touched.push(i);
-        } else if v < self.value[idx] {
-            self.value[idx] = v;
-        }
-    }
-
-    fn record_add(&mut self, i: u32, v: u64) {
-        let idx = i as usize;
-        if self.stamp[idx] == self.epoch {
-            self.value[idx] += v;
-        } else {
-            self.stamp[idx] = self.epoch;
-            self.value[idx] = v;
-            self.touched.push(i);
+    /// Records one detection of fault `i`: the minimum of `first` (the
+    /// first detecting pattern) under coverage, the sum of `count` (the
+    /// detecting patterns) under counts.
+    fn record(&mut self, mode: Mode, i: usize, first: u64, count: u32) {
+        let v = match mode {
+            Mode::Coverage { .. } => first,
+            Mode::Counts => u64::from(count),
+        };
+        if self.stamp[i] != self.epoch {
+            self.stamp[i] = self.epoch;
+            self.value[i] = v;
+            self.touched.push(i as u32);
+        } else if mode == Mode::Counts {
+            self.value[i] += v;
+        } else if v < self.value[i] {
+            self.value[i] = v;
         }
     }
 
@@ -502,247 +338,82 @@ impl TileRecorder {
     }
 }
 
-/// One dense batch pass over one superblock: for each valid 64-pattern
-/// lane `j` of the event sim's shared good values, walk the union cone
-/// once with `[u64; BATCH_LANES]` lanes and compare against the broadcast
-/// fault-free value at the cone's outputs.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_pass<const W: usize>(
-    circuit: &Circuit,
-    good: &WideLogicSim<'_, W>,
-    faults: &[Fault],
-    batch: &Batch,
-    mask: &[u64; W],
-    base_pattern: u64,
-    live: &mut u16,
+/// The fixed inputs every tile of one run reads.
+struct Grid<'a> {
+    circuit: &'a Circuit,
+    faults: &'a FaultList,
+    blocks: &'a [PatternBlock],
+    /// First pattern index of each block.
+    block_start: Vec<u64>,
+    stripes: Vec<Range<usize>>,
     mode: Mode,
-    scratch: &mut BatchScratch,
-    rec: &mut TileRecorder,
-    stats: &mut SimStats,
-) {
-    let members = batch.members.len();
-    let mut inj = [0u64; BATCH_LANES];
-    for j in 0..W {
-        if mask[j] == 0 {
-            break; // valid patterns are a prefix of the lane array
-        }
-        let live_now = *live;
-        if live_now == 0 {
-            break;
-        }
-        // Injection values and per-fault excitation for this block.
-        let mut excited = 0u16;
-        for (k, &fi) in batch.members.iter().enumerate() {
-            let fault = faults[fi as usize];
-            let root = fault.site.effect_root();
-            let stuck = if fault.stuck_value { u64::MAX } else { 0 };
-            // Lane `k`'s fanin values at fault `k`'s root are fault-free
-            // even when another member's root sits upstream: lane `k`
-            // carries only fault `k`'s effects, so the scalar good values
-            // are the right injection inputs.
-            let v = inject_root_lanes::<1>(circuit, fault, [stuck], |f| [good.value(f)[j]])[0];
-            inj[k] = v;
-            if v != good.value(root)[j] {
-                excited |= 1 << k;
-            }
-        }
-        stats.fault_blocks += u64::from(live_now.count_ones());
-        stats.unexcited += u64::from((live_now & !excited).count_ones());
-        if live_now & excited == 0 {
-            continue; // every live lane computes fault-free: no walk needed
-        }
-        // Union-cone walk: one gate eval per cone gate, amortized over
-        // the whole batch.  Fanins outside the cone broadcast the good
-        // value; the injection overrides rewrite root lanes after eval.
-        let epoch = scratch.bump();
-        let mut ov = 0;
-        for &n in &batch.cone {
-            let ni = n.index();
-            let node = circuit.node(n);
-            let mut lanes = if node.kind() == GateKind::Input {
-                [good.value(n)[j]; BATCH_LANES]
-            } else {
-                stats.node_evals += 1;
-                eval_gate_lanes(
-                    node.kind(),
-                    node.fanin().iter().map(|f| {
-                        if scratch.touched[f.index()] == epoch {
-                            scratch.faulty[f.index()]
-                        } else {
-                            [good.value(*f)[j]; BATCH_LANES]
-                        }
-                    }),
-                )
-            };
-            while ov < batch.overrides.len() && batch.overrides[ov].0 == ni as u32 {
-                let k = batch.overrides[ov].1 as usize;
-                lanes[k] = inj[k];
-                ov += 1;
-            }
-            scratch.faulty[ni] = lanes;
-            scratch.touched[ni] = epoch;
-        }
-        // XOR-difference detection per lane, masked to valid patterns.
-        let mut det = [0u64; BATCH_LANES];
-        for &o in &batch.outs {
-            let lanes = scratch.faulty[o.index()];
-            let g = good.value(o)[j];
-            for (d, lane) in det.iter_mut().zip(lanes.iter()).take(members) {
-                *d |= lane ^ g;
-            }
-        }
-        for k in 0..members {
-            let bit = 1u16 << k;
-            if live_now & bit == 0 {
-                continue;
-            }
-            let masked = det[k] & mask[j];
-            if excited & bit != 0 && det[k] == 0 {
-                stats.frontier_deaths += 1;
-            }
-            if masked != 0 {
-                stats.detected_blocks += 1;
-                let fi = batch.members[k];
-                match mode {
-                    Mode::Coverage { .. } => {
-                        let p = base_pattern + 64 * j as u64 + u64::from(masked.trailing_zeros());
-                        rec.record_min(fi, p);
-                        // First in-stripe detection found: later patterns
-                        // cannot lower the minimum, so retire the lane.
-                        *live &= !bit;
-                    }
-                    Mode::Counts => rec.record_add(fi, u64::from(masked.count_ones())),
-                }
-            }
-        }
-    }
+    threads: usize,
+    budget: Option<&'a Budget>,
 }
 
-/// Runs one (shard, stripe) tile on the worker's scratch: the event pass
-/// per superblock first (which also refreshes the shared good values),
-/// then the shard's batch passes against those good values.
-#[allow(clippy::too_many_arguments)]
-fn run_tile<const W: usize>(
-    circuit: &Circuit,
-    faults: &[Fault],
-    blocks: &[PatternBlock],
-    block_start: &[u64],
-    range: std::ops::Range<usize>,
-    event_members: &[u32],
-    batches: &[Batch],
-    mode: Mode,
-    sim: &mut EventSimulator<'_, W>,
-    sb: &mut SuperBlock<W>,
-    scratch: &mut BatchScratch,
-    rec: &mut TileRecorder,
-    batch_stats: &mut SimStats,
-) -> Vec<(u32, u64)> {
-    rec.begin_tile();
-    let mut worklist = FaultWorklist::from_indices(event_members);
-    let mut live: Vec<u16> = batches
-        .iter()
-        .map(|b| ((1u32 << b.members.len()) - 1) as u16)
-        .collect();
-    let drop = matches!(mode, Mode::Coverage { drop: true });
-    let mut b = range.start;
-    while b < range.end {
-        let take = superblock_split(&blocks[b..range.end], W);
-        sb.refill_from_blocks(&blocks[b..b + take]);
-        let mask = sb.mask();
-        let base = block_start[b];
-        sim.detect_superblock_worklist(&sb.words, mask, &mut worklist, drop, |i, w| match mode {
-            Mode::Coverage { .. } => {
+/// A worker's reusable tile scratch.
+struct TileScratch<'c, const W: usize> {
+    sim: EventSimulator<'c, W>,
+    sb: SuperBlock<W>,
+    rec: TileRecorder,
+}
+
+impl<'c, const W: usize> TileScratch<'c, W> {
+    fn new(grid: &Grid<'c>) -> Self {
+        TileScratch {
+            sim: EventSimulator::new(grid.circuit, grid.faults),
+            sb: SuperBlock::empty(grid.circuit.num_inputs()),
+            rec: TileRecorder::new(grid.faults.len()),
+        }
+    }
+
+    /// Runs stripe `t` against the fault indices `members`: one event
+    /// pass per superblock.
+    fn run(&mut self, grid: &Grid<'_>, members: &[u32], t: usize) -> Vec<(u32, u64)> {
+        let TileScratch { sim, sb, rec } = self;
+        rec.begin_tile();
+        let mut worklist = FaultWorklist::from_indices(members);
+        let (mode, range) = (grid.mode, grid.stripes[t].clone());
+        let mut b = range.start;
+        while b < range.end {
+            let take = superblock_split(&grid.blocks[b..range.end], W);
+            sb.refill_from_blocks(&grid.blocks[b..b + take]);
+            let base = grid.block_start[b];
+            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, mode.drops(), |i, w| {
                 let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                rec.record_min(i as u32, base + u64::from(bit));
-            }
-            Mode::Counts => rec.record_add(i as u32, u64::from(count_set_bits(&w))),
-        });
-        for (batch, live) in batches.iter().zip(live.iter_mut()) {
-            if *live == 0 {
-                continue;
-            }
-            run_batch_pass::<W>(
-                circuit,
-                sim.good_sim(),
-                faults,
-                batch,
-                &mask,
-                base,
-                live,
-                mode,
-                scratch,
-                rec,
-                batch_stats,
-            );
+                rec.record(mode, i, base + u64::from(bit), count_set_bits(&w));
+            });
+            b += take;
         }
-        b += take;
+        rec.drain()
     }
-    rec.drain()
-}
-
-/// Serial replay of a poisoned tile with the event engine over the
-/// shard's sublist (batch members included: batch and event passes are
-/// bit-identical, so replaying everything on one axis is exact).
-fn replay_tile_event<const W: usize>(
-    circuit: &Circuit,
-    sublist: &FaultList,
-    blocks: &[PatternBlock],
-    block_start: &[u64],
-    range: std::ops::Range<usize>,
-    mode: Mode,
-) -> (Vec<(u32, u64)>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, sublist);
-    let mut rec = TileRecorder::new(sublist.len());
-    rec.begin_tile();
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let drop = matches!(mode, Mode::Coverage { drop: true });
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-    let mut b = range.start;
-    while b < range.end {
-        let take = superblock_split(&blocks[b..range.end], W);
-        sb.refill_from_blocks(&blocks[b..b + take]);
-        let base = block_start[b];
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-            match mode {
-                Mode::Coverage { .. } => {
-                    let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                    rec.record_min(i as u32, base + u64::from(bit));
-                }
-                Mode::Counts => rec.record_add(i as u32, u64::from(count_set_bits(&w))),
-            }
-        });
-        b += take;
-    }
-    (rec.drain(), sim.stats())
 }
 
 /// Dense-engine replay of a poisoned tile — the last rung of the ladder.
-fn replay_tile_dense(
-    circuit: &Circuit,
-    sublist: &FaultList,
-    blocks: &[PatternBlock],
-    block_start: &[u64],
-    range: std::ops::Range<usize>,
-    mode: Mode,
-) -> (Vec<(u32, u64)>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, sublist);
+fn replay_tile_dense(grid: &Grid<'_>, members: &[u32], t: usize) -> (Vec<(u32, u64)>, SimStats) {
+    let sublist = FaultList::from_faults(
+        members
+            .iter()
+            .map(|&i| grid.faults.fault(FaultId::from_index(i as usize)))
+            .collect(),
+    );
+    let mut sim = FaultSimulator::new(grid.circuit, &sublist);
     let mut rec = TileRecorder::new(sublist.len());
     rec.begin_tile();
     let mut worklist = FaultWorklist::full(sublist.len());
-    let drop = matches!(mode, Mode::Coverage { drop: true });
-    for b in range {
-        let block = &blocks[b];
-        let base = block_start[b];
-        sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, drop, |i, w| {
-            match mode {
-                Mode::Coverage { .. } => {
-                    rec.record_min(i as u32, base + u64::from(w.trailing_zeros()));
-                }
-                Mode::Counts => rec.record_add(i as u32, u64::from(w.count_ones())),
-            }
+    let mode = grid.mode;
+    for b in grid.stripes[t].clone() {
+        let (block, base) = (&grid.blocks[b], grid.block_start[b]);
+        sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, mode.drops(), |i, w| {
+            rec.record(mode, i, base + u64::from(w.trailing_zeros()), w.count_ones());
         });
     }
-    (rec.drain(), sim.stats())
+    let values = rec
+        .drain()
+        .into_iter()
+        .map(|(local, v)| (members[local as usize], v))
+        .collect();
+    (values, sim.stats())
 }
 
 /// Per-tile merged values, tagged by stripe so an interrupted run can
@@ -750,6 +421,181 @@ fn replay_tile_dense(
 struct TileOutput {
     stripe: usize,
     values: Vec<(u32, u64)>,
+}
+
+/// What both passes report into: merged tile values, completion marks,
+/// recovery, and the first budget trip.
+struct Ledger {
+    outputs: Vec<TileOutput>,
+    /// `completed[s * stripes + t]`: tile (shard `s`, stripe `t`) is merged.
+    completed: Vec<bool>,
+    stripes: usize,
+    recovery: ShardRecovery,
+    tripped: Option<BudgetExceeded>,
+    tiles: u64,
+    steals: u64,
+}
+
+impl Ledger {
+    fn merge(&mut self, s: usize, t: usize, values: Vec<(u32, u64)>) {
+        self.outputs.push(TileOutput { stripe: t, values });
+        self.completed[s * self.stripes + t] = true;
+    }
+
+    /// Whether stripe `t` has every shard's tile merged.
+    fn stripe_complete(&self, t: usize, shards: usize) -> bool {
+        (0..shards).all(|s| self.completed[s * self.stripes + t])
+    }
+}
+
+fn lock_shared<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    // Tile panics are caught before the lock is taken, so poisoning only
+    // happens on a programmer error in the bookkeeping itself; the state
+    // is still consistent for reporting.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One pass of the worker loop over the tiles (`s`, `t`) with `t` in
+/// `pass`, for every shard `s`: workers claim tiles (home shard first,
+/// then stealing), check the budget, and run each tile under
+/// `catch_unwind`; poisoned tiles then go down the replay ladder.
+/// Returns the pass's work counters.
+fn run_pass<const W: usize>(
+    grid: &Grid<'_>,
+    members: &[Vec<u32>],
+    pass: Range<usize>,
+    ledger: &mut Ledger,
+) -> SimStats {
+    struct PassState<'l> {
+        ledger: &'l mut Ledger,
+        poisoned: Vec<(usize, usize)>,
+        stats: SimStats,
+    }
+    let shards = members.len();
+    let cursors: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(pass.start)).collect();
+    let stop = AtomicBool::new(false);
+    let state = Mutex::new(PassState {
+        ledger,
+        poisoned: Vec::new(),
+        stats: SimStats::default(),
+    });
+    let workers = grid.threads.min(shards * pass.len());
+    std::thread::scope(|scope| {
+        for wi in 0..workers {
+            let (state, cursors, stop, end) = (&state, &cursors, &stop, pass.end);
+            scope.spawn(move || {
+                let mut scratch = TileScratch::<W>::new(grid);
+                let mut banked = SimStats::default();
+                let home = wi % shards;
+                while !stop.load(Ordering::Relaxed) {
+                    let claim = (0..shards).find_map(|off| {
+                        let s = (home + off) % shards;
+                        let t = cursors[s].fetch_add(1, Ordering::Relaxed);
+                        (t < end).then_some((s, t, off != 0))
+                    });
+                    let Some((s, t, stolen)) = claim else { break };
+                    if let Some(budget) = grid.budget {
+                        // The eval axis resolved upfront to the pattern
+                        // clip, so only deadline, cancellation, and
+                        // injections can trip here; the claimed tile
+                        // stays unmerged.
+                        if let Err(reason) = budget.check_in(0, 0) {
+                            stop.store(true, Ordering::Relaxed);
+                            lock_shared(state).ledger.tripped.get_or_insert(reason);
+                            break;
+                        }
+                    }
+                    let attempt = catch_unwind(AssertUnwindSafe(
+                        || -> Result<Vec<(u32, u64)>, InjectedFailure> {
+                            failpoint::hit(sites::TILE_RUN)?;
+                            Ok(scratch.run(grid, &members[s], t))
+                        },
+                    ));
+                    let panicked = attempt.is_err();
+                    {
+                        let mut st = lock_shared(state);
+                        st.ledger.tiles += 1;
+                        st.ledger.steals += u64::from(stolen);
+                        match attempt {
+                            Ok(Ok(values)) => st.ledger.merge(s, t, values),
+                            Ok(Err(_)) | Err(_) => {
+                                st.ledger.recovery.worker_panics += usize::from(panicked);
+                                st.poisoned.push((s, t));
+                            }
+                        }
+                    }
+                    if panicked {
+                        // A panic mid-drain can leave bucket chains and
+                        // epoch stamps inconsistent: rebuild the scratch
+                        // before touching another tile.
+                        banked.merge(&scratch.sim.stats());
+                        scratch = TileScratch::new(grid);
+                    }
+                }
+                banked.merge(&scratch.sim.stats());
+                lock_shared(state).stats.merge(&banked);
+            });
+        }
+    });
+    let PassState {
+        ledger,
+        mut poisoned,
+        mut stats,
+    } = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    poisoned.sort_unstable();
+    for (s, t) in poisoned {
+        stats.merge(&replay_tile::<W>(grid, &members[s], s, t, ledger));
+    }
+    stats
+}
+
+/// The replay ladder for one poisoned tile (home or stolen alike): a
+/// serial event replay on fresh scratch first, the dense engine second.
+/// A tile that fails both leaves its faults unresolved and its stripe
+/// incomplete.  Returns the replays' work counters.
+fn replay_tile<const W: usize>(
+    grid: &Grid<'_>,
+    members: &[u32],
+    s: usize,
+    t: usize,
+    ledger: &mut Ledger,
+) -> SimStats {
+    ledger.recovery.replays += 1;
+    ledger.recovery.ladder.record(
+        DegradeStep::ShardRequeue,
+        format!("tile (shard {s}, stripe {t}) poisoned; serial event replay"),
+    );
+    ledger.tiles += 1;
+    let event = catch_unwind(AssertUnwindSafe(|| {
+        let mut scratch = TileScratch::<W>::new(grid);
+        let values = scratch.run(grid, members, t);
+        (values, scratch.sim.stats())
+    }));
+    if let Ok((values, stats)) = event {
+        ledger.merge(s, t, values);
+        return stats;
+    }
+    ledger.recovery.worker_panics += 1;
+    ledger.recovery.replays += 1;
+    ledger.recovery.ladder.record(
+        DegradeStep::EventToDense,
+        format!("tile (shard {s}, stripe {t}) event replay failed; dense replay"),
+    );
+    ledger.tiles += 1;
+    match catch_unwind(AssertUnwindSafe(|| replay_tile_dense(grid, members, t))) {
+        Ok((values, stats)) => {
+            ledger.merge(s, t, values);
+            stats
+        }
+        Err(_) => {
+            ledger.recovery.worker_panics += 1;
+            ledger
+                .recovery
+                .unresolved
+                .extend(members.iter().map(|&i| FaultId::from_index(i as usize)));
+            SimStats::default()
+        }
+    }
 }
 
 /// Everything the tile scheduler reports back to the public entry points.
@@ -763,15 +609,7 @@ struct TiledRaw {
     tripped: Option<BudgetExceeded>,
 }
 
-fn lock_shared<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Tile panics are caught before the lock is taken, so poisoning only
-    // happens on a programmer error in the bookkeeping itself; the state
-    // is still consistent for reporting.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The 2D scheduler: materialized blocks in, per-tile merged values out.
-#[allow(clippy::too_many_arguments)]
 fn run_tiled<const W: usize>(
     circuit: &Circuit,
     faults: &FaultList,
@@ -779,16 +617,10 @@ fn run_tiled<const W: usize>(
     layout: &Layout,
     requested_stripes: usize,
     mode: Mode,
-    batch_mode: BatchMode,
     budget: Option<&Budget>,
 ) -> TiledRaw {
-    let num_faults = faults.len();
     let partition = FaultPartition::cone_locality(circuit, faults, layout.shards);
     let shards = partition.num_shards();
-    let fault_vec: Vec<Fault> = faults.iter().map(|(_, f)| f).collect();
-    let fault_roots: Vec<NodeId> = fault_vec.iter().map(|f| f.site.effect_root()).collect();
-    let drop = matches!(mode, Mode::Coverage { drop: true });
-
     let block_start: Vec<u64> = blocks
         .iter()
         .scan(0u64, |acc, b| {
@@ -799,330 +631,86 @@ fn run_tiled<const W: usize>(
         .collect();
     let total_patterns: u64 = block_start.last().map_or(0, |&s| s)
         + blocks.last().map_or(0, |b| u64::from(b.len));
-
-    // An already-spent budget (zero deadline, cancellation) stops the run
-    // before the probe; the result is the empty prefix.
-    let mut early_trip: Option<BudgetExceeded> = None;
-    if let Some(budget) = budget {
-        if let Err(reason) = budget.check_in(0, 0) {
-            early_trip = Some(reason);
-        }
-    }
-
-    // The serial probe stripe (Auto mode): one event pass over the first
-    // superblock with per-fault profiling, recording real detections.
-    // It doubles as the classification probe *and* stripe 0's detection
-    // pass, so profiling costs no redundant simulation; under fault
-    // dropping, faults it detects retire from every later stripe —
-    // exactly the serial engine's drop (stripe 0 holds the stream's
-    // earliest patterns, so no later stripe can lower their minimum).
-    let probe_take = if batch_mode == BatchMode::Auto && !blocks.is_empty() && early_trip.is_none()
-    {
-        superblock_split(blocks, W)
-    } else {
-        0
-    };
-    let mut probe_output: Option<Vec<(u32, u64)>> = None;
-    let mut probe_stats = SimStats::default();
-    let mut profile = None;
-    let mut retired = vec![false; num_faults];
-    if probe_take > 0 {
-        let mut sim = EventSimulator::<W>::new(circuit, faults);
-        sim.enable_eval_profile();
-        let mut worklist = FaultWorklist::full(num_faults);
-        let sb = SuperBlock::<W>::from_blocks(&blocks[..probe_take]);
-        let mut rec = TileRecorder::new(num_faults);
-        rec.begin_tile();
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-            match mode {
-                Mode::Coverage { .. } => {
-                    let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                    rec.record_min(i as u32, u64::from(bit));
-                }
-                Mode::Counts => rec.record_add(i as u32, u64::from(count_set_bits(&w))),
-            }
-        });
-        let values = rec.drain();
-        if drop {
-            for &(i, _) in &values {
-                retired[i as usize] = true;
-            }
-        }
-        probe_stats = sim.stats();
-        profile = sim.take_eval_profile();
-        probe_output = Some(values);
-    }
-    let classified = classify(
+    let grid = Grid {
         circuit,
-        &fault_roots,
-        &partition,
-        batch_mode,
-        profile.as_ref(),
-        probe_take.max(1) as u64,
-        &retired,
-    );
-    let layout_stripes = stripe_ranges(blocks.len(), probe_take, requested_stripes, W);
-    let stripes = layout_stripes.len();
-
-    struct Shared {
-        outputs: Vec<TileOutput>,
-        completed: Vec<bool>,
-        poisoned: Vec<(usize, usize)>,
-        worker_panics: usize,
-        tripped: Option<BudgetExceeded>,
-        tiles: u64,
-        steals: u64,
-        event_stats: SimStats,
-        batch_stats: SimStats,
-    }
-    let mut completed = vec![false; shards * stripes];
-    if probe_output.is_some() {
-        // The probe covered stripe 0 for every shard at once.
-        for s in 0..shards {
-            completed[s * stripes] = true;
-        }
-    }
-    let shared = Mutex::new(Shared {
+        faults,
+        blocks,
+        block_start,
+        stripes: stripe_ranges(blocks, requested_stripes, W),
+        mode,
+        threads: layout.threads,
+        budget,
+    };
+    let stripes = grid.stripes.len();
+    let mut ledger = Ledger {
         outputs: Vec::new(),
-        completed,
-        poisoned: Vec::new(),
-        worker_panics: 0,
-        tripped: early_trip,
+        completed: vec![false; shards * stripes],
+        stripes,
+        recovery: ShardRecovery::default(),
+        tripped: None,
         tiles: 0,
         steals: 0,
-        event_stats: SimStats::default(),
-        batch_stats: SimStats::default(),
-    });
-    let first_stripe = usize::from(probe_output.is_some());
-    let cursors: Vec<AtomicUsize> = (0..shards)
-        .map(|_| AtomicUsize::new(first_stripe))
-        .collect();
-    let stop = AtomicBool::new(early_trip.is_some());
-
-    std::thread::scope(|scope| {
-        for wi in 0..layout.threads {
-            let shared = &shared;
-            let cursors = &cursors;
-            let stop = &stop;
-            let classified = &classified;
-            let fault_vec = &fault_vec;
-            let block_start = &block_start;
-            let layout_stripes = &layout_stripes;
-            scope.spawn(move || {
-                let mut sim = EventSimulator::<W>::new(circuit, faults);
-                let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-                let mut scratch = BatchScratch::new(circuit.num_nodes());
-                let mut rec = TileRecorder::new(num_faults);
-                let mut batch_stats = SimStats::default();
-                let home = wi % shards;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(budget) = budget {
-                        // Tile-boundary check-in: the eval axis resolved
-                        // upfront to the pattern clip, so only deadline,
-                        // cancellation, and injections can trip here.
-                        if let Err(reason) = budget.check_in(0, 0) {
-                            stop.store(true, Ordering::Relaxed);
-                            lock_shared(shared).tripped.get_or_insert(reason);
-                            break;
-                        }
-                    }
-                    let mut claim = None;
-                    for off in 0..shards {
-                        let s = (home + off) % shards;
-                        let t = cursors[s].fetch_add(1, Ordering::Relaxed);
-                        if t < stripes {
-                            claim = Some((s, t, off != 0));
-                            break;
-                        }
-                    }
-                    let Some((s, t, stolen)) = claim else { break };
-                    let attempt = catch_unwind(AssertUnwindSafe(
-                        || -> Result<Vec<(u32, u64)>, InjectedFailure> {
-                            failpoint::hit(sites::TILE_RUN)?;
-                            Ok(run_tile::<W>(
-                                circuit,
-                                fault_vec,
-                                blocks,
-                                block_start,
-                                layout_stripes[t].clone(),
-                                &classified.event_members[s],
-                                &classified.batches[s],
-                                mode,
-                                &mut sim,
-                                &mut sb,
-                                &mut scratch,
-                                &mut rec,
-                                &mut batch_stats,
-                            ))
-                        },
-                    ));
-                    let panicked = attempt.is_err();
-                    {
-                        let mut sh = lock_shared(shared);
-                        sh.tiles += 1;
-                        if stolen {
-                            sh.steals += 1;
-                        }
-                        match attempt {
-                            Ok(Ok(values)) => {
-                                sh.outputs.push(TileOutput { stripe: t, values });
-                                sh.completed[s * stripes + t] = true;
-                            }
-                            Ok(Err(_)) | Err(_) => {
-                                sh.worker_panics += usize::from(panicked);
-                                sh.poisoned.push((s, t));
-                            }
-                        }
-                    }
-                    if panicked {
-                        // A panic mid-drain can leave bucket chains and
-                        // epoch stamps inconsistent: rebuild the scratch
-                        // before touching another tile.
-                        sim = EventSimulator::<W>::new(circuit, faults);
-                        sb = SuperBlock::<W>::empty(circuit.num_inputs());
-                        scratch = BatchScratch::new(circuit.num_nodes());
-                        rec = TileRecorder::new(num_faults);
-                    }
-                }
-                let mut sh = lock_shared(shared);
-                sh.event_stats.merge(&sim.stats());
-                sh.batch_stats.merge(&batch_stats);
-            });
-        }
-    });
-
-    let shared = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let Shared {
-        mut outputs,
-        mut completed,
-        poisoned,
-        worker_panics,
-        tripped,
-        mut tiles,
-        steals,
-        event_stats,
-        batch_stats,
-    } = shared;
-    if let Some(values) = probe_output {
-        outputs.push(TileOutput { stripe: 0, values });
-    }
-
-    // Replay ladder for poisoned tiles (stolen or home alike): serial
-    // same-engine replay first, dense second — both over the shard's full
-    // sublist, which covers batch members exactly.
-    let mut recovery = ShardRecovery {
-        worker_panics,
-        ..ShardRecovery::default()
     };
-    let mut replay_event_stats = SimStats::default();
-    let mut replay_dense_stats = SimStats::default();
-    for &(s, t) in &poisoned {
-        let sublist = partition.sublist(faults, s);
-        let range = layout_stripes[t].clone();
-        let to_global = |values: Vec<(u32, u64)>| -> Vec<(u32, u64)> {
-            values
-                .into_iter()
-                .map(|(local, v)| (partition.shard(s)[local as usize].index() as u32, v))
-                .collect()
-        };
-        recovery.replays += 1;
-        recovery.ladder.record(
-            DegradeStep::ShardRequeue,
-            format!("tile (shard {s}, stripe {t}) poisoned; serial event replay"),
-        );
-        tiles += 1;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            replay_tile_event::<W>(circuit, &sublist, blocks, &block_start, range.clone(), mode)
-        }));
-        match attempt {
-            Ok((values, stats)) => {
-                replay_event_stats.merge(&stats);
-                outputs.push(TileOutput {
-                    stripe: t,
-                    values: to_global(values),
-                });
-                completed[s * stripes + t] = true;
-                continue;
+    let mut members: Vec<Vec<u32>> = partition
+        .shards()
+        .map(|shard| shard.iter().map(|id| id.index() as u32).collect())
+        .collect();
+
+    // First pass: stripe 0, one tile per shard.
+    let first = run_pass::<W>(&grid, &members, 0..stripes.min(1), &mut ledger);
+    // Second pass: the later stripes, once every stripe-0 tile is merged.
+    // Under dropping, faults stripe 0 detected retire from them — the
+    // serial engine's drop, since no later pattern can lower their first
+    // detection.
+    let mut rest = SimStats::default();
+    if stripes > 1 && ledger.tripped.is_none() && ledger.stripe_complete(0, shards) {
+        if mode.drops() {
+            let mut retired = vec![false; faults.len()];
+            for &(i, _) in ledger.outputs.iter().flat_map(|out| &out.values) {
+                retired[i as usize] = true;
             }
-            Err(_) => recovery.worker_panics += 1,
-        }
-        recovery.replays += 1;
-        recovery.ladder.record(
-            DegradeStep::EventToDense,
-            format!("tile (shard {s}, stripe {t}) event replay failed; dense replay"),
-        );
-        tiles += 1;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            replay_tile_dense(circuit, &sublist, blocks, &block_start, range, mode)
-        }));
-        match attempt {
-            Ok((values, stats)) => {
-                replay_dense_stats.merge(&stats);
-                outputs.push(TileOutput {
-                    stripe: t,
-                    values: to_global(values),
-                });
-                completed[s * stripes + t] = true;
-            }
-            Err(_) => {
-                recovery.worker_panics += 1;
-                recovery
-                    .unresolved
-                    .extend(partition.shard(s).iter().copied());
+            for shard in &mut members {
+                shard.retain(|&i| !retired[i as usize]);
             }
         }
+        rest = run_pass::<W>(&grid, &members, 1..stripes, &mut ledger);
     }
 
     // Keep the maximal prefix of fully-completed stripes: every kept
     // stripe has every shard's tile merged, so the result is exactly the
     // serial prefix over those patterns.
     let prefix_stripes = (0..stripes)
-        .take_while(|&t| (0..shards).all(|s| completed[s * stripes + t]))
+        .take_while(|&t| ledger.stripe_complete(t, shards))
         .count();
     let streamed = if prefix_stripes == stripes {
         total_patterns
     } else {
-        block_start[layout_stripes[prefix_stripes].start]
+        grid.block_start[grid.stripes[prefix_stripes].start]
     };
-    let tripped = tripped.or_else(|| {
+    let tripped = ledger.tripped.or_else(|| {
         // No budget trip, yet an incomplete stripe: replays were
         // exhausted, so surface the injection as the interrupt reason.
         (prefix_stripes < stripes).then_some(BudgetExceeded::Injected)
     });
 
-    let mut sim_total = event_stats;
-    sim_total.merge(&batch_stats);
-    sim_total.merge(&probe_stats);
-    sim_total.merge(&replay_event_stats);
-    sim_total.merge(&replay_dense_stats);
+    let mut sim = first;
+    sim.merge(&rest);
     let stats = TileStats {
-        sim: sim_total,
-        event_node_evals: event_stats.node_evals
-            + replay_event_stats.node_evals
-            + replay_dense_stats.node_evals,
-        batch_node_evals: batch_stats.node_evals,
-        probe_node_evals: probe_stats.node_evals,
+        sim,
+        event_node_evals: rest.node_evals,
+        probe_node_evals: first.node_evals,
         block_words: W,
         stripes,
         shards,
         threads: layout.threads,
-        tiles,
-        steals,
-        batches: classified.batches.iter().map(Vec::len).sum::<usize>() as u64,
-        batch_dense_faults: classified
-            .batches
-            .iter()
-            .flatten()
-            .map(|b| b.members.len())
-            .sum::<usize>() as u64,
+        tiles: ledger.tiles,
+        steals: ledger.steals,
+        batch_dense_faults: 0,
     };
     TiledRaw {
-        outputs,
+        outputs: ledger.outputs,
         stats,
-        recovery,
+        recovery: ledger.recovery,
         prefix_stripes,
         streamed,
         tripped,
@@ -1165,7 +753,6 @@ fn run_dispatch(
             &layout,
             opts.pattern_stripes,
             mode,
-            opts.batch,
             budget,
         )
     });
@@ -1318,13 +905,13 @@ mod tests {
         .unwrap()
     }
 
-    fn opts(words: usize, stripes: usize, shards: usize, threads: usize, batch: BatchMode) -> TileOptions {
+    fn opts(words: usize, stripes: usize, shards: usize, threads: usize) -> TileOptions {
         TileOptions {
             block_words: words,
             pattern_stripes: stripes,
             fault_shards: shards,
             threads,
-            batch,
+            ..TileOptions::default()
         }
     }
 
@@ -1333,39 +920,26 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 7), 500, true);
-        for batch in [BatchMode::Auto, BatchMode::Off, BatchMode::Force] {
-            let (tiled, stats) = fault_coverage_tiled(
-                &c,
-                &faults,
-                WeightedPatterns::equiprobable(3, 7),
-                500,
-                true,
-                &opts(2, 3, 2, 3, batch),
-            );
-            assert_eq!(serial.detected_at(), tiled.detected_at(), "{batch:?}");
-            // 500 patterns = 8 blocks at W = 2.  Auto mode: a 2-block
-            // probe stripe plus 3 requested stripes over the remaining 6
-            // blocks.  Off/Force: no probe; 3 requested stripes round up
-            // to whole superblocks (4 blocks each), giving 2.
-            if batch == BatchMode::Auto {
-                assert_eq!(stats.stripes, 4);
-                // Stripe 0 is the serial probe: workers tile the rest.
-                assert_eq!(stats.tiles, ((stats.stripes - 1) * stats.shards) as u64);
-                assert!(stats.probe_node_evals > 0);
-            } else {
-                assert_eq!(stats.stripes, 2);
-                assert_eq!(stats.tiles, (stats.stripes * stats.shards) as u64);
-                assert_eq!(stats.probe_node_evals, 0);
-            }
-            if batch == BatchMode::Force {
-                assert_eq!(stats.batch_dense_faults, faults.len() as u64);
-                assert!(stats.batch_node_evals > 0);
-            }
-            if batch == BatchMode::Off {
-                assert_eq!(stats.batch_dense_faults, 0);
-                assert_eq!(stats.batch_node_evals, 0);
-            }
-        }
+        let (tiled, stats) = fault_coverage_tiled(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 7),
+            500,
+            true,
+            &opts(2, 3, 2, 3),
+        );
+        assert_eq!(serial.detected_at(), tiled.detected_at());
+        // 500 patterns = 8 blocks at W = 2: stripe 0 is the first 2-block
+        // superblock, and 3 requested stripes cut the remaining 6 blocks.
+        assert_eq!(stats.stripes, 4);
+        // Stripe 0 runs as ordinary tiles: one tile per shard and stripe.
+        assert_eq!(stats.tiles, (stats.stripes * stats.shards) as u64);
+        assert!(stats.probe_node_evals > 0);
+        assert_eq!(
+            stats.probe_node_evals + stats.event_node_evals,
+            stats.sim.node_evals
+        );
+        assert_eq!(stats.batch_dense_faults, 0);
     }
 
     #[test]
@@ -1373,16 +947,14 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 9), 700);
-        for batch in [BatchMode::Off, BatchMode::Force] {
-            let (counts, _) = detection_counts_tiled(
-                &c,
-                &faults,
-                WeightedPatterns::equiprobable(3, 9),
-                700,
-                &opts(4, 4, 3, 2, batch),
-            );
-            assert_eq!(serial, counts, "{batch:?}");
-        }
+        let (counts, _) = detection_counts_tiled(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 9),
+            700,
+            &opts(4, 4, 3, 2),
+        );
+        assert_eq!(serial, counts);
     }
 
     #[test]
@@ -1396,7 +968,7 @@ mod tests {
             WeightedPatterns::equiprobable(3, 1),
             500,
             true,
-            &opts(2, 1000, 100, 5, BatchMode::Auto),
+            &opts(2, 1000, 100, 5),
         );
         assert_eq!(stats.stripes, 4);
         assert!(stats.shards <= faults.len());
@@ -1443,9 +1015,9 @@ mod tests {
     #[test]
     fn options_validation() {
         assert!(TileOptions::default().validate().is_ok());
-        assert!(opts(16, 0, 0, 0, BatchMode::Auto).validate().is_ok());
-        assert!(opts(3, 0, 0, 0, BatchMode::Auto).validate().is_err());
-        assert!(opts(32, 0, 0, 0, BatchMode::Auto).validate().is_err());
+        assert!(opts(16, 0, 0, 0).validate().is_ok());
+        assert!(opts(3, 0, 0, 0).validate().is_err());
+        assert!(opts(32, 0, 0, 0).validate().is_err());
     }
 
     #[test]
@@ -1463,7 +1035,7 @@ mod tests {
                 WeightedPatterns::equiprobable(3, 5),
                 100_000,
                 false,
-                &opts(2, 2, 2, threads, BatchMode::Auto),
+                &opts(2, 2, 2, threads),
                 &budget,
             );
             assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
@@ -1484,7 +1056,7 @@ mod tests {
             WeightedPatterns::equiprobable(3, 5),
             1000,
             true,
-            &opts(1, 4, 2, 2, BatchMode::Auto),
+            &opts(1, 4, 2, 2),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
@@ -1492,33 +1064,12 @@ mod tests {
         assert_eq!(rc.result.num_patterns(), 0);
         assert!(rc.result.detected_at().iter().all(Option::is_none));
     }
-
-    #[test]
-    fn batch_members_leave_the_event_axis() {
-        let c = adder();
-        let faults = wrt_fault::FaultList::full(&c);
-        let (_, stats) = fault_coverage_tiled(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 3),
-            512,
-            true,
-            &opts(2, 2, 1, 1, BatchMode::Force),
-        );
-        // Every fault is batched: the event axis does no propagation at
-        // all (its worklists are empty), so all fault-block attempts come
-        // from batch passes and the probe is skipped in Force mode.
-        assert_eq!(stats.event_node_evals, 0);
-        assert_eq!(stats.probe_node_evals, 0);
-        assert!(stats.batch_node_evals > 0);
-        assert_eq!(stats.batch_dense_faults, faults.len() as u64);
-        assert!(stats.batches >= 1);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::event::{fault_coverage_opts, SimOptions};
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
     use crate::test_support::arb_circuit;
@@ -1531,29 +1082,28 @@ mod proptests {
         /// The 2D engine is bit-identical to the serial dense engine —
         /// `detected_at` and `counts` — across random circuits, widths,
         /// thread counts, stripe sizes (overstriping included), shard
-        /// counts (oversharding included), drop modes, and batch modes.
+        /// counts (oversharding included), and drop modes.
         #[test]
         fn tiled_is_bit_identical_to_serial(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
             shape in (0usize..6, 1usize..6, 0usize..40, 0usize..30),
-            run in (0u64..1_000, 1u64..700, any::<bool>(), 0usize..3),
+            run in (0u64..1_000, 1u64..700, any::<bool>()),
         ) {
             let (width_idx, threads, stripes, shards) = shape;
-            let (seed, patterns, drop, batch_idx) = run;
+            let (seed, patterns, drop) = run;
             let faults = FaultList::full(&circuit);
             let words = if width_idx < SUPPORTED_BLOCK_WORDS.len() {
                 SUPPORTED_BLOCK_WORDS[width_idx]
             } else {
                 0 // auto
             };
-            let batch = [BatchMode::Auto, BatchMode::Off, BatchMode::Force][batch_idx];
             let topts = TileOptions {
                 block_words: words,
                 pattern_stripes: stripes,
                 fault_shards: shards,
                 threads,
-                batch,
+                ..TileOptions::default()
             };
 
             let dense = fault_coverage(
@@ -1580,6 +1130,62 @@ mod proptests {
                 patterns, &topts,
             );
             prop_assert_eq!(&counts, &counts_tiled);
+        }
+
+        /// Over threads {1, 2, 3} × stripes {0, 1, 3} (shards follow the
+        /// thread count): coverage and the stripe-0 evals never change,
+        /// the two passes' evals add up to the total, the total is the
+        /// same whenever the resolved stripe count is, and when the rest
+        /// of the stream forms at most one stripe it equals the 1D event
+        /// engine's evals at the same width.
+        #[test]
+        fn tiled_evals_do_not_depend_on_the_schedule(
+            circuit in arb_circuit(),
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            width_idx in 0usize..5,
+            seed in 0u64..1_000,
+            patterns in 1u64..1_500,
+        ) {
+            let faults = FaultList::full(&circuit);
+            let words = SUPPORTED_BLOCK_WORDS[width_idx];
+            let (serial, serial_stats) = fault_coverage_opts(
+                &circuit, &faults,
+                WeightedPatterns::new(weights.clone(), seed),
+                patterns, true, SimOptions::event(words),
+            );
+            let mut stripe0_evals = None;
+            let mut evals_by_stripes: Vec<(usize, u64)> = Vec::new();
+            for threads in [1, 2, 3] {
+                for stripes in [0, 1, 3] {
+                    let (tiled, stats) = fault_coverage_tiled(
+                        &circuit, &faults,
+                        WeightedPatterns::new(weights.clone(), seed),
+                        patterns, true,
+                        &TileOptions {
+                            block_words: words,
+                            pattern_stripes: stripes,
+                            threads,
+                            ..TileOptions::default()
+                        },
+                    );
+                    prop_assert_eq!(serial.detected_at(), tiled.detected_at());
+                    prop_assert_eq!(
+                        stats.probe_node_evals + stats.event_node_evals,
+                        stats.sim.node_evals
+                    );
+                    prop_assert_eq!(
+                        *stripe0_evals.get_or_insert(stats.probe_node_evals),
+                        stats.probe_node_evals
+                    );
+                    match evals_by_stripes.iter().find(|&&(s, _)| s == stats.stripes) {
+                        Some(&(_, evals)) => prop_assert_eq!(evals, stats.sim.node_evals),
+                        None => evals_by_stripes.push((stats.stripes, stats.sim.node_evals)),
+                    }
+                    if stats.stripes <= 2 {
+                        prop_assert_eq!(stats.sim.node_evals, serial_stats.node_evals);
+                    }
+                }
+            }
         }
 
         /// The robust tiled entry over an unlimited budget is complete,

@@ -20,9 +20,10 @@
 // first opportunity.
 #![allow(clippy::significant_drop_tightening)]
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use wrt::atpg::generate_tests_budgeted;
@@ -32,8 +33,7 @@ use wrt::prelude::*;
 use wrt::robust::failpoint::{self, sites};
 use wrt::robust::{CheckpointError, FailAction};
 use wrt::sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, BatchMode, CoverageResult, SimOptions,
-    TileOptions,
+    fault_coverage_robust, fault_coverage_tiled_robust, CoverageResult, SimOptions, TileOptions,
 };
 
 /// Patterns per simulation drill: enough chunks that every skip count in
@@ -165,7 +165,7 @@ fn tile_drill(action: FailAction, skip: u64, must_fire: bool) {
                 pattern_stripes: 4,
                 fault_shards: 2,
                 threads: 4,
-                batch: BatchMode::Auto,
+                ..TileOptions::default()
             },
             &Budget::unlimited(),
         );
@@ -372,9 +372,8 @@ fn drill_workloads_exercise_every_planted_site() {
         let probs = vec![0.5; circuit.num_inputs()];
         let _ = engine.estimate(&circuit, &faults, &probs);
         // 2D tiled simulation: every tile passes `tile::run`.  W = 1
-        // keeps the probe superblock to one of the two blocks, so a
-        // post-probe stripe (and its tiles) actually exists at 128
-        // patterns.
+        // makes stripe 0 one of the two blocks, so both passes (stripe 0
+        // and a later stripe) run tiles at 128 patterns.
         let outcome = fault_coverage_tiled_robust(
             &circuit,
             &faults,
@@ -477,6 +476,150 @@ fn tile_panics_and_errors_recover_bit_identically() {
             tile_drill(action, skip, true);
         }
     }
+}
+
+/// Stripe 0 runs as ordinary tiles: an injection on a stripe-0 tile goes
+/// down the same replay ladder as any other tile, and the run completes
+/// bit-identical to an uninjected one.  Both shapes have two shards, so
+/// skips 0 and 1 land on the two stripe-0 tiles of the first pass: with
+/// W = 8 the 512 patterns are one superblock (stripe 0 is the whole
+/// stream, as on a large netlist at the auto width); with W = 2 three
+/// later stripes follow.
+#[test]
+fn stripe_zero_tile_injections_recover_bit_identically() {
+    let shapes = [(8, 0, 2), (2, 4, 4)];
+    for (block_words, pattern_stripes, threads) in shapes {
+        for action in [FailAction::Panic, FailAction::Error] {
+            for skip in 0..2u64 {
+                let session = failpoint::session();
+                let run = move || {
+                    let (circuit, faults) = s1();
+                    fault_coverage_tiled_robust(
+                        &circuit,
+                        &faults,
+                        patterns(&circuit),
+                        PATTERNS,
+                        true,
+                        &TileOptions {
+                            block_words,
+                            pattern_stripes,
+                            fault_shards: 2,
+                            threads,
+                            ..TileOptions::default()
+                        },
+                        &Budget::unlimited(),
+                    )
+                };
+                // The uninjected reference runs inside the session too, so
+                // no concurrent chaos test can spend its passes.
+                let reference = within(WATCHDOG, run);
+                session.arm(sites::TILE_RUN, action, skip);
+                let outcome = within(WATCHDOG, run);
+                let tag = format!("W={block_words} {action:?} skip {skip}");
+                assert_eq!(session.fired(), vec![sites::TILE_RUN.to_string()], "{tag}");
+                assert!(reference.is_complete(), "{tag}");
+                assert!(outcome.is_complete(), "{tag}: a recovered run must complete");
+                let (reference, rc) = (reference.into_value(), outcome.into_value());
+                assert!(reference.recovery.is_clean(), "{tag}");
+                assert!(rc.recovery.replays >= 1, "{tag}: the poisoned tile is replayed");
+                assert!(rc.recovery.unresolved.is_empty(), "{tag}");
+                assert_eq!(rc.result.num_patterns(), PATTERNS, "{tag}");
+                assert_eq!(
+                    rc.result.detected_at(),
+                    reference.result.detected_at(),
+                    "{tag}: recovery must be bit-identical to the uninjected run"
+                );
+            }
+        }
+    }
+}
+
+/// A budget that trips while stripe 0 runs stops the run at the next tile
+/// boundary with a structured interrupt and the empty prefix: no stripe
+/// is complete, so no pattern counts.  Stripe 0 is the whole stream here
+/// (1024 patterns at W = 16), cut into 16 shards on one thread.
+#[test]
+fn budget_trips_during_stripe_zero_interrupt_with_the_empty_prefix() {
+    fn assert_empty_prefix(
+        outcome: RunOutcome<wrt::sim::RobustTiledCoverage>,
+        num_faults: usize,
+        expected: BudgetExceeded,
+    ) {
+        let RunOutcome::Interrupted {
+            partial,
+            reason,
+            progress,
+        } = outcome
+        else {
+            panic!("a budget trip during stripe 0 must interrupt the run");
+        };
+        assert_eq!(reason, expected);
+        assert_eq!(progress.done, 0);
+        assert_eq!(partial.stats.stripes, 1);
+        assert_eq!(partial.result.num_patterns(), 0);
+        assert_eq!(partial.result.num_faults(), num_faults);
+        assert!(partial.result.detected_at().iter().all(Option::is_none));
+        assert!(partial.recovery.is_clean());
+    }
+    let opts = TileOptions {
+        block_words: 16,
+        fault_shards: 16,
+        threads: 1,
+        ..TileOptions::default()
+    };
+
+    // Deterministic: an injected check-in trip before the second tile.
+    let session = failpoint::session();
+    session.arm(sites::BUDGET_CHECK_IN, FailAction::Error, 1);
+    let (outcome, num_faults) = within(WATCHDOG, move || {
+        let (circuit, faults) = s1();
+        let outcome = fault_coverage_tiled_robust(
+            &circuit,
+            &faults,
+            patterns(&circuit),
+            1024,
+            true,
+            &opts,
+            &Budget::unlimited(),
+        );
+        (outcome, faults.len())
+    });
+    assert_eq!(session.fired(), vec![sites::BUDGET_CHECK_IN.to_string()]);
+    assert_empty_prefix(outcome, num_faults, BudgetExceeded::Injected);
+    drop(session);
+
+    // Cancellation: raised as soon as the first stripe-0 tile starts.
+    // Each tile of this 6k-gate netlist takes tens of milliseconds, so
+    // the cancel lands long before the sixteenth tile is claimed.
+    let session = failpoint::session();
+    let mut budget = Budget::unlimited();
+    let cancel = budget.cancel_token();
+    let (tx, rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let circuit = wrt::workloads::tiled(6000, 42);
+        let faults = FaultList::checkpoints(&circuit);
+        let outcome = fault_coverage_tiled_robust(
+            &circuit,
+            &faults,
+            patterns(&circuit),
+            1024,
+            true,
+            &opts,
+            &budget,
+        );
+        let _ = tx.send((outcome, faults.len()));
+    });
+    let watchdog = Instant::now() + WATCHDOG;
+    while session.hits(sites::TILE_RUN) == 0 {
+        assert!(Instant::now() < watchdog, "stripe 0 never started");
+        thread::sleep(Duration::from_millis(1));
+    }
+    cancel.store(true, Ordering::Relaxed);
+    let (outcome, num_faults) = rx
+        .recv_timeout(WATCHDOG)
+        .expect("a cancelled run must return, not hang");
+    worker.join().expect("no panic escapes a cancelled tiled run");
+    assert_empty_prefix(outcome, num_faults, BudgetExceeded::Cancelled);
 }
 
 #[test]
