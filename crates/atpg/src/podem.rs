@@ -693,14 +693,15 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
     use wrt_circuit::CircuitBuilder;
     use wrt_estimate::exact_detection_probability;
     use wrt_fault::FaultList;
 
-    fn arb_circuit() -> impl Strategy<Value = Circuit> {
+    /// A small random 5-input circuit with two outputs.
+    pub(crate) fn arb_circuit() -> impl Strategy<Value = Circuit> {
         let kinds = prop::sample::select(vec![
             GateKind::And,
             GateKind::Nand,

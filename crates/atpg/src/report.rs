@@ -14,7 +14,7 @@ use wrt_analyze::Scoap;
 use wrt_circuit::Circuit;
 use wrt_fault::{FaultId, FaultList};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, CheckpointError, DegradeStep, Ladder, Progress, RunOutcome};
-use wrt_sim::{FaultSimulator, Xoshiro256};
+use wrt_sim::{EventSimulator, FaultWorklist, Xoshiro256};
 
 use crate::patterns::PatternSet;
 use crate::podem::{AtpgOutcome, Podem};
@@ -312,6 +312,16 @@ impl AtpgState {
     }
 }
 
+/// PODEM with the configured backtrace guidance and backtrack limit.
+fn guided_podem<'c>(circuit: &'c Circuit, config: &AtpgConfig) -> Podem<'c> {
+    match config.guidance {
+        BacktraceGuidance::Unguided => Podem::unguided(circuit),
+        BacktraceGuidance::Cop => Podem::new(circuit),
+        BacktraceGuidance::Scoap => Podem::with_backtrace_costs(circuit, &Scoap::compute(circuit)),
+    }
+    .with_backtrack_limit(config.backtrack_limit)
+}
+
 /// The shared fault loop.  Returns `Some(reason)` when the budget
 /// tripped at a fault boundary (state is left at that boundary).
 fn run_atpg_loop(
@@ -321,20 +331,18 @@ fn run_atpg_loop(
     state: &mut AtpgState,
     budget: Option<&Budget>,
 ) -> Option<BudgetExceeded> {
-    let podem = match config.guidance {
-        BacktraceGuidance::Unguided => Podem::unguided(circuit),
-        BacktraceGuidance::Cop => Podem::new(circuit),
-        BacktraceGuidance::Scoap => {
-            Podem::with_backtrace_costs(circuit, &Scoap::compute(circuit))
-        }
-    }
-    .with_backtrack_limit(config.backtrack_limit);
+    let podem = guided_podem(circuit, config);
     // The unguided fallback for `degrade_on_abort` (pointless when the
     // primary search is already unguided).
     let fallback = (config.degrade_on_abort
         && config.guidance != BacktraceGuidance::Unguided)
         .then(|| Podem::unguided(circuit).with_backtrack_limit(config.backtrack_limit));
-    let mut sim = FaultSimulator::new(circuit, faults);
+    // Fault dropping runs on the event kernel, one pattern per pass, over
+    // the still-undetected faults — rebuilt from `detected`, so a resumed
+    // run picks up exactly where its checkpoint left off.
+    let mut sim = EventSimulator::<1>::new(circuit, faults);
+    let undetected: Vec<bool> = state.detected.iter().map(|&d| !d).collect();
+    let mut worklist = FaultWorklist::from_active(&undetected);
 
     for (id, fault) in faults.iter() {
         if id.index() < state.next_index {
@@ -381,13 +389,10 @@ fn run_atpg_loop(
                     })
                     .collect();
                 // Drop every fault this pattern detects.
-                let words: Vec<u64> = filled.iter().map(|&b| u64::from(b)).collect();
-                let hits = sim.detect_block(&words, 1);
-                for (k, w) in hits.iter().enumerate() {
-                    if *w != 0 {
-                        state.detected[k] = true;
-                    }
-                }
+                let words: Vec<[u64; 1]> = filled.iter().map(|&b| [u64::from(b)]).collect();
+                sim.detect_superblock_worklist(&words, [1], &mut worklist, true, |k, _| {
+                    state.detected[k] = true;
+                });
                 // The targeted fault must be among them.
                 debug_assert!(state.detected[id.index()], "PODEM test failed simulation");
                 state.detected[id.index()] = true;
@@ -580,7 +585,7 @@ mod tests {
         assert_eq!(cop.coverage(), scoap.coverage());
     }
 
-    fn assert_same_report(got: &AtpgReport, reference: &AtpgReport, what: &str) {
+    pub(super) fn assert_same_report(got: &AtpgReport, reference: &AtpgReport, what: &str) {
         assert_eq!(got.tests, reference.tests, "{what}: tests");
         assert_eq!(got.detected, reference.detected, "{what}: detected");
         assert_eq!(got.redundant, reference.redundant, "{what}: redundant");
@@ -816,6 +821,138 @@ mod tests {
         assert!(report.aborted.len() <= plain.aborted.len());
     }
 
+    /// The loop before fault dropping moved onto the event kernel, kept
+    /// as the oracle: after each test the dense engine re-simulates
+    /// *every* fault, detected or not.
+    pub(super) fn dense_oracle(c: &Circuit, faults: &FaultList, config: &AtpgConfig) -> AtpgReport {
+        assert!(
+            !config.degrade_on_abort,
+            "the oracle has no fallback search"
+        );
+        let podem = guided_podem(c, config);
+        let mut sim = wrt_sim::FaultSimulator::new(c, faults);
+        let mut state = AtpgState::fresh(c.num_inputs(), faults.len(), config);
+        for (id, fault) in faults.iter() {
+            state.next_index = id.index() + 1;
+            if state.detected[id.index()] {
+                continue;
+            }
+            state.podem_calls += 1;
+            let (outcome, backtracks) = podem.generate_counted(fault);
+            state.backtracks += backtracks;
+            match outcome {
+                AtpgOutcome::Redundant => state.redundant.push(id),
+                AtpgOutcome::Aborted => state.aborted.push(id),
+                AtpgOutcome::Test(pattern) => {
+                    let rng = &mut state.rng;
+                    let filled: Vec<bool> = pattern
+                        .iter()
+                        .map(|bit| {
+                            bit.unwrap_or_else(|| {
+                                rng.as_mut().is_some_and(|r| r.next_u64() & 1 == 1)
+                            })
+                        })
+                        .collect();
+                    let words: Vec<u64> = filled.iter().map(|&b| u64::from(b)).collect();
+                    for (k, w) in sim.detect_block(&words, 1).into_iter().enumerate() {
+                        state.detected[k] |= w != 0;
+                    }
+                    state.detected[id.index()] = true;
+                    state.tests.push(&filled);
+                }
+            }
+        }
+        state.into_report(faults).0
+    }
+
+    pub(super) fn fill_modes() -> [AtpgConfig; 2] {
+        let random = AtpgConfig::default();
+        assert!(random.random_fill_seed.is_some());
+        let zeros = AtpgConfig {
+            random_fill_seed: None,
+            ..AtpgConfig::default()
+        };
+        [random, zeros]
+    }
+
+    #[test]
+    fn event_dropping_matches_the_dense_oracle_on_s1() {
+        let c = wrt_workloads::s1();
+        for faults in [
+            FaultList::checkpoints(&c).collapse_equivalent(&c),
+            FaultList::full(&c),
+        ] {
+            for config in fill_modes() {
+                let what = format!(
+                    "{} faults, fill {:?}",
+                    faults.len(),
+                    config.random_fill_seed
+                );
+                assert_same_report(
+                    &generate_tests(&c, &faults, &config),
+                    &dense_oracle(&c, &faults, &config),
+                    &what,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn event_dropping_matches_the_dense_oracle_with_aborts() {
+        // A backtrack limit of 1 aborts some searches: aborted faults stay
+        // on the dropping worklist and may still be detected by later
+        // tests, in which case they are reported under both.
+        let mut aborted = 0;
+        for name in ["c432ish", "c880ish"] {
+            let c = wrt_workloads::by_name(name).expect("registry circuit");
+            let faults = FaultList::checkpoints(&c).collapse_equivalent(&c);
+            for config in fill_modes() {
+                let config = AtpgConfig {
+                    backtrack_limit: 1,
+                    ..config
+                };
+                let oracle = dense_oracle(&c, &faults, &config);
+                aborted += oracle.aborted.len();
+                let what = format!("{name}, fill {:?}", config.random_fill_seed);
+                assert_same_report(&generate_tests(&c, &faults, &config), &oracle, &what);
+            }
+        }
+        assert!(aborted > 0, "the limit must abort some searches");
+    }
+
+    #[test]
+    fn resumed_event_dropping_matches_the_dense_oracle() {
+        // The resumed run rebuilds its dropping worklist from the
+        // checkpoint's detected set.
+        let c = wrt_workloads::s1();
+        let faults = FaultList::checkpoints(&c).collapse_equivalent(&c);
+        for config in fill_modes() {
+            let oracle = dense_oracle(&c, &faults, &config);
+            for calls in [2u64, 7] {
+                let budget = wrt_robust::Budget::unlimited().with_max_evals(calls);
+                let run = generate_tests_budgeted(&c, &faults, &config, &budget, None).unwrap();
+                let ckpt = run.checkpoint.expect("interrupted run must checkpoint");
+                let ckpt = wrt_robust::Checkpoint::parse(&ckpt.render(), ATPG_CHECKPOINT_KIND)
+                    .expect("checkpoint round-trips");
+                let resumed = generate_tests_budgeted(
+                    &c,
+                    &faults,
+                    &config,
+                    &wrt_robust::Budget::unlimited(),
+                    Some(&ckpt),
+                )
+                .expect("resume validates");
+                let what = format!("resume after {calls}, fill {:?}", config.random_fill_seed);
+                match resumed.outcome {
+                    wrt_robust::RunOutcome::Complete(got) => {
+                        assert_same_report(&got, &oracle, &what)
+                    }
+                    wrt_robust::RunOutcome::Interrupted { .. } => panic!("{what}: must complete"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn workload_circuit_s1_is_fully_atpg_testable() {
         // S1 had its redundancies removed by construction; PODEM must
@@ -830,5 +967,32 @@ mod tests {
             report.redundant
         );
         assert_eq!(report.coverage(), 1.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::{assert_same_report, dense_oracle, fill_modes};
+    use super::*;
+    use crate::podem::proptests::arb_circuit;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Full fault lists share effect roots (both stem polarities, the
+        /// stem and pin faults of a gate), so the event kernel's grouped
+        /// propagation is exercised on every dropping pass.
+        #[test]
+        fn event_dropping_matches_the_dense_oracle(circuit in arb_circuit()) {
+            let faults = FaultList::full(&circuit);
+            for config in fill_modes() {
+                assert_same_report(
+                    &generate_tests(&circuit, &faults, &config),
+                    &dense_oracle(&circuit, &faults, &config),
+                    "random circuit",
+                );
+            }
+        }
     }
 }

@@ -39,6 +39,10 @@
 //!   evals must add up: `tiled_probe_node_evals +
 //!   tiled_event_axis_node_evals == tiled_node_evals` — the engine has
 //!   no third axis, so any other spend is a bookkeeping error;
+//! * in the same artifact, every `"faults_per_propagation"` (excited
+//!   fault attempts per event-engine root propagation) must be at least
+//!   `1.0` — every propagated root serves at least one excited fault, so
+//!   less means the root grouping's bookkeeping broke;
 //! * in the serving artifact (recognized by its `warm_over_cold`
 //!   fields — only `bench_serve` emits them), every `"warm_over_cold"`
 //!   ratio must be at least `1.0` — a resident server answering primed
@@ -234,6 +238,16 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                     violations.push(format!(
                         "{path}:{}: \"{}\" is {x} on {} — below the 1.3 multiplier floor",
                         v.line, v.key, v.circuit
+                    ));
+                }
+            }
+        }
+        if is_sim_artifact && v.key == "faults_per_propagation" {
+            if let Ok(x) = v.value.parse::<f64>() {
+                if x < 1.0 {
+                    violations.push(format!(
+                        "{path}:{}: \"faults_per_propagation\" is {x} on {} — a root propagated for no excited fault",
+                        v.line, v.circuit
                     ));
                 }
             }
@@ -558,6 +572,24 @@ mod tests {
         let v = check_artifact("x.json", &gutted);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("s1 lacks"), "{v:?}");
+    }
+
+    #[test]
+    fn sub_unity_faults_per_propagation_is_flagged() {
+        let row = |fpp: &str| {
+            format!(
+                "{{ \"smoke\": true, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"faults_per_propagation\": {fpp}, \"bit_identical\": true }} ] }}"
+            )
+        };
+        assert!(check_artifact("x.json", &row("1.000")).is_empty());
+        assert!(check_artifact("x.json", &row("2.417")).is_empty());
+        let v = check_artifact("x.json", &row("0.999"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("faults_per_propagation"), "{v:?}");
+        assert!(v[0].contains("on s1"), "{v:?}");
+        // Other artifacts do not carry the key's meaning.
+        let other = "{ \"faults_per_propagation\": 0.5, \"bit_identical\": true }";
+        assert!(check_artifact("x.json", other).is_empty());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! `[u64; W]` evaluation covers `W` dense blocks' worth of patterns) —
 //! so the artifact also records an event run at `W = 1`
 //! (`sparsity_reduction`) to separate the two, the frontier die-out
-//! rate, and a bit-identity check of all engines' coverage results.
+//! rate, the event engine's root propagations (one per excited effect
+//! root per superblock, shared by every fault on that root) with the
+//! excited faults served per propagation, and a bit-identity check of
+//! all engines' coverage results.
 //! Wall-clock fields depend on the host and are reported alongside.
 //!
 //! Circuits too large for the dense engine's per-cone storage report a
@@ -124,7 +127,7 @@ impl Row {
         };
         let t = &self.tiled_stats;
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"root_propagations\": {},\n      \"faults_per_propagation\": {:.3},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -139,6 +142,8 @@ impl Row {
             self.dense_node_evals,
             self.event_stats.node_evals,
             self.event_w1_stats.node_evals,
+            self.event_stats.root_propagations,
+            self.event_stats.faults_per_propagation(),
             self.dense_evals_per_detected(),
             self.event_evals_per_detected(),
             self.eval_reduction(),
@@ -346,7 +351,8 @@ fn main() {
         let row = bench_circuit(&circuit, patterns, block_words, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
-             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity)  identical {}",
+             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity; {:.2} faults/propagation)  \
+             identical {}",
             row.circuit,
             row.faults,
             row.dense_evals_per_detected(),
@@ -355,6 +361,7 @@ fn main() {
             row.eval_reduction(),
             row.eval_reduction_2d(),
             row.sparsity_reduction(),
+            row.event_stats.faults_per_propagation(),
             row.identical,
         );
         rows.push(row);
@@ -362,7 +369,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_probe_node_evals, spent on stripe 0 - the first superblock, one tile per fault shard - plus tiled_event_axis_node_evals, spent on the later stripes after the faults stripe 0 detected were dropped), at its auto-resolved tiled_block_words, pattern_stripes (stripe 0 included) and fault_shards; with one stripe after stripe 0 it spends exactly the 1D event evals at that width. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include root grouping: the event engine propagates each excited effect root once per superblock for all live faults sharing it (both stem polarities, a gate's stem and pin faults), and root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_probe_node_evals, spent on stripe 0 - the first superblock, one tile per fault shard - plus tiled_event_axis_node_evals, spent on the later stripes after the faults stripe 0 detected were dropped), at its auto-resolved tiled_block_words, pattern_stripes (stripe 0 included) and fault_shards; with one stripe after stripe 0 it spends exactly the 1D event evals at that width. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         threads,

@@ -6,9 +6,10 @@
 //! shards so every simulation worker owns one shard end to end.
 //!
 //! Shards are *cone-locality-aware*: faults are ordered by their effect
-//! root (node ids are topological), so faults sharing a root — and hence a
-//! simulation cone — land in the same shard and the per-shard cone cache
-//! stays as deduplicated as in the serial simulator.  Shard boundaries are
+//! root (node ids are topological), and a root is never split, so faults
+//! sharing a root — and hence a simulation cone and the event engine's
+//! single propagation — land in the same shard, exactly as in the serial
+//! simulator.  Shard boundaries are
 //! chosen to balance an estimated propagation cost rather than a raw fault
 //! count, since faults rooted near the primary inputs carry much larger
 //! cones than faults next to the outputs.
@@ -19,9 +20,10 @@ use crate::list::{FaultId, FaultList};
 
 /// A disjoint split of one fault list into shards of fault ids.
 ///
-/// Every fault of the originating list appears in exactly one shard.
-/// Empty shards are never produced: partitioning a list of `n` faults into
-/// `k > n` shards yields `n` singleton shards.
+/// Every fault of the originating list appears in exactly one shard, and
+/// all faults of one effect root share a shard.  Empty shards are never
+/// produced: partitioning a list with `r` distinct effect roots into
+/// `k > r` shards yields one shard per root.
 ///
 /// # Example
 ///
@@ -54,50 +56,53 @@ impl FaultPartition {
     ///
     /// Faults are sorted by effect root (stable within a root), then cut
     /// into contiguous runs with approximately equal estimated simulation
-    /// cost, cutting at root boundaries whenever possible so faults that
-    /// share a cone share a shard.  The cost proxy for a fault is the node
-    /// count downstream of its effect root — an upper bound on its cone
-    /// size that needs no cone extraction of its own.
+    /// cost.  Cuts fall only at root boundaries — an effect root never
+    /// spans two shards, so the event engine's one propagation per root
+    /// serves all its faults in every shard layout — and the shard count
+    /// is capped at the number of distinct roots.  The cost proxy is paid
+    /// once per distinct root (its propagation is shared): the node count
+    /// downstream of the root, an upper bound on its cone size that needs
+    /// no cone extraction of its own.
     ///
     /// A `num_shards` of 0 is treated as 1.
     pub fn cone_locality(circuit: &Circuit, faults: &FaultList, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
         let mut order: Vec<(NodeId, FaultId)> = faults
             .iter()
             .map(|(id, f)| (f.site.effect_root(), id))
             .collect();
         order.sort_by_key(|&(root, id)| (root, id));
+        // Whether `order[k]` is the last fault of its root.
+        let root_ends = |k: usize| order.get(k + 1).is_none_or(|&(next, _)| next != order[k].0);
 
-        // Estimated cost of simulating each fault, in sorted order: every
-        // node topologically after the effect root may be in its cone.
-        let weight =
-            |root: NodeId| (circuit.num_nodes() - root.index()) as u64 + 1;
-        let total: u64 = order.iter().map(|&(root, _)| weight(root)).sum();
+        // Estimated cost of simulating each distinct root: every node
+        // topologically after it may be in its cone.
+        let weight = |root: NodeId| (circuit.num_nodes() - root.index()) as u64 + 1;
+        let (mut roots_left, total) = (0..order.len())
+            .filter(|&k| root_ends(k))
+            .fold((0usize, 0u64), |(n, w), k| (n + 1, w + weight(order[k].0)));
 
-        let num_shards = num_shards.min(order.len()).max(1);
+        let num_shards = num_shards.min(roots_left).max(1);
         let mut offsets: Vec<u32> = Vec::with_capacity(num_shards + 1);
         offsets.push(0);
         let mut data: Vec<FaultId> = Vec::with_capacity(order.len());
         let mut spent = 0u64;
         for (k, &(root, id)) in order.iter().enumerate() {
             data.push(id);
+            if !root_ends(k) {
+                continue; // never cut inside a root
+            }
             spent += weight(root);
+            roots_left -= 1;
             if offsets.len() == num_shards {
                 continue; // the last shard absorbs the tail
             }
             // Cut when this shard reached its proportional share of the
-            // total cost — preferably at a root boundary, so faults sharing
-            // a cone stay together — and always early enough that every
-            // remaining shard can still receive at least one fault.
-            let filled = offsets.len() as u64;
-            let target = total * filled / num_shards as u64;
-            let remaining_faults = order.len() - (k + 1);
+            // total cost, and always early enough that every remaining
+            // shard can still receive at least one root.
+            let target = total * offsets.len() as u64 / num_shards as u64;
             let remaining_shards = num_shards - offsets.len();
-            let at_root_boundary =
-                order.get(k + 1).is_none_or(|&(next, _)| next != root);
-            let must_cut = remaining_faults == remaining_shards;
-            if must_cut || (spent >= target && at_root_boundary && remaining_faults >= remaining_shards)
-            {
+            let must_cut = roots_left == remaining_shards;
+            if must_cut || (spent >= target && roots_left > remaining_shards) {
                 offsets.push(data.len() as u32);
                 // `spent` accumulates across shards against the shared
                 // prefix target, so do not reset it.
@@ -199,11 +204,52 @@ mod tests {
 
     #[test]
     fn more_shards_than_faults_degenerates_to_singletons() {
+        // One fault per node: every fault has a root of its own.
         let c = chain();
-        let faults = FaultList::primary_inputs(&c); // 4 faults
+        let faults =
+            FaultList::from_faults(c.ids().map(|n| crate::Fault::output(n, true)).collect());
         let p = FaultPartition::cone_locality(&c, &faults, 100);
         assert_eq!(p.num_shards(), faults.len());
         assert!(p.shards().all(|s| s.len() == 1));
+    }
+
+    #[test]
+    fn shard_count_is_capped_at_the_distinct_roots() {
+        // Both polarities of two inputs: 4 faults over 2 roots.
+        let c = chain();
+        let faults = FaultList::primary_inputs(&c);
+        assert_eq!(faults.len(), 4);
+        for k in [2, 3, 100] {
+            let p = FaultPartition::cone_locality(&c, &faults, k);
+            assert_eq!(p.num_shards(), 2, "k = {k}");
+            assert!(p.shards().all(|s| s.len() == 2), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn each_distinct_root_is_weighed_once() {
+        // 18 faults root at the AND gate `y`, 2 at each of its 8 inputs;
+        // input `xi` weighs 10 - i (the nodes from it on, plus one) and
+        // `y` weighs 2.  Weighed once per root the total is 54 and the
+        // cut falls after x0..x2 (27); weighed per fault (140) it would
+        // fall after x0..x4 (68).
+        let mut src = String::from("OUTPUT(y)\n");
+        let mut args = Vec::new();
+        for i in 0..8 {
+            src.push_str(&format!("INPUT(x{i})\n"));
+            args.push(format!("x{i}"));
+        }
+        src.push_str(&format!("y = AND({})\n", args.join(", ")));
+        let c = parse_bench(&src).unwrap();
+        let faults = FaultList::full(&c);
+        let p = FaultPartition::cone_locality(&c, &faults, 2);
+        assert_eq!(p.num_shards(), 2);
+        let first_roots: std::collections::BTreeSet<_> = p
+            .shard(0)
+            .iter()
+            .map(|&id| faults.fault(id).site.effect_root())
+            .collect();
+        assert_eq!(first_roots.len(), 3, "{first_roots:?}");
     }
 
     #[test]

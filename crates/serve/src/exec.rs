@@ -86,8 +86,10 @@ commands:
            [--time-limit SECS] [--max-evals N]
            weighted-random fault simulation;
            --engine event (default) runs event-driven sparse propagation
-           over W-word superblocks (--block-words 1|2|4|8|16, default 4);
-           --engine dense is the single-word reference cone walk.
+           over W-word superblocks (--block-words 1|2|4|8|16, default 4),
+           once per effect root for all faults sharing it; --engine dense
+           is the single-word per-fault reference cone walk.  Root
+           propagations are reported next to the gate evals.
            --pattern-stripes P switches to the 2D tiled engine (fault
            shards × pattern stripes with work stealing; requires --engine
            event): stripe 0, the first superblock, runs as one tile per
@@ -890,8 +892,8 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         );
         let _ = writeln!(
             out,
-            "gate evals: {} total ({} stripe 0, {} later stripes)",
-            s.sim.node_evals, s.probe_node_evals, s.event_node_evals,
+            "gate evals: {} total ({} stripe 0, {} later stripes), {} root propagations",
+            s.sim.node_evals, s.probe_node_evals, s.event_node_evals, s.sim.root_propagations,
         );
         return Ok(out);
     }
@@ -931,11 +933,13 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     if detected > 0 {
         let _ = writeln!(
             out,
-            "engine {}: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out)",
+            "engine {}: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out), \
+             {} root propagations",
             opts.engine,
             robust.stats.node_evals,
             robust.stats.node_evals as f64 / detected as f64,
             robust.stats.frontier_dieout_rate() * 100.0,
+            robust.stats.root_propagations,
         );
     }
     Ok(out)

@@ -29,7 +29,7 @@
 //!    order guarantee the dense engine gets from topologically sorted
 //!    cones.
 //! 2. **At-most-once scheduling.**  `queued[n] == epoch` marks nodes
-//!    already in the ready set for the current (fault, superblock) pass;
+//!    already in the ready set for the current (root, superblock) pass;
 //!    re-touching a fanin of `n` does not enqueue `n` twice.  A level
 //!    enters the min-heap of occupied levels exactly when its bucket
 //!    turns non-empty, so the drain loop hops directly between occupied
@@ -40,8 +40,16 @@
 //!    walk.
 //! 4. **Epoch reuse.**  Buckets are always left empty between passes;
 //!    `touched`/`queued` stamps are invalidated by bumping `epoch`
-//!    (with a full reset on the extremely rare u32 wrap), so per-fault
+//!    (with a full reset on the extremely rare u32 wrap), so per-pass
 //!    setup is O(1).
+//!
+//! # One propagation per effect root
+//!
+//! A pass propagates an effect *root*, not a fault: all live faults
+//! sharing a root in one superblock (both stem polarities, the stem and
+//! pin faults of a gate) are served by a single propagation that flips
+//! the root in the union of their excited lanes — exact because gate
+//! evaluation is lane-independent (see [`EventSimulator`]).
 //!
 //! Detection results are bit-identical to the dense engine for every
 //! block width, drop mode, and shard count — property-tested in this
@@ -198,7 +206,9 @@ impl Default for SimOptions {
 ///
 /// These are the metrics `BENCH_sim.json` reports: wall-clock numbers
 /// depend on the host, but gate evaluations per detected fault do not, so
-/// the perf trajectory stays comparable across machines.
+/// the perf trajectory stays comparable across machines.  Every counter
+/// but `node_evals` and `root_propagations` is per `(fault, block)`
+/// attempt and identical across the dense and event engines at `W = 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// `(fault, block)` propagation attempts (after good simulation).
@@ -208,8 +218,13 @@ pub struct SimStats {
     pub unexcited: u64,
     /// Gate evaluations during fault propagation (excluding the root
     /// injection): the dense engine pays one per cone node per excited
-    /// block, the event engine one per *scheduled* node.
+    /// block, the event engine one per *scheduled* node per root
+    /// propagation.
     pub node_evals: u64,
+    /// Propagations from an effect root: the dense engine runs one per
+    /// excited attempt, the event engine one per excited root per
+    /// superblock, shared by every fault on that root.
+    pub root_propagations: u64,
     /// Excited attempts whose effect died before reaching any primary
     /// output (the frontier drained without touching a PO).
     pub frontier_deaths: u64,
@@ -223,6 +238,7 @@ impl SimStats {
         self.fault_blocks += other.fault_blocks;
         self.unexcited += other.unexcited;
         self.node_evals += other.node_evals;
+        self.root_propagations += other.root_propagations;
         self.frontier_deaths += other.frontier_deaths;
         self.detected_blocks += other.detected_blocks;
     }
@@ -241,6 +257,16 @@ impl SimStats {
         }
         self.frontier_deaths as f64 / self.excited() as f64
     }
+
+    /// Excited attempts served per root propagation: 1 for the per-fault
+    /// dense engine, at least 1 for the event engine's root grouping (1
+    /// when nothing was propagated).
+    pub fn faults_per_propagation(&self) -> f64 {
+        if self.root_propagations == 0 {
+            return 1.0;
+        }
+        self.excited() as f64 / self.root_propagations as f64
+    }
 }
 
 /// Per-fault work profile of an [`EventSimulator`], collected on demand
@@ -249,9 +275,6 @@ impl SimStats {
 /// too large to run the dense engine outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvalProfile {
-    /// Scheduled gate evaluations per fault (root injection excluded),
-    /// summed over all profiled passes.
-    pub evals: Vec<u64>,
     /// Excited 64-pattern blocks per fault, *clipped at the detecting
     /// block of each pass*: a lane counts iff it holds valid patterns,
     /// the fault is excited there, and no earlier lane of the same pass
@@ -493,6 +516,26 @@ fn or_diff<const W: usize>(acc: &mut [u64; W], a: &[u64; W], b: &[u64; W]) {
 /// circuit's CSR fanout lists bound propagation exactly as tightly as an
 /// explicit cone would — minus every node the fault effect never reaches.
 ///
+/// # Root grouping
+///
+/// Faults sharing an effect root — both polarities of a stem, the stem
+/// and pin faults of one gate — flip the same node, so they are
+/// propagated together.  Per superblock the kernel
+///
+/// 1. computes each live fault's *excited lanes* (injected root value XOR
+///    fault-free root value) and ORs them into one union per root;
+/// 2. propagates every excited root **once**, complementing it in exactly
+///    the union lanes, and records the unmasked primary-output difference
+///    lanes `obs(root)`;
+/// 3. reports fault `f` detected in `excited(f) & obs(root(f)) & mask`.
+///
+/// This is exact because gate evaluation is lane-independent: in every
+/// lane where `f` is excited, the faulty circuit is the fault-free one
+/// with `root(f)` complemented, and in every other lane it is the
+/// fault-free circuit.  Every [`SimStats`] counter except `node_evals`
+/// (and `root_propagations`) stays per fault; the dense engine keeps its
+/// per-fault cone walk as the oracle.
+///
 /// # Example
 ///
 /// ```
@@ -512,6 +555,9 @@ fn or_diff<const W: usize>(acc: &mut [u64; W], a: &[u64; W], b: &[u64; W]) {
 ///     detections += 1;
 /// });
 /// assert!(detections > 0);
+/// // The four checkpoint faults (both polarities of `a` and `b`) sit on
+/// // two effect roots: at most two propagations.
+/// assert!(sim.stats().root_propagations <= 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -543,6 +589,14 @@ pub struct EventSimulator<'c, const W: usize> {
     /// Flat copy of the per-node levels (one indirection instead of two
     /// on the scheduling hot path).
     level: Box<[u32]>,
+    /// The effect roots excited in the current superblock: each root with
+    /// the union of its faults' excited lanes (step 1 of root grouping),
+    /// overwritten by its observed output-difference lanes (step 2).
+    roots: Vec<(NodeId, [u64; W])>,
+    /// Per node: its slot in `roots`, valid only when that slot points
+    /// back at the node — a sparse set, so nothing is cleared between
+    /// superblocks.
+    root_slot: Box<[u32]>,
     stats: SimStats,
     /// Per-fault counters, allocated only when profiling is enabled so
     /// the hot path pays one branch otherwise.
@@ -565,6 +619,8 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             bucket_next: vec![NIL; n].into_boxed_slice(),
             active_levels: std::collections::BinaryHeap::new(),
             level: circuit.ids().map(|id| circuit.levels().level(id)).collect(),
+            roots: Vec::new(),
+            root_slot: vec![NIL; n].into_boxed_slice(),
             stats: SimStats::default(),
             profile: None,
         }
@@ -589,7 +645,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     /// Starts (or restarts) per-fault profiling; counters begin at zero.
     pub fn enable_eval_profile(&mut self) {
         self.profile = Some(FaultEvalProfile {
-            evals: vec![0; self.faults.len()],
             excited_blocks: vec![0; self.faults.len()],
         });
     }
@@ -605,9 +660,11 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     /// for every fault the superblock detects.  With `drop = true`,
     /// detected faults are swap-removed from the worklist.
     ///
-    /// The contract mirrors [`crate::FaultSimulator::detect_block_worklist`] with
-    /// `u64` widened to `[u64; W]`; detection lanes are bit-identical to
-    /// `W` consecutive dense blocks.
+    /// Faults sharing an effect root are propagated once, together (see
+    /// the type docs).  The contract mirrors
+    /// [`crate::FaultSimulator::detect_block_worklist`] with `u64` widened
+    /// to `[u64; W]`; detection lanes are bit-identical to `W` consecutive
+    /// dense blocks.
     pub fn detect_superblock_worklist(
         &mut self,
         pi_words: &[[u64; W]],
@@ -617,7 +674,51 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         on_detect: impl FnMut(usize, [u64; W]),
     ) {
         self.good.run(pi_words);
+        // Step 1: the union of excited lanes per effect root.
+        self.roots.clear();
+        for &i in worklist.as_slice() {
+            let fault = self.faults[i as usize];
+            let excited = self.excited_lanes(fault);
+            if excited == [0; W] {
+                continue;
+            }
+            let root = fault.site.effect_root();
+            match self.roots.get_mut(self.root_slot[root.index()] as usize) {
+                Some((r, union)) if *r == root => {
+                    for (u, e) in union.iter_mut().zip(&excited) {
+                        *u |= e;
+                    }
+                }
+                _ => {
+                    self.root_slot[root.index()] = self.roots.len() as u32;
+                    self.roots.push((root, excited));
+                }
+            }
+        }
+        // Step 2: one propagation per excited root.
+        for k in 0..self.roots.len() {
+            let (root, flip) = self.roots[k];
+            self.roots[k].1 = self.propagate(root, flip);
+        }
+        self.stats.root_propagations += self.roots.len() as u64;
+        // Step 3: per-fault detection from its root's observed lanes.
         worklist.visit(drop, [0; W], |i| self.detect_fault(i, &mask), on_detect);
+    }
+
+    /// The lanes where `fault` is excited: its injected root value differs
+    /// from the fault-free one (callers must have run a superblock first).
+    fn excited_lanes(&self, fault: Fault) -> [u64; W] {
+        let stuck = if fault.stuck_value {
+            [u64::MAX; W]
+        } else {
+            [0; W]
+        };
+        let mut lanes = inject_root_lanes(self.circuit, fault, stuck, |f| self.good.value(f));
+        let good_root = self.good.value(fault.site.effect_root());
+        for (l, g) in lanes.iter_mut().zip(&good_root) {
+            *l ^= g;
+        }
+        lanes
     }
 
     /// The one copy of the ready-set bookkeeping (invariants 1–2 in the
@@ -642,17 +743,10 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         }
     }
 
-    /// Detection lanes for fault index `i` against the current fault-free
-    /// state (callers must have run a superblock first).
-    fn detect_fault(&mut self, i: usize, mask: &[u64; W]) -> [u64; W] {
-        let fault = self.faults[i];
-        self.stats.fault_blocks += 1;
-        let evals_before = self.stats.node_evals;
-        let stuck = if fault.stuck_value {
-            [u64::MAX; W]
-        } else {
-            [0; W]
-        };
+    /// Complements `root` in the `flip` lanes against the current
+    /// fault-free state, propagates the effect until the frontier drains,
+    /// and returns the unmasked primary-output difference lanes.
+    fn propagate(&mut self, root: NodeId, flip: [u64; W]) -> [u64; W] {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely rare wrap: reset both stamp arrays.
@@ -661,26 +755,17 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let root = fault.site.effect_root();
-
-        // Inject at the root.
-        let root_value =
-            inject_root_lanes(self.circuit, fault, stuck, |f| self.good.value(f));
-        let good_root = self.good.value(root);
-        if root_value == good_root {
-            // Fault not excited anywhere in this superblock.
-            self.stats.unexcited += 1;
-            return [0; W];
+        let mut root_value = self.good.value(root);
+        for (r, f) in root_value.iter_mut().zip(&flip) {
+            *r ^= f;
         }
         self.faulty[root.index()] = root_value;
         self.touched[root.index()] = epoch;
-
-        let mut diff = [0u64; W];
-        let mut output_touched = false;
-        if self.circuit.is_output(root) {
-            or_diff(&mut diff, &root_value, &good_root);
-            output_touched = true;
-        }
+        let mut diff = if self.circuit.is_output(root) {
+            flip
+        } else {
+            [0; W]
+        };
 
         // Seed the ready set with the root's fanouts, then drain occupied
         // buckets in increasing level order until the frontier dies out.
@@ -716,7 +801,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                     self.touched[ni as usize] = epoch;
                     if circuit.is_output(n) {
                         or_diff(&mut diff, &w, &good_n);
-                        output_touched = true;
                     }
                     for &s in circuit.fanout(n) {
                         self.schedule(s, epoch, lvl);
@@ -725,24 +809,39 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 ni = self.bucket_next[ni as usize];
             }
         }
+        diff
+    }
 
-        if !output_touched {
+    /// Detection lanes for fault index `i` from its root's observed lanes
+    /// (callers must have run steps 1 and 2 for the current superblock).
+    fn detect_fault(&mut self, i: usize, mask: &[u64; W]) -> [u64; W] {
+        let fault = self.faults[i];
+        self.stats.fault_blocks += 1;
+        let excited = self.excited_lanes(fault);
+        if excited == [0; W] {
+            // Fault not excited anywhere in this superblock.
+            self.stats.unexcited += 1;
+            return [0; W];
+        }
+        let (_, obs) = self.roots[self.root_slot[fault.site.effect_root().index()] as usize];
+        let seen = and_mask(excited, &obs);
+        if seen == [0; W] {
+            // The fault's own effect reaches no primary output.
             self.stats.frontier_deaths += 1;
         }
-        let masked = and_mask(diff, mask);
+        let masked = and_mask(seen, mask);
         if masked != [0; W] {
             self.stats.detected_blocks += 1;
         }
         if let Some(profile) = self.profile.as_mut() {
-            profile.evals[i] += self.stats.node_evals - evals_before;
             // Excited valid lanes up to (and including) the detecting
             // lane — the blocks a drop-mode dense engine would walk.
             let last = first_set_bit(&masked).map_or(W, |b| b as usize / 64 + 1);
             profile.excited_blocks[i] += mask
                 .iter()
-                .zip(root_value.iter().zip(&good_root))
+                .zip(&excited)
                 .take(last)
-                .filter(|&(&m, (r, g))| m != 0 && r != g)
+                .filter(|&(&m, &e)| m != 0 && e != 0)
                 .count() as u64;
         }
         masked
@@ -1158,7 +1257,8 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The event-driven engine is bit-identical to the dense one —
-        /// `detected_at` and `counts` — across random circuits, weights,
+        /// `detected_at` and `counts`, and the sharded engine's work
+        /// counters equal the serial ones — across random circuits, weights,
         /// superblock widths 1/2/4/8/16, pattern counts, drop modes, and
         /// shard counts (1 = serial, plus oversharding).
         #[test]
@@ -1180,19 +1280,22 @@ mod proptests {
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop,
             );
-            let (event, _) = fault_coverage_opts(
+            let (event, event_stats) = fault_coverage_opts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop, opts,
             );
             prop_assert_eq!(dense.detected_at(), event.detected_at());
 
-            let (event_sharded, _) = fault_coverage_sharded_opts(
+            let (event_sharded, sharded_stats) = fault_coverage_sharded_opts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop, threads, opts,
             );
             prop_assert_eq!(dense.detected_at(), event_sharded.detected_at());
+            // Shards never split an effect root, so sharding changes no
+            // counter — root propagations and gate evals included.
+            prop_assert_eq!(event_stats, sharded_stats);
 
             let counts = detection_counts(
                 &circuit, &faults,
@@ -1212,6 +1315,76 @@ mod proptests {
                 patterns, threads, opts,
             );
             prop_assert_eq!(&counts, &counts_sharded);
+        }
+
+        /// Root grouping keeps every per-fault counter exact: at `W = 1`
+        /// the event engine's stats equal the dense engine's on every
+        /// field but the two propagation costs, which never exceed the
+        /// dense ones.  Full fault lists make roots shared.
+        #[test]
+        fn event_stats_match_dense_at_one_word(
+            circuit in arb_circuit(),
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            seed in 0u64..1_000,
+            patterns in 1u64..700,
+            drop in any::<bool>(),
+        ) {
+            let faults = FaultList::full(&circuit);
+            let run = |opts| fault_coverage_opts(
+                &circuit, &faults,
+                WeightedPatterns::new(weights.clone(), seed),
+                patterns, drop, opts,
+            ).1;
+            let (dense, event) = (run(SimOptions::dense()), run(SimOptions::event(1)));
+            prop_assert!(event.node_evals <= dense.node_evals);
+            prop_assert!(event.root_propagations <= dense.root_propagations);
+            prop_assert_eq!(dense.root_propagations, dense.excited());
+            prop_assert_eq!(
+                SimStats { node_evals: 0, root_propagations: 0, ..event },
+                SimStats { node_evals: 0, root_propagations: 0, ..dense }
+            );
+            prop_assert!(event.faults_per_propagation() >= 1.0);
+        }
+
+        /// The profile's per-fault excited blocks reproduce the dense
+        /// engine's measured evals: `Σ excited_blocks × (cone − 1)`.
+        #[test]
+        fn excited_blocks_derive_the_dense_evals(
+            circuit in arb_circuit(),
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            width_idx in 0usize..5,
+            seed in 0u64..1_000,
+            patterns in 1u64..700,
+        ) {
+            let faults = FaultList::full(&circuit);
+            let (_, dense) = fault_coverage_opts(
+                &circuit, &faults,
+                WeightedPatterns::new(weights.clone(), seed),
+                patterns, true, SimOptions::dense(),
+            );
+            let excited = with_block_words!(SUPPORTED_BLOCK_WORDS[width_idx], W => {
+                let mut sim = EventSimulator::<W>::new(&circuit, &faults);
+                sim.enable_eval_profile();
+                let mut source = WeightedPatterns::new(weights, seed);
+                let mut worklist = FaultWorklist::full(faults.len());
+                let mut sb = SuperBlock::<W>::empty(4);
+                let mut done = 0;
+                while done < patterns && !worklist.is_empty() {
+                    sb.refill_draw(&mut source, patterns - done);
+                    sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |_, _| {});
+                    done += u64::from(sb.len);
+                }
+                sim.take_eval_profile().expect("enabled").excited_blocks
+            });
+            let derived: u64 = faults
+                .iter()
+                .zip(&excited)
+                .map(|((_, f), &blocks)| {
+                    let cone = wrt_circuit::transitive_fanout(&circuit, &[f.site.effect_root()]);
+                    blocks * (cone.len() as u64 - 1)
+                })
+                .sum();
+            prop_assert_eq!(derived, dense.node_evals);
         }
 
         /// Oversharding (more shards than faults) stays identical for the

@@ -240,6 +240,7 @@ impl<'c> FaultSimulator<'c> {
         // Propagate through the cone (already topologically sorted).
         let (cone, cone_outputs) = &self.cones[self.cone_slot[i]];
         self.stats.node_evals += (cone.len() - 1) as u64;
+        self.stats.root_propagations += 1;
         for &n in cone {
             if n == root {
                 continue;

@@ -16,12 +16,16 @@
 //! results always bit-identical):
 //!
 //! * **dense** ([`FaultSimulator`]) — one `u64` block, per-fault cone
-//!   walk; the simple reference engine.
+//!   walk; the simple reference engine and the oracle.
 //! * **event** ([`EventSimulator`]) — event-driven sparse propagation
 //!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
-//!   only nodes actually reached by the fault effect are evaluated, and
-//!   each evaluation covers `64 * W` patterns.  See [`EventSimulator`]
-//!   for the ready-set invariants.
+//!   only nodes actually reached by a fault effect are evaluated, and
+//!   each evaluation covers `64 * W` patterns.  Faults sharing an effect
+//!   root are propagated once per superblock — the root complemented in
+//!   the union of their excited lanes, each fault detected where its own
+//!   excited lanes meet the root's observed output differences (exact,
+//!   since gate evaluation is lane-independent).  See [`EventSimulator`]
+//!   for the grouping and the ready-set invariants.
 //!
 //! On top of both sits the **2D tiled engine** ([`fault_coverage_tiled`]):
 //! fault-shard × pattern-stripe tiles pulled from a work-stealing queue in
@@ -43,9 +47,9 @@
 //! threads:
 //!
 //! 1. the collapsed fault list is partitioned into cone-locality-aware,
-//!    cost-balanced shards (`wrt_fault::FaultPartition`) — faults sharing
-//!    an effect root share a shard, so each worker's cone cache stays as
-//!    deduplicated as the serial simulator's;
+//!    cost-balanced shards (`wrt_fault::FaultPartition`) — an effect root
+//!    never spans two shards, so each root is still propagated once per
+//!    superblock and every shard count spends the serial engine's evals;
 //! 2. each shard gets a `std::thread::scope` worker owning a private
 //!    [`FaultSimulator`] (scratch state, good-value buffers) and a
 //!    compacted [`FaultWorklist`] that swap-removes faults on detection,

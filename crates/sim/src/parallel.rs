@@ -773,6 +773,32 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// An effect root never spans two shards, and the shard count is
+        /// the requested one capped at the distinct roots — so the event
+        /// kernel propagates each root once whatever the layout.
+        #[test]
+        fn partition_never_splits_an_effect_root(
+            circuit in arb_circuit(),
+            keep in proptest::collection::vec(any::<bool>(), 1..64),
+            shards in 0usize..40,
+        ) {
+            let faults: FaultList = FaultList::full(&circuit)
+                .iter()
+                .zip(keep.iter().cycle())
+                .filter(|&(_, &k)| k)
+                .map(|((_, f), _)| f)
+                .collect();
+            let partition = FaultPartition::cone_locality(&circuit, &faults, shards);
+            let mut home = std::collections::HashMap::new();
+            for s in 0..partition.num_shards() {
+                for &id in partition.shard(s) {
+                    let root = faults.fault(id).site.effect_root();
+                    prop_assert_eq!(*home.entry(root).or_insert(s), s);
+                }
+            }
+            prop_assert_eq!(partition.num_shards(), shards.clamp(1, home.len().max(1)));
+        }
+
         /// The sharded engine is bit-identical to the serial one —
         /// `detected_at` and `counts` — across random circuits, weights,
         /// thread/shard counts (including shards > faults and 1 thread),
