@@ -4,9 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wrt_fault::FaultList;
+use wrt_robust::Budget;
 use wrt_sim::{
-    fault_coverage, fault_coverage_opts, fault_coverage_sharded, LogicSim, PatternSource,
-    SimOptions, WeightedPatterns,
+    fault_coverage, fault_coverage_robust, LogicSim, PatternSource, SimOptions, WeightedPatterns,
 };
 
 fn logic_sim(c: &mut Criterion) {
@@ -72,8 +72,15 @@ fn sharded_fault_sim(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(format!("sharded{threads}"), name), |b| {
                 b.iter(|| {
                     let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                    black_box(fault_coverage_sharded(
-                        &circuit, &faults, source, patterns, true, threads,
+                    black_box(fault_coverage_robust(
+                        &circuit,
+                        &faults,
+                        source,
+                        patterns,
+                        true,
+                        threads,
+                        SimOptions::dense(),
+                        &Budget::unlimited(),
                     ))
                 });
             });
@@ -83,7 +90,8 @@ fn sharded_fault_sim(c: &mut Criterion) {
 }
 
 /// Dense cone walk vs event-driven sparse propagation at each superblock
-/// width (results are bit-identical; only the wall clock changes).
+/// width, on one shard (results are bit-identical; only the wall clock
+/// changes).
 fn event_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_fault_sim");
     group.sample_size(10);
@@ -95,13 +103,15 @@ fn event_fault_sim(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("dense", name), |b| {
             b.iter(|| {
                 let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                black_box(fault_coverage_opts(
+                black_box(fault_coverage_robust(
                     &circuit,
                     &faults,
                     source,
                     patterns,
                     true,
+                    1,
                     SimOptions::dense(),
+                    &Budget::unlimited(),
                 ))
             });
         });
@@ -109,13 +119,15 @@ fn event_fault_sim(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(format!("event_w{words}"), name), |b| {
                 b.iter(|| {
                     let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                    black_box(fault_coverage_opts(
+                    black_box(fault_coverage_robust(
                         &circuit,
                         &faults,
                         source,
                         patterns,
                         true,
+                        1,
                         SimOptions::event(words),
+                        &Budget::unlimited(),
                     ))
                 });
             });

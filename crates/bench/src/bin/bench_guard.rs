@@ -21,24 +21,19 @@
 //! * every `"unrecovered"` field (the chaos sweep's silent-result-loss
 //!   counter in `BENCH_robust.json`) must be exactly `0` — an artifact
 //!   recording an unrecovered fail-point injection fails the build;
-//! * in the simulation artifact (recognized by its `eval_reduction_2d`
-//!   fields — only `bench_sim` emits them), every `"eval_reduction"` and
-//!   `"eval_reduction_2d"` must be at least `1.0` — an engine doing
-//!   *more* gate evaluations than the dense baseline on any circuit is
-//!   a regression, not a trade-off — and on the `c6288ish` multiplier
-//!   row (the least sparse circuit, the paper's hardest case) both must
-//!   exceed `1.3`; a non-smoke artifact (`"smoke": false`) must
-//!   contain a `c6288ish` row at all, so the floor cannot be dodged by
-//!   deleting the row — the CI smoke configuration runs a reduced
-//!   circuit set and is exempt from row presence only.  Other
+//! * in the simulation artifact (recognized by its `sparsity_reduction`
+//!   fields — only `bench_sim` emits them), every `"eval_reduction"`
+//!   must be at least `1.0` — an engine doing *more* gate evaluations
+//!   than the dense baseline on any circuit is a regression, not a
+//!   trade-off — and on the `c6288ish` multiplier row (the least sparse
+//!   circuit, the paper's hardest case) it must exceed `1.3`; a
+//!   non-smoke artifact (`"smoke": false`) must contain a `c6288ish` row
+//!   at all, so the floor cannot be dodged by deleting the row — the CI
+//!   smoke configuration runs a reduced circuit set and is exempt from
+//!   row presence only.  Other
 //!   artifacts reuse the `eval_reduction` key for different metrics
 //!   (e.g. COP evals per optimizer run) with their own scales, so the
 //!   floors deliberately do not apply there;
-//! * in the same artifact, every row that records the tiled engine's
-//!   eval split must record all of it, and its stripe-0 and later-stripe
-//!   evals must add up: `tiled_probe_node_evals +
-//!   tiled_event_axis_node_evals == tiled_node_evals` — the engine has
-//!   no third axis, so any other spend is a bookkeeping error;
 //! * in the same artifact, every `"faults_per_propagation"` (excited
 //!   fault attempts per event-engine root propagation) must be at least
 //!   `1.0` — every propagated root serves at least one excited fault, so
@@ -167,15 +162,6 @@ fn bare_values(text: &str) -> Vec<BareValue> {
     out
 }
 
-/// The tiled engine's eval split of one simulation-artifact row.
-struct TiledSplit {
-    circuit: String,
-    line: usize,
-    total: Option<u64>,
-    stripe0: Option<u64>,
-    later: Option<u64>,
-}
-
 /// Validates one artifact; returns human-readable violations.
 fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut violations = Vec::new();
@@ -186,10 +172,10 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut unguided: Vec<(f64, usize)> = Vec::new();
     let mut bytes_per_gate: Vec<(f64, usize)> = Vec::new();
     let mut prep_per_gate: Vec<(f64, usize)> = Vec::new();
-    // The simulation artifact is the one with 2D-tiled headline fields;
+    // The simulation artifact is the one with sparsity-reduction fields;
     // the eval-reduction floors below apply only to it (other artifacts
     // reuse the `eval_reduction` key for differently-scaled metrics).
-    let is_sim_artifact = values.iter().any(|v| v.key == "eval_reduction_2d");
+    let is_sim_artifact = values.iter().any(|v| v.key == "sparsity_reduction");
     // The serving artifact leads with warm-over-cold ratios; only
     // `bench_serve` emits that key.
     let is_serve_artifact = values.iter().any(|v| v.key == "warm_over_cold");
@@ -198,34 +184,11 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         .any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
     let mut warm_headline_rows = 0usize;
-    let mut splits: Vec<TiledSplit> = Vec::new();
     for v in &values {
-        let split_key = matches!(
-            v.key.as_str(),
-            "tiled_node_evals" | "tiled_probe_node_evals" | "tiled_event_axis_node_evals"
-        );
-        if is_sim_artifact && split_key {
-            if splits.last().is_none_or(|s| s.circuit != v.circuit) {
-                splits.push(TiledSplit {
-                    circuit: v.circuit.clone(),
-                    line: v.line,
-                    total: None,
-                    stripe0: None,
-                    later: None,
-                });
-            }
-            let split = splits.last_mut().expect("pushed above");
-            let slot = match v.key.as_str() {
-                "tiled_node_evals" => &mut split.total,
-                "tiled_probe_node_evals" => &mut split.stripe0,
-                _ => &mut split.later,
-            };
-            *slot = v.value.parse().ok();
-        }
-        // Simulation eval-reduction floors: both the 1D event headline
-        // and the 2D tiled headline must beat the dense baseline on
-        // every circuit, and clear 1.3x on the c6288ish multiplier.
-        if is_sim_artifact && (v.key == "eval_reduction" || v.key == "eval_reduction_2d") {
+        // Simulation eval-reduction floor: the event headline must beat
+        // the dense baseline on every circuit, and clear 1.3x on the
+        // c6288ish multiplier.
+        if is_sim_artifact && v.key == "eval_reduction" {
             let hard_row = v.circuit.starts_with("c6288");
             saw_c6288_row |= hard_row;
             if let Ok(x) = v.value.parse::<f64>() {
@@ -324,19 +287,6 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
             },
         }
     }
-    for split in &splits {
-        match (split.total, split.stripe0, split.later) {
-            (Some(total), Some(stripe0), Some(later)) if stripe0 + later == total => {}
-            (Some(total), Some(stripe0), Some(later)) => violations.push(format!(
-                "{path}:{}: tiled_probe_node_evals {stripe0} + tiled_event_axis_node_evals {later} != tiled_node_evals {total} on {}",
-                split.line, split.circuit
-            )),
-            _ => violations.push(format!(
-                "{path}:{}: {} lacks an integer tiled_node_evals, tiled_probe_node_evals or tiled_event_axis_node_evals",
-                split.line, split.circuit
-            )),
-        }
-    }
     if is_serve_artifact && !is_smoke && warm_headline_rows < 2 {
         violations.push(format!(
             "{path}: only {warm_headline_rows} circuit(s) reach warm_over_cold >= 3 — the amortization headline needs two"
@@ -344,7 +294,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     }
     if is_sim_artifact && !is_smoke && !saw_c6288_row {
         violations.push(format!(
-            "{path}: has eval_reduction_2d fields but no c6288ish row — multiplier floor dodged"
+            "{path}: has sparsity_reduction fields but no c6288ish row — multiplier floor dodged"
         ));
     }
     if bit_identical_fields == 0 {
@@ -511,33 +461,29 @@ mod tests {
 
     #[test]
     fn sub_unity_eval_reductions_are_flagged() {
-        for key in ["eval_reduction", "eval_reduction_2d"] {
-            let text = format!(
-                "{{ \"results\": [ {{ \"circuit\": \"s1\", \"{key}\": 0.97, \"bit_identical\": true }}, {{ \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"eval_reduction_2d\": 1.9, \"bit_identical\": true }} ] }}"
-            );
-            let v = check_artifact("x.json", &text);
-            assert_eq!(v.len(), 1, "key {key}: {v:?}");
-            assert!(v[0].contains("more gates than dense"), "key {key}");
-            assert!(v[0].contains("s1"), "key {key}");
-        }
+        let text = "{ \"results\": [ { \"circuit\": \"s1\", \"eval_reduction\": 0.97, \"sparsity_reduction\": 1.5, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"sparsity_reduction\": 1.9, \"bit_identical\": true } ] }";
+        let v = check_artifact("x.json", text);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("more gates than dense"));
+        assert!(v[0].contains("s1"));
     }
 
     #[test]
     fn c6288ish_multiplier_floor_is_enforced() {
         // 1.2 is fine on an ordinary circuit but below the 1.3 floor on
-        // the multiplier row, for both the 1D and the 2D headline.
-        let ok = "{ \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.2, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.89, \"eval_reduction_2d\": 1.35, \"bit_identical\": true } ] }";
+        // the multiplier row.
+        let ok = "{ \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.2, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.35, \"sparsity_reduction\": 1.89, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", ok).is_empty());
-        let bad = "{ \"results\": [ { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.89, \"eval_reduction_2d\": 1.2, \"bit_identical\": true } ] }";
+        let bad = "{ \"results\": [ { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.2, \"sparsity_reduction\": 1.89, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("1.3 multiplier floor"));
-        assert!(v[0].contains("eval_reduction_2d"));
+        assert!(v[0].contains("\"eval_reduction\""));
     }
 
     #[test]
     fn deleting_the_c6288ish_row_cannot_dodge_the_floor() {
-        let text = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"s1\", \"eval_reduction\": 6.0, \"eval_reduction_2d\": 9.0, \"bit_identical\": true } ] }";
+        let text = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"s1\", \"eval_reduction\": 6.0, \"sparsity_reduction\": 9.0, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", text);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("no c6288ish row"));
@@ -547,38 +493,33 @@ mod tests {
     fn smoke_artifacts_need_no_c6288ish_row_but_keep_the_floors() {
         // The CI smoke set (s1, c880ish) has no multiplier row; row
         // presence is waived, the >= 1.0 floor is not.
-        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.1, \"eval_reduction_2d\": 1.1, \"bit_identical\": true } ] }";
+        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.1, \"sparsity_reduction\": 1.1, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", ok).is_empty());
-        let bad = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.1, \"eval_reduction_2d\": 0.9, \"bit_identical\": true } ] }";
+        let bad = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 0.9, \"sparsity_reduction\": 1.1, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("more gates than dense"));
     }
 
     #[test]
-    fn tiled_eval_splits_must_add_up() {
-        let row = |total: &str, stripe0: &str, later: &str| {
-            format!(
-                "{{ \"smoke\": true, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"tiled_node_evals\": {total}, \"tiled_event_axis_node_evals\": {later}, \"tiled_probe_node_evals\": {stripe0}, \"bit_identical\": true }}, {{ \"circuit\": \"c880ish\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"tiled_node_evals\": 9, \"tiled_event_axis_node_evals\": 0, \"tiled_probe_node_evals\": 9, \"bit_identical\": true }} ] }}"
-            )
-        };
-        assert!(check_artifact("x.json", &row("100", "93", "7")).is_empty());
-        // A third axis (or a lost one) no longer adds up.
-        let v = check_artifact("x.json", &row("100", "90", "7"));
+    fn sim_artifacts_are_recognized_without_tiled_fields() {
+        // A simulation artifact with no eval_reduction_2d column keeps
+        // every floor: the multiplier floor and the row-presence rule.
+        let text = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 3.0, \"sparsity_reduction\": 2.0, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.2, \"sparsity_reduction\": 1.1, \"bit_identical\": true } ] }";
+        let v = check_artifact("x.json", text);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("!= tiled_node_evals 100 on s1"), "{v:?}");
-        // Dropping one field of the split is flagged, not skipped.
-        let gutted = row("100", "93", "7").replace("\"tiled_probe_node_evals\": 93, ", "");
-        let v = check_artifact("x.json", &gutted);
+        assert!(v[0].contains("1.3 multiplier floor"), "{v:?}");
+        let rowless = text.replace("c6288ish", "c7552ish");
+        let v = check_artifact("x.json", &rowless);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("s1 lacks"), "{v:?}");
+        assert!(v[0].contains("no c6288ish row"), "{v:?}");
     }
 
     #[test]
     fn sub_unity_faults_per_propagation_is_flagged() {
         let row = |fpp: &str| {
             format!(
-                "{{ \"smoke\": true, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"eval_reduction_2d\": 2.0, \"faults_per_propagation\": {fpp}, \"bit_identical\": true }} ] }}"
+                "{{ \"smoke\": true, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"sparsity_reduction\": 2.0, \"faults_per_propagation\": {fpp}, \"bit_identical\": true }} ] }}"
             )
         };
         assert!(check_artifact("x.json", &row("1.000")).is_empty());
@@ -596,7 +537,7 @@ mod tests {
     fn null_dense_fields_on_derived_rows_pass() {
         // The 120k-gate scale row derives its dense baseline and emits
         // null wall-clock fields; the guard must accept them.
-        let text = "{ \"results\": [ { \"circuit\": \"tiled_120000_7\", \"dense_seconds\": null, \"wall_speedup\": null, \"eval_reduction\": 4.2, \"eval_reduction_2d\": 5.0, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"eval_reduction_2d\": 1.4, \"bit_identical\": true } ] }";
+        let text = "{ \"results\": [ { \"circuit\": \"tiled_120000_7\", \"dense_seconds\": null, \"wall_speedup\": null, \"eval_reduction\": 4.2, \"sparsity_reduction\": 5.0, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"sparsity_reduction\": 1.4, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", text).is_empty());
     }
 

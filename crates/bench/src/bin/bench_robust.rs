@@ -4,10 +4,10 @@
 //! Writes `BENCH_robust.json` with two claims the guard re-checks on
 //! every CI run:
 //!
-//! * **Overhead** — the robust entry points (budget check-ins, fail-point
-//!   pass-throughs, panic-isolated shard scaffold) cost ≈ nothing when
-//!   nothing fails: wall-clock vs the legacy sharded engine
-//!   (`overhead_pct`, host-dependent) and bit-identical coverage
+//! * **Overhead** — enforcing a budget (chunk-boundary check-ins against
+//!   a deadline, an eval cap and a cancellation flag that never trip)
+//!   costs ≈ nothing: wall-clock vs the same engine under an unlimited
+//!   budget (`overhead_pct`, host-dependent) and bit-identical coverage
 //!   (`bit_identical`, machine-independent).
 //! * **Chaos** — a seeded fail-point sweep over every planted site: each
 //!   injection must end in bit-identical recovery or a structured error.
@@ -26,17 +26,14 @@
 //! `BENCH_robust.json` in the current directory.  `--smoke` runs a
 //! scaled-down version for CI.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use wrt_circuit::Circuit;
 use wrt_estimate::{CopEngine, DegradingEngine, DetectionProbabilityEngine};
 use wrt_fault::FaultList;
 use wrt_robust::failpoint::{self, sites, FailAction};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, CheckpointError, RunOutcome};
-use wrt_sim::{
-    fault_coverage, fault_coverage_robust, fault_coverage_sharded_opts,
-    fault_coverage_tiled_robust, SimOptions, TileOptions, WeightedPatterns,
-};
+use wrt_sim::{fault_coverage, fault_coverage_robust, SimOptions, WeightedPatterns};
 
 const SEED: u64 = 0xC0DE;
 /// Skip counts stay below the per-run pass count of the rarest site.
@@ -47,25 +44,25 @@ struct Row {
     faults: usize,
     patterns: u64,
     threads: usize,
-    legacy_seconds: f64,
-    robust_seconds: f64,
+    unlimited_seconds: f64,
+    budgeted_seconds: f64,
     identical: bool,
 }
 
 impl Row {
     fn overhead_pct(&self) -> f64 {
-        (self.robust_seconds / self.legacy_seconds - 1.0) * 100.0
+        (self.budgeted_seconds / self.unlimited_seconds - 1.0) * 100.0
     }
 
     fn to_json(&self) -> String {
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"faults\": {},\n      \"patterns\": {},\n      \"threads\": {},\n      \"legacy_seconds\": {:.6},\n      \"robust_seconds\": {:.6},\n      \"overhead_pct\": {:.3},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"faults\": {},\n      \"patterns\": {},\n      \"threads\": {},\n      \"unlimited_seconds\": {:.6},\n      \"budgeted_seconds\": {:.6},\n      \"overhead_pct\": {:.3},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.faults,
             self.patterns,
             self.threads,
-            self.legacy_seconds,
-            self.robust_seconds,
+            self.unlimited_seconds,
+            self.budgeted_seconds,
             self.overhead_pct(),
             self.identical,
         )
@@ -74,53 +71,56 @@ impl Row {
 
 fn overhead_row(circuit: &Circuit, patterns: u64, threads: usize, reps: usize) -> Row {
     let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
-    let source = || WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
-    let opts = SimOptions::event(4);
-    // Interleave the two timed runs so scheduler drift on a shared host
-    // hits both sides equally; best-of-reps then converges each side to
-    // its noise floor.
-    let mut legacy_seconds = f64::INFINITY;
-    let mut robust_seconds = f64::INFINITY;
-    let mut legacy = None;
-    let mut robust = None;
-    for rep in 0..=reps {
+    let run = |budget: &Budget| {
+        let source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
         let start = Instant::now();
-        let (l, _) =
-            fault_coverage_sharded_opts(circuit, &faults, source(), patterns, true, threads, opts);
-        let legacy_elapsed = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let r = fault_coverage_robust(
+        let outcome = fault_coverage_robust(
             circuit,
             &faults,
-            source(),
+            source,
             patterns,
             true,
             threads,
-            opts,
-            &Budget::unlimited(),
+            SimOptions::event(4),
+            budget,
         );
-        let robust_elapsed = start.elapsed().as_secs_f64();
+        (start.elapsed().as_secs_f64(), outcome)
+    };
+    // Every axis armed, none tripping: a day-long deadline, an eval cap
+    // twice the canonical cost, and a cancellation flag never raised.
+    let mut budgeted = Budget::unlimited()
+        .with_time_limit(Duration::from_secs(86_400))
+        .with_max_evals(2 * patterns * circuit.num_nodes() as u64);
+    let _cancel = budgeted.cancel_token();
+    // Interleave the two timed runs so scheduler drift on a shared host
+    // hits both sides equally; best-of-reps then converges each side to
+    // its noise floor.
+    let mut unlimited_seconds = f64::INFINITY;
+    let mut budgeted_seconds = f64::INFINITY;
+    let mut identical = true;
+    for rep in 0..=reps {
+        let (u_secs, u) = run(&Budget::unlimited());
+        let (b_secs, b) = run(&budgeted);
         if rep > 0 {
             // Pair 0 is the warm-up.
-            legacy_seconds = legacy_seconds.min(legacy_elapsed);
-            robust_seconds = robust_seconds.min(robust_elapsed);
+            unlimited_seconds = unlimited_seconds.min(u_secs);
+            budgeted_seconds = budgeted_seconds.min(b_secs);
         }
-        legacy = Some(l);
-        robust = Some(r);
+        identical &= u.is_complete() && b.is_complete() && {
+            let (u, b) = (u.value(), b.value());
+            u.recovery.is_clean()
+                && b.recovery.is_clean()
+                && u.result == b.result
+                && u.stats == b.stats
+        };
     }
-    let legacy = legacy.expect("at least one pair ran");
-    let robust = robust.expect("at least one pair ran");
-    let identical = robust.is_complete() && {
-        let rc = robust.value();
-        rc.recovery.is_clean() && rc.result.detected_at() == legacy.detected_at()
-    };
     Row {
         circuit: circuit.name().to_string(),
         faults: faults.len(),
         patterns,
         threads,
-        legacy_seconds,
-        robust_seconds,
+        unlimited_seconds,
+        budgeted_seconds,
         identical,
     }
 }
@@ -248,37 +248,6 @@ fn chaos_drill(seed: u64, circuit: &Circuit, faults: &FaultList) -> (String, boo
                 ))
             }
         }
-        sites::TILE_RUN => {
-            let reference = fault_coverage(circuit, faults, source(), patterns, true);
-            let robust = fault_coverage_tiled_robust(
-                circuit,
-                faults,
-                source(),
-                patterns,
-                true,
-                &TileOptions {
-                    block_words: 1,
-                    pattern_stripes: 2,
-                    threads: 2,
-                    ..TileOptions::default()
-                },
-                &Budget::unlimited(),
-            );
-            match robust {
-                RunOutcome::Complete(rc)
-                    if rc.recovery.unresolved.is_empty()
-                        && rc.result.detected_at() == reference.detected_at() =>
-                {
-                    Outcome::Recovered
-                }
-                RunOutcome::Complete(_) => {
-                    Outcome::Unrecovered("tile recovery diverged from serial".into())
-                }
-                RunOutcome::Interrupted { reason, .. } => {
-                    Outcome::Unrecovered(format!("unexpected interruption: {reason:?}"))
-                }
-            }
-        }
         sites::SERVE_ACCEPT | sites::SERVE_SESSION | sites::SERVE_ECO_APPLY => {
             // A resident server under injection: every request must still
             // get a framed response — the fired arm surfaces as an `err`
@@ -367,7 +336,7 @@ fn main() {
         .unwrap_or(if smoke { 2 } else { 15 });
 
     println!(
-        "robust-path overhead ({patterns} patterns, {threads} threads) + chaos sweep ({seeds} seeds)"
+        "budget overhead ({patterns} patterns, {threads} threads) + chaos sweep ({seeds} seeds)"
     );
     let mut rows = Vec::new();
     for name in &circuits {
@@ -375,14 +344,14 @@ fn main() {
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = overhead_row(&circuit, patterns, threads, reps);
         println!(
-            "  {:<10} legacy {:.4}s  robust {:.4}s  overhead {:+.2} %  identical {}",
+            "  {:<10} unlimited {:.4}s  budgeted {:.4}s  overhead {:+.2} %  identical {}",
             row.circuit,
-            row.legacy_seconds,
-            row.robust_seconds,
+            row.unlimited_seconds,
+            row.budgeted_seconds,
             row.overhead_pct(),
             row.identical,
         );
-        assert!(row.identical, "{name}: robust path diverged from legacy");
+        assert!(row.identical, "{name}: the budgeted run diverged from the unlimited one");
         rows.push(row);
     }
 
@@ -418,7 +387,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"robust_overhead_and_chaos\",\n  \"note\": \"overhead_pct compares the budgeted, panic-isolated robust entry point (unlimited budget, nothing armed) against the legacy sharded engine on the identical workload; wall-clock and host-dependent, expected within noise of zero (the disabled fail-point fast path is one relaxed atomic load, and budget check-ins happen per chunk). bit_identical is the machine-independent claim: the robust path's coverage equals the legacy engine's exactly. The chaos section is a seeded fail-point sweep over every planted site (worker spawn, shard merge, checkpoint write, budget check-in, estimate anomaly, tile run, serve accept/session/eco-apply; panics on worker-side sites, structured failures elsewhere): every injection must end in bit-identical recovery or a structured error. unrecovered counts silent result loss and must be zero; bench_guard re-checks it on the committed artifact.\",\n  \"patterns\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ],\n  \"chaos\": {{\n    \"seeds\": {},\n    \"fired\": {},\n    \"recovered_bit_identical\": {},\n    \"structured_errors\": {},\n    \"unrecovered\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"robust_overhead_and_chaos\",\n  \"note\": \"overhead_pct compares the fault-simulation engine under a budget with every axis armed but never tripping (deadline, eval cap, cancellation flag) against the same engine under an unlimited budget, on the identical workload; wall-clock and host-dependent, expected within noise of zero (budget check-ins happen per 8192-pattern chunk, and the disabled fail-point fast path is one relaxed atomic load). bit_identical is the machine-independent claim: both runs complete cleanly with identical coverage and work counters. The chaos section is a seeded fail-point sweep over every planted site (worker spawn, shard merge, checkpoint write, budget check-in, estimate anomaly, serve accept/session/eco-apply; panics on worker-side sites, structured failures elsewhere): every injection must end in bit-identical recovery or a structured error. unrecovered counts silent result loss and must be zero; bench_guard re-checks it on the committed artifact.\",\n  \"patterns\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ],\n  \"chaos\": {{\n    \"seeds\": {},\n    \"fired\": {},\n    \"recovered_bit_identical\": {},\n    \"structured_errors\": {},\n    \"unrecovered\": {}\n  }}\n}}\n",
         patterns,
         threads,
         smoke,

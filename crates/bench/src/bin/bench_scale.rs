@@ -41,7 +41,8 @@ use wrt_estimate::{
     DetectionProbabilityEngine, IncrementalCop,
 };
 use wrt_fault::FaultList;
-use wrt_sim::{fault_coverage_opts, SimOptions, WeightedPatterns};
+use wrt_robust::Budget;
+use wrt_sim::{fault_coverage_robust, SimOptions, WeightedPatterns};
 
 const SEED: u64 = 42;
 const SIM_PATTERNS: u64 = 256;
@@ -215,14 +216,18 @@ fn bench_size(target: usize, seed: u64) -> Row {
     // Event-driven fault simulation throughput on the probe faults.
     let source = WeightedPatterns::equiprobable(circuit.num_inputs(), seed);
     let start = Instant::now();
-    let (result, _stats) = fault_coverage_opts(
+    let result = fault_coverage_robust(
         &circuit,
         &probe,
         source,
         SIM_PATTERNS,
         true,
+        1,
         SimOptions::event(4),
-    );
+        &Budget::unlimited(),
+    )
+    .into_value()
+    .result;
     let sim_seconds = start.elapsed().as_secs_f64();
     assert!(result.num_detected() <= probe.len());
 

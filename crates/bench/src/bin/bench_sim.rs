@@ -1,11 +1,10 @@
 //! Machine-readable PPSFP benchmark: dense cone walk vs event-driven
-//! sparse propagation over multi-word superblocks vs the 2D tiled
-//! engine (fault shards × pattern stripes, stripe 0 first).
+//! sparse propagation over multi-word superblocks, both on the one
+//! fault-simulation engine.
 //!
-//! Writes `BENCH_sim.json`.  The headline metrics are
+//! Writes `BENCH_sim.json`.  The headline metric is
 //! **machine-independent**: gate evaluations per detected fault, dense
-//! vs event (`eval_reduction`) and dense vs the 2D tiled engine
-//! (`eval_reduction_2d`).  The 1D headline combines two effects — sparse
+//! vs event (`eval_reduction`).  It combines two effects — sparse
 //! scheduling (only nodes the fault effect reaches are evaluated,
 //! stopping when the frontier dies) and superblock amortization (one
 //! `[u64; W]` evaluation covers `W` dense blocks' worth of patterns) —
@@ -14,7 +13,8 @@
 //! rate, the event engine's root propagations (one per excited effect
 //! root per superblock, shared by every fault on that root) with the
 //! excited faults served per propagation, and a bit-identity check of
-//! all engines' coverage results.
+//! all runs' coverage results.  The dense, event and event-`W = 1` runs
+//! use one shard; a further event run uses `--threads` shards.
 //! Wall-clock fields depend on the host and are reported alongside.
 //!
 //! Circuits too large for the dense engine's per-cone storage report a
@@ -32,21 +32,20 @@
 //! ```
 //!
 //! Defaults: 2048 patterns, `W = 4` (256 patterns per event pass), 4
-//! threads for the sharded-event and tiled rows, the four large workload
-//! circuits plus the 120k-gate `tiled_120000_7` scale circuit,
-//! `BENCH_sim.json` in the current directory.  `--smoke` runs a
-//! scaled-down version for CI (small circuits, few patterns) — the 2D
-//! tiled row is exercised in both modes.
+//! threads for the sharded-event run, the four large workload circuits
+//! plus the 120k-gate `tiled_120000_7` scale circuit, `BENCH_sim.json` in
+//! the current directory.  `--smoke` runs a scaled-down version for CI
+//! (small circuits, few patterns).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use wrt_circuit::{transitive_fanout, Circuit};
 use wrt_fault::FaultList;
+use wrt_robust::Budget;
 use wrt_sim::{
-    available_threads, fault_coverage_opts, fault_coverage_tiled, superblock_split,
-    EventSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, TileOptions,
-    TileStats, WeightedPatterns,
+    available_threads, fault_coverage_robust, superblock_split, CoverageResult, EventSimulator,
+    FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, WeightedPatterns,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -68,7 +67,6 @@ struct Row {
     dense_seconds: Option<f64>,
     event_seconds: f64,
     event_sharded_seconds: f64,
-    tiled_seconds: f64,
     /// Measured or derived dense gate evals (see `dense_baseline`).
     dense_node_evals: u64,
     dense_baseline: &'static str,
@@ -76,7 +74,6 @@ struct Row {
     /// Event engine at `W = 1`: same block granularity as dense, so the
     /// eval ratio against it isolates the pure scheduling-sparsity win.
     event_w1_stats: SimStats,
-    tiled_stats: TileStats,
     identical: bool,
 }
 
@@ -89,19 +86,12 @@ impl Row {
         self.event_stats.node_evals as f64 / self.detected.max(1) as f64
     }
 
-    /// The machine-independent 1D headline: dense ÷ event gate
+    /// The machine-independent headline: dense ÷ event gate
     /// evaluations.  Combines scheduling sparsity with superblock
     /// amortization; see [`Row::sparsity_reduction`] for the sparsity
     /// share alone.
     fn eval_reduction(&self) -> f64 {
         self.dense_node_evals as f64 / self.event_stats.node_evals.max(1) as f64
-    }
-
-    /// The 2D headline: dense ÷ tiled-engine gate evaluations, the tiled
-    /// side counting everything it spends — stripe 0, the later stripes,
-    /// and their re-probing of faults an earlier later-stripe detected.
-    fn eval_reduction_2d(&self) -> f64 {
-        self.dense_node_evals as f64 / self.tiled_stats.sim.node_evals.max(1) as f64
     }
 
     /// Dense ÷ event-at-`W = 1` gate evaluations: both engines work in
@@ -125,9 +115,8 @@ impl Row {
             Some(s) => (format!("{s:.6}"), format!("{:.3}", s / self.event_seconds)),
             None => ("null".into(), "null".into()),
         };
-        let t = &self.tiled_stats;
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"root_propagations\": {},\n      \"faults_per_propagation\": {:.3},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"root_propagations\": {},\n      \"faults_per_propagation\": {:.3},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -153,16 +142,6 @@ impl Row {
             self.event_stats.unexcited as f64 / self.event_stats.fault_blocks.max(1) as f64,
             self.threads,
             self.event_sharded_seconds,
-            self.tiled_seconds,
-            t.sim.node_evals,
-            t.event_node_evals,
-            t.probe_node_evals,
-            self.eval_reduction_2d(),
-            t.block_words,
-            t.stripes,
-            t.shards,
-            t.tiles,
-            t.steals,
             self.identical,
         )
     }
@@ -225,9 +204,25 @@ fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64
         .sum()
 }
 
+/// One unbudgeted run of the fault-simulation engine on `threads` shards.
+fn simulate(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+    threads: usize,
+    opts: SimOptions,
+) -> (CoverageResult, SimStats) {
+    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
+    let unlimited = Budget::unlimited();
+    let outcome =
+        fault_coverage_robust(circuit, faults, source, patterns, true, threads, opts, &unlimited);
+    let run = outcome.into_value();
+    assert!(run.recovery.is_clean(), "no fail point is armed");
+    (run.result, run.stats)
+}
+
 fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: usize) -> Row {
     let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
-    let source = || WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
     let event_opts = SimOptions::event(block_words);
     let derive_dense = circuit.num_nodes() > DENSE_DERIVE_NODES;
     // Big derived-baseline rows (the 10^5-gate scale circuit) get one
@@ -236,9 +231,8 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     // that matter) are deterministic either way, and best-of-N would
     // triple an already-long artifact regeneration.
     let reps = if derive_dense { 0 } else { 2 };
-    let (event_seconds, (event, event_stats)) = time_best(reps, || {
-        fault_coverage_opts(circuit, &faults, source(), patterns, true, event_opts)
-    });
+    let (event_seconds, (event, event_stats)) =
+        time_best(reps, || simulate(circuit, &faults, patterns, 1, event_opts));
     let (dense_seconds, dense_node_evals, dense_identical) = if derive_dense {
         (
             None,
@@ -246,9 +240,8 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
             true,
         )
     } else {
-        let (secs, (dense, dense_stats)) = time_best(2, || {
-            fault_coverage_opts(circuit, &faults, source(), patterns, true, SimOptions::dense())
-        });
+        let (secs, (dense, dense_stats)) =
+            time_best(2, || simulate(circuit, &faults, patterns, 1, SimOptions::dense()));
         (
             Some(secs),
             dense_stats.node_evals,
@@ -258,26 +251,9 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     // One untimed event pass at W = 1: same block granularity as dense,
     // isolating the scheduling-sparsity share of the eval reduction.
     let (event_w1, event_w1_stats) =
-        fault_coverage_opts(circuit, &faults, source(), patterns, true, SimOptions::event(1));
-    let (event_sharded_seconds, (event_sharded, _)) = time_best(reps, || {
-        wrt_sim::fault_coverage_sharded_opts(
-            circuit,
-            &faults,
-            source(),
-            patterns,
-            true,
-            threads,
-            event_opts,
-        )
-    });
-    // The 2D tiled engine: auto width/stripes, shards = threads.
-    let tiled_opts = TileOptions {
-        threads,
-        ..TileOptions::default()
-    };
-    let (tiled_seconds, (tiled, tiled_stats)) = time_best(reps, || {
-        fault_coverage_tiled(circuit, &faults, source(), patterns, true, &tiled_opts)
-    });
+        simulate(circuit, &faults, patterns, 1, SimOptions::event(1));
+    let (event_sharded_seconds, (event_sharded, sharded_stats)) =
+        time_best(reps, || simulate(circuit, &faults, patterns, threads, event_opts));
     Row {
         circuit: circuit.name().to_string(),
         inputs: circuit.num_inputs(),
@@ -290,16 +266,16 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         dense_seconds,
         event_seconds,
         event_sharded_seconds,
-        tiled_seconds,
         dense_node_evals,
         dense_baseline: if derive_dense { "derived" } else { "measured" },
         event_stats,
         event_w1_stats,
-        tiled_stats,
+        // Shards never split an effect root, so the sharded run spends
+        // exactly the one-shard run's evals.
         identical: dense_identical
-            && event.detected_at() == event_w1.detected_at()
-            && event.detected_at() == event_sharded.detected_at()
-            && event.detected_at() == tiled.detected_at(),
+            && event == event_w1
+            && event == event_sharded
+            && event_stats == sharded_stats,
     }
 }
 
@@ -340,8 +316,8 @@ fn main() {
         });
 
     println!(
-        "PPSFP dense vs event vs 2D tiled ({patterns} patterns, W = {block_words}, \
-         {threads} threads for the sharded/tiled rows, {} cores available)",
+        "PPSFP dense vs event ({patterns} patterns, W = {block_words}, \
+         {threads} threads for the sharded-event run, {} cores available)",
         available_threads()
     );
     let mut rows = Vec::new();
@@ -351,7 +327,7 @@ fn main() {
         let row = bench_circuit(&circuit, patterns, block_words, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
-             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity; {:.2} faults/propagation)  \
+             ({:.2}x fewer; {:.2}x from sparsity; {:.2} faults/propagation)  \
              identical {}",
             row.circuit,
             row.faults,
@@ -359,7 +335,6 @@ fn main() {
             if row.dense_seconds.is_none() { "*" } else { " " },
             row.event_evals_per_detected(),
             row.eval_reduction(),
-            row.eval_reduction_2d(),
             row.sparsity_reduction(),
             row.event_stats.faults_per_propagation(),
             row.identical,
@@ -369,7 +344,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include root grouping: the event engine propagates each excited effect root once per superblock for all live faults sharing it (both stem polarities, a gate's stem and pin faults), and root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_probe_node_evals, spent on stripe 0 - the first superblock, one tile per fault shard - plus tiled_event_axis_node_evals, spent on the later stripes after the faults stripe 0 detected were dropped), at its auto-resolved tiled_block_words, pattern_stripes (stripe 0 included) and fault_shards; with one stripe after stripe 0 it spends exactly the 1D event evals at that width. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include root grouping: the event engine propagates each excited effect root once per superblock for all live faults sharing it (both stem polarities, a gate's stem and pin faults), and root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. All runs use the one fault-simulation engine: the dense, event and event-W1 runs on one fault shard, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split an effect root. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         threads,

@@ -15,10 +15,7 @@ use wrt_circuit::Circuit;
 use wrt_core::{optimize, OptimizeConfig, OptimizeResult, TestLength};
 use wrt_estimate::{constant_line_faults, CopEngine, DetectionProbabilityEngine};
 use wrt_fault::FaultList;
-use wrt_sim::{
-    fault_coverage, fault_coverage_sharded, fault_coverage_sharded_opts, CoverageResult,
-    SimOptions, SimStats, WeightedPatterns,
-};
+use wrt_sim::{fault_coverage, CoverageResult, WeightedPatterns};
 
 /// Upper bound on the exact-enumeration support used for redundancy
 /// proofs during fault-list preparation.
@@ -80,38 +77,6 @@ pub fn simulate_coverage(
 ) -> CoverageResult {
     let source = WeightedPatterns::new(weights.to_vec(), seed);
     fault_coverage(circuit, faults, source, patterns, true)
-}
-
-/// Like [`simulate_coverage`] but fanned out over the sharded PPSFP
-/// engine (`threads = 0` uses all cores).  Bit-identical results.
-pub fn simulate_coverage_threaded(
-    circuit: &Circuit,
-    faults: &FaultList,
-    weights: &[f64],
-    patterns: u64,
-    seed: u64,
-    threads: usize,
-) -> CoverageResult {
-    let source = WeightedPatterns::new(weights.to_vec(), seed);
-    fault_coverage_sharded(circuit, faults, source, patterns, true, threads)
-}
-
-/// [`simulate_coverage_threaded`] with a configurable PPSFP inner loop
-/// ([`SimOptions`]: dense cone walk or event-driven superblocks),
-/// additionally returning the machine-independent work counters the
-/// `bench_sim` artifact records.  Coverage is bit-identical across all
-/// option combinations.
-pub fn simulate_coverage_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    weights: &[f64],
-    patterns: u64,
-    seed: u64,
-    threads: usize,
-    opts: SimOptions,
-) -> (CoverageResult, SimStats) {
-    let source = WeightedPatterns::new(weights.to_vec(), seed);
-    fault_coverage_sharded_opts(circuit, faults, source, patterns, true, threads, opts)
 }
 
 /// Formats a pattern count the way the paper prints Table 1

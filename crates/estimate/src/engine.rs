@@ -2,7 +2,8 @@
 
 use wrt_circuit::{Circuit, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
-use wrt_sim::{detection_counts_sharded_opts, SimOptions, WeightedPatterns};
+use wrt_robust::Budget;
+use wrt_sim::{detection_counts_robust, SimOptions, WeightedPatterns};
 
 use crate::cop::{observabilities_cop, signal_probabilities_cop};
 use crate::exact::exact_detection_probability;
@@ -222,13 +223,20 @@ impl DetectionProbabilityEngine for StafanEngine {
 ///
 /// Unbiased but blind to probabilities below `≈ 1 / patterns`.
 ///
-/// The simulation fans out over the sharded PPSFP engine
-/// ([`wrt_sim::detection_counts_sharded_opts`]): `threads` worker threads
-/// each own one cone-locality-aware fault shard, and each worker runs the
-/// inner loop selected by `sim_options` — by default the event-driven
-/// superblock engine ([`SimOptions::default`]).  Neither thread count nor
-/// engine choice affects the estimates: all combinations are bit-identical
-/// to the serial dense reference.
+/// The simulation runs on the fault-simulation engine
+/// ([`wrt_sim::detection_counts_robust`], unbudgeted): `threads` worker
+/// threads each own one cone-locality-aware fault shard (one shard at
+/// `threads = 1`), and each worker runs the inner loop selected by
+/// `sim_options` — by default the event-driven superblock engine
+/// ([`SimOptions::default`]).  Neither thread count nor engine choice
+/// affects the estimates: all combinations are bit-identical to the
+/// serial dense reference.
+///
+/// # Panics
+///
+/// [`DetectionProbabilityEngine::estimate`] panics if a shard worker died
+/// and every bounded replay of its faults failed too — impossible
+/// without injected failures.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEngine {
     /// Number of simulated patterns per call.
@@ -281,15 +289,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             input_probs.to_vec(),
             self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
         );
-        let (counts, _) = detection_counts_sharded_opts(
-            circuit,
-            faults,
-            source,
-            self.patterns,
-            self.threads,
-            self.sim_options,
-        );
-        counts
+        simulate_counts(circuit, faults, source, self.patterns, self.threads, self.sim_options)
             .into_iter()
             .map(|c| c as f64 / self.patterns as f64)
             .collect()
@@ -299,7 +299,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
     /// thread budget between them (each half still shards its fault
     /// list).  Identical output to two sequential
     /// [`estimate`](DetectionProbabilityEngine::estimate) calls — the
-    /// per-call seed derivation and the sharded engine's results are
+    /// per-call seed derivation and the simulation engine's results are
     /// both independent of the thread count.
     ///
     /// With an effective budget of one thread (explicit `threads = 1`,
@@ -341,15 +341,9 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
         };
         std::thread::scope(|scope| {
             let b = scope.spawn(|| {
-                detection_counts_sharded_opts(
-                    circuit, faults, source_b, patterns, threads_b, sim_options,
-                )
-                .0
+                simulate_counts(circuit, faults, source_b, patterns, threads_b, sim_options)
             });
-            let a = detection_counts_sharded_opts(
-                circuit, faults, source_a, patterns, threads_a, sim_options,
-            )
-            .0;
+            let a = simulate_counts(circuit, faults, source_a, patterns, threads_a, sim_options);
             (
                 to_probs(a),
                 to_probs(b.join().expect("estimate_pair worker panicked")),
@@ -360,6 +354,33 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
     fn name(&self) -> &'static str {
         "monte-carlo"
     }
+}
+
+/// Unbudgeted detection counts for [`MonteCarloEngine`].
+///
+/// # Panics
+///
+/// Panics if shard recovery was exhausted (see the engine's docs).
+fn simulate_counts(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: WeightedPatterns,
+    patterns: u64,
+    threads: usize,
+    sim_options: SimOptions,
+) -> Vec<u64> {
+    let unlimited = Budget::unlimited();
+    let outcome =
+        detection_counts_robust(circuit, faults, source, patterns, threads, sim_options, &unlimited);
+    let run = outcome.into_value();
+    assert!(
+        run.recovery.fully_recovered(),
+        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
+         ({} worker panics)",
+        run.recovery.unresolved.len(),
+        run.recovery.worker_panics,
+    );
+    run.counts
 }
 
 /// Exact engine: weighted exhaustive enumeration of the whole input space.

@@ -164,8 +164,6 @@ pub mod sites {
     pub const BUDGET_CHECK_IN: &str = "budget::check_in";
     /// Detection-probability estimate anomaly (degradation-ladder drill).
     pub const ESTIMATE_ANOMALY: &str = "estimate::anomaly";
-    /// Start of one fault-shard × pattern-stripe tile in the 2D engine.
-    pub const TILE_RUN: &str = "tile::run";
     /// One accepted connection in the `wrt serve` accept loop.
     pub const SERVE_ACCEPT: &str = "serve::accept";
     /// One request dispatch inside a `wrt serve` session handler.
@@ -174,13 +172,12 @@ pub mod sites {
     pub const SERVE_ECO_APPLY: &str = "serve::eco_apply";
 
     /// Every planted site, for seed-driven chaos iteration.
-    pub const ALL: [&str; 9] = [
+    pub const ALL: [&str; 8] = [
         WORKER_SPAWN,
         SHARD_MERGE,
         CHECKPOINT_WRITE,
         BUDGET_CHECK_IN,
         ESTIMATE_ANOMALY,
-        TILE_RUN,
         SERVE_ACCEPT,
         SERVE_SESSION,
         SERVE_ECO_APPLY,

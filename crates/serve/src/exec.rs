@@ -32,10 +32,7 @@ use wrt_estimate::{
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
-use wrt_sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, SimEngineKind, SimOptions,
-    TileOptions, WeightedPatterns,
-};
+use wrt_sim::{fault_coverage_robust, SimEngineKind, SimOptions, WeightedPatterns};
 
 use crate::registry::{weight_key, CircuitEntry, Registry};
 
@@ -90,15 +87,9 @@ commands:
            once per effect root for all faults sharing it; --engine dense
            is the single-word per-fault reference cone walk.  Root
            propagations are reported next to the gate evals.
-           --pattern-stripes P switches to the 2D tiled engine (fault
-           shards × pattern stripes with work stealing; requires --engine
-           event): stripe 0, the first superblock, runs as one tile per
-           shard, then P more stripes cut the rest of the stream; P = 0
-           picks the count automatically, oversized P is clamped, and
-           --block-words defaults to auto instead of 4.  Gate evals are
-           reported for stripe 0 and the later stripes.
-           Coverage is bit-identical for every engine/width/thread/stripe
-           choice.
+           --pattern-stripes P is accepted for compatibility and has no
+           effect.  Coverage is bit-identical for every engine/width/
+           thread choice.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
            [--degrade] [--time-limit SECS] [--max-evals N]
            [--max-backtracks-total N] [--checkpoint F] [--resume F]
@@ -828,75 +819,12 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let weights = weights_arg(args, circuit.num_inputs())?;
     let threads: usize = parse_flag(args, "--threads", 0)?;
     let opts = sim_options_arg(args)?;
+    // Accepted for compatibility with the retired 2D tiled engine: still
+    // validated, but it no longer changes anything.
+    let _: usize = parse_flag(args, "--pattern-stripes", 0)?;
     let budget = budget_arg(ctx, args, false)?;
     let faults = entry.experiment_faults();
     let mut out = String::new();
-    if flag_value(args, "--pattern-stripes").is_some() {
-        let stripes: usize = parse_flag(args, "--pattern-stripes", 0)?;
-        if opts.engine == SimEngineKind::Dense {
-            return Err("--pattern-stripes requires --engine event (the 2D tiled \
-                 engine's event axis); drop --engine dense"
-                .into());
-        }
-        // With no explicit --block-words the tiled engine picks the
-        // width itself (pattern count and cache budget), instead of
-        // inheriting the 1D default of 4.
-        let block_words = if flag_value(args, "--block-words").is_some() {
-            opts.block_words
-        } else {
-            0
-        };
-        let topts = TileOptions {
-            block_words,
-            pattern_stripes: stripes,
-            threads,
-            ..TileOptions::default()
-        };
-        let outcome = fault_coverage_tiled_robust(
-            circuit,
-            faults,
-            WeightedPatterns::new(weights, seed),
-            patterns,
-            true,
-            &topts,
-            &budget,
-        );
-        let robust = match outcome {
-            RunOutcome::Complete(robust) => robust,
-            RunOutcome::Interrupted {
-                partial,
-                reason,
-                progress,
-            } => {
-                report_interrupt(&mut out, "simulation", reason, &progress);
-                partial
-            }
-        };
-        let _ = writeln!(out, "{}", robust.result);
-        if !robust.recovery.is_clean() {
-            let _ = writeln!(
-                out,
-                "tile recovery: {} worker panic(s), {} replay(s), {} unresolved — {}",
-                robust.recovery.worker_panics,
-                robust.recovery.replays,
-                robust.recovery.unresolved.len(),
-                robust.recovery.ladder,
-            );
-        }
-        let s = robust.stats;
-        let _ = writeln!(
-            out,
-            "engine tiled-2d (W={}): {} stripe(s) × {} shard(s) on {} thread(s), \
-             {} tile(s), {} steal(s)",
-            s.block_words, s.stripes, s.shards, s.threads, s.tiles, s.steals,
-        );
-        let _ = writeln!(
-            out,
-            "gate evals: {} total ({} stripe 0, {} later stripes), {} root propagations",
-            s.sim.node_evals, s.probe_node_evals, s.event_node_evals, s.sim.root_propagations,
-        );
-        return Ok(out);
-    }
     let outcome = fault_coverage_robust(
         circuit,
         faults,
@@ -1152,6 +1080,30 @@ mod tests {
         )
         .expect("runs");
         assert!(!out.contains("interrupted"), "{out}");
+    }
+
+    #[test]
+    fn a_deadline_bounds_a_huge_stream_with_a_nonempty_prefix() {
+        // The engine streams patterns and checks the deadline per chunk,
+        // so 60 M patterns under a 0.2 s limit stop early with a partial
+        // over a pattern prefix; the stripes flag changes nothing.
+        let argv = args(&[
+            "simulate", "c2670ish", "--patterns", "60000000", "--threads", "2",
+            "--time-limit", "0.2", "--pattern-stripes", "0",
+        ]);
+        let start = std::time::Instant::now();
+        let out = execute(&ctx(), &argv).expect("interrupted ok");
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}: {out}");
+        let line = out.lines().next().expect("an interrupt line");
+        let done: u64 = line
+            .strip_prefix("simulation interrupted (wall-clock deadline reached) after ")
+            .and_then(|rest| rest.strip_suffix(" of 60000000 patterns"))
+            .unwrap_or_else(|| panic!("not a deadline partial: {out}"))
+            .parse()
+            .expect("a pattern count");
+        assert!(done > 0 && done < 60_000_000, "{out}");
+        assert!(out.contains(&format!("after {done} patterns")), "{out}");
     }
 
     #[test]

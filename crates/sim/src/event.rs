@@ -59,7 +59,6 @@
 use wrt_circuit::{Circuit, GateKind, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
 
-use crate::coverage::CoverageResult;
 use crate::fault_sim::FaultWorklist;
 use crate::logic::{eval_gate_lanes, WideLogicSim};
 use crate::patterns::{PatternBlock, PatternSource};
@@ -73,8 +72,7 @@ pub const SUPPORTED_BLOCK_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Monomorphizes `$body` over the supported superblock widths: `$W`
 /// becomes a `const usize` bound to the runtime value `$w`.  The one copy
-/// of the width dispatch, shared by the serial drivers here and the
-/// sharded workers in `parallel.rs`.
+/// of the width dispatch, used by the shard workers in `parallel.rs`.
 ///
 /// Callers must have validated `$w` via [`SimOptions::validate`] first.
 macro_rules! with_block_words {
@@ -187,12 +185,6 @@ impl SimOptions {
                 .to_string());
         }
         Ok(())
-    }
-
-    fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid SimOptions: {e}");
-        }
     }
 }
 
@@ -848,115 +840,12 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     }
 }
 
-/// [`crate::fault_coverage`] with a configurable inner loop: runs the
-/// selected engine ([`SimOptions`]) and additionally returns its
-/// machine-independent work counters.
-///
-/// Results are bit-identical across every engine/width combination — the
-/// property test in this module proves it — so callers pick options purely
-/// on speed.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`].
-pub fn fault_coverage_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-    opts: SimOptions,
-) -> (CoverageResult, SimStats) {
-    opts.assert_valid();
-    match opts.engine {
-        SimEngineKind::Dense => crate::fault_sim::fault_coverage_stats(
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            drop,
-        ),
-        SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-            event_coverage::<W>(circuit, faults, source, num_patterns, drop)
-        }),
-    }
-}
-
-/// [`crate::detection_counts`] with a configurable inner loop; see
-/// [`fault_coverage_opts`].
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`].
-pub fn detection_counts_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    opts: SimOptions,
-) -> (Vec<u64>, SimStats) {
-    opts.assert_valid();
-    match opts.engine {
-        SimEngineKind::Dense => {
-            crate::fault_sim::detection_counts_stats(circuit, faults, source, num_patterns)
-        }
-        SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-            event_counts::<W>(circuit, faults, source, num_patterns)
-        }),
-    }
-}
-
-fn event_coverage<const W: usize>(
-    circuit: &Circuit,
-    faults: &FaultList,
-    mut source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-) -> (CoverageResult, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, faults);
-    let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
-    let mut worklist = FaultWorklist::full(faults.len());
-    let mut sb = SuperBlock::<W>::empty(source.num_inputs());
-    let mut done = 0u64;
-    while done < num_patterns && !(drop && worklist.is_empty()) {
-        sb.refill_draw(&mut source, num_patterns - done);
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-            if detected_at[i].is_none() {
-                let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                detected_at[i] = Some(done + u64::from(bit));
-            }
-        });
-        done += u64::from(sb.len);
-    }
-    (CoverageResult::new(detected_at, num_patterns), sim.stats())
-}
-
-fn event_counts<const W: usize>(
-    circuit: &Circuit,
-    faults: &FaultList,
-    mut source: impl PatternSource,
-    num_patterns: u64,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, faults);
-    let mut counts = vec![0u64; faults.len()];
-    let mut worklist = FaultWorklist::full(faults.len());
-    let mut sb = SuperBlock::<W>::empty(source.num_inputs());
-    let mut done = 0u64;
-    while done < num_patterns {
-        sb.refill_draw(&mut source, num_patterns - done);
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, false, |i, w| {
-            counts[i] += u64::from(count_set_bits(&w));
-        });
-        done += u64::from(sb.len);
-    }
-    (counts, sim.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::{ExhaustivePatterns, WeightedPatterns};
+    use crate::test_support::{counts, coverage};
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -1045,9 +934,9 @@ mod tests {
         let dense = fault_coverage(&c, &faults, short(), 200, true);
         for words in SUPPORTED_BLOCK_WORDS {
             let (event, _) =
-                fault_coverage_opts(&c, &faults, short(), 200, true, SimOptions::event(words));
+                coverage(&c, &faults, short(), 200, true, 1, SimOptions::event(words));
             assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
-            let (sharded, _) = crate::parallel::fault_coverage_sharded_opts(
+            let (sharded, _) = coverage(
                 &c,
                 &faults,
                 short(),
@@ -1096,12 +985,12 @@ mod tests {
         let dense = fault_coverage(&c, &faults, ExhaustivePatterns::new(3), 8, false);
         for drop in [false, true] {
             for words in SUPPORTED_BLOCK_WORDS {
-                let (event, stats) = fault_coverage_opts(
+                let (event, stats) = coverage(
                     &c,
                     &faults,
                     ExhaustivePatterns::new(3),
                     8,
-                    drop,
+                    drop, 1,
                     SimOptions::event(words),
                 );
                 assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
@@ -1116,11 +1005,11 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let dense = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 5), 999);
         for words in SUPPORTED_BLOCK_WORDS {
-            let (event, _) = detection_counts_opts(
+            let (event, _) = counts(
                 &c,
                 &faults,
                 WeightedPatterns::equiprobable(3, 5),
-                999,
+                999, 1,
                 SimOptions::event(words),
             );
             assert_eq!(dense, event, "W = {words}");
@@ -1132,12 +1021,12 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let plain = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 2), 256, true);
-        let (dense, stats) = fault_coverage_opts(
+        let (dense, stats) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 2),
             256,
-            true,
+            true, 1,
             SimOptions::dense(),
         );
         assert_eq!(plain.detected_at(), dense.detected_at());
@@ -1180,20 +1069,20 @@ mod tests {
     fn event_never_evaluates_more_than_dense() {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
-        let (_, dense) = fault_coverage_opts(
+        let (_, dense) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 77),
             512,
-            true,
+            true, 1,
             SimOptions::dense(),
         );
-        let (_, event) = fault_coverage_opts(
+        let (_, event) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 77),
             512,
-            true,
+            true, 1,
             SimOptions::event(1),
         );
         // Same blocks, same drops at W = 1: the event engine evaluates a
@@ -1232,12 +1121,12 @@ mod tests {
     fn invalid_width_panics_in_driver() {
         let c = adder();
         let faults = wrt_fault::FaultList::primary_inputs(&c);
-        let _ = fault_coverage_opts(
+        let _ = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 1),
             64,
-            true,
+            true, 1,
             SimOptions::event(5),
         );
     }
@@ -1247,9 +1136,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
-    use crate::parallel::{detection_counts_sharded_opts, fault_coverage_sharded_opts};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::arb_circuit;
+    use crate::test_support::{arb_circuit, counts, coverage};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
@@ -1280,14 +1168,14 @@ mod proptests {
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop,
             );
-            let (event, event_stats) = fault_coverage_opts(
+            let (event, event_stats) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, opts,
+                patterns, drop, 1, opts,
             );
             prop_assert_eq!(dense.detected_at(), event.detected_at());
 
-            let (event_sharded, sharded_stats) = fault_coverage_sharded_opts(
+            let (event_sharded, sharded_stats) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop, threads, opts,
@@ -1297,24 +1185,24 @@ mod proptests {
             // counter — root propagations and gate evals included.
             prop_assert_eq!(event_stats, sharded_stats);
 
-            let counts = detection_counts(
+            let serial_counts = detection_counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns,
             );
-            let (counts_event, _) = detection_counts_opts(
+            let (counts_event, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, opts,
+                patterns, 1, opts,
             );
-            prop_assert_eq!(&counts, &counts_event);
+            prop_assert_eq!(&serial_counts, &counts_event);
 
-            let (counts_sharded, _) = detection_counts_sharded_opts(
+            let (counts_sharded, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights, seed),
                 patterns, threads, opts,
             );
-            prop_assert_eq!(&counts, &counts_sharded);
+            prop_assert_eq!(&serial_counts, &counts_sharded);
         }
 
         /// Root grouping keeps every per-fault counter exact: at `W = 1`
@@ -1330,10 +1218,10 @@ mod proptests {
             drop in any::<bool>(),
         ) {
             let faults = FaultList::full(&circuit);
-            let run = |opts| fault_coverage_opts(
+            let run = |opts| coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, opts,
+                patterns, drop, 1, opts,
             ).1;
             let (dense, event) = (run(SimOptions::dense()), run(SimOptions::event(1)));
             prop_assert!(event.node_evals <= dense.node_evals);
@@ -1357,10 +1245,10 @@ mod proptests {
             patterns in 1u64..700,
         ) {
             let faults = FaultList::full(&circuit);
-            let (_, dense) = fault_coverage_opts(
+            let (_, dense) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, true, SimOptions::dense(),
+                patterns, true, 1, SimOptions::dense(),
             );
             let excited = with_block_words!(SUPPORTED_BLOCK_WORDS[width_idx], W => {
                 let mut sim = EventSimulator::<W>::new(&circuit, &faults);
@@ -1402,7 +1290,7 @@ mod proptests {
                 WeightedPatterns::equiprobable(4, seed),
                 300, true,
             );
-            let (sharded, _) = fault_coverage_sharded_opts(
+            let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
                 300, true, faults.len() * 3 + 7, opts,

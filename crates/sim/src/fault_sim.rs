@@ -52,9 +52,6 @@ pub struct FaultSimulator<'c> {
     faulty: Vec<u64>,
     touched: Vec<u32>,
     epoch: u32,
-    /// Scratch worklist reused by [`FaultSimulator::detect_block_filtered`]
-    /// so repeated filtered calls do not rebuild an index vector per block.
-    filtered_scratch: FaultWorklist,
     stats: SimStats,
 }
 
@@ -88,7 +85,6 @@ impl<'c> FaultSimulator<'c> {
             faulty: vec![0; circuit.num_nodes()],
             touched: vec![0; circuit.num_nodes()],
             epoch: 0,
-            filtered_scratch: FaultWorklist { indices: Vec::new() },
             stats: SimStats::default(),
         }
     }
@@ -146,46 +142,6 @@ impl<'c> FaultSimulator<'c> {
             let w = self.detect_fault_in_block(i, mask);
             out.push(w);
         }
-    }
-
-    /// Like [`FaultSimulator::detect_block`] but only for the faults whose
-    /// index satisfies `active`; inactive faults report 0.
-    ///
-    /// Implemented over an internal scratch [`FaultWorklist`] (refilled,
-    /// never reallocated), so only the active faults are visited and the
-    /// call is allocation-free apart from the returned vector — use
-    /// [`FaultSimulator::detect_block_filtered_into`] to avoid that too.
-    /// Streaming callers that drop faults across many blocks should keep a
-    /// persistent worklist and call
-    /// [`FaultSimulator::detect_block_worklist`] instead.
-    pub fn detect_block_filtered(
-        &mut self,
-        pi_words: &[u64],
-        mask: u64,
-        active: &[bool],
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.detect_block_filtered_into(pi_words, mask, active, &mut out);
-        out
-    }
-
-    /// [`FaultSimulator::detect_block_filtered`] into a caller-provided
-    /// buffer: no allocation at all once the buffer and the internal
-    /// scratch worklist have grown to fault-list size.
-    pub fn detect_block_filtered_into(
-        &mut self,
-        pi_words: &[u64],
-        mask: u64,
-        active: &[bool],
-        out: &mut Vec<u64>,
-    ) {
-        assert_eq!(active.len(), self.faults.len(), "one flag per fault");
-        let mut worklist = std::mem::take(&mut self.filtered_scratch);
-        worklist.refill_from_active(active);
-        out.clear();
-        out.resize(self.faults.len(), 0);
-        self.detect_block_worklist(pi_words, mask, &mut worklist, false, |i, w| out[i] = w);
-        self.filtered_scratch = worklist;
     }
 
     /// Simulates one block fault-free, then visits exactly the faults in
@@ -304,34 +260,12 @@ impl FaultWorklist {
         }
     }
 
-    /// A worklist of exactly the given fault indices (the 2D tiled
-    /// engine's per-tile event-axis membership).
-    pub fn from_indices(indices: &[u32]) -> Self {
-        FaultWorklist {
-            indices: indices.to_vec(),
-        }
-    }
-
     /// A worklist of the indices whose `active` flag is set.
     pub fn from_active(active: &[bool]) -> Self {
-        let mut list = FaultWorklist {
-            indices: Vec::new(),
-        };
-        list.refill_from_active(active);
-        list
-    }
-
-    /// Clears the worklist and refills it with the indices whose `active`
-    /// flag is set, reusing the existing allocation.
-    pub fn refill_from_active(&mut self, active: &[bool]) {
-        self.indices.clear();
-        self.indices.extend(
-            active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(i, _)| i as u32),
-        );
+        let indices = active.iter().enumerate().filter(|&(_, &a)| a);
+        FaultWorklist {
+            indices: indices.map(|(i, _)| i as u32).collect(),
+        }
     }
 
     /// Number of faults still active.
@@ -381,7 +315,8 @@ impl FaultWorklist {
 }
 
 /// Runs `num_patterns` patterns from `source` against `faults` and records
-/// first-detection indices and the coverage curve.
+/// first-detection indices and the coverage curve: the serial dense
+/// oracle that [`crate::fault_coverage_robust`] is tested against.
 ///
 /// With `drop = true` a fault is no longer simulated after its first
 /// detection (standard fault dropping; much faster, same coverage result).
@@ -391,22 +326,10 @@ impl FaultWorklist {
 pub fn fault_coverage(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-) -> CoverageResult {
-    fault_coverage_stats(circuit, faults, source, num_patterns, drop).0
-}
-
-/// [`fault_coverage`] plus the dense engine's work counters (the stats
-/// side of [`crate::fault_coverage_opts`] with [`crate::SimOptions::dense`]).
-pub(crate) fn fault_coverage_stats(
-    circuit: &Circuit,
-    faults: &FaultList,
     mut source: impl PatternSource,
     num_patterns: u64,
     drop: bool,
-) -> (CoverageResult, SimStats) {
+) -> CoverageResult {
     let mut sim = FaultSimulator::new(circuit, faults);
     let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
     let mut worklist = FaultWorklist::full(faults.len());
@@ -422,32 +345,23 @@ pub(crate) fn fault_coverage_stats(
         });
         done += u64::from(block.len);
     }
-    (CoverageResult::new(detected_at, num_patterns), sim.stats())
+    CoverageResult::new(detected_at, num_patterns)
 }
 
 /// Counts, for every fault, how many of `num_patterns` patterns detect it
-/// (no dropping).  `counts[f] / num_patterns` is the Monte-Carlo estimate
+/// (no dropping): the serial dense oracle of
+/// [`crate::detection_counts_robust`].  `counts[f] / num_patterns` is the Monte-Carlo estimate
 /// of the detection probability `p_f(X)` for the source's distribution `X`.
-pub fn detection_counts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-) -> Vec<u64> {
-    detection_counts_stats(circuit, faults, source, num_patterns).0
-}
-
-/// [`detection_counts`] plus the dense engine's work counters.
 ///
 /// Runs over a persistent full [`FaultWorklist`] instead of the allocating
 /// [`FaultSimulator::detect_block`], so the streaming loop performs no
 /// per-block allocation.
-pub(crate) fn detection_counts_stats(
+pub fn detection_counts(
     circuit: &Circuit,
     faults: &FaultList,
     mut source: impl PatternSource,
     num_patterns: u64,
-) -> (Vec<u64>, SimStats) {
+) -> Vec<u64> {
     let mut sim = FaultSimulator::new(circuit, faults);
     let mut counts = vec![0u64; faults.len()];
     let mut worklist = FaultWorklist::full(faults.len());
@@ -460,7 +374,7 @@ pub(crate) fn detection_counts_stats(
         });
         done += u64::from(block.len);
     }
-    (counts, sim.stats())
+    counts
 }
 
 #[cfg(test)]
@@ -603,18 +517,16 @@ mod tests {
         let mut buf = Vec::new();
         sim.detect_block_into(&words, 0b1111, &mut buf);
         assert_eq!(all, buf);
-        // Filtered with every-other fault active; repeated calls reuse the
-        // internal scratch worklist.
+        // Filtered through a worklist of every other fault: only active
+        // faults are visited, each with its unfiltered detection word.
         let active: Vec<bool> = (0..faults.len()).map(|i| i % 2 == 0).collect();
-        for _ in 0..3 {
-            let filtered = sim.detect_block_filtered(&words, 0b1111, &active);
-            for (i, (&f, &a)) in filtered.iter().zip(&all).enumerate() {
-                assert_eq!(f, if active[i] { a } else { 0 }, "fault {i}");
-            }
+        let mut worklist = FaultWorklist::from_active(&active);
+        let mut filtered = vec![0; faults.len()];
+        sim.detect_block_worklist(&words, 0b1111, &mut worklist, false, |i, w| filtered[i] = w);
+        for (i, (&f, &a)) in filtered.iter().zip(&all).enumerate() {
+            assert_eq!(f, if active[i] { a } else { 0 }, "fault {i}");
         }
-        let mut out = Vec::new();
-        sim.detect_block_filtered_into(&words, 0b1111, &active, &mut out);
-        assert_eq!(out, sim.detect_block_filtered(&words, 0b1111, &active));
+        assert_eq!(worklist.len(), faults.len().div_ceil(2));
     }
 
     #[test]

@@ -10,13 +10,20 @@
 //! All randomness is deterministic and seed-driven ([`Xoshiro256`]), so
 //! every experiment in the workspace is bit-reproducible.
 //!
-//! # Engines
+//! # One engine, two inner loops
 //!
-//! Two PPSFP inner loops share one contract (selected via [`SimOptions`],
-//! results always bit-identical):
+//! Fault simulation runs through one budgeted, panic-isolated pair,
+//! [`fault_coverage_robust`] and [`detection_counts_robust`]: the fault
+//! list is cut into cone-locality-aware shards (an effect root never
+//! spans two), one worker thread per shard, and the sequential,
+//! seed-deterministic pattern stream is broadcast to every worker in
+//! bounded chunks — so a run keeps to its deadline and its memory stays
+//! flat whatever the pattern count.  `threads = 1` runs one shard.  Each
+//! shard worker runs one of two PPSFP inner loops (selected via
+//! [`SimOptions`], results always bit-identical):
 //!
-//! * **dense** ([`FaultSimulator`]) — one `u64` block, per-fault cone
-//!   walk; the simple reference engine and the oracle.
+//! * **dense** — the [`FaultSimulator`]'s per-fault cone walk over one
+//!   `u64` block;
 //! * **event** ([`EventSimulator`]) — event-driven sparse propagation
 //!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
 //!   only nodes actually reached by a fault effect are evaluated, and
@@ -27,41 +34,15 @@
 //!   since gate evaluation is lane-independent).  See [`EventSimulator`]
 //!   for the grouping and the ready-set invariants.
 //!
-//! On top of both sits the **2D tiled engine** ([`fault_coverage_tiled`]):
-//! fault-shard × pattern-stripe tiles pulled from a work-stealing queue in
-//! two passes — stripe 0 (the first superblock) as one tile per shard,
-//! then the later stripes without the faults stripe 0 detected.
-//! Bit-identical to serial, with the same gate evals, for every thread
-//! count, shard count, and steal order — see the `tile` module docs.
+//! Merging per-shard results by fault id makes the engine bit-identical
+//! to the serial dense oracle ([`fault_coverage`], [`detection_counts`])
+//! for every thread count, engine and width — a property-tested
+//! invariant.  Both entry points also report machine-independent work
+//! counters ([`SimStats`]), the metrics `BENCH_sim.json` tracks, and
+//! what shard recovery the run needed ([`ShardRecovery`]).
 //!
-//! [`fault_coverage_opts`] / [`detection_counts_opts`] (and their
-//! `_sharded_opts` variants) run the configured engine and also report
-//! machine-independent work counters ([`SimStats`]) — the metrics
-//! `BENCH_sim.json` tracks.
-//!
-//! # Sharded PPSFP
-//!
-//! The serial entry points ([`fault_coverage`], [`detection_counts`]) have
-//! sharded counterparts ([`fault_coverage_sharded`],
-//! [`detection_counts_sharded`]) that fan the fault list out over worker
-//! threads:
-//!
-//! 1. the collapsed fault list is partitioned into cone-locality-aware,
-//!    cost-balanced shards (`wrt_fault::FaultPartition`) — an effect root
-//!    never spans two shards, so each root is still propagated once per
-//!    superblock and every shard count spends the serial engine's evals;
-//! 2. each shard gets a `std::thread::scope` worker owning a private
-//!    [`FaultSimulator`] (scratch state, good-value buffers) and a
-//!    compacted [`FaultWorklist`] that swap-removes faults on detection,
-//!    so late blocks only touch still-undetected faults;
-//! 3. the main thread draws blocks from the sequential, seed-deterministic
-//!    pattern source and broadcasts them in bounded chunks; workers that
-//!    drain their worklist hang up early.
-//!
-//! Merging per-shard results by fault id makes the sharded engine
-//! bit-identical to the serial one for every thread count (a property-
-//! tested invariant), while the fault-parallel fan-out scales the paper's
-//! Monte-Carlo estimation and validation loops across cores.
+//! [`fault_coverage_tiled_robust`] and its option and stats types are a
+//! compatibility forwarder for the retired 2D tiled engine.
 //!
 //! # Example
 //!
@@ -90,30 +71,24 @@ mod multiple;
 mod parallel;
 mod patterns;
 mod rng;
-mod robust;
 #[cfg(test)]
 mod test_support;
 mod tile;
 
 pub use coverage::{CoverageCurve, CoverageResult};
 pub use event::{
-    count_set_bits, detection_counts_opts, fault_coverage_opts, first_set_bit, superblock_split,
-    EventSimulator, FaultEvalProfile, SimEngineKind, SimOptions, SimStats, SuperBlock,
-    SUPPORTED_BLOCK_WORDS,
-};
-pub use tile::{
-    detection_counts_tiled, fault_coverage_tiled, fault_coverage_tiled_robust, BatchMode,
-    RobustTiledCoverage, TileOptions, TileStats,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile,
+    SimEngineKind, SimOptions, SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
 };
 pub use fault_sim::{detection_counts, fault_coverage, FaultSimulator, FaultWorklist};
-pub use parallel::{
-    available_threads, detection_counts_sharded, detection_counts_sharded_opts,
-    fault_coverage_sharded, fault_coverage_sharded_opts, recommended_threads, ShardRecovery,
-};
-pub use robust::{
-    detection_counts_robust, fault_coverage_robust, RobustCounts, RobustCoverage,
-};
-pub use multiple::{detect_multiple, multiple_fault_coverage, random_multiples};
 pub use logic::{eval_gate_lanes, eval_gate_words, simulate_pattern, LogicSim, WideLogicSim};
+pub use multiple::{detect_multiple, multiple_fault_coverage, random_multiples};
+pub use parallel::{
+    available_threads, detection_counts_robust, fault_coverage_robust, recommended_threads,
+    RobustCounts, RobustCoverage, ShardRecovery,
+};
 pub use patterns::{ExhaustivePatterns, PatternBlock, PatternSource, WeightedPatterns};
 pub use rng::Xoshiro256;
+pub use tile::{
+    fault_coverage_tiled_robust, BatchMode, RobustTiledCoverage, TileOptions, TileStats,
+};

@@ -1,11 +1,13 @@
-//! Sharded multi-threaded PPSFP fault simulation.
+//! The fault-simulation engine: sharded, streaming, budgeted PPSFP.
 //!
 //! PPSFP is embarrassingly parallel across faults: every fault's detection
 //! words depend only on the fault-free block values and the fault's own
-//! cone.  The engine here partitions the fault list into cone-locality-aware
-//! shards ([`FaultPartition`]), gives each shard a worker thread owning its
-//! own [`FaultSimulator`] scratch state and compacted [`FaultWorklist`],
-//! and streams pattern blocks to all workers in bounded chunks.
+//! cone.  The engine partitions the fault list into cone-locality-aware
+//! shards ([`FaultPartition`]), gives each shard a worker thread with its
+//! own simulator scratch state and compacted [`FaultWorklist`], and
+//! streams pattern blocks to all workers in bounded chunks.
+//! [`fault_coverage_robust`] and [`detection_counts_robust`] are its entry
+//! points; `threads = 1` runs one shard.
 //!
 //! Design:
 //!
@@ -14,15 +16,48 @@
 //!   source and broadcasts reference-counted chunks over bounded channels;
 //!   every worker simulates *all* patterns against *its* faults.  Results
 //!   are merged by fault id, so the outcome is bit-identical to the serial
-//!   engine's — same `detected_at`, same counts — for any thread count.
+//!   dense oracle's — same `detected_at`, same counts — for any thread
+//!   count.  An effect root never spans two shards, so the event kernel
+//!   still propagates each root once per superblock and every shard count
+//!   spends the same gate evals.
 //! * **Duplicated good simulation.**  Each worker re-runs the fault-free
 //!   simulation of a block for its own scratch state.  That multiplies the
 //!   (cheap, `O(gates)`) good simulation by the shard count but keeps
 //!   workers completely independent — no shared mutable state, no locks.
 //! * **Compacted worklists + early exit.**  With fault dropping, a worker
-//!   swap-removes detected faults and stops consuming chunks once its
-//!   worklist drains; the producer stops generating as soon as every
-//!   worker has hung up.
+//!   swap-removes detected faults and hangs up once its worklist drains;
+//!   the producer stops generating as soon as every worker has hung up.
+//! * **Bounded memory.**  At most a few chunks are alive per worker,
+//!   whatever the pattern count, and a run never draws patterns it will
+//!   not simulate.
+//!
+//! # Budgets
+//!
+//! The eval axis of the budget is counted in *canonical* units: one eval
+//! per circuit node per pattern of fault-free simulation.  That makes
+//! `max_evals` a machine- and thread-count-independent measure of the
+//! pattern stream, so an eval-budget interruption at the same value
+//! yields the *bit-identical* partial result across runs, engines, and
+//! thread counts: the budget resolves upfront to a deterministic pattern
+//! clip `min(num_patterns, max_evals / num_nodes)`.  The real measured
+//! work (which is far lower for the event engine) is still reported via
+//! [`SimStats`].
+//!
+//! Wall-clock deadlines and cancellation trip at chunk boundaries, so
+//! their partial results are well-formed prefixes of the pattern stream —
+//! but *which* prefix depends on timing, and they are explicitly excluded
+//! from the bit-identity claim.
+//!
+//! # Panic isolation
+//!
+//! A worker panic (or an injected spawn/merge failure from an armed
+//! fail-point session) does not abort the run: the poisoned shard is
+//! requeued for serial replay against a fresh clone of the pattern
+//! source — first on the same engine, then once more on the dense engine
+//! — which reproduces the lost results bit-identically, because every
+//! worker consumes the same deterministic stream.  Shards that fail every
+//! retry surface their faults in [`ShardRecovery::unresolved`] instead of
+//! panicking.
 //!
 //! `std::thread::scope` keeps everything dependency-free and lets workers
 //! borrow the circuit and fault list directly.
@@ -35,12 +70,14 @@ use std::sync::Arc;
 use wrt_circuit::Circuit;
 use wrt_fault::{FaultId, FaultList, FaultPartition};
 use wrt_robust::failpoint::{self, sites};
-use wrt_robust::{Budget, BudgetExceeded, DegradeStep, InjectedFailure, Ladder};
+use wrt_robust::{
+    Budget, BudgetExceeded, DegradeStep, InjectedFailure, Ladder, Progress, RunOutcome,
+};
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, detection_counts_opts, fault_coverage_opts, first_set_bit, superblock_split,
-    with_block_words, EventSimulator, SimEngineKind, SimOptions, SimStats, SuperBlock,
+    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator,
+    SimEngineKind, SimOptions, SimStats, SuperBlock,
 };
 use crate::fault_sim::{FaultSimulator, FaultWorklist};
 use crate::patterns::{PatternBlock, PatternSource};
@@ -48,6 +85,9 @@ use crate::patterns::{PatternBlock, PatternSource};
 /// Pattern blocks per broadcast chunk (8 Ki patterns): large enough to
 /// amortize channel traffic, small enough to bound in-flight memory and
 /// to overlap pattern generation with simulation even on short runs.
+/// A multiple of every supported superblock width, so the event worker's
+/// superblocks coincide with [`SuperBlock::refill_draw`]'s grouping of
+/// the same stream.
 const CHUNK_BLOCKS: usize = 128;
 
 /// Chunks a worker may have queued; the producer blocks beyond that, so
@@ -56,12 +96,12 @@ const CHANNEL_DEPTH: usize = 2;
 
 /// A run of consecutive pattern blocks starting at pattern `start`.
 #[derive(Debug)]
-pub(crate) struct Chunk {
-    pub(crate) start: u64,
-    pub(crate) blocks: Vec<PatternBlock>,
+struct Chunk {
+    start: u64,
+    blocks: Vec<PatternBlock>,
 }
 
-/// What the sharded engine had to do to bring a run to completion.
+/// What the engine had to do to bring a run to completion.
 ///
 /// A clean run has zero everything.  When a shard worker dies — a real
 /// panic or an injected one — the engine requeues that shard's fault
@@ -96,15 +136,29 @@ impl ShardRecovery {
     }
 }
 
-/// Everything [`run_sharded`] reports alongside the merged `out` values.
-pub(crate) struct ShardRunOutcome {
-    pub(crate) stats: SimStats,
-    pub(crate) recovery: ShardRecovery,
-    /// Patterns actually streamed to the workers — `num_patterns` unless
-    /// a budget axis tripped at a chunk boundary.
-    pub(crate) streamed: u64,
-    /// The budget axis that stopped streaming early, if any.
-    pub(crate) tripped: Option<BudgetExceeded>,
+/// A budgeted coverage run's payload: the (possibly partial) coverage,
+/// the merged work counters, and the recovery record.
+#[derive(Debug, Clone)]
+pub struct RobustCoverage {
+    /// Detection results over the patterns actually simulated.
+    pub result: CoverageResult,
+    /// Merged machine-independent work counters.
+    pub stats: SimStats,
+    /// What recovery, if any, the run needed.
+    pub recovery: ShardRecovery,
+}
+
+/// A budgeted detection-counts run's payload.
+#[derive(Debug, Clone)]
+pub struct RobustCounts {
+    /// Per-fault detection counts over the patterns actually simulated.
+    pub counts: Vec<u64>,
+    /// Patterns actually simulated (the denominator for frequencies).
+    pub num_patterns: u64,
+    /// Merged machine-independent work counters.
+    pub stats: SimStats,
+    /// What recovery, if any, the run needed.
+    pub recovery: ShardRecovery,
 }
 
 /// Number of worker threads to use when the caller passes `threads = 0`:
@@ -122,10 +176,10 @@ const MIN_FAULTS_PER_SHARD: usize = 16;
 /// Resolves a requested thread count against a fault-list size:
 /// `0` becomes the machine's available parallelism capped so each
 /// auto-chosen shard gets at least a minimum number of faults; explicit
-/// counts are honored as given.  Results of the sharded engines are
-/// identical for every thread count — only the wall clock differs — so
-/// callers embedding the sharded engine (e.g. Monte-Carlo estimators)
-/// can use this to budget threads without changing outputs.
+/// counts are honored as given.  Results are identical for every thread
+/// count — only the wall clock differs — so callers embedding the engine
+/// (e.g. Monte-Carlo estimators) can use this to budget threads without
+/// changing outputs.
 pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
     if requested == 0 {
         available_threads()
@@ -134,6 +188,197 @@ pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
     } else {
         requested
     }
+}
+
+/// Budgeted, panic-isolated PPSFP fault coverage: the first detecting
+/// pattern of every fault over as many patterns as the budget admits,
+/// with structured shard recovery.  With `drop`, a detected fault is no
+/// longer simulated.  `threads = 0` resolves via [`recommended_threads`];
+/// `threads = 1` runs one shard.  Over the patterns it reports, the
+/// result is bit-identical to the dense oracle [`crate::fault_coverage`]
+/// for every engine, width and thread count.
+///
+/// # Panics
+///
+/// Panics if `opts` fails [`SimOptions::validate`] (programmer error —
+/// the CLI validates engine flags before reaching this point).
+// One argument past the lint's threshold: the run's inputs, its engine
+// and its budget.
+#[allow(clippy::too_many_arguments)]
+pub fn fault_coverage_robust(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: impl PatternSource + Clone,
+    num_patterns: u64,
+    drop: bool,
+    threads: usize,
+    opts: SimOptions,
+    budget: &Budget,
+) -> RunOutcome<RobustCoverage> {
+    let mode = Mode::Coverage { drop };
+    Job {
+        circuit,
+        faults,
+        mode,
+        opts,
+    }
+    .run(source, num_patterns, threads, budget)
+    .map(|run| RobustCoverage {
+        result: CoverageResult::new(
+            run.values
+                .into_iter()
+                .map(|p| (p != UNDETECTED).then_some(p))
+                .collect(),
+            run.patterns,
+        ),
+        stats: run.stats,
+        recovery: run.recovery,
+    })
+}
+
+/// Budgeted, panic-isolated PPSFP detection counts: for every fault, how
+/// many of the simulated patterns detect it (no dropping) — the
+/// Monte-Carlo estimate of `p_f(X)` is `counts[f] / num_patterns`.  See
+/// [`fault_coverage_robust`] for the threads, budget and recovery
+/// semantics; counts are bit-identical to [`crate::detection_counts`].
+///
+/// # Panics
+///
+/// Panics if `opts` fails [`SimOptions::validate`].
+pub fn detection_counts_robust(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: impl PatternSource + Clone,
+    num_patterns: u64,
+    threads: usize,
+    opts: SimOptions,
+    budget: &Budget,
+) -> RunOutcome<RobustCounts> {
+    let mode = Mode::Counts;
+    Job {
+        circuit,
+        faults,
+        mode,
+        opts,
+    }
+    .run(source, num_patterns, threads, budget)
+    .map(|run| RobustCounts {
+        counts: run.values,
+        num_patterns: run.patterns,
+        stats: run.stats,
+        recovery: run.recovery,
+    })
+}
+
+/// A coverage slot's value while its fault is undetected.
+const UNDETECTED: u64 = u64::MAX;
+
+/// What a worker records per fault: the first detecting pattern
+/// (coverage, with or without fault dropping) or the number of detecting
+/// patterns (counts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Coverage { drop: bool },
+    Counts,
+}
+
+impl Mode {
+    fn drops(self) -> bool {
+        self == Mode::Coverage { drop: true }
+    }
+
+    /// A fault's value before any detection.
+    fn initial(self) -> u64 {
+        match self {
+            Mode::Coverage { .. } => UNDETECTED,
+            Mode::Counts => 0,
+        }
+    }
+
+    /// The one recording rule both workers share: folds the detection
+    /// lanes of a pass starting at pattern `base` into a fault's slot.
+    fn record<const W: usize>(self, slot: &mut u64, base: u64, lanes: &[u64; W]) {
+        match self {
+            Mode::Coverage { .. } => {
+                if *slot == UNDETECTED {
+                    let bit = first_set_bit(lanes).expect("a detection sets a bit");
+                    *slot = base + u64::from(bit);
+                }
+            }
+            Mode::Counts => *slot += u64::from(count_set_bits(lanes)),
+        }
+    }
+}
+
+/// Dense-engine shard worker: one [`FaultSimulator`] over the broadcast
+/// 64-pattern blocks.  Returns when the stream ends or, under dropping,
+/// when the worklist drains — dropping `rx` hangs up on the producer.
+fn worker_dense(
+    circuit: &Circuit,
+    sublist: &FaultList,
+    rx: Receiver<Arc<Chunk>>,
+    mode: Mode,
+) -> (Vec<u64>, SimStats) {
+    let mut sim = FaultSimulator::new(circuit, sublist);
+    let mut worklist = FaultWorklist::full(sublist.len());
+    let mut local = vec![mode.initial(); sublist.len()];
+    while let Ok(chunk) = rx.recv() {
+        let mut done = chunk.start;
+        for block in &chunk.blocks {
+            if mode.drops() && worklist.is_empty() {
+                return (local, sim.stats());
+            }
+            sim.detect_block_worklist(
+                &block.words,
+                block.mask(),
+                &mut worklist,
+                mode.drops(),
+                |i, w| {
+                    mode.record(&mut local[i], done, &[w]);
+                },
+            );
+            done += u64::from(block.len);
+        }
+    }
+    (local, sim.stats())
+}
+
+/// Event-engine shard worker: one [`EventSimulator`] over `W`-wide
+/// superblocks of the broadcast chunks.  Superblock boundaries come from
+/// [`superblock_split`] (extend only across full blocks), so the grouping
+/// is the serial stream's.  Hangs up like [`worker_dense`].
+fn worker_event<const W: usize>(
+    circuit: &Circuit,
+    sublist: &FaultList,
+    rx: Receiver<Arc<Chunk>>,
+    mode: Mode,
+) -> (Vec<u64>, SimStats) {
+    let mut sim = EventSimulator::<W>::new(circuit, sublist);
+    let mut worklist = FaultWorklist::full(sublist.len());
+    let mut local = vec![mode.initial(); sublist.len()];
+    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
+    while let Ok(chunk) = rx.recv() {
+        let (mut b, mut done) = (0, chunk.start);
+        while b < chunk.blocks.len() {
+            if mode.drops() && worklist.is_empty() {
+                return (local, sim.stats());
+            }
+            let take = superblock_split(&chunk.blocks[b..], W);
+            sb.refill_from_blocks(&chunk.blocks[b..b + take]);
+            sim.detect_superblock_worklist(
+                &sb.words,
+                sb.mask(),
+                &mut worklist,
+                mode.drops(),
+                |i, w| {
+                    mode.record(&mut local[i], done, &w);
+                },
+            );
+            done += u64::from(sb.len);
+            b += take;
+        }
+    }
+    (local, sim.stats())
 }
 
 /// Draws blocks from `source` and broadcasts them to `senders` in bounded
@@ -173,470 +418,212 @@ fn stream_chunks(
     (done, None)
 }
 
-/// Re-runs one poisoned shard serially: a fresh worker thread fed the
-/// full (deterministic) pattern stream again, over exactly the
-/// `num_patterns` the healthy shards consumed.  Returns `None` if the
-/// replay worker also panicked.
-fn replay_shard<T: Send>(
-    sublist: FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    worker: &(impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync),
-) -> Option<(Vec<T>, SimStats)> {
-    std::thread::scope(|scope| {
-        let (tx, rx): (SyncSender<Arc<Chunk>>, Receiver<Arc<Chunk>>) =
-            sync_channel(CHANNEL_DEPTH);
-        let handle = scope.spawn(move || worker(sublist, rx));
-        // No budget: the replay must reproduce the primary stream length
-        // exactly, and recovery is never cut short by a check-in.
-        stream_chunks(source, num_patterns, vec![tx], None);
-        handle.join().ok()
-    })
+/// One simulation request: what every shard worker and replay runs.
+struct Job<'a> {
+    circuit: &'a Circuit,
+    faults: &'a FaultList,
+    mode: Mode,
+    opts: SimOptions,
 }
 
-/// The shared fan-out scaffold's configuration: what to simulate, how
-/// wide to fan out, and which budget (if any) bounds the pattern stream.
-pub(crate) struct ShardedRun<'a, S> {
-    pub(crate) circuit: &'a Circuit,
-    pub(crate) faults: &'a FaultList,
-    pub(crate) source: S,
-    pub(crate) num_patterns: u64,
-    pub(crate) threads: usize,
-    pub(crate) budget: Option<&'a Budget>,
-    /// Whether `fallback` is a genuinely different engine than `worker`
-    /// (records [`DegradeStep::EventToDense`] on the second replay).
-    pub(crate) fallback_is_distinct: bool,
+/// A run's merged per-fault values (in [`Mode`]'s encoding), the patterns
+/// they cover, and what it cost.
+struct Run {
+    values: Vec<u64>,
+    patterns: u64,
+    stats: SimStats,
+    recovery: ShardRecovery,
 }
 
-/// The shared fan-out scaffold: partitions the fault list into
-/// cone-locality-aware shards, spawns one scoped worker per shard with
-/// its own bounded chunk channel, streams the pattern blocks, and merges
-/// each worker's per-shard vector back into `out` by fault id.
-///
-/// `worker` receives the shard's fault sublist and its chunk receiver and
-/// returns one result per shard fault (in sublist order) plus the shard's
-/// work counters.
-///
-/// # Panic isolation
-///
-/// A worker panic (or an injected spawn/merge failure from an armed
-/// fail-point session) no longer aborts the run: the poisoned shard is
-/// requeued for serial replay against a fresh clone of the pattern
-/// source — first on the same engine, then once more on the `fallback`
-/// (dense) engine — which reproduces the lost results bit-identically,
-/// because every worker consumes the same deterministic stream.  Shards
-/// that fail every retry surface their faults in
-/// [`ShardRecovery::unresolved`] instead of panicking.
-pub(crate) fn run_sharded<T: Send, S: PatternSource + Clone>(
-    run: ShardedRun<'_, S>,
-    out: &mut [T],
-    worker: impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync,
-    fallback: impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync,
-) -> ShardRunOutcome {
-    let ShardedRun {
-        circuit,
-        faults,
-        source,
-        num_patterns,
-        threads,
-        budget,
-        fallback_is_distinct,
-    } = run;
-    let partition = FaultPartition::cone_locality(circuit, faults, threads);
-    // Canonical eval unit: one fault-free node evaluation per pattern,
-    // making the eval budget a machine- and thread-count-independent
-    // measure of the pattern stream.
-    let evals_per_pattern = (circuit.num_nodes() as u64).max(1);
-    let mut stats = SimStats::default();
-    let mut recovery = ShardRecovery::default();
-    let replay_source = source.clone();
-    let mut poisoned: Vec<usize> = Vec::new();
-    let (streamed, tripped) = std::thread::scope(|scope| {
-        let worker = &worker;
-        let mut senders = Vec::with_capacity(partition.num_shards());
-        let mut handles = Vec::with_capacity(partition.num_shards());
-        for s in 0..partition.num_shards() {
-            let (tx, rx): (SyncSender<Arc<Chunk>>, Receiver<Arc<Chunk>>) =
-                sync_channel(CHANNEL_DEPTH);
-            senders.push(tx);
-            let sublist = partition.sublist(faults, s);
-            handles.push(
-                scope.spawn(move || -> Result<(Vec<T>, SimStats), InjectedFailure> {
-                    failpoint::hit(sites::WORKER_SPAWN)?;
-                    Ok(worker(sublist, rx))
-                }),
-            );
+impl Run {
+    /// Folds one shard's results in, by fault id.
+    fn merge(&mut self, shard: &[FaultId], (local, stats): (Vec<u64>, SimStats)) {
+        self.stats.merge(&stats);
+        for (value, &id) in local.into_iter().zip(shard) {
+            self.values[id.index()] = value;
         }
-        let streamed = stream_chunks(
-            source,
-            num_patterns,
-            senders,
-            budget.map(|b| (b, evals_per_pattern)),
-        );
-        for (s, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                // A real worker panic: isolate and requeue the shard.
-                Err(_panic) => {
-                    recovery.worker_panics += 1;
-                    poisoned.push(s);
-                }
-                // An injected spawn failure: same recovery, no unwind.
-                Ok(Err(_injected)) => poisoned.push(s),
-                Ok(Ok((local, local_stats))) => {
-                    // The merge fail point may be armed to panic; catch it
-                    // so an injected merge failure degrades to a shard
-                    // replay instead of aborting the run (safe code only —
-                    // the workspace forbids unsafe, and the registry lock
-                    // tolerates poisoning).
-                    match catch_unwind(AssertUnwindSafe(|| failpoint::hit(sites::SHARD_MERGE))) {
-                        Ok(Ok(())) => {
-                            stats.merge(&local_stats);
-                            for (value, &id) in local.into_iter().zip(partition.shard(s)) {
-                                out[id.index()] = value;
+    }
+}
+
+impl Job<'_> {
+    /// Resolves the budget's eval clip, runs the sharded scaffold, and
+    /// reports a runtime trip first, then the eval clip, as the interrupt.
+    fn run(
+        self,
+        source: impl PatternSource + Clone,
+        num_patterns: u64,
+        threads: usize,
+        budget: &Budget,
+    ) -> RunOutcome<Run> {
+        self.opts.validate().expect("invalid SimOptions");
+        let evals_per_pattern = (self.circuit.num_nodes() as u64).max(1);
+        let target = budget.max_evals().map_or(num_patterns, |max| {
+            (max / evals_per_pattern).min(num_patterns)
+        });
+        let mut run = Run {
+            values: vec![self.mode.initial(); self.faults.len()],
+            patterns: target,
+            stats: SimStats::default(),
+            recovery: ShardRecovery::default(),
+        };
+        let mut tripped = None;
+        if !self.faults.is_empty() {
+            let threads = recommended_threads(threads, self.faults.len());
+            tripped = self.run_sharded(&mut run, source, threads, (budget, evals_per_pattern));
+        }
+        let progress = Progress {
+            done: run.patterns,
+            total: Some(num_patterns),
+            unit: "patterns",
+        };
+        match tripped.or_else(|| (target < num_patterns).then_some(BudgetExceeded::Evals)) {
+            Some(reason) => RunOutcome::Interrupted {
+                partial: run,
+                reason,
+                progress,
+            },
+            None => RunOutcome::Complete(run),
+        }
+    }
+
+    /// The fan-out: one scoped worker per cone-locality shard, each with
+    /// its own bounded chunk channel, then the replay ladder for poisoned
+    /// shards.  Simulates up to `run.patterns` patterns, lowering it to
+    /// the streamed prefix when the budget trips (returned).
+    fn run_sharded(
+        &self,
+        run: &mut Run,
+        source: impl PatternSource + Clone,
+        threads: usize,
+        budget: (&Budget, u64),
+    ) -> Option<BudgetExceeded> {
+        let partition = FaultPartition::cone_locality(self.circuit, self.faults, threads);
+        let replay_source = source.clone();
+        let mut poisoned: Vec<usize> = Vec::new();
+        let (streamed, tripped) = std::thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(partition.num_shards());
+            let mut handles = Vec::with_capacity(partition.num_shards());
+            for s in 0..partition.num_shards() {
+                let (tx, rx) = sync_channel(CHANNEL_DEPTH);
+                senders.push(tx);
+                let sublist = partition.sublist(self.faults, s);
+                handles.push(scope.spawn(move || -> Result<_, InjectedFailure> {
+                    failpoint::hit(sites::WORKER_SPAWN)?;
+                    Ok(self.work(&sublist, rx, self.opts))
+                }));
+            }
+            let streamed = stream_chunks(source, run.patterns, senders, Some(budget));
+            for (s, handle) in handles.into_iter().enumerate() {
+                // A real panic or an injected failure, at spawn or at the
+                // merge, poisons the shard.  The merge fail point may be
+                // armed to panic; catching it keeps the run alive (the
+                // workspace forbids unsafe, and the registry lock
+                // tolerates poisoning).
+                let merged = match handle.join() {
+                    Ok(Ok(local)) => {
+                        match catch_unwind(AssertUnwindSafe(|| failpoint::hit(sites::SHARD_MERGE)))
+                        {
+                            Ok(Ok(())) => {
+                                run.merge(partition.shard(s), local);
+                                true
+                            }
+                            Ok(Err(_injected)) => false,
+                            Err(_panic) => {
+                                run.recovery.worker_panics += 1;
+                                false
                             }
                         }
-                        Err(_panic) => {
-                            recovery.worker_panics += 1;
-                            poisoned.push(s);
-                        }
-                        Ok(Err(_injected)) => poisoned.push(s),
                     }
+                    Ok(Err(_injected)) => false,
+                    Err(_panic) => {
+                        run.recovery.worker_panics += 1;
+                        false
+                    }
+                };
+                if !merged {
+                    poisoned.push(s);
                 }
             }
+            streamed
+        });
+        // Streaming also stops early once every worker has hung up — with
+        // dropping, when every fault is detected, which no later pattern
+        // changes.  Only a budget trip shortens the run.
+        if tripped.is_some() {
+            run.patterns = streamed;
         }
-        streamed
-    });
-    for s in poisoned {
-        recovery
+        for s in poisoned {
+            self.replay(run, &partition, s, replay_source.clone());
+        }
+        tripped
+    }
+
+    /// The replay ladder for one poisoned shard: a serial replay on the
+    /// same engine, then one on the dense engine.  A shard that fails
+    /// both leaves its faults unresolved.
+    fn replay(
+        &self,
+        run: &mut Run,
+        partition: &FaultPartition,
+        s: usize,
+        source: impl PatternSource + Clone,
+    ) {
+        run.recovery
             .ladder
             .record(DegradeStep::ShardRequeue, format!("shard {s} poisoned"));
-        let mut recovered = false;
-        for attempt in 0..2 {
-            recovery.replays += 1;
-            if attempt == 1 && fallback_is_distinct {
-                recovery.ladder.record(
+        let sublist = partition.sublist(self.faults, s);
+        for (attempt, opts) in [self.opts, SimOptions::dense()].into_iter().enumerate() {
+            run.recovery.replays += 1;
+            if attempt == 1 && self.opts.engine == SimEngineKind::Event {
+                run.recovery.ladder.record(
                     DegradeStep::EventToDense,
                     format!("shard {s} second replay"),
                 );
             }
-            let sublist = partition.sublist(faults, s);
-            let replayed = if attempt == 0 {
-                replay_shard(sublist, replay_source.clone(), streamed, &worker)
-            } else {
-                replay_shard(sublist, replay_source.clone(), streamed, &fallback)
-            };
-            if let Some((local, local_stats)) = replayed {
-                stats.merge(&local_stats);
-                for (value, &id) in local.into_iter().zip(partition.shard(s)) {
-                    out[id.index()] = value;
-                }
-                recovered = true;
-                break;
+            if let Some(local) = self.replay_shard(&sublist, source.clone(), run.patterns, opts) {
+                run.merge(partition.shard(s), local);
+                return;
             }
-            recovery.worker_panics += 1;
+            run.recovery.worker_panics += 1;
         }
-        if !recovered {
-            recovery.unresolved.extend(partition.shard(s).iter().copied());
-        }
+        run.recovery
+            .unresolved
+            .extend(partition.shard(s).iter().copied());
     }
-    ShardRunOutcome {
-        stats,
-        recovery,
-        streamed,
-        tripped,
-    }
-}
 
-/// Sharded [`fault_coverage`]: identical results, fanned out over
-/// `threads` worker threads (`0` = capped available parallelism, see
-/// [`recommended_threads`]).
-///
-/// The fault list is split into cone-locality-aware shards, one worker
-/// per shard; see the module docs for the design.  `threads = 1` falls
-/// back to the serial engine.  Results are bit-identical to
-/// [`fault_coverage`] for every thread count, because every worker
-/// consumes the same deterministic pattern stream.
-pub fn fault_coverage_sharded(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    drop: bool,
-    threads: usize,
-) -> CoverageResult {
-    fault_coverage_sharded_opts(
-        circuit,
-        faults,
-        source,
-        num_patterns,
-        drop,
-        threads,
-        SimOptions::dense(),
-    )
-    .0
-}
-
-/// [`fault_coverage_sharded`] with a configurable inner loop
-/// ([`SimOptions`]): each shard worker runs the selected engine (dense
-/// cone walk or event-driven superblocks).  Results are bit-identical
-/// across engines, widths, and thread counts; the merged work counters
-/// are returned alongside.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`], or if a shard worker
-/// panicked repeatedly and its faults could not be recovered by bounded
-/// serial replay (see [`ShardRecovery`]; the budgeted
-/// [`crate::robust::fault_coverage_robust`] entry point reports the same
-/// situation structurally instead).
-pub fn fault_coverage_sharded_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    drop: bool,
-    threads: usize,
-    opts: SimOptions,
-) -> (CoverageResult, SimStats) {
-    let threads = recommended_threads(threads, faults.len());
-    if threads <= 1 || faults.len() <= 1 {
-        return fault_coverage_opts(circuit, faults, source, num_patterns, drop, opts);
+    /// Re-runs one shard on a fresh worker thread fed the (deterministic)
+    /// pattern stream again, over exactly `num_patterns` patterns and
+    /// with no budget, so recovery is never cut short by a check-in.
+    /// Returns `None` if the replay worker panicked too.
+    fn replay_shard(
+        &self,
+        sublist: &FaultList,
+        source: impl PatternSource,
+        num_patterns: u64,
+        opts: SimOptions,
+    ) -> Option<(Vec<u64>, SimStats)> {
+        std::thread::scope(|scope| {
+            let (tx, rx) = sync_channel(CHANNEL_DEPTH);
+            let handle = scope.spawn(move || self.work(sublist, rx, opts));
+            stream_chunks(source, num_patterns, vec![tx], None);
+            handle.join().ok()
+        })
     }
-    opts.validate().expect("invalid SimOptions");
-    let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
-    let outcome = run_sharded(
-        ShardedRun {
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            threads,
-            budget: None,
-            fallback_is_distinct: opts.engine == SimEngineKind::Event,
-        },
-        &mut detected_at,
-        |sublist, rx| match opts.engine {
-            SimEngineKind::Dense => coverage_worker_dense(circuit, sublist, rx, drop),
+
+    /// Runs one shard's worker on `opts`' engine.
+    fn work(
+        &self,
+        sublist: &FaultList,
+        rx: Receiver<Arc<Chunk>>,
+        opts: SimOptions,
+    ) -> (Vec<u64>, SimStats) {
+        match opts.engine {
+            SimEngineKind::Dense => worker_dense(self.circuit, sublist, rx, self.mode),
             SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                coverage_worker_event::<W>(circuit, sublist, rx, drop)
+                worker_event::<W>(self.circuit, sublist, rx, self.mode)
             }),
-        },
-        |sublist, rx| coverage_worker_dense(circuit, sublist, rx, drop),
-    );
-    assert!(
-        outcome.recovery.fully_recovered(),
-        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
-         ({} worker panics)",
-        outcome.recovery.unresolved.len(),
-        outcome.recovery.worker_panics,
-    );
-    (CoverageResult::new(detected_at, num_patterns), outcome.stats)
-}
-
-pub(crate) fn coverage_worker_dense(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-    drop: bool,
-) -> (Vec<Option<u64>>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local: Vec<Option<u64>> = vec![None; sublist.len()];
-    'chunks: while let Ok(chunk) = rx.recv() {
-        let mut done = chunk.start;
-        for block in &chunk.blocks {
-            if drop && worklist.is_empty() {
-                // Hang up: the producer stops feeding this shard.
-                break 'chunks;
-            }
-            sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, drop, |i, w| {
-                if local[i].is_none() {
-                    local[i] = Some(done + u64::from(w.trailing_zeros()));
-                }
-            });
-            done += u64::from(block.len);
         }
     }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-/// Groups `blocks` into `W`-wide superblocks (refilling `sb` in place)
-/// and invokes `f` on each; `f` returning `false` stops early.
-///
-/// The one copy of the bit-identity-critical grouping rule shared by the
-/// event workers: boundaries come from [`superblock_split`] — extend only
-/// across full blocks — and `CHUNK_BLOCKS` is a multiple of every
-/// supported width, so worker grouping coincides with the serial
-/// engine's [`SuperBlock::refill_draw`] stream grouping.
-fn for_each_superblock<const W: usize>(
-    blocks: &[PatternBlock],
-    sb: &mut SuperBlock<W>,
-    mut f: impl FnMut(&SuperBlock<W>) -> bool,
-) {
-    let mut idx = 0;
-    while idx < blocks.len() {
-        let take = superblock_split(&blocks[idx..], W);
-        sb.refill_from_blocks(&blocks[idx..idx + take]);
-        if !f(sb) {
-            return;
-        }
-        idx += take;
-    }
-}
-
-/// Event-engine coverage worker: one [`EventSimulator`] per shard over
-/// the broadcast chunks' superblocks.
-pub(crate) fn coverage_worker_event<const W: usize>(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-    drop: bool,
-) -> (Vec<Option<u64>>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local: Vec<Option<u64>> = vec![None; sublist.len()];
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-    while let Ok(chunk) = rx.recv() {
-        let mut done = chunk.start;
-        let mut drained = false;
-        for_each_superblock(&chunk.blocks, &mut sb, |sb| {
-            if drop && worklist.is_empty() {
-                drained = true;
-                return false;
-            }
-            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-                if local[i].is_none() {
-                    let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                    local[i] = Some(done + u64::from(bit));
-                }
-            });
-            done += u64::from(sb.len);
-            true
-        });
-        if drained {
-            // Hang up: the producer stops feeding this shard.
-            break;
-        }
-    }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-/// Sharded [`detection_counts`]: identical counts, fanned out over
-/// `threads` worker threads (`0` = capped available parallelism, see
-/// [`recommended_threads`]).
-///
-/// This is the Monte-Carlo hot path of the paper's loop: the per-fault
-/// detection frequencies it returns feed the `p_f(X)` estimates of the
-/// probability-refinement sweeps.
-pub fn detection_counts_sharded(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    threads: usize,
-) -> Vec<u64> {
-    detection_counts_sharded_opts(
-        circuit,
-        faults,
-        source,
-        num_patterns,
-        threads,
-        SimOptions::dense(),
-    )
-    .0
-}
-
-/// [`detection_counts_sharded`] with a configurable inner loop
-/// ([`SimOptions`]); identical counts for every engine/width/thread
-/// combination, merged work counters alongside.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`], or if shard recovery
-/// was exhausted (see [`fault_coverage_sharded_opts`]).
-pub fn detection_counts_sharded_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    threads: usize,
-    opts: SimOptions,
-) -> (Vec<u64>, SimStats) {
-    let threads = recommended_threads(threads, faults.len());
-    if threads <= 1 || faults.len() <= 1 {
-        return detection_counts_opts(circuit, faults, source, num_patterns, opts);
-    }
-    opts.validate().expect("invalid SimOptions");
-    let mut counts = vec![0u64; faults.len()];
-    let outcome = run_sharded(
-        ShardedRun {
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            threads,
-            budget: None,
-            fallback_is_distinct: opts.engine == SimEngineKind::Event,
-        },
-        &mut counts,
-        |sublist, rx| match opts.engine {
-            SimEngineKind::Dense => counts_worker_dense(circuit, sublist, rx),
-            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                counts_worker_event::<W>(circuit, sublist, rx)
-            }),
-        },
-        |sublist, rx| counts_worker_dense(circuit, sublist, rx),
-    );
-    assert!(
-        outcome.recovery.fully_recovered(),
-        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
-         ({} worker panics)",
-        outcome.recovery.unresolved.len(),
-        outcome.recovery.worker_panics,
-    );
-    (counts, outcome.stats)
-}
-
-pub(crate) fn counts_worker_dense(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local = vec![0u64; sublist.len()];
-    while let Ok(chunk) = rx.recv() {
-        for block in &chunk.blocks {
-            sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, false, |i, w| {
-                local[i] += u64::from(w.count_ones())
-            });
-        }
-    }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-pub(crate) fn counts_worker_event<const W: usize>(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local = vec![0u64; sublist.len()];
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-    while let Ok(chunk) = rx.recv() {
-        for_each_superblock(&chunk.blocks, &mut sb, |sb| {
-            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, false, |i, w| {
-                local[i] += u64::from(count_set_bits(&w))
-            });
-            true
-        });
-    }
-    let stats = sim.stats();
-    (local, stats)
 }
 
 #[cfg(test)]
@@ -644,6 +631,8 @@ mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
+    use crate::test_support::{counts, coverage};
+    use std::time::Duration;
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -668,13 +657,14 @@ mod tests {
                 drop,
             );
             for threads in [2, 3, 4, 16] {
-                let sharded = fault_coverage_sharded(
+                let (sharded, _) = coverage(
                     &c,
                     &faults,
                     WeightedPatterns::equiprobable(3, 11),
                     500,
                     drop,
                     threads,
+                    SimOptions::dense(),
                 );
                 assert_eq!(
                     serial.detected_at(),
@@ -689,15 +679,15 @@ mod tests {
     fn sharded_counts_match_serial() {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
-        let serial =
-            detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 23), 1000);
+        let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 23), 1000);
         for threads in [0, 1, 2, 5, 64] {
-            let sharded = detection_counts_sharded(
+            let (sharded, _) = counts(
                 &c,
                 &faults,
                 WeightedPatterns::equiprobable(3, 23),
                 1000,
                 threads,
+                SimOptions::dense(),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -710,23 +700,25 @@ mod tests {
             c.node_id("s").unwrap(),
             false,
         )]);
-        let r = fault_coverage_sharded(
+        let (r, _) = coverage(
             &c,
             &one,
             WeightedPatterns::equiprobable(3, 1),
             128,
             true,
             4,
+            SimOptions::dense(),
         );
         assert_eq!(r.num_faults(), 1);
         let empty = wrt_fault::FaultList::from_faults(vec![]);
-        let r = fault_coverage_sharded(
+        let (r, _) = coverage(
             &c,
             &empty,
             WeightedPatterns::equiprobable(3, 1),
             128,
             true,
             4,
+            SimOptions::dense(),
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
@@ -750,14 +742,189 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let n = (CHUNK_BLOCKS as u64) * 64 + 321;
         let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(2, 7), n);
-        let sharded = detection_counts_sharded(
+        let (sharded, _) = counts(
             &c,
             &faults,
             WeightedPatterns::equiprobable(2, 7),
             n,
             3,
+            SimOptions::dense(),
         );
         assert_eq!(serial, sharded);
+    }
+
+    #[test]
+    fn dropping_every_fault_early_still_reports_the_whole_stream() {
+        // Every fault is detected in the first chunk, so each worker hangs
+        // up and the producer stops long before the stream ends; the
+        // result still covers all requested patterns, as the oracle's does.
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").unwrap();
+        let faults = wrt_fault::FaultList::full(&c);
+        let n = 40 * (CHUNK_BLOCKS as u64) * 64;
+        let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(2, 7), n, true);
+        for (threads, opts) in [(1, SimOptions::dense()), (2, SimOptions::event(16))] {
+            let (sharded, _) = coverage(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(2, 7),
+                n,
+                true,
+                threads,
+                opts,
+            );
+            assert_eq!(sharded, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn unlimited_budget_matches_legacy_bit_for_bit() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let legacy = fault_coverage(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 11),
+            500,
+            true,
+        );
+        for threads in [1, 2, 4] {
+            for opts in [SimOptions::dense(), SimOptions::event(4)] {
+                let robust = fault_coverage_robust(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 11),
+                    500,
+                    true,
+                    threads,
+                    opts,
+                    &Budget::unlimited(),
+                );
+                assert!(robust.is_complete());
+                let rc = robust.into_value();
+                assert!(rc.recovery.is_clean());
+                assert_eq!(legacy.detected_at(), rc.result.detected_at());
+            }
+        }
+    }
+
+    #[test]
+    fn eval_budget_resolves_to_a_deterministic_pattern_clip() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let nodes = c.num_nodes() as u64;
+        // Budget for exactly 100 patterns of canonical work.
+        let budget = Budget::unlimited().with_max_evals(100 * nodes);
+        let clipped = fault_coverage(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            100,
+            false,
+        );
+        let mut partials = Vec::new();
+        for threads in [1, 2, 3, 8] {
+            for opts in [SimOptions::dense(), SimOptions::event(2)] {
+                let outcome = fault_coverage_robust(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 5),
+                    100_000,
+                    false,
+                    threads,
+                    opts,
+                    &budget,
+                );
+                assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+                let rc = outcome.into_value();
+                // Identical partial result across thread counts and
+                // engines: exactly the first 100 patterns.
+                assert_eq!(rc.result.detected_at(), clipped.detected_at());
+                partials.push(rc.result.detected_at().to_vec());
+            }
+        }
+        assert!(partials.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn eval_budget_smaller_than_one_pattern_yields_empty_partial() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        // Fewer evals than one pattern costs: zero patterns simulated.
+        let budget = Budget::unlimited().with_max_evals(1);
+        let outcome = detection_counts_robust(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            1000,
+            2,
+            SimOptions::dense(),
+            &budget,
+        );
+        assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+        let rc = outcome.into_value();
+        assert_eq!(rc.num_patterns, 0);
+        assert!(rc.counts.iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn zero_time_limit_interrupts_with_empty_partial() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let budget = Budget::unlimited().with_time_limit(Duration::ZERO);
+        let outcome = fault_coverage_robust(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            1000,
+            true,
+            2,
+            SimOptions::dense(),
+            &budget,
+        );
+        assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
+        let rc = outcome.into_value();
+        assert_eq!(rc.result.num_patterns(), 0);
+        assert!(rc.result.detected_at().iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn cancellation_interrupts_at_the_next_chunk_boundary() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let mut budget = Budget::unlimited();
+        let token = budget.cancel_token();
+        token.store(true, std::sync::atomic::Ordering::Relaxed);
+        let outcome = fault_coverage_robust(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            1000,
+            true,
+            2,
+            SimOptions::dense(),
+            &budget,
+        );
+        assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Cancelled));
+    }
+
+    #[test]
+    fn empty_fault_list_is_complete_and_clean() {
+        let c = adder();
+        let empty = FaultList::from_faults(vec![]);
+        let outcome = fault_coverage_robust(
+            &c,
+            &empty,
+            WeightedPatterns::equiprobable(3, 1),
+            64,
+            true,
+            4,
+            SimOptions::dense(),
+            &Budget::unlimited(),
+        );
+        assert!(outcome.is_complete());
+        let rc = outcome.into_value();
+        assert_eq!(rc.result.num_faults(), 0);
+        assert!(rc.recovery.is_clean());
     }
 }
 
@@ -766,7 +933,7 @@ mod proptests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::arb_circuit;
+    use crate::test_support::{arb_circuit, counts, coverage};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
@@ -819,24 +986,24 @@ mod proptests {
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop,
             );
-            let sharded = fault_coverage_sharded(
+            let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, threads,
+                patterns, drop, threads, SimOptions::dense(),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
 
-            let counts = detection_counts(
+            let serial_counts = detection_counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns,
             );
-            let counts_sharded = detection_counts_sharded(
+            let (counts_sharded, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights, seed),
-                patterns, threads,
+                patterns, threads, SimOptions::dense(),
             );
-            prop_assert_eq!(counts, counts_sharded);
+            prop_assert_eq!(serial_counts, counts_sharded);
         }
 
         /// Shard counts far beyond the fault count degenerate gracefully
@@ -852,10 +1019,10 @@ mod proptests {
                 WeightedPatterns::equiprobable(4, seed),
                 200, true,
             );
-            let sharded = fault_coverage_sharded(
+            let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7,
+                200, true, faults.len() * 3 + 7, SimOptions::dense(),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
         }

@@ -1,7 +1,13 @@
-//! Shared proptest strategies for the crate's property tests.
+//! Shared proptest strategies and engine helpers for the crate's tests.
 
 use proptest::prelude::*;
 use wrt_circuit::{Circuit, CircuitBuilder, GateKind};
+use wrt_fault::FaultList;
+use wrt_robust::Budget;
+
+use crate::coverage::CoverageResult;
+use crate::event::{SimOptions, SimStats};
+use crate::patterns::PatternSource;
 
 /// A small random 4-input circuit with two outputs: a mix of gate kinds
 /// over randomly picked (possibly reconvergent) fanins.
@@ -34,4 +40,59 @@ pub fn arb_circuit() -> impl Strategy<Value = Circuit> {
             b.mark_output(ids[4]);
             b.build().expect("valid circuit")
         })
+}
+
+/// [`crate::fault_coverage_robust`] under an unlimited budget; the run
+/// must complete without recovery.
+pub fn coverage(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: impl PatternSource + Clone,
+    num_patterns: u64,
+    drop: bool,
+    threads: usize,
+    opts: SimOptions,
+) -> (CoverageResult, SimStats) {
+    let unlimited = Budget::unlimited();
+    let outcome = crate::fault_coverage_robust(
+        circuit,
+        faults,
+        source,
+        num_patterns,
+        drop,
+        threads,
+        opts,
+        &unlimited,
+    );
+    assert!(outcome.is_complete(), "an unlimited run completes");
+    let run = outcome.into_value();
+    assert!(run.recovery.is_clean(), "no fail point is armed");
+    (run.result, run.stats)
+}
+
+/// [`crate::detection_counts_robust`] under an unlimited budget; the run
+/// must complete without recovery.
+pub fn counts(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: impl PatternSource + Clone,
+    num_patterns: u64,
+    threads: usize,
+    opts: SimOptions,
+) -> (Vec<u64>, SimStats) {
+    let unlimited = Budget::unlimited();
+    let outcome = crate::detection_counts_robust(
+        circuit,
+        faults,
+        source,
+        num_patterns,
+        threads,
+        opts,
+        &unlimited,
+    );
+    assert!(outcome.is_complete(), "an unlimited run completes");
+    let run = outcome.into_value();
+    assert!(run.recovery.is_clean(), "no fail point is armed");
+    assert_eq!(run.num_patterns, num_patterns);
+    (run.counts, run.stats)
 }

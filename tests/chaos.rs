@@ -20,10 +20,9 @@
 // first opportunity.
 #![allow(clippy::significant_drop_tightening)]
 
-use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use wrt::atpg::generate_tests_budgeted;
@@ -32,9 +31,7 @@ use wrt::estimate::DegradingEngine;
 use wrt::prelude::*;
 use wrt::robust::failpoint::{self, sites};
 use wrt::robust::{CheckpointError, FailAction};
-use wrt::sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, CoverageResult, SimOptions, TileOptions,
-};
+use wrt::sim::{fault_coverage_robust, CoverageResult, SimOptions};
 
 /// Patterns per simulation drill: enough chunks that every skip count in
 /// the storm lands before the stream ends.
@@ -138,67 +135,6 @@ fn shard_drill(site: &'static str, action: FailAction, skip: u64, must_fire: boo
     } else {
         assert!(rc.recovery.is_clean());
         assert_eq!(session.still_armed(), vec![site.to_string()]);
-    }
-}
-
-/// Injects at `tile::run` in the 2D tiled engine and asserts full
-/// recovery: the poisoned tile — home or stolen — is replayed serially,
-/// the run completes with no unresolved faults, and the result is
-/// bit-identical to the serial engine's.
-fn tile_drill(action: FailAction, skip: u64, must_fire: bool) {
-    let session = failpoint::session();
-    session.arm(sites::TILE_RUN, action, skip);
-    let (outcome, reference) = within(WATCHDOG, move || {
-        let (circuit, faults) = s1();
-        // The serial engine passes no fail points — safe while armed.
-        let reference = fault_coverage(&circuit, &faults, patterns(&circuit), PATTERNS, true);
-        // More threads than shards, so workers drain their home shard and
-        // steal: the replay ladder must cover stolen tiles too.
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            PATTERNS,
-            true,
-            &TileOptions {
-                block_words: 2,
-                pattern_stripes: 4,
-                fault_shards: 2,
-                threads: 4,
-                ..TileOptions::default()
-            },
-            &Budget::unlimited(),
-        );
-        (outcome, reference)
-    });
-    assert!(
-        outcome.is_complete(),
-        "tile {action:?} skip {skip}: a recovered run must complete"
-    );
-    let rc = outcome.into_value();
-    assert!(
-        rc.recovery.unresolved.is_empty(),
-        "tile {action:?} skip {skip}: unresolved faults {:?}",
-        rc.recovery.unresolved
-    );
-    assert_eq!(
-        rc.result.detected_at(),
-        reference.detected_at(),
-        "tile {action:?} skip {skip}: recovery must be bit-identical to serial"
-    );
-    let fired = !session.fired().is_empty();
-    if must_fire {
-        assert!(fired, "tile {action:?} skip {skip}: arm never fired");
-    }
-    if fired {
-        assert!(
-            !rc.recovery.is_clean(),
-            "tile {action:?} skip {skip}: a fired arm must be visible in the recovery record"
-        );
-        assert!(rc.recovery.replays >= 1);
-    } else {
-        assert!(rc.recovery.is_clean());
-        assert_eq!(session.still_armed(), vec![sites::TILE_RUN.to_string()]);
     }
 }
 
@@ -371,24 +307,6 @@ fn drill_workloads_exercise_every_planted_site() {
         let mut engine = DegradingEngine::new(CopEngine::new(), CopEngine::new());
         let probs = vec![0.5; circuit.num_inputs()];
         let _ = engine.estimate(&circuit, &faults, &probs);
-        // 2D tiled simulation: every tile passes `tile::run`.  W = 1
-        // makes stripe 0 one of the two blocks, so both passes (stripe 0
-        // and a later stripe) run tiles at 128 patterns.
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            128,
-            true,
-            &TileOptions {
-                block_words: 1,
-                pattern_stripes: 2,
-                threads: 2,
-                ..TileOptions::default()
-            },
-            &Budget::unlimited(),
-        );
-        assert!(outcome.is_complete());
         // Resident server: the accept loop, the per-request session
         // handler, and the ECO overlay apply each pass their site.
         let registry = std::sync::Arc::new(wrt::serve::Registry::new());
@@ -440,14 +358,6 @@ fn seeded_injection_storm_recovers_or_errors_never_hangs() {
             }
             sites::CHECKPOINT_WRITE => checkpoint_drill(skip, &format!("storm{seed}")),
             sites::ESTIMATE_ANOMALY => estimate_drill(skip),
-            sites::TILE_RUN => {
-                let action = if seed % 2 == 0 {
-                    FailAction::Panic
-                } else {
-                    FailAction::Error
-                };
-                tile_drill(action, skip, false);
-            }
             sites::SERVE_ACCEPT | sites::SERVE_SESSION | sites::SERVE_ECO_APPLY => {
                 serve_drill(site, skip);
             }
@@ -467,159 +377,38 @@ fn shard_panics_and_merge_failures_recover_bit_identically() {
     }
 }
 
+/// A lone shard (one thread) that dies at spawn is replayed over the
+/// whole stream, not over the prefix streamed before the producer saw it
+/// hang up: the recovered result covers every requested pattern.
 #[test]
-fn tile_panics_and_errors_recover_bit_identically() {
-    // Skips 0..6 land the injection on different tiles of the 2×4 grid —
-    // early and late stripes, home and stolen claims alike.
+fn a_poisoned_lone_shard_replays_the_whole_stream() {
+    let num_patterns = 3 * 8192 + 5;
     for action in [FailAction::Panic, FailAction::Error] {
-        for skip in 0..6u64 {
-            tile_drill(action, skip, true);
-        }
+        let session = failpoint::session();
+        session.arm(sites::WORKER_SPAWN, action, 0);
+        let (outcome, reference) = within(WATCHDOG, move || {
+            let (circuit, faults) = s1();
+            let reference =
+                fault_coverage(&circuit, &faults, patterns(&circuit), num_patterns, false);
+            let outcome = fault_coverage_robust(
+                &circuit,
+                &faults,
+                patterns(&circuit),
+                num_patterns,
+                false,
+                1,
+                SimOptions::event(4),
+                &Budget::unlimited(),
+            );
+            (outcome, reference)
+        });
+        assert_eq!(session.fired(), vec![sites::WORKER_SPAWN.to_string()]);
+        assert!(outcome.is_complete(), "{action:?}");
+        let rc = outcome.into_value();
+        assert_eq!(rc.recovery.replays, 1, "{action:?}");
+        assert!(rc.recovery.unresolved.is_empty(), "{action:?}");
+        assert_eq!(rc.result, reference, "{action:?}: replay must cover the whole stream");
     }
-}
-
-/// Stripe 0 runs as ordinary tiles: an injection on a stripe-0 tile goes
-/// down the same replay ladder as any other tile, and the run completes
-/// bit-identical to an uninjected one.  Both shapes have two shards, so
-/// skips 0 and 1 land on the two stripe-0 tiles of the first pass: with
-/// W = 8 the 512 patterns are one superblock (stripe 0 is the whole
-/// stream, as on a large netlist at the auto width); with W = 2 three
-/// later stripes follow.
-#[test]
-fn stripe_zero_tile_injections_recover_bit_identically() {
-    let shapes = [(8, 0, 2), (2, 4, 4)];
-    for (block_words, pattern_stripes, threads) in shapes {
-        for action in [FailAction::Panic, FailAction::Error] {
-            for skip in 0..2u64 {
-                let session = failpoint::session();
-                let run = move || {
-                    let (circuit, faults) = s1();
-                    fault_coverage_tiled_robust(
-                        &circuit,
-                        &faults,
-                        patterns(&circuit),
-                        PATTERNS,
-                        true,
-                        &TileOptions {
-                            block_words,
-                            pattern_stripes,
-                            fault_shards: 2,
-                            threads,
-                            ..TileOptions::default()
-                        },
-                        &Budget::unlimited(),
-                    )
-                };
-                // The uninjected reference runs inside the session too, so
-                // no concurrent chaos test can spend its passes.
-                let reference = within(WATCHDOG, run);
-                session.arm(sites::TILE_RUN, action, skip);
-                let outcome = within(WATCHDOG, run);
-                let tag = format!("W={block_words} {action:?} skip {skip}");
-                assert_eq!(session.fired(), vec![sites::TILE_RUN.to_string()], "{tag}");
-                assert!(reference.is_complete(), "{tag}");
-                assert!(outcome.is_complete(), "{tag}: a recovered run must complete");
-                let (reference, rc) = (reference.into_value(), outcome.into_value());
-                assert!(reference.recovery.is_clean(), "{tag}");
-                assert!(rc.recovery.replays >= 1, "{tag}: the poisoned tile is replayed");
-                assert!(rc.recovery.unresolved.is_empty(), "{tag}");
-                assert_eq!(rc.result.num_patterns(), PATTERNS, "{tag}");
-                assert_eq!(
-                    rc.result.detected_at(),
-                    reference.result.detected_at(),
-                    "{tag}: recovery must be bit-identical to the uninjected run"
-                );
-            }
-        }
-    }
-}
-
-/// A budget that trips while stripe 0 runs stops the run at the next tile
-/// boundary with a structured interrupt and the empty prefix: no stripe
-/// is complete, so no pattern counts.  Stripe 0 is the whole stream here
-/// (1024 patterns at W = 16), cut into 16 shards on one thread.
-#[test]
-fn budget_trips_during_stripe_zero_interrupt_with_the_empty_prefix() {
-    fn assert_empty_prefix(
-        outcome: RunOutcome<wrt::sim::RobustTiledCoverage>,
-        num_faults: usize,
-        expected: BudgetExceeded,
-    ) {
-        let RunOutcome::Interrupted {
-            partial,
-            reason,
-            progress,
-        } = outcome
-        else {
-            panic!("a budget trip during stripe 0 must interrupt the run");
-        };
-        assert_eq!(reason, expected);
-        assert_eq!(progress.done, 0);
-        assert_eq!(partial.stats.stripes, 1);
-        assert_eq!(partial.result.num_patterns(), 0);
-        assert_eq!(partial.result.num_faults(), num_faults);
-        assert!(partial.result.detected_at().iter().all(Option::is_none));
-        assert!(partial.recovery.is_clean());
-    }
-    let opts = TileOptions {
-        block_words: 16,
-        fault_shards: 16,
-        threads: 1,
-        ..TileOptions::default()
-    };
-
-    // Deterministic: an injected check-in trip before the second tile.
-    let session = failpoint::session();
-    session.arm(sites::BUDGET_CHECK_IN, FailAction::Error, 1);
-    let (outcome, num_faults) = within(WATCHDOG, move || {
-        let (circuit, faults) = s1();
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            1024,
-            true,
-            &opts,
-            &Budget::unlimited(),
-        );
-        (outcome, faults.len())
-    });
-    assert_eq!(session.fired(), vec![sites::BUDGET_CHECK_IN.to_string()]);
-    assert_empty_prefix(outcome, num_faults, BudgetExceeded::Injected);
-    drop(session);
-
-    // Cancellation: raised as soon as the first stripe-0 tile starts.
-    // Each tile of this 6k-gate netlist takes tens of milliseconds, so
-    // the cancel lands long before the sixteenth tile is claimed.
-    let session = failpoint::session();
-    let mut budget = Budget::unlimited();
-    let cancel = budget.cancel_token();
-    let (tx, rx) = mpsc::channel();
-    let worker = thread::spawn(move || {
-        let circuit = wrt::workloads::tiled(6000, 42);
-        let faults = FaultList::checkpoints(&circuit);
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            1024,
-            true,
-            &opts,
-            &budget,
-        );
-        let _ = tx.send((outcome, faults.len()));
-    });
-    let watchdog = Instant::now() + WATCHDOG;
-    while session.hits(sites::TILE_RUN) == 0 {
-        assert!(Instant::now() < watchdog, "stripe 0 never started");
-        thread::sleep(Duration::from_millis(1));
-    }
-    cancel.store(true, Ordering::Relaxed);
-    let (outcome, num_faults) = rx
-        .recv_timeout(WATCHDOG)
-        .expect("a cancelled run must return, not hang");
-    worker.join().expect("no panic escapes a cancelled tiled run");
-    assert_empty_prefix(outcome, num_faults, BudgetExceeded::Cancelled);
 }
 
 #[test]
