@@ -6,7 +6,7 @@
 //! analytic estimators are exact versus heuristic: a circuit with zero
 //! reconvergent stems has exact COP probabilities everywhere.
 
-use wrt_circuit::{Circuit, NodeId};
+use wrt_circuit::{Circuit, FanoutFreeRegions, NodeId};
 
 /// Structural statistics of a circuit: fanout-free regions and
 /// reconvergence.
@@ -32,21 +32,11 @@ pub struct StructureCensus {
 pub fn census(circuit: &Circuit) -> StructureCensus {
     let n = circuit.num_nodes();
 
-    // FFR assignment: a node heads its own region when its stem branches
-    // (fanout ≠ 1) or it is observed directly (primary output); otherwise
-    // it belongs to the region of its unique sink.  Sinks have higher ids
-    // (topological order), so one reverse sweep resolves every head.
-    let mut head: Vec<usize> = (0..n).collect();
-    for idx in (0..n).rev() {
-        let id = NodeId::from_index(idx);
-        let fanout = circuit.fanout(id);
-        if fanout.len() == 1 && !circuit.is_output(id) {
-            head[idx] = head[fanout[0].index()];
-        }
-    }
+    // FFR assignment (see `FanoutFreeRegions` for the head rule).
+    let regions = FanoutFreeRegions::new(circuit);
     let mut ffr_size = vec![0usize; n];
-    for &h in &head {
-        ffr_size[h] += 1;
+    for id in circuit.ids() {
+        ffr_size[regions.head(id).index()] += 1;
     }
     let ffr_count = ffr_size.iter().filter(|&&s| s > 0).count();
     let max_ffr_size = ffr_size.iter().copied().max().unwrap_or(0);

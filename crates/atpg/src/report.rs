@@ -981,8 +981,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Full fault lists share effect roots (both stem polarities, the
-        /// stem and pin faults of a gate), so the event kernel's grouped
-        /// propagation is exercised on every dropping pass.
+        /// stem and pin faults of a gate) and fanout-free regions, so the
+        /// event kernel's grouped propagation is exercised on every
+        /// dropping pass.
         #[test]
         fn event_dropping_matches_the_dense_oracle(circuit in arb_circuit()) {
             let faults = FaultList::full(&circuit);

@@ -36,8 +36,14 @@
 //!   floors deliberately do not apply there;
 //! * in the same artifact, every `"faults_per_propagation"` (excited
 //!   fault attempts per event-engine root propagation) must be at least
-//!   `1.0` — every propagated root serves at least one excited fault, so
-//!   less means the root grouping's bookkeeping broke;
+//!   `1.0` — every propagated region head serves at least one excited
+//!   fault, so less means the region grouping's bookkeeping broke;
+//! * in the same artifact, every `"serial_fraction"` (the sharded run's
+//!   serial-path evals plus its busiest shard's evals, over all its
+//!   evals) must lie in `[1 / threads, 1]`, with `threads` the row's own
+//!   `"threads"` field emitted before it — below `1 / threads` the shard
+//!   evals cannot add up, above 1 the busiest shard did more than the
+//!   whole run;
 //! * in the serving artifact (recognized by its `warm_over_cold`
 //!   fields — only `bench_serve` emits them), every `"warm_over_cold"`
 //!   ratio must be at least `1.0` — a resident server answering primed
@@ -184,7 +190,30 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         .any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
     let mut warm_headline_rows = 0usize;
+    // The most recent `"threads"` value: rows emit theirs before their
+    // `serial_fraction`.
+    let mut threads: Option<f64> = None;
     for v in &values {
+        if v.key == "threads" {
+            threads = v.value.parse::<f64>().ok();
+        }
+        if is_sim_artifact && v.key == "serial_fraction" {
+            if let Ok(x) = v.value.parse::<f64>() {
+                // Half a unit of the artifact's 4th decimal of slack for
+                // rounding at the lower bound.
+                match threads {
+                    Some(t) if t >= 1.0 && x >= 1.0 / t - 0.5e-4 && x <= 1.0 => {}
+                    Some(t) => violations.push(format!(
+                        "{path}:{}: \"serial_fraction\" is {x} on {} — outside [1/{t}, 1]",
+                        v.line, v.circuit
+                    )),
+                    None => violations.push(format!(
+                        "{path}:{}: \"serial_fraction\" on {} has no \"threads\" before it",
+                        v.line, v.circuit
+                    )),
+                }
+            }
+        }
         // Simulation eval-reduction floor: the event headline must beat
         // the dense baseline on every circuit, and clear 1.3x on the
         // c6288ish multiplier.
@@ -209,7 +238,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
             if let Ok(x) = v.value.parse::<f64>() {
                 if x < 1.0 {
                     violations.push(format!(
-                        "{path}:{}: \"faults_per_propagation\" is {x} on {} — a root propagated for no excited fault",
+                        "{path}:{}: \"faults_per_propagation\" is {x} on {} — a region head propagated for no excited fault",
                         v.line, v.circuit
                     ));
                 }
@@ -531,6 +560,35 @@ mod tests {
         // Other artifacts do not carry the key's meaning.
         let other = "{ \"faults_per_propagation\": 0.5, \"bit_identical\": true }";
         assert!(check_artifact("x.json", other).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_serial_fractions_are_flagged() {
+        let row = |threads: &str, sf: &str| {
+            format!(
+                "{{ \"smoke\": true, \"threads\": 4, \"results\": [ {{ \"circuit\": \"s1\", \"eval_reduction\": 2.0, \"sparsity_reduction\": 2.0, \"threads\": {threads}, \"serial_fraction\": {sf}, \"bit_identical\": true }} ] }}"
+            )
+        };
+        for (threads, sf) in [
+            ("4", "0.25"),
+            ("4", "0.2500"),
+            ("3", "0.3333"),
+            ("4", "1.0000"),
+            ("1", "1.0"),
+        ] {
+            assert!(
+                check_artifact("sim.json", &row(threads, sf)).is_empty(),
+                "{threads} {sf}"
+            );
+        }
+        for (threads, sf) in [("4", "0.2"), ("4", "1.01"), ("2", "0.4999"), ("0", "0.5")] {
+            let v = check_artifact("sim.json", &row(threads, sf));
+            assert_eq!(v.len(), 1, "{threads} {sf}: {v:?}");
+            assert!(v[0].contains("serial_fraction"), "{v:?}");
+        }
+        // Other artifacts may use the key freely.
+        let other = "{ \"threads\": 4, \"serial_fraction\": 0.01, \"bit_identical\": true }";
+        assert!(check_artifact("other.json", other).is_empty());
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! `[u64; W]` evaluation covers `W` dense blocks' worth of patterns) —
 //! so the artifact also records an event run at `W = 1`
 //! (`sparsity_reduction`) to separate the two, the frontier die-out
-//! rate, the event engine's root propagations (one per excited effect
-//! root per superblock, shared by every fault on that root) with the
-//! excited faults served per propagation, and a bit-identity check of
-//! all runs' coverage results.  The dense, event and event-`W = 1` runs
-//! use one shard; a further event run uses `--threads` shards.
-//! Wall-clock fields depend on the host and are reported alongside.
+//! rate, the event engine's root propagations (one per fanout-free
+//! region head per superblock that some excited fault's effect reaches,
+//! shared by every fault in the region) with the excited faults served
+//! per propagation, and a bit-identity check of all runs' coverage
+//! results.  The dense, event and event-`W = 1` runs use one shard; a
+//! further event run uses `--threads` shards, and `serial_fraction`
+//! accounts its parallelism in counts: serial-path evals plus the
+//! busiest shard's evals, over all evals (`1 / threads` is perfect
+//! balance, 1 is no parallelism).  Wall-clock fields depend on the host
+//! and are reported alongside.
 //!
 //! Circuits too large for the dense engine's per-cone storage report a
 //! **derived** dense baseline instead of a measured one: a profiled
@@ -40,12 +44,13 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use wrt_circuit::{transitive_fanout, Circuit};
-use wrt_fault::FaultList;
+use wrt_circuit::{transitive_fanout, Circuit, FanoutFreeRegions};
+use wrt_fault::{FaultList, FaultPartition};
 use wrt_robust::Budget;
 use wrt_sim::{
-    available_threads, fault_coverage_robust, superblock_split, CoverageResult, EventSimulator,
-    FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, WeightedPatterns,
+    available_threads, fault_coverage_robust, recommended_threads, superblock_split,
+    CoverageResult, EventSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock,
+    WeightedPatterns,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -74,6 +79,8 @@ struct Row {
     /// Event engine at `W = 1`: same block granularity as dense, so the
     /// eval ratio against it isolates the pure scheduling-sparsity win.
     event_w1_stats: SimStats,
+    /// Event evals of each shard of the sharded run.
+    shard_evals: Vec<u64>,
     identical: bool,
 }
 
@@ -110,13 +117,27 @@ impl Row {
         self.event_stats.node_evals as f64 / self.dense_node_evals.max(1) as f64
     }
 
+    /// The sharded run's parallelism in counts: serial-path evals plus
+    /// the busiest shard's evals, over all evals.  The engine's one
+    /// serial path, the pattern producer, evaluates no gates, so the
+    /// serial term is zero; 1 when nothing was evaluated.
+    fn serial_fraction(&self) -> f64 {
+        const SERIAL_EVALS: u64 = 0;
+        let total: u64 = SERIAL_EVALS + self.shard_evals.iter().sum::<u64>();
+        let busiest = self.shard_evals.iter().copied().max().unwrap_or(0);
+        if total == 0 {
+            return 1.0;
+        }
+        (SERIAL_EVALS + busiest) as f64 / total as f64
+    }
+
     fn to_json(&self) -> String {
         let (dense_seconds, wall_speedup) = match self.dense_seconds {
             Some(s) => (format!("{s:.6}"), format!("{:.3}", s / self.event_seconds)),
             None => ("null".into(), "null".into()),
         };
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"root_propagations\": {},\n      \"faults_per_propagation\": {:.3},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"root_propagations\": {},\n      \"faults_per_propagation\": {:.3},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"serial_fraction\": {:.4},\n      \"event_sharded_seconds\": {:.6},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -141,6 +162,7 @@ impl Row {
             self.event_stats.frontier_dieout_rate(),
             self.event_stats.unexcited as f64 / self.event_stats.fault_blocks.max(1) as f64,
             self.threads,
+            self.serial_fraction(),
             self.event_sharded_seconds,
             self.identical,
         )
@@ -168,7 +190,10 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// detecting block, matching dense dropping), and the dense engine pays
 /// exactly `cone(f) − 1` evals per excited block.  Cone sizes come from
 /// one fanout traversal per *distinct* effect root — no per-fault cone
-/// storage.
+/// storage.  The profile counts each fault's own excited blocks, not
+/// the lanes its effect carries to its region's head, so the derived
+/// count is the per-fault dense engine's whatever the event kernel
+/// groups.
 fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64) -> u64 {
     let mut sim = EventSimulator::<4>::new(circuit, faults);
     sim.enable_eval_profile();
@@ -254,6 +279,25 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         simulate(circuit, &faults, patterns, 1, SimOptions::event(1));
     let (event_sharded_seconds, (event_sharded, sharded_stats)) =
         time_best(reps, || simulate(circuit, &faults, patterns, threads, event_opts));
+    // The sharded run's per-shard evals: each shard of the engine's own
+    // partition run alone (shards are independent, so their one-shard
+    // runs spend exactly what they spend as workers).
+    let regions = FanoutFreeRegions::new(circuit);
+    let shards = recommended_threads(threads, faults.len());
+    let partition = FaultPartition::cone_locality(&regions, &faults, shards);
+    let shard_evals: Vec<u64> = (0..partition.num_shards())
+        .map(|s| {
+            let sublist = partition.sublist(&faults, s);
+            simulate(circuit, &sublist, patterns, 1, event_opts)
+                .1
+                .node_evals
+        })
+        .collect();
+    assert_eq!(
+        shard_evals.iter().sum::<u64>(),
+        sharded_stats.node_evals,
+        "the shards' evals add up to the sharded run's"
+    );
     Row {
         circuit: circuit.name().to_string(),
         inputs: circuit.num_inputs(),
@@ -270,8 +314,9 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         dense_baseline: if derive_dense { "derived" } else { "measured" },
         event_stats,
         event_w1_stats,
-        // Shards never split an effect root, so the sharded run spends
-        // exactly the one-shard run's evals.
+        shard_evals,
+        // Shards never split a fanout-free region, so the sharded run
+        // spends exactly the one-shard run's evals.
         identical: dense_identical
             && event == event_w1
             && event == event_sharded
@@ -327,8 +372,8 @@ fn main() {
         let row = bench_circuit(&circuit, patterns, block_words, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
-             ({:.2}x fewer; {:.2}x from sparsity; {:.2} faults/propagation)  \
-             identical {}",
+             ({:.2}x fewer; {:.2}x from sparsity; {:.2} faults/propagation; \
+             serial fraction {:.3})  identical {}",
             row.circuit,
             row.faults,
             row.dense_evals_per_detected(),
@@ -337,6 +382,7 @@ fn main() {
             row.eval_reduction(),
             row.sparsity_reduction(),
             row.event_stats.faults_per_propagation(),
+            row.serial_fraction(),
             row.identical,
         );
         rows.push(row);
@@ -344,7 +390,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include root grouping: the event engine propagates each excited effect root once per superblock for all live faults sharing it (both stem polarities, a gate's stem and pin faults), and root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. All runs use the one fault-simulation engine: the dense, event and event-W1 runs on one fault shard, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split an effect root. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include region grouping and lane retirement: the event engine propagates once per superblock from each fanout-free region head that an excited fault's effect reaches, for all live faults in the region (a fault's lanes at the head are its excited lanes ANDed with the local observability of its effect root along the region's single-fanout path; those sensitization steps are not counted as evals), and stops a propagation once every flipped lane is observed at a primary output; root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. All runs use the one fault-simulation engine: the dense, event and event-W1 runs on one fault shard, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split a fanout-free region; serial_fraction = (serial-path evals + the busiest shard's evals) / all evals of that run, where the serial path (the pattern producer) evaluates no gates - 1/threads is perfect balance, 1 no parallelism, and bench_guard requires 1/threads <= serial_fraction <= 1. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run that counts each fault's own excited blocks - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         threads,

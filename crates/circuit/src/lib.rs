@@ -33,6 +33,7 @@
 mod builder;
 mod cone;
 mod error;
+mod ffr;
 mod gate;
 mod levelize;
 mod netlist;
@@ -47,6 +48,7 @@ pub use cone::{
     ConeUnion, FanoutCones,
 };
 pub use error::{BuildCircuitError, ParseBenchError};
+pub use ffr::FanoutFreeRegions;
 pub use gate::GateKind;
 pub use levelize::Levels;
 pub use netlist::{Circuit, Node, NodeId};

@@ -84,9 +84,11 @@ commands:
            weighted-random fault simulation;
            --engine event (default) runs event-driven sparse propagation
            over W-word superblocks (--block-words 1|2|4|8|16, default 4),
-           once per effect root for all faults sharing it; --engine dense
-           is the single-word per-fault reference cone walk.  Root
-           propagations are reported next to the gate evals.
+           once per fanout-free region head for all faults whose effects
+           reach it, stopping once every flipped pattern is observed;
+           --engine dense is the single-word per-fault reference cone
+           walk.  Root propagations (from region heads) are reported next
+           to the gate evals.
            --pattern-stripes P is accepted for compatibility and has no
            effect.  Coverage is bit-identical for every engine/width/
            thread choice.

@@ -37,26 +37,41 @@
 //! 3. **Termination.**  The sweep stops the moment the occupied-level
 //!    heap drains, so a fault effect that dies after `k` gates costs `k`
 //!    evaluations plus `O(k log k)` heap traffic — never a full cone
-//!    walk.
+//!    walk.  It also stops once every flipped lane is *observed*: a lane
+//!    retires when some primary output differs in it, only nodes still
+//!    differing in a pending lane schedule their fanouts, and when no lane
+//!    is pending the rest of the ready set is discarded (occupied levels
+//!    and bucket heads cleared), so an effect that reaches an output one
+//!    gate up never pays for the cone beyond it.
 //! 4. **Epoch reuse.**  Buckets are always left empty between passes;
 //!    `touched`/`queued` stamps are invalidated by bumping `epoch`
 //!    (with a full reset on the extremely rare u32 wrap), so per-pass
 //!    setup is O(1).
 //!
-//! # One propagation per effect root
+//! # One propagation per fanout-free region
 //!
-//! A pass propagates an effect *root*, not a fault: all live faults
-//! sharing a root in one superblock (both stem polarities, the stem and
-//! pin faults of a gate) are served by a single propagation that flips
-//! the root in the union of their excited lanes — exact because gate
-//! evaluation is lane-independent (see [`EventSimulator`]).
+//! A pass propagates a fanout-free region's *head*, not a fault: inside a
+//! region ([`FanoutFreeRegions`]) a fault's effect can only leave along
+//! the single-fanout path from its effect root to the head, so its lanes
+//! at the head are its excited lanes ANDed with the root's *local
+//! observability* — the lanes where every gate on that path is sensitized
+//! by its fault-free side inputs (critical path tracing).  All live faults
+//! of one region in one superblock (every stem polarity, pin fault and
+//! chain fault inside it) are then served by a single propagation that
+//! flips the head in the union of those lanes — exact because gate
+//! evaluation is lane-independent (see [`EventSimulator`]).  Local
+//! observabilities are computed lazily, only along the chains of excited
+//! roots, and memoized per superblock, so a one-pattern pass pays for the
+//! chains its faults touch, not for a whole-circuit backward sweep.
 //!
 //! Detection results are bit-identical to the dense engine for every
 //! block width, drop mode, and shard count — property-tested in this
 //! module and relied on by the whole stack (`MonteCarloEngine`, the CLI,
 //! the benches).
 
-use wrt_circuit::{Circuit, GateKind, NodeId};
+use std::borrow::Cow;
+
+use wrt_circuit::{Circuit, FanoutFreeRegions, GateKind, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
 
 use crate::fault_sim::FaultWorklist;
@@ -210,12 +225,15 @@ pub struct SimStats {
     pub unexcited: u64,
     /// Gate evaluations during fault propagation (excluding the root
     /// injection): the dense engine pays one per cone node per excited
-    /// block, the event engine one per *scheduled* node per root
-    /// propagation.
+    /// block, the event engine one per *scheduled* node per region-head
+    /// propagation.  The event engine's local-observability steps inside
+    /// a region (one sensitization check per chain node and superblock)
+    /// are not propagation and are not counted.
     pub node_evals: u64,
-    /// Propagations from an effect root: the dense engine runs one per
-    /// excited attempt, the event engine one per excited root per
-    /// superblock, shared by every fault on that root.
+    /// Fault-effect propagations: the dense engine runs one per excited
+    /// attempt from the fault's effect root, the event engine one per
+    /// fanout-free region head per superblock whose faults' effects reach
+    /// it, shared by every fault in that region.
     pub root_propagations: u64,
     /// Excited attempts whose effect died before reaching any primary
     /// output (the frontier drained without touching a PO).
@@ -250,9 +268,10 @@ impl SimStats {
         self.frontier_deaths as f64 / self.excited() as f64
     }
 
-    /// Excited attempts served per root propagation: 1 for the per-fault
-    /// dense engine, at least 1 for the event engine's root grouping (1
-    /// when nothing was propagated).
+    /// Excited attempts per propagation: 1 for the per-fault dense
+    /// engine, at least 1 for the event engine, whose one propagation per
+    /// region head serves every excited fault in the region whose effect
+    /// reaches the head (1 when nothing was propagated).
     pub fn faults_per_propagation(&self) -> f64 {
         if self.root_propagations == 0 {
             return 1.0;
@@ -269,11 +288,13 @@ impl SimStats {
 pub struct FaultEvalProfile {
     /// Excited 64-pattern blocks per fault, *clipped at the detecting
     /// block of each pass*: a lane counts iff it holds valid patterns,
-    /// the fault is excited there, and no earlier lane of the same pass
-    /// already detected the fault.  With `drop = true` callers this is
-    /// exactly the number of blocks the dense engine would have paid a
-    /// cone walk for, which makes `Σ excited_blocks[f] × (cone(f) − 1)`
-    /// the dense engine's `node_evals` without ever running it.
+    /// the fault is excited there (at its own effect root, whether or not
+    /// the effect reaches its region's head), and no earlier lane of the
+    /// same pass already detected the fault.  With `drop = true` callers
+    /// this is exactly the number of blocks the dense engine would have
+    /// paid a cone walk for, which makes
+    /// `Σ excited_blocks[f] × (cone(f) − 1)` the dense engine's
+    /// `node_evals` without ever running it.
     pub excited_blocks: Vec<u64>,
 }
 
@@ -494,13 +515,6 @@ fn and_mask<const W: usize>(mut lanes: [u64; W], mask: &[u64; W]) -> [u64; W] {
     lanes
 }
 
-#[inline]
-fn or_diff<const W: usize>(acc: &mut [u64; W], a: &[u64; W], b: &[u64; W]) {
-    for ((acc, x), y) in acc.iter_mut().zip(a).zip(b) {
-        *acc |= x ^ y;
-    }
-}
-
 /// Event-driven PPSFP fault simulator over `W`-word superblocks.
 ///
 /// Unlike [`crate::FaultSimulator`], no per-fault cones are stored at all: the
@@ -508,25 +522,32 @@ fn or_diff<const W: usize>(acc: &mut [u64; W], a: &[u64; W], b: &[u64; W]) {
 /// circuit's CSR fanout lists bound propagation exactly as tightly as an
 /// explicit cone would — minus every node the fault effect never reaches.
 ///
-/// # Root grouping
+/// # Region grouping
 ///
-/// Faults sharing an effect root — both polarities of a stem, the stem
-/// and pin faults of one gate — flip the same node, so they are
-/// propagated together.  Per superblock the kernel
+/// A fault's effect leaves its fanout-free region only through the
+/// region's head, so faults are propagated per head.  Per superblock the
+/// kernel
 ///
 /// 1. computes each live fault's *excited lanes* (injected root value XOR
-///    fault-free root value) and ORs them into one union per root;
-/// 2. propagates every excited root **once**, complementing it in exactly
-///    the union lanes, and records the unmasked primary-output difference
-///    lanes `obs(root)`;
-/// 3. reports fault `f` detected in `excited(f) & obs(root(f)) & mask`.
+///    fault-free root value) and its root's *local observability* (the
+///    lanes where flipping the root flips the region head: the AND of
+///    the sensitization of every gate on the single-fanout path between
+///    them), and ORs `excited & local_obs` into one union per head;
+/// 2. propagates every head with a non-empty union **once**, complementing
+///    it in exactly the union lanes, and records the unmasked
+///    primary-output difference lanes `obs(head)`;
+/// 3. reports fault `f` detected in
+///    `excited(f) & local_obs(root(f)) & obs(head(f)) & mask`.
 ///
 /// This is exact because gate evaluation is lane-independent: in every
 /// lane where `f` is excited, the faulty circuit is the fault-free one
-/// with `root(f)` complemented, and in every other lane it is the
-/// fault-free circuit.  Every [`SimStats`] counter except `node_evals`
-/// (and `root_propagations`) stays per fault; the dense engine keeps its
-/// per-fault cone walk as the oracle.
+/// with `root(f)` complemented; that flip reaches the head in exactly the
+/// locally observable lanes (the path's side inputs lie outside the
+/// root's fanout, so they keep their fault-free values), where the faulty
+/// circuit is the fault-free one with the head complemented; in every
+/// other lane nothing outside the region changes.  Every [`SimStats`]
+/// counter except `node_evals` (and `root_propagations`) stays per fault;
+/// the dense engine keeps its per-fault cone walk as the oracle.
 ///
 /// # Example
 ///
@@ -547,15 +568,17 @@ fn or_diff<const W: usize>(acc: &mut [u64; W], a: &[u64; W], b: &[u64; W]) {
 ///     detections += 1;
 /// });
 /// assert!(detections > 0);
-/// // The four checkpoint faults (both polarities of `a` and `b`) sit on
-/// // two effect roots: at most two propagations.
-/// assert!(sim.stats().root_propagations <= 2);
+/// // The four checkpoint faults (both polarities of `a` and `b`) lie in
+/// // one fanout-free region, headed by the output `y`: at most one
+/// // propagation.
+/// assert!(sim.stats().root_propagations <= 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct EventSimulator<'c, const W: usize> {
     circuit: &'c Circuit,
+    regions: Cow<'c, FanoutFreeRegions>,
     faults: Vec<Fault>,
     good: WideLogicSim<'c, W>,
     /// Scratch: faulty lanes per node, valid when `touched == epoch`.
@@ -581,14 +604,22 @@ pub struct EventSimulator<'c, const W: usize> {
     /// Flat copy of the per-node levels (one indirection instead of two
     /// on the scheduling hot path).
     level: Box<[u32]>,
-    /// The effect roots excited in the current superblock: each root with
-    /// the union of its faults' excited lanes (step 1 of root grouping),
-    /// overwritten by its observed output-difference lanes (step 2).
-    roots: Vec<(NodeId, [u64; W])>,
-    /// Per node: its slot in `roots`, valid only when that slot points
+    /// Per non-head node: its local observability in the current
+    /// superblock, valid when `local_stamp == superblock`.
+    local_obs: Vec<[u64; W]>,
+    local_stamp: Vec<u32>,
+    superblock: u32,
+    /// Scratch: the chain walked by [`EventSimulator::local_obs`].
+    chain: Vec<NodeId>,
+    /// The region heads reached in the current superblock: each head with
+    /// the union of its faults' lanes at the head (step 1 of region
+    /// grouping), overwritten by its observed output-difference lanes
+    /// (step 2).
+    heads: Vec<(NodeId, [u64; W])>,
+    /// Per node: its slot in `heads`, valid only when that slot points
     /// back at the node — a sparse set, so nothing is cleared between
     /// superblocks.
-    root_slot: Box<[u32]>,
+    head_slot: Box<[u32]>,
     stats: SimStats,
     /// Per-fault counters, allocated only when profiling is enabled so
     /// the hot path pays one branch otherwise.
@@ -596,11 +627,37 @@ pub struct EventSimulator<'c, const W: usize> {
 }
 
 impl<'c, const W: usize> EventSimulator<'c, W> {
-    /// Builds a simulator for `circuit` and `faults`.
+    /// Builds a simulator for `circuit` and `faults`, computing the
+    /// circuit's fanout-free regions.
     pub fn new(circuit: &'c Circuit, faults: &FaultList) -> Self {
+        Self::build(circuit, Cow::Owned(FanoutFreeRegions::new(circuit)), faults)
+    }
+
+    /// Builds a simulator over already computed fanout-free regions of
+    /// `circuit`, so callers running many simulators on one circuit (the
+    /// shard workers) compute them once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regions` covers a different node count.
+    pub(crate) fn with_regions(
+        circuit: &'c Circuit,
+        regions: &'c FanoutFreeRegions,
+        faults: &FaultList,
+    ) -> Self {
+        Self::build(circuit, Cow::Borrowed(regions), faults)
+    }
+
+    fn build(
+        circuit: &'c Circuit,
+        regions: Cow<'c, FanoutFreeRegions>,
+        faults: &FaultList,
+    ) -> Self {
         let n = circuit.num_nodes();
+        assert_eq!(regions.num_nodes(), n, "regions of this circuit");
         EventSimulator {
             circuit,
+            regions,
             faults: faults.iter().map(|(_, f)| f).collect(),
             good: WideLogicSim::new(circuit),
             faulty: vec![[0; W]; n],
@@ -611,8 +668,12 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             bucket_next: vec![NIL; n].into_boxed_slice(),
             active_levels: std::collections::BinaryHeap::new(),
             level: circuit.ids().map(|id| circuit.levels().level(id)).collect(),
-            roots: Vec::new(),
-            root_slot: vec![NIL; n].into_boxed_slice(),
+            local_obs: vec![[0; W]; n],
+            local_stamp: vec![0; n],
+            superblock: 0,
+            chain: Vec::new(),
+            heads: Vec::new(),
+            head_slot: vec![NIL; n].into_boxed_slice(),
             stats: SimStats::default(),
             profile: None,
         }
@@ -652,8 +713,8 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     /// for every fault the superblock detects.  With `drop = true`,
     /// detected faults are swap-removed from the worklist.
     ///
-    /// Faults sharing an effect root are propagated once, together (see
-    /// the type docs).  The contract mirrors
+    /// Faults of one fanout-free region are propagated once, together,
+    /// from the region's head (see the type docs).  The contract mirrors
     /// [`crate::FaultSimulator::detect_block_worklist`] with `u64` widened
     /// to `[u64; W]`; detection lanes are bit-identical to `W` consecutive
     /// dense blocks.
@@ -666,8 +727,14 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         on_detect: impl FnMut(usize, [u64; W]),
     ) {
         self.good.run(pi_words);
-        // Step 1: the union of excited lanes per effect root.
-        self.roots.clear();
+        self.superblock = self.superblock.wrapping_add(1);
+        if self.superblock == 0 {
+            // Extremely rare wrap: reset the local-observability stamps.
+            self.local_stamp.fill(0);
+            self.superblock = 1;
+        }
+        // Step 1: the union of the faults' lanes at each region head.
+        self.heads.clear();
         for &i in worklist.as_slice() {
             let fault = self.faults[i as usize];
             let excited = self.excited_lanes(fault);
@@ -675,25 +742,30 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 continue;
             }
             let root = fault.site.effect_root();
-            match self.roots.get_mut(self.root_slot[root.index()] as usize) {
-                Some((r, union)) if *r == root => {
-                    for (u, e) in union.iter_mut().zip(&excited) {
+            let at_head = and_mask(excited, &self.local_obs(root));
+            if at_head == [0; W] {
+                continue;
+            }
+            let head = self.regions.head(root);
+            match self.heads.get_mut(self.head_slot[head.index()] as usize) {
+                Some((h, union)) if *h == head => {
+                    for (u, e) in union.iter_mut().zip(&at_head) {
                         *u |= e;
                     }
                 }
                 _ => {
-                    self.root_slot[root.index()] = self.roots.len() as u32;
-                    self.roots.push((root, excited));
+                    self.head_slot[head.index()] = self.heads.len() as u32;
+                    self.heads.push((head, at_head));
                 }
             }
         }
-        // Step 2: one propagation per excited root.
-        for k in 0..self.roots.len() {
-            let (root, flip) = self.roots[k];
-            self.roots[k].1 = self.propagate(root, flip);
+        // Step 2: one propagation per reached head.
+        for k in 0..self.heads.len() {
+            let (head, flip) = self.heads[k];
+            self.heads[k].1 = self.propagate(head, flip);
         }
-        self.stats.root_propagations += self.roots.len() as u64;
-        // Step 3: per-fault detection from its root's observed lanes.
+        self.stats.root_propagations += self.heads.len() as u64;
+        // Step 3: per-fault detection from its head's observed lanes.
         worklist.visit(drop, [0; W], |i| self.detect_fault(i, &mask), on_detect);
     }
 
@@ -711,6 +783,53 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             *l ^= g;
         }
         lanes
+    }
+
+    /// The lanes where complementing `node` complements its region's head
+    /// in the current superblock: all lanes for a head, otherwise the
+    /// sensitization of its unique sink gate ANDed with the sink's own
+    /// local observability.  Walks up the chain only to the head or to
+    /// the first node already resolved this superblock, then memoizes
+    /// every node it passed.
+    fn local_obs(&mut self, node: NodeId) -> [u64; W] {
+        let circuit = self.circuit;
+        let mut n = node;
+        let mut obs = loop {
+            if self.regions.is_head(n) {
+                break [u64::MAX; W];
+            }
+            if self.local_stamp[n.index()] == self.superblock {
+                break self.local_obs[n.index()];
+            }
+            self.chain.push(n);
+            n = circuit.fanout(n)[0];
+        };
+        while let Some(m) = self.chain.pop() {
+            if obs != [0; W] {
+                // Flip `m` at its sink (it feeds exactly one pin there)
+                // and keep the lanes where the sink's output flips too.
+                let sink = circuit.fanout(m)[0];
+                let gate = circuit.node(sink);
+                let flipped = eval_gate_lanes(
+                    gate.kind(),
+                    gate.fanin().iter().map(|&f| {
+                        let v = self.good.value(f);
+                        if f == m {
+                            v.map(|x| !x)
+                        } else {
+                            v
+                        }
+                    }),
+                );
+                let good_sink = self.good.value(sink);
+                for ((o, x), g) in obs.iter_mut().zip(&flipped).zip(&good_sink) {
+                    *o &= x ^ g;
+                }
+            }
+            self.local_obs[m.index()] = obs;
+            self.local_stamp[m.index()] = self.superblock;
+        }
+        obs
     }
 
     /// The one copy of the ready-set bookkeeping (invariants 1–2 in the
@@ -736,9 +855,14 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     }
 
     /// Complements `root` in the `flip` lanes against the current
-    /// fault-free state, propagates the effect until the frontier drains,
-    /// and returns the unmasked primary-output difference lanes.
+    /// fault-free state, propagates the effect until the frontier drains
+    /// or every flipped lane is observed, and returns the flipped lanes
+    /// some primary output differs in.
     fn propagate(&mut self, root: NodeId, flip: [u64; W]) -> [u64; W] {
+        let circuit = self.circuit;
+        if circuit.is_output(root) {
+            return flip;
+        }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely rare wrap: reset both stamp arrays.
@@ -753,22 +877,23 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         }
         self.faulty[root.index()] = root_value;
         self.touched[root.index()] = epoch;
-        let mut diff = if self.circuit.is_output(root) {
-            flip
-        } else {
-            [0; W]
-        };
+        // Flipped lanes no primary output has differed in yet.  Node
+        // values are exact in every pending lane (a node differs there
+        // only through a fanin that differed there while it was pending,
+        // and that fanin scheduled it), so retiring an observed lane
+        // cannot change the result.
+        let mut pending = flip;
 
         // Seed the ready set with the root's fanouts, then drain occupied
-        // buckets in increasing level order until the frontier dies out.
-        // `circuit` is the copied `&'c` reference, so fanout slices do not
-        // hold a borrow of `self` across the `schedule` calls.
-        let circuit = self.circuit;
+        // buckets in increasing level order until the frontier dies out
+        // or no lane is pending.  `circuit` is the copied `&'c` reference,
+        // so fanout slices do not hold a borrow of `self` across the
+        // `schedule` calls.
         let root_level = self.level[root.index()];
         for &s in circuit.fanout(root) {
             self.schedule(s, epoch, root_level);
         }
-        while let Some(std::cmp::Reverse(lvl)) = self.active_levels.pop() {
+        'drain: while let Some(std::cmp::Reverse(lvl)) = self.active_levels.pop() {
             // Detach the whole chain; draining schedules only into strictly
             // higher levels, so the links we walk are never rewritten.
             let mut ni = std::mem::replace(&mut self.bucket_head[lvl as usize], NIL);
@@ -791,20 +916,37 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 if w != good_n {
                     self.faulty[ni as usize] = w;
                     self.touched[ni as usize] = epoch;
-                    if circuit.is_output(n) {
-                        or_diff(&mut diff, &w, &good_n);
+                    let observed = circuit.is_output(n);
+                    let mut live = false;
+                    for ((p, x), g) in pending.iter_mut().zip(&w).zip(&good_n) {
+                        let d = x ^ g;
+                        if observed {
+                            *p &= !d;
+                        }
+                        live |= d & *p != 0;
                     }
-                    for &s in circuit.fanout(n) {
-                        self.schedule(s, epoch, lvl);
+                    if pending == [0; W] {
+                        // Every flipped lane is observed: discard the rest
+                        // of the ready set (the detached chain is dropped
+                        // with `ni`).
+                        while let Some(std::cmp::Reverse(l)) = self.active_levels.pop() {
+                            self.bucket_head[l as usize] = NIL;
+                        }
+                        break 'drain;
+                    }
+                    if live {
+                        for &s in circuit.fanout(n) {
+                            self.schedule(s, epoch, lvl);
+                        }
                     }
                 }
                 ni = self.bucket_next[ni as usize];
             }
         }
-        diff
+        and_mask(flip, &pending.map(|p| !p))
     }
 
-    /// Detection lanes for fault index `i` from its root's observed lanes
+    /// Detection lanes for fault index `i` from its head's observed lanes
     /// (callers must have run steps 1 and 2 for the current superblock).
     fn detect_fault(&mut self, i: usize, mask: &[u64; W]) -> [u64; W] {
         let fault = self.faults[i];
@@ -815,8 +957,13 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             self.stats.unexcited += 1;
             return [0; W];
         }
-        let (_, obs) = self.roots[self.root_slot[fault.site.effect_root().index()] as usize];
-        let seen = and_mask(excited, &obs);
+        let root = fault.site.effect_root();
+        let mut seen = and_mask(excited, &self.local_obs(root));
+        if seen != [0; W] {
+            let head = self.regions.head(root);
+            let (_, obs) = self.heads[self.head_slot[head.index()] as usize];
+            seen = and_mask(seen, &obs);
+        }
         if seen == [0; W] {
             // The fault's own effect reaches no primary output.
             self.stats.frontier_deaths += 1;
@@ -1059,10 +1206,108 @@ mod tests {
         assert_eq!(stats.fault_blocks, 1);
         assert_eq!(stats.unexcited, 0);
         assert_eq!(stats.frontier_deaths, 1);
-        // NOT evaluated + AND evaluated (then dies): exactly 2 evals, not
-        // the full cone of `a` every time thereafter.
-        assert_eq!(stats.node_evals, 2);
+        // `a`, `m` and `y` form one fanout-free region: the effect dies
+        // inside it (b = 0 desensitizes the AND), so nothing propagates.
+        assert_eq!(stats.node_evals, 0);
         assert_eq!(stats.frontier_dieout_rate(), 1.0);
+    }
+
+    /// Runs one single-word superblock (one lane array per input) over
+    /// every fault of `sim`, returning the detections.
+    fn one_pass(sim: &mut EventSimulator<'_, 1>, inputs: &[u64]) -> Vec<(usize, [u64; 1])> {
+        let words: Vec<[u64; 1]> = inputs.iter().map(|&w| [w]).collect();
+        let mut worklist = FaultWorklist::full(sim.num_faults());
+        let mut detections = Vec::new();
+        sim.detect_superblock_worklist(&words, [u64::MAX], &mut worklist, false, |i, w| {
+            detections.push((i, w))
+        });
+        detections
+    }
+
+    #[test]
+    fn a_pass_stopped_by_retirement_leaves_the_ready_set_empty() {
+        // The stem `a` reaches the output `y1` at level 2 and, through
+        // `c1`, queues `x` at level 3; with e = 1 every lane is observed
+        // at `y1`, so the first pass stops with `x` still queued.  The
+        // second pass (e = f = 0) reaches the output `z` at level 4 only
+        // through `g1` and `g2` (level 3), and must cost and detect
+        // exactly what a fresh simulator's does.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(e)\nINPUT(f)\nOUTPUT(y1)\nOUTPUT(x)\nOUTPUT(z)\n\
+             b1 = NOT(a)\ny1 = AND(b1, e)\nc1 = AND(a, f)\nk1 = NOT(f)\nk2 = NOT(k1)\n\
+             x = AND(c1, k2)\ng1 = AND(a, k1)\ng2 = BUF(g1)\nz = BUF(g2)\n",
+        )
+        .unwrap();
+        let a = c.node_id("a").unwrap();
+        let faults = wrt_fault::FaultList::from_faults(vec![wrt_fault::Fault::output(a, false)]);
+        let mut reused = EventSimulator::<1>::new(&c, &faults);
+        assert_eq!(one_pass(&mut reused, &[!0, !0, !0]), vec![(0, [!0])]);
+        let first = reused.stats();
+        assert!(first.node_evals < 5, "stopped before `x`: {first:?}");
+        reused.reset_stats();
+        let mut fresh = EventSimulator::<1>::new(&c, &faults);
+        let second = one_pass(&mut reused, &[!0, 0, 0]);
+        assert_eq!(second, vec![(0, [!0])], "observed at `z`");
+        assert_eq!(second, one_pass(&mut fresh, &[!0, 0, 0]));
+        assert_eq!(reused.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn an_effect_observed_one_gate_up_skips_the_chain_beyond() {
+        // The stem `s` flips the output `y` one gate up in every lane; the
+        // chain g1..g6 → z beyond it (sensitized: c = 1) is never paid.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+             s = AND(a, b)\ny = NOT(s)\nc1 = NOT(c)\nc2 = NOT(c1)\ng1 = AND(s, c2)\n\
+             g2 = NOT(g1)\ng3 = BUF(g2)\ng4 = NOT(g3)\ng5 = BUF(g4)\ng6 = NOT(g5)\n\
+             z = BUF(g6)\n",
+        )
+        .unwrap();
+        let stuck = |name: &str| wrt_fault::Fault::output(c.node_id(name).unwrap(), false);
+        let faults = wrt_fault::FaultList::from_faults(vec![stuck("s")]);
+        let mut sim = EventSimulator::<1>::new(&c, &faults);
+        assert_eq!(one_pass(&mut sim, &[!0, !0, !0]), vec![(0, [!0])]);
+        let stats = sim.stats();
+        assert_eq!(stats.root_propagations, 1);
+        assert_eq!(stats.node_evals, 1, "only `y`, not the 7 chain gates");
+
+        // g1..g6 and z form one region headed by the output `z`: the
+        // chain's faults share one propagation, which costs nothing.
+        let chain = wrt_fault::FaultList::from_faults(vec![stuck("g2"), stuck("g3"), stuck("g5")]);
+        let mut sim = EventSimulator::<1>::new(&c, &chain);
+        // With a = 0, s = g1 = 0: g2 = g3 = 1 (stuck-at-0 excited) and
+        // g5 = 0 (not excited).
+        let detections = one_pass(&mut sim, &[0, !0, !0]);
+        assert_eq!(detections, vec![(0, [!0]), (1, [!0])]);
+        let stats = sim.stats();
+        assert_eq!((stats.unexcited, stats.detected_blocks), (1, 2));
+        assert_eq!(stats.root_propagations, 1);
+        assert_eq!(stats.node_evals, 0);
+    }
+
+    #[test]
+    fn a_node_differing_only_in_observed_patterns_schedules_nothing() {
+        // Both patterns flip the stem `a`.  Pattern 0 is observed at `y`
+        // at once (e = 1), so `y`, which differs in pattern 0 only, must
+        // not schedule the chain h1..h3 beyond it; pattern 1 stays
+        // pending until `z`, five levels up.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(e)\nOUTPUT(y)\nOUTPUT(h3)\nOUTPUT(z)\n\
+             y = AND(a, e)\nh1 = NOT(y)\nh2 = BUF(h1)\nh3 = NOT(h2)\n\
+             g1 = BUF(a)\ng2 = NOT(g1)\ng3 = BUF(g2)\ng4 = NOT(g3)\nz = BUF(g4)\n",
+        )
+        .unwrap();
+        let a = c.node_id("a").unwrap();
+        let faults = wrt_fault::FaultList::from_faults(vec![wrt_fault::Fault::output(a, false)]);
+        let mut sim = EventSimulator::<1>::new(&c, &faults);
+        let mut worklist = FaultWorklist::full(1);
+        let mut detections = Vec::new();
+        sim.detect_superblock_worklist(&[[0b11], [0b01]], [0b11], &mut worklist, false, |i, w| {
+            detections.push((i, w))
+        });
+        assert_eq!(detections, vec![(0, [0b11])]);
+        // y and g1..g4, z — not h1..h3.
+        assert_eq!(sim.stats().node_evals, 6);
     }
 
     #[test]
@@ -1135,11 +1380,79 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::fault_sim::{detection_counts, fault_coverage};
+    use crate::fault_sim::{detection_counts, fault_coverage, FaultSimulator};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::{arb_circuit, counts, coverage};
+    use crate::test_support::{arb_chain_circuit, arb_circuit, counts, coverage};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
+
+    /// The dense oracle's per-fault counters regrouped into `W`-word
+    /// superblocks: every lane word of a superblock is one dense block
+    /// (padding lanes included, as the event engine sees them), and a
+    /// `(fault, superblock)` attempt is excited, detected, or a frontier
+    /// death when any of its blocks is excited, when any detects, or when
+    /// it is excited and no excited block reached an output.  With `drop`
+    /// a fault leaves after its detecting superblock.
+    fn dense_superblock_stats<const W: usize>(
+        circuit: &Circuit,
+        faults: &FaultList,
+        mut source: impl PatternSource,
+        patterns: u64,
+        drop: bool,
+    ) -> SimStats {
+        let mut blocks = Vec::new();
+        let mut left = patterns;
+        while left > 0 {
+            let block = source.next_block(left.min(64) as u32);
+            left -= u64::from(block.len);
+            blocks.push(block);
+        }
+        let mut dense = FaultSimulator::new(circuit, faults);
+        let mut live = vec![true; faults.len()];
+        let mut stats = SimStats::default();
+        let mut b = 0;
+        while b < blocks.len() {
+            let take = superblock_split(&blocks[b..], W);
+            let sb = SuperBlock::<W>::from_blocks(&blocks[b..b + take]);
+            let mask = sb.mask();
+            for i in 0..faults.len() {
+                if !live[i] {
+                    continue;
+                }
+                let (mut excited, mut reached, mut detected) = (false, false, false);
+                for k in 0..W {
+                    let words: Vec<u64> = sb.words.iter().map(|lanes| lanes[k]).collect();
+                    let only: Vec<bool> = (0..faults.len()).map(|j| j == i).collect();
+                    let before = dense.stats();
+                    dense.detect_block_worklist(
+                        &words,
+                        mask[k],
+                        &mut FaultWorklist::from_active(&only),
+                        false,
+                        |_, _| {},
+                    );
+                    let after = dense.stats();
+                    if after.unexcited == before.unexcited {
+                        excited = true;
+                        reached |= after.frontier_deaths == before.frontier_deaths;
+                    }
+                    detected |= after.detected_blocks > before.detected_blocks;
+                }
+                stats.fault_blocks += 1;
+                if !excited {
+                    stats.unexcited += 1;
+                } else if !reached {
+                    stats.frontier_deaths += 1;
+                }
+                if detected {
+                    stats.detected_blocks += 1;
+                    live[i] &= !drop;
+                }
+            }
+            b += take;
+        }
+        stats
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1181,8 +1494,8 @@ mod proptests {
                 patterns, drop, threads, opts,
             );
             prop_assert_eq!(dense.detected_at(), event_sharded.detected_at());
-            // Shards never split an effect root, so sharding changes no
-            // counter — root propagations and gate evals included.
+            // Shards never split a fanout-free region, so sharding changes
+            // no counter — root propagations and gate evals included.
             prop_assert_eq!(event_stats, sharded_stats);
 
             let serial_counts = detection_counts(
@@ -1205,7 +1518,7 @@ mod proptests {
             prop_assert_eq!(&serial_counts, &counts_sharded);
         }
 
-        /// Root grouping keeps every per-fault counter exact: at `W = 1`
+        /// Region grouping keeps every per-fault counter exact: at `W = 1`
         /// the event engine's stats equal the dense engine's on every
         /// field but the two propagation costs, which never exceed the
         /// dense ones.  Full fault lists make roots shared.
@@ -1273,6 +1586,40 @@ mod proptests {
                 })
                 .sum();
             prop_assert_eq!(derived, dense.node_evals);
+        }
+
+        /// Region grouping and lane retirement keep every per-fault
+        /// counter exact on circuits made of long single-fanout chains:
+        /// at every superblock width the event engine's stats (one shard
+        /// and sharded) equal the dense `FaultSimulator`'s regrouped into
+        /// the same superblocks on every field but the two propagation
+        /// costs, and its detections equal the dense oracle's.
+        #[test]
+        fn chain_regions_keep_every_per_fault_counter(
+            circuit in arb_chain_circuit(),
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            width_and_threads in (0usize..5, 1usize..6),
+            seed in 0u64..1_000,
+            patterns in 1u64..700,
+            drop in any::<bool>(),
+        ) {
+            let (width_idx, threads) = width_and_threads;
+            let faults = FaultList::full(&circuit);
+            let words = SUPPORTED_BLOCK_WORDS[width_idx];
+            let source = || WeightedPatterns::new(weights.clone(), seed);
+            let dense = fault_coverage(&circuit, &faults, source(), patterns, drop);
+            let oracle = with_block_words!(words, W => {
+                dense_superblock_stats::<W>(&circuit, &faults, source(), patterns, drop)
+            });
+            let unpropagated = |s: SimStats| SimStats { node_evals: 0, root_propagations: 0, ..s };
+            for shards in [1, threads] {
+                let (event, stats) = coverage(
+                    &circuit, &faults, source(), patterns, drop, shards, SimOptions::event(words),
+                );
+                prop_assert_eq!(dense.detected_at(), event.detected_at());
+                prop_assert_eq!(unpropagated(stats), unpropagated(oracle));
+                prop_assert!(stats.root_propagations <= stats.excited());
+            }
         }
 
         /// Oversharding (more shards than faults) stays identical for the

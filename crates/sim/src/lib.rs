@@ -14,8 +14,8 @@
 //!
 //! Fault simulation runs through one budgeted, panic-isolated pair,
 //! [`fault_coverage_robust`] and [`detection_counts_robust`]: the fault
-//! list is cut into cone-locality-aware shards (an effect root never
-//! spans two), one worker thread per shard, and the sequential,
+//! list is cut into cone-locality-aware shards (a fanout-free region
+//! never spans two), one worker thread per shard, and the sequential,
 //! seed-deterministic pattern stream is broadcast to every worker in
 //! bounded chunks — so a run keeps to its deadline and its memory stays
 //! flat whatever the pattern count.  `threads = 1` runs one shard.  Each
@@ -26,13 +26,14 @@
 //!   `u64` block;
 //! * **event** ([`EventSimulator`]) — event-driven sparse propagation
 //!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
-//!   only nodes actually reached by a fault effect are evaluated, and
-//!   each evaluation covers `64 * W` patterns.  Faults sharing an effect
-//!   root are propagated once per superblock — the root complemented in
-//!   the union of their excited lanes, each fault detected where its own
-//!   excited lanes meet the root's observed output differences (exact,
-//!   since gate evaluation is lane-independent).  See [`EventSimulator`]
-//!   for the grouping and the ready-set invariants.
+//!   only nodes actually reached by a fault effect are evaluated, until
+//!   every flipped pattern is observed, and each evaluation covers
+//!   `64 * W` patterns.  The faults of one fanout-free region are
+//!   propagated once per superblock from the region's head — the head
+//!   complemented in the union of their lanes that reach it, each fault
+//!   detected where those lanes meet the head's observed output
+//!   differences (exact, since gate evaluation is lane-independent).  See
+//!   [`EventSimulator`] for the grouping and the ready-set invariants.
 //!
 //! Merging per-shard results by fault id makes the engine bit-identical
 //! to the serial dense oracle ([`fault_coverage`], [`detection_counts`])

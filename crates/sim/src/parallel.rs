@@ -17,9 +17,9 @@
 //!   every worker simulates *all* patterns against *its* faults.  Results
 //!   are merged by fault id, so the outcome is bit-identical to the serial
 //!   dense oracle's — same `detected_at`, same counts — for any thread
-//!   count.  An effect root never spans two shards, so the event kernel
-//!   still propagates each root once per superblock and every shard count
-//!   spends the same gate evals.
+//!   count.  A fanout-free region never spans two shards, so the event
+//!   kernel still propagates each region head once per superblock and
+//!   every shard count spends the same gate evals.
 //! * **Duplicated good simulation.**  Each worker re-runs the fault-free
 //!   simulation of a block for its own scratch state.  That multiplies the
 //!   (cheap, `O(gates)`) good simulation by the shard count but keeps
@@ -67,7 +67,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
-use wrt_circuit::Circuit;
+use wrt_circuit::{Circuit, FanoutFreeRegions};
 use wrt_fault::{FaultId, FaultList, FaultPartition};
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{
@@ -215,25 +215,19 @@ pub fn fault_coverage_robust(
     opts: SimOptions,
     budget: &Budget,
 ) -> RunOutcome<RobustCoverage> {
-    let mode = Mode::Coverage { drop };
-    Job {
-        circuit,
-        faults,
-        mode,
-        opts,
-    }
-    .run(source, num_patterns, threads, budget)
-    .map(|run| RobustCoverage {
-        result: CoverageResult::new(
-            run.values
-                .into_iter()
-                .map(|p| (p != UNDETECTED).then_some(p))
-                .collect(),
-            run.patterns,
-        ),
-        stats: run.stats,
-        recovery: run.recovery,
-    })
+    Job::new(circuit, faults, Mode::Coverage { drop }, opts)
+        .run(source, num_patterns, threads, budget)
+        .map(|run| RobustCoverage {
+            result: CoverageResult::new(
+                run.values
+                    .into_iter()
+                    .map(|p| (p != UNDETECTED).then_some(p))
+                    .collect(),
+                run.patterns,
+            ),
+            stats: run.stats,
+            recovery: run.recovery,
+        })
 }
 
 /// Budgeted, panic-isolated PPSFP detection counts: for every fault, how
@@ -254,20 +248,14 @@ pub fn detection_counts_robust(
     opts: SimOptions,
     budget: &Budget,
 ) -> RunOutcome<RobustCounts> {
-    let mode = Mode::Counts;
-    Job {
-        circuit,
-        faults,
-        mode,
-        opts,
-    }
-    .run(source, num_patterns, threads, budget)
-    .map(|run| RobustCounts {
-        counts: run.values,
-        num_patterns: run.patterns,
-        stats: run.stats,
-        recovery: run.recovery,
-    })
+    Job::new(circuit, faults, Mode::Counts, opts)
+        .run(source, num_patterns, threads, budget)
+        .map(|run| RobustCounts {
+            counts: run.values,
+            num_patterns: run.patterns,
+            stats: run.stats,
+            recovery: run.recovery,
+        })
 }
 
 /// A coverage slot's value while its fault is undetected.
@@ -349,11 +337,12 @@ fn worker_dense(
 /// is the serial stream's.  Hangs up like [`worker_dense`].
 fn worker_event<const W: usize>(
     circuit: &Circuit,
+    regions: &FanoutFreeRegions,
     sublist: &FaultList,
     rx: Receiver<Arc<Chunk>>,
     mode: Mode,
 ) -> (Vec<u64>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, sublist);
+    let mut sim = EventSimulator::<W>::with_regions(circuit, regions, sublist);
     let mut worklist = FaultWorklist::full(sublist.len());
     let mut local = vec![mode.initial(); sublist.len()];
     let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
@@ -421,6 +410,9 @@ fn stream_chunks(
 /// One simulation request: what every shard worker and replay runs.
 struct Job<'a> {
     circuit: &'a Circuit,
+    /// The circuit's fanout-free regions, computed once per run for the
+    /// partition and every event worker.
+    regions: FanoutFreeRegions,
     faults: &'a FaultList,
     mode: Mode,
     opts: SimOptions,
@@ -445,7 +437,17 @@ impl Run {
     }
 }
 
-impl Job<'_> {
+impl<'a> Job<'a> {
+    fn new(circuit: &'a Circuit, faults: &'a FaultList, mode: Mode, opts: SimOptions) -> Self {
+        Job {
+            circuit,
+            regions: FanoutFreeRegions::new(circuit),
+            faults,
+            mode,
+            opts,
+        }
+    }
+
     /// Resolves the budget's eval clip, runs the sharded scaffold, and
     /// reports a runtime trip first, then the eval clip, as the interrupt.
     fn run(
@@ -497,7 +499,7 @@ impl Job<'_> {
         threads: usize,
         budget: (&Budget, u64),
     ) -> Option<BudgetExceeded> {
-        let partition = FaultPartition::cone_locality(self.circuit, self.faults, threads);
+        let partition = FaultPartition::cone_locality(&self.regions, self.faults, threads);
         let replay_source = source.clone();
         let mut poisoned: Vec<usize> = Vec::new();
         let (streamed, tripped) = std::thread::scope(|scope| {
@@ -620,7 +622,7 @@ impl Job<'_> {
         match opts.engine {
             SimEngineKind::Dense => worker_dense(self.circuit, sublist, rx, self.mode),
             SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                worker_event::<W>(self.circuit, sublist, rx, self.mode)
+                worker_event::<W>(self.circuit, &self.regions, sublist, rx, self.mode)
             }),
         }
     }
@@ -933,19 +935,20 @@ mod proptests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::{arb_circuit, counts, coverage};
+    use crate::test_support::{arb_chain_circuit, arb_circuit, counts, coverage};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// An effect root never spans two shards, and the shard count is
-        /// the requested one capped at the distinct roots — so the event
-        /// kernel propagates each root once whatever the layout.
+        /// A fanout-free region never spans two shards, and the shard
+        /// count is the requested one capped at the distinct region heads
+        /// — so the event kernel propagates each head once whatever the
+        /// layout.
         #[test]
-        fn partition_never_splits_an_effect_root(
-            circuit in arb_circuit(),
+        fn partition_never_splits_a_fanout_free_region(
+            circuit in arb_chain_circuit(),
             keep in proptest::collection::vec(any::<bool>(), 1..64),
             shards in 0usize..40,
         ) {
@@ -955,12 +958,13 @@ mod proptests {
                 .filter(|&(_, &k)| k)
                 .map(|((_, f), _)| f)
                 .collect();
-            let partition = FaultPartition::cone_locality(&circuit, &faults, shards);
+            let regions = FanoutFreeRegions::new(&circuit);
+            let partition = FaultPartition::cone_locality(&regions, &faults, shards);
             let mut home = std::collections::HashMap::new();
             for s in 0..partition.num_shards() {
                 for &id in partition.shard(s) {
-                    let root = faults.fault(id).site.effect_root();
-                    prop_assert_eq!(*home.entry(root).or_insert(s), s);
+                    let head = regions.head(faults.fault(id).site.effect_root());
+                    prop_assert_eq!(*home.entry(head).or_insert(s), s);
                 }
             }
             prop_assert_eq!(partition.num_shards(), shards.clamp(1, home.len().max(1)));

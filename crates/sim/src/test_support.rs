@@ -42,6 +42,72 @@ pub fn arb_circuit() -> impl Strategy<Value = Circuit> {
         })
 }
 
+/// A random 4-input circuit built mostly of long single-fanout chains:
+/// each gate usually extends the previous one, with side inputs drawn
+/// mostly from the primary inputs, so fanout-free regions span many
+/// gates.  Some chain gates are also observed (single-fanout outputs),
+/// and an occasional far pick reads an earlier node again, making stems,
+/// reconvergence and two-pin reads.
+pub fn arb_chain_circuit() -> impl Strategy<Value = Circuit> {
+    let kinds = prop::sample::select(vec![
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ]);
+    // (kind, extend-the-chain roll, fanin picks, observe roll)
+    let gate = (
+        kinds,
+        0usize..100,
+        proptest::collection::vec(0usize..100, 1..3),
+        0usize..100,
+    );
+    proptest::collection::vec(gate, 4..28).prop_map(|specs| {
+        let mut b = CircuitBuilder::named("chains");
+        let mut ids = Vec::new();
+        for i in 0..4 {
+            ids.push(b.input(format!("i{i}")));
+        }
+        let mut observed = Vec::new();
+        for (kind, extend, picks, out) in specs {
+            let pick = |p: usize| {
+                if p < 85 {
+                    ids[p % 4]
+                } else {
+                    ids[p % ids.len()]
+                }
+            };
+            let first = if extend < 80 {
+                *ids.last().expect("nonempty")
+            } else {
+                pick(picks[0])
+            };
+            let fanin: Vec<_> = if matches!(kind, GateKind::Not | GateKind::Buf) {
+                vec![first]
+            } else {
+                std::iter::once(first)
+                    .chain(picks.iter().map(|&p| pick(p)))
+                    .collect()
+            };
+            let id = b.gate_auto(kind, &fanin).expect("valid");
+            ids.push(id);
+            if out < 15 {
+                observed.push(id);
+            }
+        }
+        let last = *ids.last().expect("nonempty");
+        b.mark_output(last);
+        for id in observed.into_iter().filter(|&id| id != last) {
+            b.mark_output(id);
+        }
+        b.build().expect("valid circuit")
+    })
+}
+
 /// [`crate::fault_coverage_robust`] under an unlimited budget; the run
 /// must complete without recovery.
 pub fn coverage(
