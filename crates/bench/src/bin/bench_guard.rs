@@ -30,10 +30,15 @@
 //!   non-smoke artifact (`"smoke": false`) must contain a `c6288ish` row
 //!   at all, so the floor cannot be dodged by deleting the row — the CI
 //!   smoke configuration runs a reduced circuit set and is exempt from
-//!   row presence only.  Other
-//!   artifacts reuse the `eval_reduction` key for different metrics
-//!   (e.g. COP evals per optimizer run) with their own scales, so the
-//!   floors deliberately do not apply there;
+//!   row presence only;
+//! * in the optimizer artifact (recognized by its
+//!   `incremental_node_evals` fields — only `bench_optimize` emits
+//!   them), every `"eval_reduction"` (full-recompute COP evals over
+//!   incremental COP evals per optimizer run) must be at least `1.0` —
+//!   the incremental engine doing *more* COP evaluations than the full
+//!   recompute it replaces is a regression.  The simulation floors above
+//!   do not apply there, nor does this one apply to other artifacts
+//!   that reuse the key;
 //! * in the same artifact, every `"faults_per_propagation"` (excited
 //!   fault attempts per event-engine root propagation) must be at least
 //!   `1.0` — every propagated region head serves at least one excited
@@ -182,6 +187,8 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     // the eval-reduction floors below apply only to it (other artifacts
     // reuse the `eval_reduction` key for differently-scaled metrics).
     let is_sim_artifact = values.iter().any(|v| v.key == "sparsity_reduction");
+    // The optimizer artifact is the one with incremental COP eval counts.
+    let is_optimize_artifact = values.iter().any(|v| v.key == "incremental_node_evals");
     // The serving artifact leads with warm-over-cold ratios; only
     // `bench_serve` emits that key.
     let is_serve_artifact = values.iter().any(|v| v.key == "warm_over_cold");
@@ -230,6 +237,18 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                     violations.push(format!(
                         "{path}:{}: \"{}\" is {x} on {} — below the 1.3 multiplier floor",
                         v.line, v.key, v.circuit
+                    ));
+                }
+            }
+        }
+        // Optimizer eval-reduction floor: the incremental engine must
+        // never do more COP evals than the full recompute.
+        if is_optimize_artifact && v.key == "eval_reduction" {
+            if let Ok(x) = v.value.parse::<f64>() {
+                if x < 1.0 {
+                    violations.push(format!(
+                        "{path}:{}: \"eval_reduction\" is {x} on {} — incremental COP evaluates more nodes than the full recompute",
+                        v.line, v.circuit
                     ));
                 }
             }
@@ -588,6 +607,26 @@ mod tests {
         }
         // Other artifacts may use the key freely.
         let other = "{ \"threads\": 4, \"serial_fraction\": 0.01, \"bit_identical\": true }";
+        assert!(check_artifact("other.json", other).is_empty());
+    }
+
+    #[test]
+    fn sub_unity_optimizer_eval_reductions_are_flagged() {
+        let row = |er: &str| {
+            format!(
+                "{{ \"smoke\": false, \"results\": [ {{ \"circuit\": \"s2\", \"full_node_evals\": 100, \"incremental_node_evals\": 50, \"eval_reduction\": {er}, \"bit_identical\": true }} ] }}"
+            )
+        };
+        for er in ["1.00", "1.1", "11.7"] {
+            assert!(check_artifact("opt.json", &row(er)).is_empty(), "{er}");
+        }
+        for er in ["0.99", "0.5"] {
+            let v = check_artifact("opt.json", &row(er));
+            assert_eq!(v.len(), 1, "{er}: {v:?}");
+            assert!(v[0].contains("full recompute"), "{v:?}");
+        }
+        // Without the optimizer's fields the key carries no such floor.
+        let other = "{ \"eval_reduction\": 0.5, \"bit_identical\": true }";
         assert!(check_artifact("other.json", other).is_empty());
     }
 

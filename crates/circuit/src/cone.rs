@@ -112,8 +112,7 @@ impl FanoutCones {
 }
 
 /// Linear merge of two sorted, duplicate-free node lists into `out`
-/// (sorted, deduplicated).  The single merge implementation behind both
-/// [`ConeUnion::absorb`] and [`ConeUnion::merged_with`].
+/// (sorted, deduplicated).
 pub fn merge_sorted_nodes(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
     out.clear();
     out.reserve(a.len() + b.len());
@@ -137,129 +136,6 @@ pub fn merge_sorted_nodes(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-}
-
-/// An incrementally grown union of node sets (typically fanout cones),
-/// kept sorted for topological iteration with O(1) membership tests.
-///
-/// This is the bookkeeping structure behind multi-coordinate pending
-/// overlays: each deferred coordinate move absorbs its fanout cone, and
-/// the union — the *frontier* every later query must treat as dirty —
-/// stays available both as a sorted slice (ascending node ids, i.e.
-/// topological order) and as a stamped membership bitmap.  Absorbing is
-/// a linear merge, so repeatedly absorbing heavily overlapping cones
-/// costs O(|union| + |cone|) per absorb, never a re-sort.
-///
-/// A union instance is tied to one circuit; callers that switch circuits
-/// must [`clear`](ConeUnion::clear) it (capacity adapts automatically,
-/// but stamps are only meaningful per circuit).
-///
-/// # Example
-///
-/// ```
-/// use wrt_circuit::{parse_bench, transitive_fanout, ConeUnion};
-/// # fn main() -> Result<(), wrt_circuit::ParseBenchError> {
-/// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")?;
-/// let a = c.node_id("a").unwrap();
-/// let b = c.node_id("b").unwrap();
-/// let mut union = ConeUnion::new();
-/// union.absorb(&transitive_fanout(&c, &[a]));
-/// union.absorb(&transitive_fanout(&c, &[b]));
-/// assert_eq!(union.len(), 3); // a, b and the shared AND gate
-/// assert!(union.contains(c.node_id("y").unwrap()));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ConeUnion {
-    /// Sorted member list (ascending node id = topological order).
-    members: Vec<NodeId>,
-    /// Membership stamps: `stamp[i] == token` iff node *i* is a member.
-    stamp: Vec<u32>,
-    token: u32,
-    /// Merge scratch, reused across absorbs.
-    scratch: Vec<NodeId>,
-}
-
-impl ConeUnion {
-    /// Creates an empty union.
-    pub fn new() -> Self {
-        ConeUnion::default()
-    }
-
-    /// Adds every node of `cone` (a sorted node list, as produced by
-    /// [`transitive_fanout`] and friends) to the union.
-    ///
-    /// Returns the number of nodes that were new to the union.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `cone` is not sorted.
-    pub fn absorb(&mut self, cone: &[NodeId]) -> usize {
-        debug_assert!(cone.windows(2).all(|w| w[0] < w[1]), "cone must be sorted");
-        if cone.is_empty() {
-            return 0;
-        }
-        let highest = cone.last().expect("non-empty").index();
-        if self.stamp.len() <= highest {
-            self.stamp.resize(highest + 1, 0);
-        }
-        if self.token == 0 {
-            // First use (or post-wrap reset in `clear`): make 0 invalid.
-            self.token = 1;
-        }
-        let before = self.members.len();
-        let mut merged = std::mem::take(&mut self.scratch);
-        merge_sorted_nodes(&self.members, cone, &mut merged);
-        self.scratch = std::mem::replace(&mut self.members, merged);
-        for &id in cone {
-            self.stamp[id.index()] = self.token;
-        }
-        self.members.len() - before
-    }
-
-    /// Writes `union ∪ cone` into `out` (sorted, deduplicated), without
-    /// modifying the union — the read-only counterpart of
-    /// [`absorb`](ConeUnion::absorb), for callers that need a merged
-    /// view (e.g. "pending frontier plus one query cone") per query.
-    pub fn merged_with(&self, cone: &[NodeId], out: &mut Vec<NodeId>) {
-        debug_assert!(cone.windows(2).all(|w| w[0] < w[1]), "cone must be sorted");
-        merge_sorted_nodes(&self.members, cone, out);
-    }
-
-    /// Whether `id` is in the union.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.stamp
-            .get(id.index())
-            .is_some_and(|&s| s == self.token && self.token != 0)
-    }
-
-    /// The union as a sorted slice (ascending node ids — topological
-    /// order, like the cones it absorbed).
-    pub fn as_slice(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Number of member nodes.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the union is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Empties the union in O(1) amortized (stamp-token bump; the rare
-    /// token wrap pays one linear stamp reset).
-    pub fn clear(&mut self) {
-        self.members.clear();
-        self.token = self.token.wrapping_add(1);
-        if self.token == 0 {
-            self.stamp.fill(0);
-            self.token = 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -330,46 +206,5 @@ mod tests {
         let _ = cache.cone(&c, a);
         cache.clear();
         assert_eq!(cache.cached_roots(), 0);
-    }
-
-    #[test]
-    fn cone_union_merges_sorted_and_deduplicates() {
-        let (c, [a, x, n1, n2, g]) = diamond();
-        let mut union = ConeUnion::new();
-        assert!(union.is_empty());
-        assert_eq!(union.absorb(&transitive_fanout(&c, &[a])), 4);
-        assert_eq!(union.len(), 4);
-        // Overlapping absorb adds only the new node.
-        assert_eq!(union.absorb(&transitive_fanout(&c, &[x])), 1);
-        assert_eq!(union.as_slice(), &[a, x, n1, n2, g]);
-        for w in union.as_slice().windows(2) {
-            assert!(w[0] < w[1], "union stays sorted");
-        }
-        assert!(union.contains(n1));
-        // Re-absorbing an already-covered cone is a no-op.
-        assert_eq!(union.absorb(&transitive_fanout(&c, &[n2])), 0);
-        assert_eq!(union.len(), 5);
-    }
-
-    #[test]
-    fn cone_union_clear_resets_membership() {
-        let (c, [a, x, ..]) = diamond();
-        let mut union = ConeUnion::new();
-        union.absorb(&transitive_fanout(&c, &[a]));
-        assert!(union.contains(a));
-        union.clear();
-        assert!(union.is_empty());
-        assert!(!union.contains(a));
-        // Reusable after clear.
-        union.absorb(&transitive_fanout(&c, &[x]));
-        assert!(union.contains(x));
-        assert!(!union.contains(a));
-    }
-
-    #[test]
-    fn fresh_cone_union_contains_nothing() {
-        let union = ConeUnion::new();
-        assert!(!union.contains(NodeId::from_index(0)));
-        assert_eq!(union.as_slice(), &[] as &[NodeId]);
     }
 }

@@ -816,34 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_pending_engine_reproduces_full_cop_trajectory() {
-        // The pending-overlay engine defers commits across PREPARE
-        // queries and materializes at ANALYSIS (or batch/budget) points
-        // — the descent must still be bit-identical for every batch
-        // size, since each answer is bit-identical.
-        use wrt_estimate::IncrementalCop;
-        for circuit in [wide_and(8), equality_circuit(5)] {
-            let faults = FaultList::checkpoints(&circuit);
-            let config = OptimizeConfig::default();
-            let mut full = CopEngine::new();
-            let reference = optimize(&circuit, &faults, &mut full, &config);
-            for batch in [2, 4, 64] {
-                let mut batched = IncrementalCop::new().with_commit_batch(batch);
-                let got = optimize(&circuit, &faults, &mut batched, &config);
-                assert_eq!(got.weights, reference.weights, "batch {batch}");
-                assert_eq!(
-                    got.final_length.to_bits(),
-                    reference.final_length.to_bits(),
-                    "batch {batch}"
-                );
-                assert_eq!(got.sweeps, reference.sweeps, "batch {batch}");
-                assert_eq!(got.engine_calls, reference.engine_calls, "batch {batch}");
-                assert!(batched.stats().pending_moves > 0, "batch {batch}");
-            }
-        }
-    }
-
-    #[test]
     fn engine_call_budget_matches_structure() {
         // engine calls = 1 initial + per sweep (2·inputs + 1).
         let c = wide_and(3);

@@ -67,12 +67,6 @@ pub trait DetectionProbabilityEngine: Send {
     /// input *i*'s fanout cone and the observability region it dirties,
     /// with identical (bit-identical, for the analytic engines) results.
     ///
-    /// Implementations may defer reconciling `weights` moves observed
-    /// between calls (the batched pending overlay does, resolving them
-    /// amortized), as long as every answer equals a from-scratch
-    /// evaluation at the requested vectors — the optimizer's PREPARE
-    /// sweep and the partitioner rely only on the returned values.
-    ///
     /// # Panics
     ///
     /// Panics if `coordinate >= weights.len()` or if `weights.len()` does

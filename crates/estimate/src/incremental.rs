@@ -11,43 +11,32 @@
 //! else reads the baseline, and every answer is bit-identical to a full
 //! recompute.
 //!
-//! # Pending moves
+//! # Moves
 //!
 //! Between PREPARE queries the optimizer moves one coordinate at a time
-//! (MINIMIZE writes `x_i := y`).  A move is free: it records its delta in
-//! the pending weight vector and absorbs the coordinate's fanout cone into
-//! the **union frontier** ([`wrt_circuit::ConeUnion`]) — no node is
-//! evaluated.  The pending layer **materializes** — one eager overlay walk
-//! over the union frontier at the pending weights, folded into the
-//! baseline — when `K` moves have accumulated
-//! ([`with_commit_batch`](IncrementalCop::with_commit_batch), default 4),
-//! when the union frontier exceeds its budget
-//! ([`frontier_exceeds_budget`]), or when an unmasked ANALYSIS query
-//! arrives.  `K` overlapping dirty regions collapse into one union-sized
-//! walk, which is where the batching win comes from; `K = 1`
-//! materializes after every move.
+//! (MINIMIZE writes `x_i := y`).  A move is folded into the baseline at
+//! once: one eager overlay walk over input *i*'s cached fanout cone at
+//! the new weight, written back into the baseline.  A call whose weights
+//! differ from the baseline in two or more coordinates rebuilds it.
 //!
 //! # Queries
 //!
-//! A PREPARE query is answered against `baseline ∪ pending ∪
-//! query-overlay`, computing only what the queried faults read:
+//! A PREPARE query is answered against `baseline ∪ query-overlay`,
+//! computing only what the queried faults read:
 //!
 //! * signal probabilities **on demand** ([`lazy_probability`]), memoized
-//!   post-order from the nodes the answer reads, over the dirty cone — the
-//!   union frontier merged with the queried coordinate's cone;
+//!   post-order from the nodes the answer reads, over the queried
+//!   coordinate's fanout cone;
 //! * observabilities through the overlay's push-on-change backward walk,
-//!   seeded with every sensitization-reactive dirty-cone gate and clipped
-//!   to the **query mask** — the fanout closure of the queried fault
-//!   sites, which is closed under the obs-dependency relation and
-//!   therefore contains every node whose value can influence an answer;
-//! * union-frontier probabilities outside the queried cone are banked in a
-//!   cross-query cache, valid until a later move dirties them.
+//!   seeded with every sensitization-reactive cone gate and clipped to
+//!   the **query mask** — the fanout closure of the queried fault sites,
+//!   which is closed under the obs-dependency relation and therefore
+//!   contains every node whose value can influence an answer.
 //!
 //! The multi-coordinate walk property test in
-//! `tests/incremental_agreement.rs` covers randomized batch sizes and
-//! forced materialization points.
+//! `tests/incremental_agreement.rs` checks both against a full recompute.
 
-use wrt_circuit::{transitive_fanout, Circuit, ConeUnion, FanoutCones, NodeId};
+use wrt_circuit::{transitive_fanout, Circuit, FanoutCones, NodeId};
 use wrt_fault::{FaultList, FaultSite};
 
 use crate::cop::node_probability;
@@ -78,36 +67,6 @@ pub struct IncrementalStats {
     /// full passes.  Kept so existing readers still compile; it goes at
     /// the next change of the end-to-end benchmark.
     pub stateless_estimates: u64,
-    /// Deferred coordinate moves absorbed into the pending overlay (each
-    /// costs zero node evaluations at move time).
-    pub pending_moves: u64,
-    /// Pending-overlay materializations: shared multi-coordinate resolve
-    /// passes folding the union frontier into the baseline.
-    pub materializations: u64,
-    /// Sum of union-frontier sizes at materialization time
-    /// (`/ materializations` = the average frontier one shared resolve
-    /// pass covered).
-    pub union_frontier_sum: u64,
-    /// Largest pending union frontier observed.
-    pub union_frontier_peak: u64,
-    /// Forward recomputations skipped by the cross-query pending value
-    /// cache: union-frontier nodes outside the queried coordinate's cone
-    /// whose pending-weight probability was still valid from an earlier
-    /// query epoch.
-    pub pending_cache_hits: u64,
-}
-
-/// Union-frontier budget of the pending overlay: once the pending
-/// frontier covers at least this fraction of the netlist (3/4), deferring
-/// further moves stops paying — every query would treat nearly the whole
-/// circuit as dirty — so the layer materializes early.
-const PENDING_FRONTIER_NUMER: usize = 3;
-const PENDING_FRONTIER_DENOM: usize = 4;
-
-/// Whether a pending union frontier of `frontier_len` nodes exceeds the
-/// materialization budget for a `num_nodes`-node circuit.
-fn frontier_exceeds_budget(frontier_len: usize, num_nodes: usize) -> bool {
-    frontier_len * PENDING_FRONTIER_DENOM >= num_nodes * PENDING_FRONTIER_NUMER
 }
 
 /// Identity of the circuit a baseline was computed for.
@@ -160,41 +119,13 @@ impl Fingerprint {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrementalCop {
-    /// Commit batch size `K`: pending moves materialize once `K` of them
-    /// have accumulated.
-    commit_batch: usize,
     /// Circuit the baseline and the cone cache belong to (`None` before
     /// the first call).
     fingerprint: Option<Fingerprint>,
-    /// The COP solution at `baseline.weights` (pending moves excluded).
+    /// The COP solution at `baseline.weights`, every move folded in.
     baseline: CopSolution,
-    /// Current effective weight vector: `baseline.weights` plus every
-    /// pending (not yet materialized) coordinate move.
-    pending_weights: Vec<f64>,
-    /// Deferred moves since the last materialization.
-    pending_count: usize,
-    /// Union of the pending coordinates' fanout cones: the only nodes
-    /// whose baseline values may be stale, i.e. the dirty frontier every
-    /// query must overlay.
-    union: ConeUnion,
-    /// Scratch for `union ∪ cone(queried coordinate)`.
-    merged_cone: Vec<NodeId>,
-    /// Cross-query pending value cache: forward (signal-probability)
-    /// values *at the pending weight vector*, live iff the slot's stamp
-    /// equals `pending_token`.  A union-frontier node outside the
-    /// queried coordinate's cone reads the same probability in every
-    /// query epoch until a deferred move dirties it (the query override
-    /// only reaches the queried cone, and fanout closures cannot leak
-    /// into it from outside), so query pairs seed their overlay from this
-    /// cache instead of re-walking the frontier from the baseline.
-    /// Invalidation is cone-grained: each deferred move clears exactly
-    /// its own fanout cone; materialization and rebuilds retire the
-    /// whole layer by advancing the token.
-    pending_p_scratch: Vec<f64>,
-    pending_p_stamp: Vec<u32>,
-    pending_token: u32,
     cones: FanoutCones,
     overlay: Overlay,
     /// Query mask: a node is in the current query region iff its stamp
@@ -211,68 +142,17 @@ pub struct IncrementalCop {
     stats: IncrementalStats,
 }
 
-impl Default for IncrementalCop {
-    fn default() -> Self {
-        IncrementalCop {
-            commit_batch: 4,
-            fingerprint: None,
-            baseline: CopSolution::default(),
-            pending_weights: Vec::new(),
-            pending_count: 0,
-            union: ConeUnion::new(),
-            merged_cone: Vec::new(),
-            pending_p_scratch: Vec::new(),
-            pending_p_stamp: Vec::new(),
-            pending_token: 1,
-            cones: FanoutCones::new(),
-            overlay: Overlay::default(),
-            query_stamp: Vec::new(),
-            query_token: 0,
-            query_sites: Vec::new(),
-            stats: IncrementalStats::default(),
-        }
-    }
-}
-
 impl IncrementalCop {
-    /// Creates the engine with commit batch `K = 4` (no baseline yet; the
-    /// first call builds one).
+    /// Creates the engine (no baseline yet; the first call builds one).
     pub fn new() -> Self {
         IncrementalCop::default()
     }
 
-    /// Sets the commit batch size `K` of the pending overlay (`0` is
-    /// treated as `1`): up to `K` coordinate moves are deferred (free at
-    /// move time) before one shared materialization folds them into the
-    /// baseline.  Results are bit-identical for every `K`.
-    pub fn with_commit_batch(mut self, batch: usize) -> Self {
-        self.commit_batch = batch.max(1);
+    /// Compatibility only: has no effect.  Every coordinate move is
+    /// folded into the baseline at once, so there is no batch to size.
+    /// Removed together with the replay helper in `perfbench/trace`.
+    pub fn with_commit_batch(self, _batch: usize) -> Self {
         self
-    }
-
-    /// Number of deferred coordinate moves currently pending.
-    pub fn pending_len(&self) -> usize {
-        self.pending_count
-    }
-
-    /// Size of the pending union frontier (dirty-node count a query
-    /// overlays on top of the baseline).
-    pub fn pending_frontier(&self) -> usize {
-        self.union.len()
-    }
-
-    /// Forces materialization of the pending overlay now (no-op when
-    /// nothing is pending).  Queries decide this on their own; the hook
-    /// exists so tests and ablations can place materialization points
-    /// deterministically.
-    pub fn flush_pending(&mut self, circuit: &Circuit) {
-        if self.pending_count > 0 {
-            assert!(
-                self.fingerprint == Some(Fingerprint::of(circuit)),
-                "flush_pending needs the circuit the pending moves were recorded for"
-            );
-            self.materialize(circuit);
-        }
     }
 
     /// Work counters accumulated since construction (or the last
@@ -311,21 +191,12 @@ impl IncrementalCop {
         self.query_token = 0;
         // Sentinel no fault list can match (no valid site has this index).
         self.query_sites = vec![u32::MAX];
-        // A rebuild lands exactly at `weights`: nothing is pending.
-        self.pending_weights.clear();
-        self.pending_weights.extend_from_slice(weights);
-        self.pending_count = 0;
-        self.union.clear();
-        self.pending_p_scratch = vec![0.0; n];
-        self.pending_p_stamp = vec![0; n];
-        self.pending_token = 1;
     }
 
-    /// Brings the engine's effective state (baseline plus pending layer)
-    /// to exactly `weights`: a no-op when already there, a free pending
-    /// move when one coordinate moved, a full rebuild otherwise (first
-    /// call, new circuit, or a multi-coordinate jump such as a restart
-    /// from fresh starting weights).
+    /// Brings the baseline to exactly `weights`: a no-op when already
+    /// there, one folded move when one coordinate moved, a full rebuild
+    /// otherwise (first call, new circuit, or a multi-coordinate jump
+    /// such as a restart from fresh starting weights).
     fn ensure_baseline(&mut self, circuit: &Circuit, weights: &[f64]) {
         assert_eq!(
             weights.len(),
@@ -337,7 +208,7 @@ impl IncrementalCop {
             return;
         }
         let mut diff = None;
-        for (k, (&new, &old)) in weights.iter().zip(&self.pending_weights).enumerate() {
+        for (k, (&new, &old)) in weights.iter().zip(&self.baseline.weights).enumerate() {
             if new != old {
                 if diff.is_some() {
                     // Two or more coordinates moved: not the optimizer's
@@ -349,85 +220,46 @@ impl IncrementalCop {
             }
         }
         if let Some(coordinate) = diff {
-            self.pending_move(circuit, coordinate, weights[coordinate]);
+            self.fold_move(circuit, coordinate, weights[coordinate]);
         }
     }
 
-    /// Defers `x_coordinate := value` into the pending overlay: records
-    /// the delta, absorbs the coordinate's fanout cone into the union
-    /// frontier, and materializes when the batch or the frontier budget
-    /// fills up.  Costs zero node evaluations unless it materializes.
-    fn pending_move(&mut self, circuit: &Circuit, coordinate: usize, value: f64) {
-        self.stats.pending_moves += 1;
-        self.pending_weights[coordinate] = value;
-        let root = circuit.inputs()[coordinate];
-        let cone = self.cones.cone(circuit, root);
-        // Cross-query cache: only this move's cone can read the changed
-        // weight; every other cached pending value stays valid.
-        for &id in cone {
-            self.pending_p_stamp[id.index()] = 0;
-        }
-        self.union.absorb(cone);
-        self.pending_count += 1;
-        let frontier = self.union.len();
-        self.stats.union_frontier_peak = self.stats.union_frontier_peak.max(frontier as u64);
-        if self.pending_count >= self.commit_batch
-            || frontier_exceeds_budget(frontier, circuit.num_nodes())
-        {
-            self.materialize(circuit);
-        }
-    }
-
-    /// Resolves the whole pending layer into the baseline: one eager
-    /// overlay walk over the union frontier at the pending weights, then
-    /// a fold of the overlay into the baseline.
-    fn materialize(&mut self, circuit: &Circuit) {
-        if self.pending_count == 0 {
-            return;
-        }
-        self.stats.materializations += 1;
-        self.stats.union_frontier_sum += self.union.len() as u64;
+    /// Folds `x_coordinate := value` into the baseline: one eager overlay
+    /// walk over the coordinate's fanout cone at the new weight, written
+    /// back into the baseline.
+    fn fold_move(&mut self, circuit: &Circuit, coordinate: usize, value: f64) {
+        self.baseline.weights[coordinate] = value;
+        let cone = self.cones.cone(circuit, circuit.inputs()[coordinate]);
         self.overlay.next_epoch();
-        let weights = &self.pending_weights;
+        let weights = &self.baseline.weights;
         self.overlay.eager_walk(
             circuit,
             &self.baseline,
-            self.union.as_slice(),
+            cone,
             &[],
             |k| weights[k],
             |_, kind| kind,
         );
         self.overlay.fold_into(circuit, &mut self.baseline);
-        self.baseline.weights.copy_from_slice(&self.pending_weights);
-        self.union.clear();
-        self.pending_count = 0;
-        // The cached values now coincide with the new baseline: retire
-        // the whole layer by advancing the token (amortized O(1)).
-        advance_token(&mut self.pending_token, &mut [&mut self.pending_p_stamp]);
     }
 
-    /// The query overlay for `x_coordinate := value` on top of the
-    /// pending layer, leaving the baseline untouched and computing only
-    /// what answering `faults` needs:
+    /// The query overlay for `x_coordinate := value` over the baseline,
+    /// leaving the baseline untouched and computing only what answering
+    /// `faults` needs:
     ///
     /// * signal probabilities **on demand** ([`lazy_probability`]) — at
     ///   fault-activation nodes and at the fanins of backward-recomputed
-    ///   gates — instead of walking the whole dirty cone;
+    ///   gates — instead of walking the whole cone;
     /// * observabilities only inside the query mask (see
     ///   [`refresh_query_mask`](Self::refresh_query_mask)), seeded
-    ///   conservatively with every sensitization-reactive dirty-cone gate
-    ///   in the mask (without an eager forward walk the exact
-    ///   probability-dirty set is unknown; a seed whose inputs turn out
-    ///   unchanged recomputes its baseline values and pushes nothing).
+    ///   conservatively with every sensitization-reactive cone gate in the
+    ///   mask (without an eager forward walk the exact probability-dirty
+    ///   set is unknown; a seed whose inputs turn out unchanged
+    ///   recomputes its baseline values and pushes nothing).
     ///
-    /// The dirty cone is the pending union frontier merged with the
-    /// queried coordinate's cone, and the perturbed weight vector is the
-    /// pending one with the query coordinate overridden — so one epoch
-    /// carries the deferred deltas *and* the hypothetical boundary move
-    /// (a union of fanout closures is itself closed under fanout, and only
-    /// its nodes can hold non-baseline probabilities).  The caller must
-    /// invoke [`refresh_query_mask`](Self::refresh_query_mask) for
-    /// `faults` first.
+    /// The caller must invoke
+    /// [`refresh_query_mask`](Self::refresh_query_mask) for `faults`
+    /// first.
     fn perturb_query(
         &mut self,
         circuit: &Circuit,
@@ -436,41 +268,12 @@ impl IncrementalCop {
         faults: &FaultList,
     ) {
         self.overlay.next_epoch();
-        let epoch = self.overlay.epoch;
-        let root = circuit.inputs()[coordinate];
-        if self.pending_count == 0 && self.baseline.weights[coordinate] == value {
+        if self.baseline.weights[coordinate] == value {
             return; // identity perturbation: the baseline answers as-is
         }
         self.stats.perturbations += 1;
-        if self.pending_count > 0 {
-            // Seed this epoch's overlay from the cross-query cache:
-            // union-frontier nodes outside the queried cone hold their
-            // pending-weight probability in every epoch (the query
-            // override cannot reach them — a node reading input i's
-            // weight or any cone-dirty fanin would itself be in
-            // `cone(root)` by fanout closure), so a live cached slot is
-            // exactly what the lazy walk would recompute.  Seeded stamps
-            // short-circuit the DFS before it re-walks the frontier.
-            let root_cone = self.cones.cone(circuit, root);
-            for idx in frontier_outside(self.union.as_slice(), root_cone) {
-                if self.pending_p_stamp[idx] == self.pending_token {
-                    self.overlay.p[idx] = self.pending_p_scratch[idx];
-                    self.overlay.p_stamp[idx] = epoch;
-                    self.stats.pending_cache_hits += 1;
-                }
-            }
-        }
-        // The merged (union ∪ cone) frontier is prepared once per query
-        // pair by `refresh_merged_cone`; both boundary-point overlays of
-        // the pair read the same merged view.
-        let cone: &[NodeId] = if self.pending_count > 0 {
-            &self.merged_cone
-        } else {
-            self.cones.cone(circuit, root)
-        };
         let query = Query {
-            cone,
-            weights: &self.pending_weights,
+            cone: self.cones.cone(circuit, circuit.inputs()[coordinate]),
             coordinate,
             value,
         };
@@ -481,7 +284,7 @@ impl IncrementalCop {
         // the candidates whose pin observabilities can move without their
         // stem moving first (primary inputs have no pins and never react).
         let (mask, token) = (&self.query_stamp, self.query_token);
-        for &id in cone {
+        for &id in query.cone {
             let node = circuit.node(id);
             if mask[id.index()] == token && sens_reacts(node.kind(), node.fanin().len()) {
                 self.overlay.enqueue(id.index());
@@ -516,36 +319,6 @@ impl IncrementalCop {
                 &query,
                 activation,
             );
-        }
-
-        // Harvest: every union-frontier probability this epoch computed
-        // outside the queried cone is a pending-weight value (same
-        // closure argument as the seed above) — bank it so the next
-        // query epoch starts from it instead of the baseline.
-        if self.pending_count > 0 {
-            let root_cone = self.cones.cone(circuit, root);
-            for idx in frontier_outside(self.union.as_slice(), root_cone) {
-                if self.overlay.p_stamp[idx] == epoch
-                    && self.pending_p_stamp[idx] != self.pending_token
-                {
-                    self.pending_p_scratch[idx] = self.overlay.p[idx];
-                    self.pending_p_stamp[idx] = self.pending_token;
-                }
-            }
-        }
-    }
-
-    /// Prepares the effective dirty cone for a query pair:
-    /// `pending union frontier ∪ cone(root)` into the merged scratch.
-    /// Called once per [`estimate_coordinate_pair`] invocation (after
-    /// `ensure_baseline`, whose materialization may have just emptied
-    /// the pending layer), so both boundary-point overlays share one
-    /// merge.  A no-op when nothing is pending — `perturb_query` then
-    /// reads the plain cached cone.
-    fn refresh_merged_cone(&mut self, circuit: &Circuit, root: NodeId) {
-        if self.pending_count > 0 {
-            let cone = self.cones.cone(circuit, root);
-            self.union.merged_with(cone, &mut self.merged_cone);
         }
     }
 
@@ -583,34 +356,19 @@ impl IncrementalCop {
     }
 }
 
-/// Indices of the union-frontier nodes outside `cone` (both sorted).
-fn frontier_outside<'a>(
-    union: &'a [NodeId],
-    cone: &'a [NodeId],
-) -> impl Iterator<Item = usize> + 'a {
-    let mut j = 0;
-    union.iter().filter_map(move |&id| {
-        while j < cone.len() && cone[j] < id {
-            j += 1;
-        }
-        (j >= cone.len() || cone[j] != id).then_some(id.index())
-    })
-}
-
-/// The perturbation a query overlay evaluates: the dirty `cone`, and the
-/// effective weight vector `weights` (pending moves applied) with
-/// `coordinate` overridden to `value`.
+/// The perturbation a query overlay evaluates: the dirty `cone` of
+/// `coordinate`, and the baseline weights with `coordinate` overridden to
+/// `value`.
 struct Query<'a> {
     cone: &'a [NodeId],
-    weights: &'a [f64],
     coordinate: usize,
     value: f64,
 }
 
 /// Demand-driven perturbed signal probability.
 ///
-/// Nodes outside the query's cone cannot depend on any perturbed input
-/// (queried or pending) and read the baseline directly; cone nodes are
+/// Nodes outside the query's cone cannot depend on the perturbed input
+/// and read the baseline directly; cone nodes are
 /// recomputed (memoized per epoch via the overlay stamps) from their
 /// fanins with an explicit post-order stack, through the same
 /// [`node_probability`] helper as the full pass — so every forced value
@@ -633,7 +391,7 @@ fn lazy_probability(
         if k == query.coordinate {
             query.value
         } else {
-            query.weights[k]
+            baseline.weights[k]
         }
     };
     let mut stack = vec![(target, false)];
@@ -665,17 +423,11 @@ fn lazy_probability(
 impl DetectionProbabilityEngine for IncrementalCop {
     fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         self.ensure_baseline(circuit, input_probs);
-        // An unmasked (ANALYSIS-style) query reads observabilities the
-        // mask-clipped pending machinery never touches: resolve the
-        // pending layer first.  This is the natural amortized
-        // materialization point — once per optimizer sweep.
-        self.materialize(circuit);
         self.baseline.detection_probabilities(circuit, faults)
     }
 
     /// The incremental hot path: both boundary points of coordinate *i*
-    /// via query overlays over the baseline at `weights`, merged with the
-    /// pending union frontier when deferred moves are outstanding.
+    /// via query overlays over the baseline at `weights`.
     fn estimate_coordinate_pair(
         &mut self,
         circuit: &Circuit,
@@ -689,7 +441,6 @@ impl DetectionProbabilityEngine for IncrementalCop {
             weights.len()
         );
         self.ensure_baseline(circuit, weights);
-        self.refresh_merged_cone(circuit, circuit.inputs()[coordinate]);
         self.refresh_query_mask(circuit, faults);
         self.perturb_query(circuit, coordinate, 0.0, faults);
         let at_zero = self
@@ -756,7 +507,7 @@ mod tests {
         // Mimic the optimizer: PREPARE per coordinate, then move it.
         let c = reconvergent();
         let faults = FaultList::checkpoints(&c);
-        let mut inc = IncrementalCop::new().with_commit_batch(1);
+        let mut inc = IncrementalCop::new();
         let mut full = CopEngine::new();
         let mut w = [0.5, 0.5, 0.5];
         let moves = [0.7, 0.2, 0.9, 0.4, 0.55, 0.1];
@@ -771,11 +522,16 @@ mod tests {
             );
             w[i] = next;
         }
-        // Only the very first call built a baseline; with K = 1 every
-        // weight move afterwards was one cone-restricted materialization.
+        // Only the very first call built a baseline (2 × 8 evals); every
+        // weight move afterwards was folded by one cone-restricted walk.
+        // The exact counts pin that work: a skipped or partial fold, or a
+        // fold at stale weights, changes them.
         let stats = inc.stats();
         assert_eq!(stats.full_rebuilds, 1);
-        assert_eq!(stats.materializations as usize, moves.len() - 1);
+        assert_eq!(
+            (stats.forward_evaluations, stats.backward_evaluations),
+            (75, 132)
+        );
     }
 
     #[test]
@@ -858,169 +614,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_walk_is_bit_identical_and_defers_commits() {
-        // The optimizer walk again, but against the pending-overlay
-        // engine: moves must be deferred (zero evaluations at move time)
-        // and every answer must stay bit-identical to the full engine.
-        let c = reconvergent();
-        let faults = FaultList::checkpoints(&c);
-        for batch in [2, 3, 8] {
-            let mut inc = IncrementalCop::new().with_commit_batch(batch);
-            let mut full = CopEngine::new();
-            let mut w = [0.5, 0.5, 0.5];
-            let moves = [0.7, 0.2, 0.9, 0.4, 0.55, 0.1];
-            for (step, &next) in moves.iter().enumerate() {
-                let i = step % 3;
-                let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
-                let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
-                assert_eq!(
-                    (bits(&got.0), bits(&got.1)),
-                    (bits(&expected.0), bits(&expected.1)),
-                    "batch {batch}, step {step}"
-                );
-                w[i] = next;
-            }
-            let final_got = inc.estimate(&c, &faults, &w);
-            let final_expected = full.estimate(&c, &faults, &w);
-            assert_eq!(bits(&final_got), bits(&final_expected), "batch {batch}");
-            let stats = inc.stats();
-            assert_eq!(stats.pending_moves as usize, moves.len());
-            assert!(stats.materializations >= 1);
-            assert!(stats.union_frontier_peak >= 1);
-            // Everything resolved: the final estimate materialized.
-            assert_eq!(inc.pending_len(), 0);
-        }
-    }
-
-    #[test]
-    fn cross_query_pending_cache_hits_and_stays_bit_identical() {
-        // Disjoint input supports: deferring a move on `c` dirties only
-        // the m/n/z tree, and querying coordinate 0 (`a`, whose cone is
-        // just `y`) leaves that frontier untouched — so the second
-        // boundary point of a pair, and every later pair, must reuse
-        // the frontier's pending-weight probabilities from the
-        // cross-query cache instead of re-walking them.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
-             y = AND(a, b)\nm = OR(c, d)\nn = XOR(c, m)\nz = NAND(m, n)\n",
-        )
-        .unwrap();
-        let faults = FaultList::checkpoints(&c);
-        let mut inc = IncrementalCop::new().with_commit_batch(64);
-        let mut full = CopEngine::new();
-        let mut w = [0.5, 0.5, 0.5, 0.5];
-        let _ = inc.estimate(&c, &faults, &w);
-        w[2] = 0.8; // deferred: the m/n/z cone is now the pending frontier
-        for (step, coordinate) in [0usize, 1, 0].into_iter().enumerate() {
-            let got = inc.estimate_coordinate_pair(&c, &faults, &w, coordinate);
-            let expected = full.estimate_coordinate_pair(&c, &faults, &w, coordinate);
-            assert_eq!(
-                (bits(&got.0), bits(&got.1)),
-                (bits(&expected.0), bits(&expected.1)),
-                "step {step}"
-            );
-        }
-        assert_eq!(inc.pending_len(), 1, "the move stayed deferred throughout");
-        assert!(
-            inc.stats().pending_cache_hits > 0,
-            "repeated query epochs over an unchanged frontier must hit the cache"
-        );
-        // A second deferred move invalidates exactly its own cone; the
-        // answers must stay bit-identical through the cone-grained
-        // invalidation and the eventual materialization.
-        w[3] = 0.25;
-        let got = inc.estimate_coordinate_pair(&c, &faults, &w, 0);
-        let expected = full.estimate_coordinate_pair(&c, &faults, &w, 0);
-        assert_eq!(bits(&got.0), bits(&expected.0));
-        assert_eq!(bits(&got.1), bits(&expected.1));
-        let final_got = inc.estimate(&c, &faults, &w);
-        let final_expected = full.estimate(&c, &faults, &w);
-        assert_eq!(bits(&final_got), bits(&final_expected));
-    }
-
-    #[test]
-    fn commit_batch_of_zero_behaves_as_one() {
-        // `K = 0` is clamped to `K = 1`: the same work pattern, every
-        // move materialized on its own, and identical answers.
-        let c = reconvergent();
-        let faults = FaultList::checkpoints(&c);
-        let mut zero = IncrementalCop::new().with_commit_batch(0);
-        let mut one = IncrementalCop::new().with_commit_batch(1);
-        let mut w = [0.4, 0.6, 0.5];
-        for step in 0..5 {
-            let i = step % 3;
-            let want = one.estimate_coordinate_pair(&c, &faults, &w, i);
-            let got = zero.estimate_coordinate_pair(&c, &faults, &w, i);
-            assert_eq!((bits(&got.0), bits(&got.1)), (bits(&want.0), bits(&want.1)));
-            w[i] = 0.1 + 0.15 * step as f64;
-        }
-        assert_eq!(zero.stats(), one.stats());
-        assert_eq!(one.stats().materializations, one.stats().pending_moves);
-    }
-
-    #[test]
-    fn flush_pending_forces_a_materialization_point() {
-        // Disjoint trees: input cones are small, so neither the batch
-        // size nor the frontier budget triggers on its own.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
-             y = AND(a, b)\nm = OR(c, d)\nn = XOR(c, m)\nz = NAND(m, n)\n",
-        )
-        .unwrap();
-        let faults = FaultList::checkpoints(&c);
-        let mut inc = IncrementalCop::new().with_commit_batch(64);
-        let mut w = [0.5, 0.5, 0.5, 0.5];
-        let _ = inc.estimate(&c, &faults, &w);
-        w[1] = 0.8;
-        let _ = inc.estimate_coordinate_pair(&c, &faults, &w, 0);
-        assert_eq!(inc.pending_len(), 1);
-        assert!(inc.pending_frontier() > 0);
-        inc.flush_pending(&c);
-        assert_eq!(inc.pending_len(), 0);
-        assert_eq!(inc.pending_frontier(), 0);
-        assert_eq!(inc.stats().materializations, 1);
-        // Still bit-identical after the forced point.
-        let got = inc.estimate_coordinate_pair(&c, &faults, &w, 3);
-        let expected = CopEngine::new().estimate_coordinate_pair(&c, &faults, &w, 3);
-        assert_eq!(bits(&got.0), bits(&expected.0));
-        assert_eq!(bits(&got.1), bits(&expected.1));
-        // Flushing with nothing pending is a no-op.
-        inc.flush_pending(&c);
-        assert_eq!(inc.stats().materializations, 1);
-    }
-
-    #[test]
-    fn frontier_budget_materializes_early() {
-        // A chain circuit where every input's cone reaches the output:
-        // two pending moves already push the union frontier over the
-        // 3/4 budget, so a huge batch K still materializes early.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n\
-             m = AND(a, b)\nn = OR(m, c)\ny = XOR(n, a)\n",
-        )
-        .unwrap();
-        let faults = FaultList::checkpoints(&c);
-        let mut inc = IncrementalCop::new().with_commit_batch(1000);
-        let mut w = [0.5, 0.5, 0.5];
-        let _ = inc.estimate(&c, &faults, &w);
-        for step in 0..4 {
-            let i = step % 3;
-            let _ = inc.estimate_coordinate_pair(&c, &faults, &w, i);
-            w[i] = 0.3 + 0.1 * step as f64;
-        }
-        let stats = inc.stats();
-        assert!(
-            stats.materializations >= 1,
-            "frontier budget must trigger: {stats:?}"
-        );
-        assert!(stats.union_frontier_sum >= stats.materializations);
-    }
-
-    #[test]
     fn batched_global_cones_avoid_stateless_passes() {
         // Wide AND: every input's cone is global (the whole circuit).
-        // The engine must still answer through the pending overlay, never
-        // with stateless full passes — and bit-identically.
+        // The engine must still answer through its overlays, never with
+        // stateless full passes or extra rebuilds — and bit-identically.
         let mut src = String::from("OUTPUT(y)\n");
         let mut args = Vec::new();
         for i in 0..6 {
@@ -1030,38 +627,20 @@ mod tests {
         src.push_str(&format!("y = AND({})\n", args.join(", ")));
         let c = parse_bench(&src).unwrap();
         let faults = FaultList::checkpoints(&c);
-        let mut batched = IncrementalCop::new().with_commit_batch(4);
+        let mut inc = IncrementalCop::new();
         let mut full = CopEngine::new();
         let mut w = [0.5; 6];
         for step in 0..8 {
             let i = step % 6;
-            let got = batched.estimate_coordinate_pair(&c, &faults, &w, i);
+            let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
             let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
             assert_eq!(bits(&got.0), bits(&expected.0), "step {step}");
             assert_eq!(bits(&got.1), bits(&expected.1), "step {step}");
             w[i] = 0.6 + 0.04 * i as f64;
         }
-        assert_eq!(batched.stats().stateless_estimates, 0);
-        assert!(batched.stats().pending_moves > 0);
-    }
-
-    #[test]
-    fn batched_circuit_switch_resets_the_pending_layer() {
-        let c1 = reconvergent();
-        let c2 = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n").unwrap();
-        let f1 = FaultList::checkpoints(&c1);
-        let f2 = FaultList::checkpoints(&c2);
-        let mut inc = IncrementalCop::new().with_commit_batch(16);
-        let mut w1 = [0.5; 3];
-        let _ = inc.estimate(&c1, &f1, &w1);
-        w1[0] = 0.7;
-        let _ = inc.estimate_coordinate_pair(&c1, &f1, &w1, 1);
-        assert_eq!(inc.pending_len(), 1);
-        // Switch circuits with moves still pending: must rebuild cleanly.
-        let got = inc.estimate(&c2, &f2, &[0.3, 0.8]);
-        let expected = CopEngine::new().estimate(&c2, &f2, &[0.3, 0.8]);
-        assert_eq!(bits(&got), bits(&expected));
-        assert_eq!(inc.pending_len(), 0);
+        let stats = inc.stats();
+        assert_eq!(stats.stateless_estimates, 0);
+        assert_eq!(stats.full_rebuilds, 1);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! * [`IncrementalCop`] — the same model with an incremental,
 //!   cone-restricted evaluation strategy (bit-identical estimates) that
 //!   answers the optimizer's single-coordinate PREPARE queries in
-//!   O(fanout cone) instead of O(circuit); coordinate moves are deferred
-//!   into a pending overlay and resolved in shared materialization
-//!   passes ([`IncrementalCop::with_commit_batch`]), which is what keeps
-//!   wide- and global-cone circuits fast;
+//!   O(fanout cone) instead of O(circuit), and folds each coordinate
+//!   move into its baseline with one walk over that input's fanout cone;
 //! * [`CopBaseline`] and [`SessionCop`] — a shareable COP solution plus
 //!   per-session what-if ECO queries (virtual gate-kind mutations).
 //!   They and [`IncrementalCop`] run on one COP overlay: an immutable

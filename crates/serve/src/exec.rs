@@ -72,9 +72,8 @@ commands:
            [--time-limit SECS] [--max-evals N] [--checkpoint F] [--resume F]
            optimized input probabilities;
            E = incremental-cop (default; cone-restricted per-coordinate
-           recompute that defers up to 4 coordinate moves before folding
-           them into its baseline, bit-identical to cop) | cop | stafan |
-           monte-carlo
+           recompute that folds each coordinate move into its baseline,
+           bit-identical to cop) | cop | stafan | monte-carlo
            (--seed and --mc-patterns apply to the sampling engines).
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
@@ -353,7 +352,8 @@ fn write_checkpoint(
     }
 }
 
-/// Parses `--weights w1,w2,...` (default equiprobable).
+/// Parses `--weights w1,w2,...` (default equiprobable); every weight is
+/// a probability, finite and in `[0, 1]`.
 fn weights_arg(args: &[String], num_inputs: usize) -> Result<Vec<f64>, String> {
     match flag_value(args, "--weights") {
         None => Ok(vec![0.5; num_inputs]),
@@ -364,6 +364,11 @@ fn weights_arg(args: &[String], num_inputs: usize) -> Result<Vec<f64>, String> {
                 return Err(format!(
                     "--weights needs {num_inputs} values, got {}",
                     parsed.len()
+                ));
+            }
+            if let Some(bad) = parsed.iter().find(|w| !(0.0..=1.0).contains(*w)) {
+                return Err(format!(
+                    "--weights value {bad} is not a probability in [0, 1]"
                 ));
             }
             Ok(parsed)
@@ -706,8 +711,8 @@ pub fn flush(ctx: &ExecContext) -> String {
 pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>, String> {
     // Unknown flags are otherwise ignored, so a removed one must say so.
     if args.iter().any(|a| a == "--commit-batch") {
-        return Err("--commit-batch was removed: incremental-cop always defers up to 4 \
-             coordinate moves before materializing them"
+        return Err("--commit-batch was removed: incremental-cop folds every \
+             coordinate move into its baseline at once"
             .into());
     }
     let engine = flag_value(args, "--engine").unwrap_or("incremental-cop");
@@ -1041,6 +1046,47 @@ mod tests {
         assert!(eco(&c, &args(&["c880ish", "--set", "garbage"])).is_err());
         assert!(eco(&c, &args(&["c880ish", "--set", "nosuchgate=OR"])).is_err());
         assert!(eco(&c, &args(&["c880ish", "--set", &format!("{gate_name}=FROB")])).is_err());
+    }
+
+    #[test]
+    fn weights_outside_the_unit_interval_are_rejected() {
+        let c = ctx();
+        let entry = c.registry().resolve("c880ish").expect("workload");
+        let circuit = entry.circuit();
+        let n = circuit.num_inputs();
+        let gate = circuit
+            .iter()
+            .find_map(|(_, n)| (n.kind() == GateKind::And).then(|| n.name().to_string()))
+            .expect("has an AND gate");
+        let spec = format!("{gate}=OR");
+        let weights = |first: &str| {
+            let mut w = vec!["0.5"; n];
+            w[0] = first;
+            w.join(",")
+        };
+        type Verb = fn(&ExecContext, &[String]) -> Result<String, String>;
+        let verbs: [(&str, Verb, &[&str]); 3] = [
+            ("estimate", estimate, &[]),
+            ("eco", eco, &["--set", &spec]),
+            ("simulate", simulate, &["--patterns", "64"]),
+        ];
+        for (name, verb, extra) in verbs {
+            for bad in ["NaN", "inf", "-0.25", "1.5"] {
+                let before = c.registry().num_baselines();
+                let w = weights(bad);
+                let mut a = args(&["c880ish", "--weights", &w]);
+                a.extend(args(extra));
+                let err = verb(&c, &a).expect_err(&format!("{name} accepted {bad}"));
+                assert!(err.contains("--weights"), "{name} {bad}: {err}");
+                assert_eq!(c.registry().num_baselines(), before, "{name} {bad}");
+            }
+            for ok in ["0.0", "1.0"] {
+                let w = weights(ok);
+                let mut a = args(&["c880ish", "--weights", &w]);
+                a.extend(args(extra));
+                assert!(verb(&c, &a).is_ok(), "{name} rejected {ok}");
+            }
+        }
     }
 
     #[test]
