@@ -51,9 +51,10 @@ fn fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs sharded PPSFP on the largest workload circuits: the fault
-/// list is split into cone-locality-aware shards, one worker thread each
-/// (results are bit-identical; only the wall clock changes).
+/// The serial dense oracle vs the sharded engine on the largest workload
+/// circuits: the fault list is split into cone-locality-aware shards, one
+/// worker thread each (results are bit-identical; only the wall clock
+/// changes).
 fn sharded_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_fault_sim");
     group.sample_size(10);
@@ -79,7 +80,7 @@ fn sharded_fault_sim(c: &mut Criterion) {
                         patterns,
                         true,
                         threads,
-                        SimOptions::dense(),
+                        SimOptions::default(),
                         &Budget::unlimited(),
                     ))
                 });
@@ -89,9 +90,9 @@ fn sharded_fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense cone walk vs event-driven sparse propagation at each superblock
-/// width, on one shard (results are bit-identical; only the wall clock
-/// changes).
+/// The dense oracle's cone walk vs the engine's event-driven sparse
+/// propagation at each superblock width on one shard (results are
+/// bit-identical; only the wall clock changes).
 fn event_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_fault_sim");
     group.sample_size(10);
@@ -103,16 +104,7 @@ fn event_fault_sim(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("dense", name), |b| {
             b.iter(|| {
                 let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                black_box(fault_coverage_robust(
-                    &circuit,
-                    &faults,
-                    source,
-                    patterns,
-                    true,
-                    1,
-                    SimOptions::dense(),
-                    &Budget::unlimited(),
-                ))
+                black_box(fault_coverage(&circuit, &faults, source, patterns, true))
             });
         });
         for words in [1usize, 4, 8] {

@@ -192,7 +192,7 @@ fn chaos_drill(seed: u64, circuit: &Circuit, faults: &FaultList) -> (String, boo
                 patterns,
                 true,
                 2,
-                SimOptions::dense(),
+                SimOptions::event(4),
                 &Budget::unlimited(),
             );
             match robust {

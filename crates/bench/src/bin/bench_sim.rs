@@ -1,6 +1,6 @@
-//! Machine-readable PPSFP benchmark: dense cone walk vs event-driven
-//! sparse propagation over multi-word superblocks, both on the one
-//! fault-simulation engine.
+//! Machine-readable PPSFP benchmark: the dense oracle's cone walk vs the
+//! fault-simulation engine's event-driven sparse propagation over
+//! multi-word superblocks.
 //!
 //! Writes `BENCH_sim.json`.  The headline metric is
 //! **machine-independent**: gate evaluations per detected fault, dense
@@ -14,7 +14,8 @@
 //! region head per superblock that some excited fault's effect reaches,
 //! shared by every fault in the region) with the excited faults served
 //! per propagation, and a bit-identity check of all runs' coverage
-//! results.  The dense, event and event-`W = 1` runs use one shard; a
+//! results.  The dense baseline is a serial [`FaultSimulator`] loop; the
+//! event and event-`W = 1` runs use one shard of the engine; a
 //! further event run uses `--threads` shards, and `serial_fraction`
 //! accounts its parallelism in counts: serial-path evals plus the
 //! busiest shard's evals, over all evals (`1 / threads` is perfect
@@ -49,8 +50,8 @@ use wrt_fault::{FaultList, FaultPartition};
 use wrt_robust::Budget;
 use wrt_sim::{
     available_threads, fault_coverage_robust, recommended_threads, superblock_split,
-    CoverageResult, EventSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock,
-    WeightedPatterns,
+    CoverageResult, EventSimulator, FaultSimulator, FaultWorklist, PatternSource, SimOptions,
+    SimStats, SuperBlock, WeightedPatterns,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -229,6 +230,30 @@ fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64
         .sum()
 }
 
+/// The dense oracle with fault dropping: one [`FaultSimulator`] over the
+/// 64-pattern blocks of the stream, stopping once every fault is
+/// detected.  Returns each fault's first detecting pattern and the
+/// oracle's work counters.
+fn simulate_dense(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+) -> (Vec<Option<u64>>, SimStats) {
+    let mut source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
+    let mut sim = FaultSimulator::new(circuit, faults);
+    let mut worklist = FaultWorklist::full(faults.len());
+    let mut detected_at = vec![None; faults.len()];
+    let mut done = 0;
+    while done < patterns && !worklist.is_empty() {
+        let block = source.next_block((patterns - done).min(64) as u32);
+        sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, true, |i, w| {
+            detected_at[i] = Some(done + u64::from(w.trailing_zeros()));
+        });
+        done += u64::from(block.len);
+    }
+    (detected_at, sim.stats())
+}
+
 /// One unbudgeted run of the fault-simulation engine on `threads` shards.
 fn simulate(
     circuit: &Circuit,
@@ -266,11 +291,11 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         )
     } else {
         let (secs, (dense, dense_stats)) =
-            time_best(2, || simulate(circuit, &faults, patterns, 1, SimOptions::dense()));
+            time_best(2, || simulate_dense(circuit, &faults, patterns));
         (
             Some(secs),
             dense_stats.node_evals,
-            dense.detected_at() == event.detected_at(),
+            dense == event.detected_at(),
         )
     };
     // One untimed event pass at W = 1: same block granularity as dense,
@@ -390,7 +415,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include region grouping and lane retirement: the event engine propagates once per superblock from each fanout-free region head that an excited fault's effect reaches, for all live faults in the region (a fault's lanes at the head are its excited lanes ANDed with the local observability of its effect root along the region's single-fanout path; those sensitization steps are not counted as evals), and stops a propagation once every flipped lane is observed at a primary output; root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. All runs use the one fault-simulation engine: the dense, event and event-W1 runs on one fault shard, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split a fanout-free region; serial_fraction = (serial-path evals + the busiest shard's evals) / all evals of that run, where the serial path (the pattern producer) evaluates no gates - 1/threads is perfect balance, 1 no parallelism, and bench_guard requires 1/threads <= serial_fraction <= 1. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run that counts each fault's own excited blocks - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include region grouping and lane retirement: the event engine propagates once per superblock from each fanout-free region head that an excited fault's effect reaches, for all live faults in the region (a fault's lanes at the head are its excited lanes ANDed with the local observability of its effect root along the region's single-fanout path; those sensitization steps are not counted as evals), and stops a propagation once every flipped lane is observed at a primary output; root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. The dense baseline is a serial FaultSimulator loop; the event and event-W1 runs use one fault shard of the fault-simulation engine, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split a fanout-free region; serial_fraction = (serial-path evals + the busiest shard's evals) / all evals of that run, where the serial path (the pattern producer) evaluates no gates - 1/threads is perfect balance, 1 no parallelism, and bench_guard requires 1/threads <= serial_fraction <= 1. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run that counts each fault's own excited blocks - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         threads,

@@ -233,46 +233,41 @@ mod tests {
     fn simulate_sim_engine_flags() {
         assert_eq!(sim_options_arg(&args(&[])).unwrap(), SimOptions::event(4));
         assert_eq!(
-            sim_options_arg(&args(&["--engine", "dense"])).unwrap(),
-            SimOptions::dense()
-        );
-        assert_eq!(
-            sim_options_arg(&args(&["--engine", "event", "--block-words", "8"])).unwrap(),
+            sim_options_arg(&args(&["--block-words", "8"])).unwrap(),
             SimOptions::event(8)
         );
-        assert!(sim_options_arg(&args(&["--engine", "dense", "--block-words", "4"])).is_err());
         assert!(sim_options_arg(&args(&["--block-words", "3"])).is_err());
-        assert!(sim_options_arg(&args(&["--engine", "psychic"])).is_err());
-        // End-to-end: both engines run and the widths are accepted.
-        for engine in ["dense", "event"] {
+        // The engine choice is gone; the flag must fail loudly (unknown
+        // flags are otherwise ignored), whatever the value.
+        for engine in ["dense", "event", "psychic"] {
             let a = args(&["c880ish", "--patterns", "256", "--engine", engine]);
-            assert!(simulate(&a).is_ok(), "--engine {engine}");
+            let err = simulate(&a).unwrap_err();
+            assert!(err.starts_with("--engine was removed"), "{err}");
         }
-        let a = args(&["c880ish", "--patterns", "256", "--engine", "event", "--block-words", "2"]);
-        assert!(simulate(&a).is_ok());
+        // End-to-end: every width runs.
+        for words in ["1", "2", "4", "8", "16"] {
+            let a = args(&["c880ish", "--patterns", "256", "--block-words", words]);
+            assert!(simulate(&a).is_ok(), "--block-words {words}");
+        }
     }
 
     #[test]
     fn simulate_pattern_stripes_flag() {
-        // Accepted for compatibility and without effect: for both engines
+        // Accepted for compatibility and without effect: for every width
         // and any count, the output is byte-identical to the run without
         // the flag.
-        for engine in ["event", "dense"] {
+        for words in ["1", "4"] {
             let plain = args(&[
-                "c880ish", "--patterns", "256", "--threads", "2", "--seed", "7", "--engine",
-                engine,
+                "c880ish", "--patterns", "256", "--threads", "2", "--seed", "7", "--block-words",
+                words,
             ]);
             let expected = exec::simulate(context(), &plain).expect("runs");
             for stripes in ["2", "0", "100000"] {
                 let a = [plain.clone(), args(&["--pattern-stripes", stripes])].concat();
                 let out = exec::simulate(context(), &a).expect("runs");
-                assert_eq!(out, expected, "--engine {engine} --pattern-stripes {stripes}");
+                assert_eq!(out, expected, "W = {words}, --pattern-stripes {stripes}");
             }
         }
-        let a = args(&[
-            "c880ish", "--patterns", "256", "--engine", "dense", "--pattern-stripes", "2",
-        ]);
-        assert!(simulate(&a).is_ok());
         // Garbage values are parse errors, not panics.
         let a = args(&["c880ish", "--patterns", "256", "--pattern-stripes", "many"]);
         assert!(simulate(&a).is_err());

@@ -30,7 +30,9 @@ use crate::engine::DetectionProbabilityEngine;
 
 /// A primary engine screened and backed by a stateless fallback.
 ///
-/// See the [module docs](self) for the anomaly contract.
+/// Every answer is screened for anomalies — non-finite values or
+/// estimates outside `[0, 1]` — and the first anomaly permanently retires
+/// the primary; the query that tripped is re-answered by the fallback.
 #[derive(Debug)]
 pub struct DegradingEngine<P, F> {
     primary: P,

@@ -218,13 +218,11 @@ impl DetectionProbabilityEngine for StafanEngine {
 /// Unbiased but blind to probabilities below `≈ 1 / patterns`.
 ///
 /// The simulation runs on the fault-simulation engine
-/// ([`wrt_sim::detection_counts_robust`], unbudgeted): `threads` worker
-/// threads each own one cone-locality-aware fault shard (one shard at
-/// `threads = 1`), and each worker runs the inner loop selected by
-/// `sim_options` — by default the event-driven superblock engine
-/// ([`SimOptions::default`]).  Neither thread count nor engine choice
-/// affects the estimates: all combinations are bit-identical to the
-/// serial dense reference.
+/// ([`wrt_sim::detection_counts_robust`], unbudgeted, at the default
+/// superblock width): `threads` worker threads each own one
+/// cone-locality-aware fault shard (one shard at `threads = 1`).  The
+/// thread count does not affect the estimates: every count is
+/// bit-identical to the serial dense oracle.
 ///
 /// # Panics
 ///
@@ -239,20 +237,16 @@ pub struct MonteCarloEngine {
     pub seed: u64,
     /// Fault-simulation worker threads (`1` = serial, `0` = all cores).
     pub threads: usize,
-    /// PPSFP inner loop (engine kind and superblock width).
-    pub sim_options: SimOptions,
     calls: u64,
 }
 
 impl MonteCarloEngine {
-    /// Creates a serial engine simulating `patterns` patterns per call
-    /// with the default (event-driven) inner loop.
+    /// Creates a serial engine simulating `patterns` patterns per call.
     pub fn new(patterns: u64, seed: u64) -> Self {
         MonteCarloEngine {
             patterns,
             seed,
             threads: 1,
-            sim_options: SimOptions::default(),
             calls: 0,
         }
     }
@@ -260,13 +254,6 @@ impl MonteCarloEngine {
     /// Sets the fault-simulation thread count (`0` = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the PPSFP inner loop (estimates are identical either way;
-    /// only the wall clock changes).
-    pub fn with_sim_options(mut self, sim_options: SimOptions) -> Self {
-        self.sim_options = sim_options;
         self
     }
 }
@@ -283,7 +270,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             input_probs.to_vec(),
             self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
         );
-        simulate_counts(circuit, faults, source, self.patterns, self.threads, self.sim_options)
+        simulate_counts(circuit, faults, source, self.patterns, self.threads)
             .into_iter()
             .map(|c| c as f64 / self.patterns as f64)
             .collect()
@@ -314,7 +301,6 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             );
         }
         let patterns = self.patterns;
-        let sim_options = self.sim_options;
         let mut source_for = |probs: &[f64]| {
             self.calls += 1;
             WeightedPatterns::new(
@@ -334,10 +320,8 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
                 .collect()
         };
         std::thread::scope(|scope| {
-            let b = scope.spawn(|| {
-                simulate_counts(circuit, faults, source_b, patterns, threads_b, sim_options)
-            });
-            let a = simulate_counts(circuit, faults, source_a, patterns, threads_a, sim_options);
+            let b = scope.spawn(|| simulate_counts(circuit, faults, source_b, patterns, threads_b));
+            let a = simulate_counts(circuit, faults, source_a, patterns, threads_a);
             (
                 to_probs(a),
                 to_probs(b.join().expect("estimate_pair worker panicked")),
@@ -361,11 +345,17 @@ fn simulate_counts(
     source: WeightedPatterns,
     patterns: u64,
     threads: usize,
-    sim_options: SimOptions,
 ) -> Vec<u64> {
     let unlimited = Budget::unlimited();
-    let outcome =
-        detection_counts_robust(circuit, faults, source, patterns, threads, sim_options, &unlimited);
+    let outcome = detection_counts_robust(
+        circuit,
+        faults,
+        source,
+        patterns,
+        threads,
+        SimOptions::default(),
+        &unlimited,
+    );
     let run = outcome.into_value();
     assert!(
         run.recovery.fully_recovered(),
@@ -505,18 +495,22 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_sim_options_do_not_change_estimates() {
+    fn monte_carlo_estimates_match_the_dense_oracle() {
         let c = tree();
         let faults = FaultList::full(&c);
         let probs = [0.4, 0.5, 0.6];
-        let dense = MonteCarloEngine::new(64 * 20, 9)
-            .with_sim_options(SimOptions::dense())
-            .estimate(&c, &faults, &probs);
-        for words in wrt_sim::SUPPORTED_BLOCK_WORDS {
-            let event = MonteCarloEngine::new(64 * 20, 9)
-                .with_sim_options(SimOptions::event(words))
+        let patterns = 64 * 20;
+        // The first call draws from `seed + 0x2545_F491`.
+        let source = WeightedPatterns::new(probs.to_vec(), 9 + 0x2545_F491);
+        let expected: Vec<f64> = wrt_sim::detection_counts(&c, &faults, source, patterns)
+            .into_iter()
+            .map(|n| n as f64 / patterns as f64)
+            .collect();
+        for threads in [1, 2] {
+            let got = MonteCarloEngine::new(patterns, 9)
+                .with_threads(threads)
                 .estimate(&c, &faults, &probs);
-            assert_eq!(dense, event, "block_words = {words}");
+            assert_eq!(got, expected, "threads = {threads}");
         }
     }
 

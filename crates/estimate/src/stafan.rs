@@ -41,7 +41,7 @@ impl StafanCounts {
     /// drawn and every counted rate — controllabilities, sensitizations,
     /// and therefore all detection probabilities — is exactly `0.0`
     /// ("no evidence"), never NaN.  The rate accessors divide through
-    /// [`counted_rate`], which guards the zero-sample division that used
+    /// `counted_rate`, which guards the zero-sample division that used
     /// to produce `0/0 = NaN` here and let `clamp` silently forward it.
     ///
     /// # Panics
@@ -152,7 +152,7 @@ impl StafanCounts {
     /// `P(line at the opposite value) × observability(line)`.
     ///
     /// NaN-free by construction: both factors come from
-    /// [`counted_rate`]-guarded divisions and `1 − Π(1 − ·)` folds over
+    /// `counted_rate`-guarded divisions and `1 − Π(1 − ·)` folds over
     /// them, so they are always finite values in `[0, 1]` and the clamp
     /// below never sees (and thus never silently forwards) a NaN.
     pub fn detection_probability(&self, circuit: &Circuit, fault: Fault) -> f64 {

@@ -39,8 +39,8 @@ pub enum BudgetExceeded {
     /// The cancellation flag was raised (timing-dependent).
     Cancelled,
     /// A fail-point injection forced the interrupt (chaos testing only;
-    /// never occurs unless a [`failpoint`] session armed the
-    /// `budget::check_in` site).
+    /// never occurs unless a [`failpoint`](mod@crate::failpoint) session
+    /// armed the `budget::check_in` site).
     Injected,
 }
 

@@ -9,15 +9,15 @@
 //!
 //! The rungs, per subsystem:
 //!
-//! | subsystem | preferred           | fallback            |
-//! |-----------|---------------------|---------------------|
-//! | sim       | event-driven engine | dense engine        |
-//! | sim       | sharded worklist    | serial shard replay |
-//! | atpg      | guided PODEM        | unguided PODEM      |
-//! | estimate  | incremental COP     | stateless COP       |
+//! | subsystem | preferred            | fallback                    |
+//! |-----------|----------------------|-----------------------------|
+//! | sim       | sharded worklist     | shard replay (event)        |
+//! | sim       | shard replay (event) | shard replay (dense oracle) |
+//! | atpg      | guided PODEM         | unguided PODEM              |
+//! | estimate  | incremental COP      | stateless COP               |
 //!
-//! Every fallback preserves the bit-identity contract: the dense engine,
-//! serial replay, and stateless COP produce the same results as their
+//! Every fallback preserves the bit-identity contract: shard replays, the
+//! dense oracle, and stateless COP produce the same results as their
 //! preferred counterparts (that equivalence is property-tested
 //! elsewhere), so stepping down trades only speed, never correctness.
 
@@ -28,8 +28,8 @@ use std::fmt;
 pub enum DegradeStep {
     /// ATPG retried an aborted fault with guidance disabled.
     GuidedToUnguided,
-    /// Fault simulation fell back from the event-driven to the dense
-    /// engine (e.g. while replaying a poisoned shard).
+    /// A poisoned shard's event replay failed too, and the shard was
+    /// replayed on the serial dense oracle.
     EventToDense,
     /// Detection-probability estimation fell back from the incremental
     /// overlay engine to stateless full recomputation.

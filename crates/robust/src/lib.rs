@@ -10,7 +10,7 @@
 //!   evals, backtracks, cancellation) whose interruptions carry the
 //!   partial result and a [`Progress`] marker instead of discarding work
 //!   ([`budget`] module).
-//! * [`failpoint`] — a deterministic, seed-drivable fail-point registry
+//! * [`failpoint`](mod@failpoint) — a deterministic, seed-drivable fail-point registry
 //!   (zero-cost when disabled) that chaos tests use to prove every
 //!   recovery path actually recovers.
 //! * [`Checkpoint`] — versioned, checksummed, bit-exact sidecar files for

@@ -32,7 +32,7 @@ use wrt_estimate::{
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
-use wrt_sim::{fault_coverage_robust, SimEngineKind, SimOptions, WeightedPatterns};
+use wrt_sim::{fault_coverage_robust, SimOptions, WeightedPatterns};
 
 use crate::registry::{weight_key, CircuitEntry, Registry};
 
@@ -78,19 +78,17 @@ commands:
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
   simulate <circuit> --patterns N [--weights w1,w2,...] [--seed S] [--threads T]
-           [--engine dense|event] [--block-words W] [--pattern-stripes P]
+           [--block-words W] [--pattern-stripes P]
            [--time-limit SECS] [--max-evals N]
-           weighted-random fault simulation;
-           --engine event (default) runs event-driven sparse propagation
-           over W-word superblocks (--block-words 1|2|4|8|16, default 4),
-           once per fanout-free region head for all faults whose effects
-           reach it, stopping once every flipped pattern is observed;
-           --engine dense is the single-word per-fault reference cone
-           walk.  Root propagations (from region heads) are reported next
-           to the gate evals.
+           weighted-random fault simulation: event-driven sparse
+           propagation over W-word superblocks (--block-words 1|2|4|8|16,
+           default 4), once per fanout-free region head for all faults
+           whose effects reach it, stopping once every flipped pattern is
+           observed.  Root propagations (from region heads) are reported
+           next to the gate evals.
            --pattern-stripes P is accepted for compatibility and has no
-           effect.  Coverage is bit-identical for every engine/width/
-           thread choice.
+           effect.  Coverage is bit-identical for every width/thread
+           choice.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
            [--degrade] [--time-limit SECS] [--max-evals N]
            [--max-backtracks-total N] [--checkpoint F] [--resume F]
@@ -741,6 +739,9 @@ pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>
         "stafan" => Box::new(StafanEngine::new(64 * 256, seed)),
         "monte-carlo" => {
             let patterns: u64 = parse_flag(args, "--mc-patterns", 64 * 256)?;
+            if patterns == 0 {
+                return Err("--mc-patterns must be at least 1".into());
+            }
             Box::new(MonteCarloEngine::new(patterns, seed).with_threads(threads))
         }
         _ => unreachable!("engine name validated above"),
@@ -868,9 +869,8 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     if detected > 0 {
         let _ = writeln!(
             out,
-            "engine {}: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out), \
+            "engine event: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out), \
              {} root propagations",
-            opts.engine,
             robust.stats.node_evals,
             robust.stats.node_evals as f64 / detected as f64,
             robust.stats.frontier_dieout_rate() * 100.0,
@@ -880,22 +880,20 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the simulate subcommand's `--engine dense|event` and
-/// `--block-words W` into validated [`SimOptions`].
+/// Parses the simulate subcommand's `--block-words W` into validated
+/// [`SimOptions`].
 pub fn sim_options_arg(args: &[String]) -> Result<SimOptions, String> {
-    let engine: SimEngineKind = match flag_value(args, "--engine") {
-        None => SimEngineKind::Event,
-        Some(raw) => raw.parse()?,
-    };
-    let default_words = match engine {
-        SimEngineKind::Event => 4,
-        SimEngineKind::Dense => 1,
-    };
-    let block_words: usize = parse_flag(args, "--block-words", default_words)?;
-    let opts = SimOptions {
-        engine,
-        block_words,
-    };
+    // Unknown flags are otherwise ignored, so a removed one must say so.
+    if args.iter().any(|a| a == "--engine") {
+        return Err("--engine was removed: simulate always runs the event kernel; \
+             pick its superblock width with --block-words"
+            .into());
+    }
+    let opts = SimOptions::event(parse_flag(
+        args,
+        "--block-words",
+        SimOptions::default().block_words,
+    )?);
     opts.validate()?;
     Ok(opts)
 }
@@ -1169,5 +1167,15 @@ mod tests {
         assert!(out.contains("test length"), "{out}");
         let out = atpg(&c, &args(&["s1"])).expect("atpg");
         assert!(out.contains("tests generated"), "{out}");
+    }
+
+    #[test]
+    fn zero_mc_patterns_is_a_clean_error() {
+        let c = ctx();
+        let monte_carlo = |n: &str| args(&["s1", "--engine", "monte-carlo", "--mc-patterns", n]);
+        let err = optimize(&c, &monte_carlo("0")).unwrap_err();
+        assert_eq!(err, "--mc-patterns must be at least 1");
+        let out = optimize(&c, &monte_carlo("1")).expect("one pattern per call runs");
+        assert!(out.contains("test length"), "{out}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The workspace's long-running commands (`optimize`, `simulate`, `atpg`,
 //! `serve`) are budgeted and check a shared cancellation flag at natural
-//! boundaries ([`wrt_robust::Budget::with_cancel`]).  This crate turns the
+//! boundaries (`wrt_robust::Budget::with_cancel`).  This crate turns the
 //! user's Ctrl-C into that flag: [`ctrl_c_flag`] installs a SIGINT handler
 //! once and returns the `Arc<AtomicBool>` it raises, so an interrupted run
 //! exits through the structured `Interrupted` path (partial result +

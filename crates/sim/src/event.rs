@@ -1,6 +1,6 @@
 //! Event-driven sparse PPSFP fault propagation over multi-word superblocks.
 //!
-//! The dense engine ([`crate::FaultSimulator`]) re-evaluates **every node
+//! The dense oracle ([`crate::FaultSimulator`]) re-evaluates **every node
 //! of a fault's output cone** for every 64-pattern block, even when the
 //! fault effect dies one gate past the injection site.  The engine here
 //! replaces that cone walk with *event scheduling*: a node whose faulty
@@ -64,7 +64,7 @@
 //! roots, and memoized per superblock, so a one-pattern pass pays for the
 //! chains its faults touch, not for a whole-circuit backward sweep.
 //!
-//! Detection results are bit-identical to the dense engine for every
+//! Detection results are bit-identical to the dense oracle for every
 //! block width, drop mode, and shard count — property-tested in this
 //! module and relied on by the whole stack (`MonteCarloEngine`, the CLI,
 //! the benches).
@@ -76,7 +76,7 @@ use wrt_fault::{Fault, FaultList, FaultSite};
 
 use crate::fault_sim::FaultWorklist;
 use crate::logic::{eval_gate_lanes, WideLogicSim};
-use crate::patterns::{PatternBlock, PatternSource};
+use crate::patterns::PatternBlock;
 
 /// Superblock widths the event engine is monomorphized over.
 ///
@@ -119,66 +119,23 @@ macro_rules! with_block_words {
 }
 pub(crate) use with_block_words;
 
-/// Which PPSFP inner loop to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEngineKind {
-    /// The reference engine: one `u64` block, dense per-fault cone walk.
-    Dense,
-    /// Event-driven sparse propagation over `W`-word superblocks.
-    Event,
-}
-
-impl std::fmt::Display for SimEngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimEngineKind::Dense => write!(f, "dense"),
-            SimEngineKind::Event => write!(f, "event"),
-        }
-    }
-}
-
-impl std::str::FromStr for SimEngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(SimEngineKind::Dense),
-            "event" => Ok(SimEngineKind::Event),
-            other => Err(format!("unknown engine `{other}` (expected dense or event)")),
-        }
-    }
-}
-
-/// Configuration of the PPSFP inner loop: engine kind and superblock width.
+/// Configuration of the PPSFP inner loop: the superblock width.
 ///
-/// The default is the event-driven engine at `W = 4` (256 patterns per
-/// pass) — bit-identical to [`SimOptions::dense`] everywhere, faster on
-/// every workload circuit (see `BENCH_sim.json`).
+/// The default is `W = 4` (256 patterns per pass).  Results are
+/// bit-identical to the dense oracle ([`crate::fault_coverage`]) at every
+/// width; only the cost changes, and the cheapest width depends on the
+/// workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Inner-loop engine.
-    pub engine: SimEngineKind,
     /// Words per superblock (`64 * block_words` patterns per pass).
-    /// Must be one of [`SUPPORTED_BLOCK_WORDS`]; the dense engine is
-    /// pinned at 1.
+    /// Must be one of [`SUPPORTED_BLOCK_WORDS`].
     pub block_words: usize,
 }
 
 impl SimOptions {
-    /// The reference dense engine (single-word blocks).
-    pub fn dense() -> Self {
-        SimOptions {
-            engine: SimEngineKind::Dense,
-            block_words: 1,
-        }
-    }
-
-    /// The event-driven engine at the given superblock width.
+    /// The event kernel at the given superblock width.
     pub fn event(block_words: usize) -> Self {
-        SimOptions {
-            engine: SimEngineKind::Event,
-            block_words,
-        }
+        SimOptions { block_words }
     }
 
     /// Checks the option combination.
@@ -186,18 +143,13 @@ impl SimOptions {
     /// # Errors
     ///
     /// Returns a human-readable message when `block_words` is not a
-    /// supported width, or when a width other than 1 is requested for the
-    /// dense engine (which is inherently single-word).
+    /// supported width.
     pub fn validate(&self) -> Result<(), String> {
         if !SUPPORTED_BLOCK_WORDS.contains(&self.block_words) {
             return Err(format!(
                 "block_words must be one of {SUPPORTED_BLOCK_WORDS:?}, got {}",
                 self.block_words
             ));
-        }
-        if self.engine == SimEngineKind::Dense && self.block_words != 1 {
-            return Err("the dense engine is single-word; use --engine event for block_words > 1"
-                .to_string());
         }
         Ok(())
     }
@@ -314,8 +266,8 @@ pub struct SuperBlock<const W: usize> {
 impl<const W: usize> SuperBlock<W> {
     /// An empty superblock shell for `num_inputs` inputs (`len == 0`),
     /// meant to be reused as scratch across
-    /// [`SuperBlock::refill_draw`] / [`SuperBlock::refill_from_blocks`]
-    /// calls so streaming loops perform no per-superblock allocation.
+    /// [`SuperBlock::refill_from_blocks`] calls so streaming loops perform
+    /// no per-superblock allocation.
     pub fn empty(num_inputs: usize) -> Self {
         SuperBlock {
             words: vec![[0u64; W]; num_inputs],
@@ -323,59 +275,8 @@ impl<const W: usize> SuperBlock<W> {
         }
     }
 
-    /// Draws up to `limit` patterns (at most `64 * W`) from `source` as
-    /// `W` consecutive blocks, preserving the source's sequential stream —
-    /// the same patterns a dense caller would draw block by block.
-    /// `limit == 0` yields an empty superblock (nothing is drawn).
-    pub fn draw(source: &mut impl PatternSource, limit: u64) -> Self {
-        let mut sb = SuperBlock::empty(source.num_inputs());
-        sb.refill_draw(source, limit);
-        sb
-    }
-
-    /// In-place [`SuperBlock::draw`]: refills this superblock from
-    /// `source`, reusing the lane allocation.  Lanes beyond the drawn
-    /// length are zeroed, so a partial refill leaves no stale patterns.
-    ///
-    /// A source returning a short block (the trait permits fewer than the
-    /// requested patterns) closes the superblock at that block: valid
-    /// patterns must form a prefix of the lane array for the mask and the
-    /// pattern-index math to hold, so no further lanes are drawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shell was built for a different input count.
-    pub fn refill_draw(&mut self, source: &mut impl PatternSource, limit: u64) {
-        assert_eq!(
-            self.words.len(),
-            source.num_inputs(),
-            "superblock shell matches the source's input count"
-        );
-        self.len = 0;
-        let mut remaining = limit;
-        for k in 0..W {
-            if remaining == 0 {
-                for lanes in self.words.iter_mut() {
-                    lanes[k] = 0;
-                }
-                continue;
-            }
-            let block = source.next_block(remaining.min(64) as u32);
-            for (lanes, &w) in self.words.iter_mut().zip(&block.words) {
-                lanes[k] = w;
-            }
-            self.len += block.len;
-            remaining -= u64::from(block.len);
-            if block.len < 64 {
-                // Short block: close the superblock so valid patterns
-                // stay a prefix (later lanes are zeroed above).
-                remaining = 0;
-            }
-        }
-    }
-
     /// Transposes up to `W` already-drawn consecutive blocks into a
-    /// superblock (the sharded workers' path: blocks arrive broadcast in
+    /// superblock (blocks arrive at the shard workers broadcast in
     /// chunks).  All blocks but the last must be full.
     ///
     /// # Panics
@@ -473,9 +374,8 @@ pub(crate) fn inject_root_lanes<const W: usize>(
 
 /// Number of consecutive blocks (at most `max_words`, at least 1) forming
 /// the next superblock of a block stream: grouping extends only across
-/// full 64-pattern blocks and closes at the first short one, mirroring
-/// [`SuperBlock::refill_draw`] so chunked (sharded) and drawn (serial)
-/// streams group identically and valid patterns always form a prefix.
+/// full 64-pattern blocks and closes at the first short one, so valid
+/// patterns always form a prefix of the lane array.
 ///
 /// # Panics
 ///
@@ -561,7 +461,8 @@ fn and_mask<const W: usize>(mut lanes: [u64; W], mask: &[u64; W]) -> [u64; W] {
 /// let faults = FaultList::checkpoints(&c);
 /// let mut sim = EventSimulator::<4>::new(&c, &faults);
 /// let mut src = WeightedPatterns::equiprobable(2, 3);
-/// let sb = SuperBlock::<4>::draw(&mut src, 256);
+/// let blocks: Vec<_> = (0..4).map(|_| src.next_block(64)).collect();
+/// let sb = SuperBlock::<4>::from_blocks(&blocks);
 /// let mut worklist = FaultWorklist::full(faults.len());
 /// let mut detections = 0;
 /// sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, false, |_, _| {
@@ -991,8 +892,8 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
 mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
-    use crate::patterns::{ExhaustivePatterns, WeightedPatterns};
-    use crate::test_support::{counts, coverage};
+    use crate::patterns::{ExhaustivePatterns, PatternSource, WeightedPatterns};
+    use crate::test_support::{counts, coverage, dense_stats};
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -1006,12 +907,11 @@ mod tests {
 
     #[test]
     fn superblock_draw_matches_block_stream() {
-        let mut a = WeightedPatterns::equiprobable(3, 9);
-        let mut b = WeightedPatterns::equiprobable(3, 9);
-        let sb = SuperBlock::<4>::draw(&mut a, 300);
+        let mut src = WeightedPatterns::equiprobable(3, 9);
+        let blocks: Vec<_> = (0..4).map(|_| src.next_block(64)).collect();
+        let sb = SuperBlock::<4>::from_blocks(&blocks);
         assert_eq!(sb.len, 256);
-        for k in 0..4 {
-            let block = b.next_block(64);
+        for (k, block) in blocks.iter().enumerate() {
             for (pi, lanes) in sb.words.iter().enumerate() {
                 assert_eq!(lanes[k], block.words[pi], "lane {k} input {pi}");
             }
@@ -1021,10 +921,11 @@ mod tests {
     #[test]
     fn superblock_mask_is_prefix() {
         let mut src = ExhaustivePatterns::new(2);
-        let sb = SuperBlock::<4>::draw(&mut src, 130);
+        let blocks = [src.next_block(64), src.next_block(64), src.next_block(2)];
+        let sb = SuperBlock::<4>::from_blocks(&blocks);
         assert_eq!(sb.len, 130);
         assert_eq!(sb.mask(), [u64::MAX, u64::MAX, 0b11, 0]);
-        let full = SuperBlock::<2>::draw(&mut src, 1_000_000);
+        let full = SuperBlock::<2>::from_blocks(&blocks[..2]);
         assert_eq!(full.len, 128);
         assert_eq!(full.mask(), [u64::MAX, u64::MAX]);
     }
@@ -1032,30 +933,22 @@ mod tests {
     #[test]
     fn superblock_refill_zeroes_stale_lanes() {
         let mut src = ExhaustivePatterns::new(2);
+        let full: Vec<_> = (0..4).map(|_| src.next_block(64)).collect();
         let mut sb = SuperBlock::<4>::empty(2);
-        sb.refill_draw(&mut src, 256);
+        sb.refill_from_blocks(&full);
         assert_eq!(sb.len, 256);
         // Partial refill: lanes 1..4 must not keep the previous patterns.
-        sb.refill_draw(&mut src, 40);
+        sb.refill_from_blocks(&[src.next_block(40)]);
         assert_eq!(sb.len, 40);
         for lanes in &sb.words {
             assert_eq!(&lanes[1..], &[0, 0, 0], "stale lanes zeroed");
         }
         assert_eq!(sb.mask(), [(1u64 << 40) - 1, 0, 0, 0]);
-        // Zero-limit refill yields an empty superblock, drawing nothing.
-        let mut a = ExhaustivePatterns::new(2);
-        let mut b = ExhaustivePatterns::new(2);
-        let mut empty = SuperBlock::<2>::empty(2);
-        empty.refill_draw(&mut a, 0);
-        assert_eq!(empty.len, 0);
-        assert_eq!(empty.mask(), [0, 0]);
-        assert_eq!(a.next_block(64), b.next_block(64), "stream untouched");
-        // from_blocks shells refill the same way.
-        let blocks = [b.next_block(64), b.next_block(32)];
-        let mut sb2 = SuperBlock::<4>::empty(2);
-        sb2.refill_from_blocks(&blocks);
-        assert_eq!(sb2.len, 96);
-        assert_eq!(sb2, SuperBlock::<4>::from_blocks(&blocks));
+        // A refilled shell equals a fresh superblock of the same blocks.
+        let blocks = [src.next_block(64), src.next_block(32)];
+        sb.refill_from_blocks(&blocks);
+        assert_eq!(sb.len, 96);
+        assert_eq!(sb, SuperBlock::<4>::from_blocks(&blocks));
     }
 
     /// A conforming-but-awkward source: never more than 24 patterns per
@@ -1095,9 +988,12 @@ mod tests {
             assert_eq!(dense.detected_at(), sharded.detected_at(), "sharded W = {words}");
         }
         // A short mid-stream block closes the superblock early.
-        let mut sb = SuperBlock::<4>::empty(3);
-        sb.refill_draw(&mut short(), 1000);
-        assert_eq!(sb.len, 24, "superblock ends at the short block");
+        let mut src = short();
+        let blocks: Vec<_> = (0..4).map(|_| src.next_block(64)).collect();
+        let take = superblock_split(&blocks, 4);
+        assert_eq!(take, 1, "superblock ends at the short block");
+        let sb = SuperBlock::<4>::from_blocks(&blocks[..take]);
+        assert_eq!(sb.len, 24);
         assert_eq!(sb.mask(), [(1u64 << 24) - 1, 0, 0, 0]);
     }
 
@@ -1161,24 +1057,6 @@ mod tests {
             );
             assert_eq!(dense, event, "W = {words}");
         }
-    }
-
-    #[test]
-    fn dense_opts_reports_stats_and_matches_plain_entry() {
-        let c = adder();
-        let faults = wrt_fault::FaultList::full(&c);
-        let plain = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 2), 256, true);
-        let (dense, stats) = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 2),
-            256,
-            true, 1,
-            SimOptions::dense(),
-        );
-        assert_eq!(plain.detected_at(), dense.detected_at());
-        assert!(stats.node_evals > 0);
-        assert!(stats.fault_blocks >= stats.unexcited);
     }
 
     #[test]
@@ -1314,22 +1192,9 @@ mod tests {
     fn event_never_evaluates_more_than_dense() {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
-        let (_, dense) = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 77),
-            512,
-            true, 1,
-            SimOptions::dense(),
-        );
-        let (_, event) = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 77),
-            512,
-            true, 1,
-            SimOptions::event(1),
-        );
+        let source = || WeightedPatterns::equiprobable(3, 77);
+        let dense = dense_stats(&c, &faults, source(), 512, true);
+        let (_, event) = coverage(&c, &faults, source(), 512, true, 1, SimOptions::event(1));
         // Same blocks, same drops at W = 1: the event engine evaluates a
         // subset of each cone.
         assert!(
@@ -1343,22 +1208,12 @@ mod tests {
     #[test]
     fn options_validation() {
         assert!(SimOptions::default().validate().is_ok());
-        assert!(SimOptions::dense().validate().is_ok());
         for w in SUPPORTED_BLOCK_WORDS {
             assert!(SimOptions::event(w).validate().is_ok());
         }
+        assert!(SimOptions::event(0).validate().is_err());
         assert!(SimOptions::event(3).validate().is_err());
         assert!(SimOptions::event(32).validate().is_err());
-        assert!(SimOptions {
-            engine: SimEngineKind::Dense,
-            block_words: 4
-        }
-        .validate()
-        .is_err());
-        assert_eq!("event".parse::<SimEngineKind>().unwrap(), SimEngineKind::Event);
-        assert_eq!("dense".parse::<SimEngineKind>().unwrap(), SimEngineKind::Dense);
-        assert!("psychic".parse::<SimEngineKind>().is_err());
-        assert_eq!(format!("{}", SimEngineKind::Event), "event");
     }
 
     #[test]
@@ -1381,8 +1236,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage, FaultSimulator};
-    use crate::patterns::WeightedPatterns;
-    use crate::test_support::{arb_chain_circuit, arb_circuit, counts, coverage};
+    use crate::patterns::{PatternSource, WeightedPatterns};
+    use crate::test_support::{arb_chain_circuit, arb_circuit, counts, coverage, dense_stats};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
@@ -1531,12 +1386,11 @@ mod proptests {
             drop in any::<bool>(),
         ) {
             let faults = FaultList::full(&circuit);
-            let run = |opts| coverage(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, 1, opts,
-            ).1;
-            let (dense, event) = (run(SimOptions::dense()), run(SimOptions::event(1)));
+            let source = || WeightedPatterns::new(weights.clone(), seed);
+            let dense = dense_stats(&circuit, &faults, source(), patterns, drop);
+            let (_, event) = coverage(
+                &circuit, &faults, source(), patterns, drop, 1, SimOptions::event(1),
+            );
             prop_assert!(event.node_evals <= dense.node_evals);
             prop_assert!(event.root_propagations <= dense.root_propagations);
             prop_assert_eq!(dense.root_propagations, dense.excited());
@@ -1558,31 +1412,34 @@ mod proptests {
             patterns in 1u64..700,
         ) {
             let faults = FaultList::full(&circuit);
-            let (_, dense) = coverage(
+            let dense = dense_stats(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, true, 1, SimOptions::dense(),
+                patterns, true,
             );
+            let mut source = WeightedPatterns::new(weights, seed);
+            let blocks: Vec<_> = (0..patterns.div_ceil(64))
+                .map(|b| source.next_block((patterns - 64 * b).min(64) as u32))
+                .collect();
             let excited = with_block_words!(SUPPORTED_BLOCK_WORDS[width_idx], W => {
                 let mut sim = EventSimulator::<W>::new(&circuit, &faults);
                 sim.enable_eval_profile();
-                let mut source = WeightedPatterns::new(weights, seed);
                 let mut worklist = FaultWorklist::full(faults.len());
-                let mut sb = SuperBlock::<W>::empty(4);
-                let mut done = 0;
-                while done < patterns && !worklist.is_empty() {
-                    sb.refill_draw(&mut source, patterns - done);
+                let mut b = 0;
+                while b < blocks.len() && !worklist.is_empty() {
+                    let take = superblock_split(&blocks[b..], W);
+                    let sb = SuperBlock::<W>::from_blocks(&blocks[b..b + take]);
                     sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |_, _| {});
-                    done += u64::from(sb.len);
+                    b += take;
                 }
                 sim.take_eval_profile().expect("enabled").excited_blocks
             });
             let derived: u64 = faults
                 .iter()
                 .zip(&excited)
-                .map(|((_, f), &blocks)| {
+                .map(|((_, f), &excited_blocks)| {
                     let cone = wrt_circuit::transitive_fanout(&circuit, &[f.site.effect_root()]);
-                    blocks * (cone.len() as u64 - 1)
+                    excited_blocks * (cone.len() as u64 - 1)
                 })
                 .sum();
             prop_assert_eq!(derived, dense.node_evals);

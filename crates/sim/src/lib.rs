@@ -10,7 +10,7 @@
 //! All randomness is deterministic and seed-driven ([`Xoshiro256`]), so
 //! every experiment in the workspace is bit-reproducible.
 //!
-//! # One engine, two inner loops
+//! # One engine, one inner loop
 //!
 //! Fault simulation runs through one budgeted, panic-isolated pair,
 //! [`fault_coverage_robust`] and [`detection_counts_robust`]: the fault
@@ -18,29 +18,26 @@
 //! never spans two), one worker thread per shard, and the sequential,
 //! seed-deterministic pattern stream is broadcast to every worker in
 //! bounded chunks — so a run keeps to its deadline and its memory stays
-//! flat whatever the pattern count.  `threads = 1` runs one shard.  Each
-//! shard worker runs one of two PPSFP inner loops (selected via
-//! [`SimOptions`], results always bit-identical):
+//! flat whatever the pattern count.  `threads = 1` runs one shard.  Every
+//! shard worker runs the event kernel ([`EventSimulator`]): event-driven
+//! sparse propagation over `W`-word superblocks ([`SuperBlock`],
+//! `W ∈ {1, 2, 4, 8, 16}`, picked via [`SimOptions`]) — only nodes
+//! actually reached by a fault effect are evaluated, until every flipped
+//! pattern is observed, and each evaluation covers `64 * W` patterns.
+//! The faults of one fanout-free region are propagated once per
+//! superblock from the region's head — the head complemented in the
+//! union of their lanes that reach it, each fault detected where those
+//! lanes meet the head's observed output differences (exact, since gate
+//! evaluation is lane-independent).  See [`EventSimulator`] for the
+//! grouping and the ready-set invariants.
 //!
-//! * **dense** — the [`FaultSimulator`]'s per-fault cone walk over one
-//!   `u64` block;
-//! * **event** ([`EventSimulator`]) — event-driven sparse propagation
-//!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
-//!   only nodes actually reached by a fault effect are evaluated, until
-//!   every flipped pattern is observed, and each evaluation covers
-//!   `64 * W` patterns.  The faults of one fanout-free region are
-//!   propagated once per superblock from the region's head — the head
-//!   complemented in the union of their lanes that reach it, each fault
-//!   detected where those lanes meet the head's observed output
-//!   differences (exact, since gate evaluation is lane-independent).  See
-//!   [`EventSimulator`] for the grouping and the ready-set invariants.
-//!
+//! The [`FaultSimulator`]'s per-fault cone walk over one `u64` block is
+//! the serial dense oracle ([`fault_coverage`], [`detection_counts`]).
 //! Merging per-shard results by fault id makes the engine bit-identical
-//! to the serial dense oracle ([`fault_coverage`], [`detection_counts`])
-//! for every thread count, engine and width — a property-tested
-//! invariant.  Both entry points also report machine-independent work
-//! counters ([`SimStats`]), the metrics `BENCH_sim.json` tracks, and
-//! what shard recovery the run needed ([`ShardRecovery`]).
+//! to it for every thread count and width — a property-tested invariant.
+//! Both entry points also report machine-independent work counters
+//! ([`SimStats`]), the metrics `BENCH_sim.json` tracks, and what shard
+//! recovery the run needed ([`ShardRecovery`]).
 //!
 //! [`fault_coverage_tiled_robust`] and its option and stats types are a
 //! compatibility forwarder for the retired 2D tiled engine.
@@ -78,8 +75,8 @@ mod tile;
 
 pub use coverage::{CoverageCurve, CoverageResult};
 pub use event::{
-    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile,
-    SimEngineKind, SimOptions, SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile, SimOptions,
+    SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
 };
 pub use fault_sim::{detection_counts, fault_coverage, FaultSimulator, FaultWorklist};
 pub use logic::{eval_gate_lanes, eval_gate_words, simulate_pattern, LogicSim, WideLogicSim};

@@ -4,8 +4,8 @@
 //! words depend only on the fault-free block values and the fault's own
 //! cone.  The engine partitions the fault list into cone-locality-aware
 //! shards ([`FaultPartition`]), gives each shard a worker thread with its
-//! own simulator scratch state and compacted [`FaultWorklist`], and
-//! streams pattern blocks to all workers in bounded chunks.
+//! own event kernel ([`EventSimulator`]) and compacted [`FaultWorklist`],
+//! and streams pattern blocks to all workers in bounded chunks.
 //! [`fault_coverage_robust`] and [`detection_counts_robust`] are its entry
 //! points; `threads = 1` runs one shard.
 //!
@@ -37,11 +37,11 @@
 //! per circuit node per pattern of fault-free simulation.  That makes
 //! `max_evals` a machine- and thread-count-independent measure of the
 //! pattern stream, so an eval-budget interruption at the same value
-//! yields the *bit-identical* partial result across runs, engines, and
+//! yields the *bit-identical* partial result across runs, widths, and
 //! thread counts: the budget resolves upfront to a deterministic pattern
 //! clip `min(num_patterns, max_evals / num_nodes)`.  The real measured
-//! work (which is far lower for the event engine) is still reported via
-//! [`SimStats`].
+//! work (far lower, since the event kernel evaluates only the nodes a
+//! fault effect reaches) is still reported via [`SimStats`].
 //!
 //! Wall-clock deadlines and cancellation trip at chunk boundaries, so
 //! their partial results are well-formed prefixes of the pattern stream —
@@ -52,12 +52,15 @@
 //!
 //! A worker panic (or an injected spawn/merge failure from an armed
 //! fail-point session) does not abort the run: the poisoned shard is
-//! requeued for serial replay against a fresh clone of the pattern
-//! source — first on the same engine, then once more on the dense engine
-//! — which reproduces the lost results bit-identically, because every
-//! worker consumes the same deterministic stream.  Shards that fail every
-//! retry surface their faults in [`ShardRecovery::unresolved`] instead of
-//! panicking.
+//! requeued for replay against a fresh clone of the pattern source —
+//! first on a fresh event worker, then once more on the serial dense
+//! oracle ([`crate::fault_coverage`] or [`crate::detection_counts`] on
+//! the shard's faults) — which reproduces the lost results
+//! bit-identically, because every replay consumes the same deterministic
+//! stream.  Replay threads pass the spawn fail point like fan-out
+//! workers.  The oracle rung adds no [`SimStats`].  Shards that fail
+//! every retry surface their faults in [`ShardRecovery::unresolved`]
+//! instead of panicking.
 //!
 //! `std::thread::scope` keeps everything dependency-free and lets workers
 //! borrow the circuit and fault list directly.
@@ -76,18 +79,18 @@ use wrt_robust::{
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator,
-    SimEngineKind, SimOptions, SimStats, SuperBlock,
+    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator, SimOptions,
+    SimStats, SuperBlock,
 };
-use crate::fault_sim::{FaultSimulator, FaultWorklist};
+use crate::fault_sim::{detection_counts, fault_coverage, FaultWorklist};
 use crate::patterns::{PatternBlock, PatternSource};
 
 /// Pattern blocks per broadcast chunk (8 Ki patterns): large enough to
 /// amortize channel traffic, small enough to bound in-flight memory and
 /// to overlap pattern generation with simulation even on short runs.
-/// A multiple of every supported superblock width, so the event worker's
-/// superblocks coincide with [`SuperBlock::refill_draw`]'s grouping of
-/// the same stream.
+/// A multiple of every supported superblock width, so a chunk boundary
+/// never cuts a superblock of full blocks: the grouping is the whole
+/// stream's, whatever the chunking.
 const CHUNK_BLOCKS: usize = 128;
 
 /// Chunks a worker may have queued; the producer blocks beyond that, so
@@ -105,9 +108,9 @@ struct Chunk {
 ///
 /// A clean run has zero everything.  When a shard worker dies — a real
 /// panic or an injected one — the engine requeues that shard's fault
-/// worklist for bounded serial replay (same engine first, then the dense
-/// engine); only faults whose shard failed every retry end up in
-/// [`ShardRecovery::unresolved`].
+/// worklist for bounded replay (a fresh event worker first, then the
+/// serial dense oracle); only faults whose shard failed every retry end
+/// up in [`ShardRecovery::unresolved`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardRecovery {
     /// Worker threads that panicked (original fan-out plus replays).
@@ -115,7 +118,8 @@ pub struct ShardRecovery {
     /// Shard replay attempts performed.
     pub replays: usize,
     /// Degradation steps taken ([`DegradeStep::ShardRequeue`], plus
-    /// [`DegradeStep::EventToDense`] when a replay fell back engines).
+    /// [`DegradeStep::EventToDense`] when a replay fell back to the dense
+    /// oracle).
     pub ladder: Ladder,
     /// Faults whose shard exhausted its retries; their entries in the
     /// merged result are unchanged from the initial value (undetected /
@@ -196,19 +200,19 @@ pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
 /// longer simulated.  `threads = 0` resolves via [`recommended_threads`];
 /// `threads = 1` runs one shard.  Over the patterns it reports, the
 /// result is bit-identical to the dense oracle [`crate::fault_coverage`]
-/// for every engine, width and thread count.
+/// for every width and thread count.
 ///
 /// # Panics
 ///
 /// Panics if `opts` fails [`SimOptions::validate`] (programmer error —
-/// the CLI validates engine flags before reaching this point).
-// One argument past the lint's threshold: the run's inputs, its engine
+/// the CLI validates `--block-words` before reaching this point).
+// One argument past the lint's threshold: the run's inputs, its width
 // and its budget.
 #[allow(clippy::too_many_arguments)]
 pub fn fault_coverage_robust(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource + Clone,
+    source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     drop: bool,
     threads: usize,
@@ -242,7 +246,7 @@ pub fn fault_coverage_robust(
 pub fn detection_counts_robust(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource + Clone,
+    source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     threads: usize,
     opts: SimOptions,
@@ -283,8 +287,8 @@ impl Mode {
         }
     }
 
-    /// The one recording rule both workers share: folds the detection
-    /// lanes of a pass starting at pattern `base` into a fault's slot.
+    /// The recording rule: folds the detection lanes of a pass starting at
+    /// pattern `base` into a fault's slot.
     fn record<const W: usize>(self, slot: &mut u64, base: u64, lanes: &[u64; W]) {
         match self {
             Mode::Coverage { .. } => {
@@ -298,50 +302,17 @@ impl Mode {
     }
 }
 
-/// Dense-engine shard worker: one [`FaultSimulator`] over the broadcast
-/// 64-pattern blocks.  Returns when the stream ends or, under dropping,
-/// when the worklist drains — dropping `rx` hangs up on the producer.
-fn worker_dense(
-    circuit: &Circuit,
-    sublist: &FaultList,
-    rx: Receiver<Arc<Chunk>>,
-    mode: Mode,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local = vec![mode.initial(); sublist.len()];
-    while let Ok(chunk) = rx.recv() {
-        let mut done = chunk.start;
-        for block in &chunk.blocks {
-            if mode.drops() && worklist.is_empty() {
-                return (local, sim.stats());
-            }
-            sim.detect_block_worklist(
-                &block.words,
-                block.mask(),
-                &mut worklist,
-                mode.drops(),
-                |i, w| {
-                    mode.record(&mut local[i], done, &[w]);
-                },
-            );
-            done += u64::from(block.len);
-        }
-    }
-    (local, sim.stats())
-}
-
-/// Event-engine shard worker: one [`EventSimulator`] over `W`-wide
-/// superblocks of the broadcast chunks.  Superblock boundaries come from
-/// [`superblock_split`] (extend only across full blocks), so the grouping
-/// is the serial stream's.  Hangs up like [`worker_dense`].
-fn worker_event<const W: usize>(
+/// Shard worker: one [`EventSimulator`] over `W`-wide superblocks of the
+/// broadcast chunks, grouped by [`superblock_split`] (extend only across
+/// full blocks).  Returns when the stream ends or, under dropping, when
+/// the worklist drains — dropping `rx` hangs up on the producer.
+fn worker<const W: usize>(
     circuit: &Circuit,
     regions: &FanoutFreeRegions,
     sublist: &FaultList,
     rx: Receiver<Arc<Chunk>>,
     mode: Mode,
-) -> (Vec<u64>, SimStats) {
+) -> ShardResult {
     let mut sim = EventSimulator::<W>::with_regions(circuit, regions, sublist);
     let mut worklist = FaultWorklist::full(sublist.len());
     let mut local = vec![mode.initial(); sublist.len()];
@@ -427,12 +398,31 @@ struct Run {
     recovery: ShardRecovery,
 }
 
+/// A shard's per-fault values (in [`Mode`]'s encoding) and what they
+/// cost.
+type ShardResult = (Vec<u64>, SimStats);
+
+/// One shard worker's or replay's fate: its results, an injected
+/// failure, or a panic.
+type Attempt = std::thread::Result<Result<ShardResult, InjectedFailure>>;
+
 impl Run {
-    /// Folds one shard's results in, by fault id.
-    fn merge(&mut self, shard: &[FaultId], (local, stats): (Vec<u64>, SimStats)) {
-        self.stats.merge(&stats);
-        for (value, &id) in local.into_iter().zip(shard) {
-            self.values[id.index()] = value;
+    /// Folds one shard attempt in: merges its results by fault id, or
+    /// counts a panic.  Returns whether the shard's results are in.
+    fn settle(&mut self, shard: &[FaultId], attempt: Attempt) -> bool {
+        match attempt {
+            Ok(Ok((local, stats))) => {
+                self.stats.merge(&stats);
+                for (value, &id) in local.into_iter().zip(shard) {
+                    self.values[id.index()] = value;
+                }
+                true
+            }
+            Ok(Err(_injected)) => false,
+            Err(_panic) => {
+                self.recovery.worker_panics += 1;
+                false
+            }
         }
     }
 }
@@ -452,7 +442,7 @@ impl<'a> Job<'a> {
     /// reports a runtime trip first, then the eval clip, as the interrupt.
     fn run(
         self,
-        source: impl PatternSource + Clone,
+        source: impl PatternSource + Clone + Send,
         num_patterns: u64,
         threads: usize,
         budget: &Budget,
@@ -495,7 +485,7 @@ impl<'a> Job<'a> {
     fn run_sharded(
         &self,
         run: &mut Run,
-        source: impl PatternSource + Clone,
+        source: impl PatternSource + Clone + Send,
         threads: usize,
         budget: (&Budget, u64),
     ) -> Option<BudgetExceeded> {
@@ -511,7 +501,7 @@ impl<'a> Job<'a> {
                 let sublist = partition.sublist(self.faults, s);
                 handles.push(scope.spawn(move || -> Result<_, InjectedFailure> {
                     failpoint::hit(sites::WORKER_SPAWN)?;
-                    Ok(self.work(&sublist, rx, self.opts))
+                    Ok(self.work(&sublist, rx))
                 }));
             }
             let streamed = stream_chunks(source, run.patterns, senders, Some(budget));
@@ -521,28 +511,13 @@ impl<'a> Job<'a> {
                 // armed to panic; catching it keeps the run alive (the
                 // workspace forbids unsafe, and the registry lock
                 // tolerates poisoning).
-                let merged = match handle.join() {
-                    Ok(Ok(local)) => {
-                        match catch_unwind(AssertUnwindSafe(|| failpoint::hit(sites::SHARD_MERGE)))
-                        {
-                            Ok(Ok(())) => {
-                                run.merge(partition.shard(s), local);
-                                true
-                            }
-                            Ok(Err(_injected)) => false,
-                            Err(_panic) => {
-                                run.recovery.worker_panics += 1;
-                                false
-                            }
-                        }
-                    }
-                    Ok(Err(_injected)) => false,
-                    Err(_panic) => {
-                        run.recovery.worker_panics += 1;
-                        false
-                    }
-                };
-                if !merged {
+                let attempt = handle.join().and_then(|worked| match worked {
+                    Ok(local) => catch_unwind(AssertUnwindSafe(|| {
+                        failpoint::hit(sites::SHARD_MERGE).map(|()| local)
+                    })),
+                    Err(injected) => Ok(Err(injected)),
+                });
+                if !run.settle(partition.shard(s), attempt) {
                     poisoned.push(s);
                 }
             }
@@ -560,71 +535,89 @@ impl<'a> Job<'a> {
         tripped
     }
 
-    /// The replay ladder for one poisoned shard: a serial replay on the
-    /// same engine, then one on the dense engine.  A shard that fails
-    /// both leaves its faults unresolved.
+    /// The replay ladder for one poisoned shard: a replay on a fresh
+    /// event worker, then one on the serial dense oracle.  A shard that
+    /// fails both leaves its faults unresolved.
     fn replay(
         &self,
         run: &mut Run,
         partition: &FaultPartition,
         s: usize,
-        source: impl PatternSource + Clone,
+        source: impl PatternSource + Clone + Send,
     ) {
         run.recovery
             .ladder
             .record(DegradeStep::ShardRequeue, format!("shard {s} poisoned"));
         let sublist = partition.sublist(self.faults, s);
-        for (attempt, opts) in [self.opts, SimOptions::dense()].into_iter().enumerate() {
+        for oracle in [false, true] {
             run.recovery.replays += 1;
-            if attempt == 1 && self.opts.engine == SimEngineKind::Event {
+            if oracle {
                 run.recovery.ladder.record(
                     DegradeStep::EventToDense,
                     format!("shard {s} second replay"),
                 );
             }
-            if let Some(local) = self.replay_shard(&sublist, source.clone(), run.patterns, opts) {
-                run.merge(partition.shard(s), local);
+            let attempt = self.replay_shard(&sublist, source.clone(), run.patterns, oracle);
+            if run.settle(partition.shard(s), attempt) {
                 return;
             }
-            run.recovery.worker_panics += 1;
         }
         run.recovery
             .unresolved
             .extend(partition.shard(s).iter().copied());
     }
 
-    /// Re-runs one shard on a fresh worker thread fed the (deterministic)
-    /// pattern stream again, over exactly `num_patterns` patterns and
-    /// with no budget, so recovery is never cut short by a check-in.
-    /// Returns `None` if the replay worker panicked too.
+    /// Re-runs one shard on a fresh scoped thread against the
+    /// (deterministic) pattern stream, over exactly `num_patterns`
+    /// patterns and with no budget, so recovery is never cut short by a
+    /// check-in: an event worker fed from this thread, or with `oracle`
+    /// the serial dense oracle.  The replay thread passes the spawn fail
+    /// point like a fan-out worker.
     fn replay_shard(
         &self,
         sublist: &FaultList,
-        source: impl PatternSource,
+        source: impl PatternSource + Send,
         num_patterns: u64,
-        opts: SimOptions,
-    ) -> Option<(Vec<u64>, SimStats)> {
+        oracle: bool,
+    ) -> Attempt {
         std::thread::scope(|scope| {
+            if oracle {
+                return scope
+                    .spawn(move || {
+                        failpoint::hit(sites::WORKER_SPAWN)?;
+                        Ok(self.oracle(sublist, source, num_patterns))
+                    })
+                    .join();
+            }
             let (tx, rx) = sync_channel(CHANNEL_DEPTH);
-            let handle = scope.spawn(move || self.work(sublist, rx, opts));
+            let handle = scope.spawn(move || {
+                failpoint::hit(sites::WORKER_SPAWN)?;
+                Ok(self.work(sublist, rx))
+            });
             stream_chunks(source, num_patterns, vec![tx], None);
-            handle.join().ok()
+            handle.join()
         })
     }
 
-    /// Runs one shard's worker on `opts`' engine.
-    fn work(
-        &self,
-        sublist: &FaultList,
-        rx: Receiver<Arc<Chunk>>,
-        opts: SimOptions,
-    ) -> (Vec<u64>, SimStats) {
-        match opts.engine {
-            SimEngineKind::Dense => worker_dense(self.circuit, sublist, rx, self.mode),
-            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                worker_event::<W>(self.circuit, &self.regions, sublist, rx, self.mode)
-            }),
-        }
+    /// Runs one shard's worker at the job's superblock width.
+    fn work(&self, sublist: &FaultList, rx: Receiver<Arc<Chunk>>) -> ShardResult {
+        with_block_words!(self.opts.block_words, W => {
+            worker::<W>(self.circuit, &self.regions, sublist, rx, self.mode)
+        })
+    }
+
+    /// The serial dense oracle on one shard's faults, in [`Mode`]'s
+    /// encoding; it adds no stats.
+    fn oracle(&self, sublist: &FaultList, source: impl PatternSource, n: u64) -> ShardResult {
+        let values = match self.mode {
+            Mode::Coverage { drop } => fault_coverage(self.circuit, sublist, source, n, drop)
+                .detected_at()
+                .iter()
+                .map(|at| at.unwrap_or(UNDETECTED))
+                .collect(),
+            Mode::Counts => detection_counts(self.circuit, sublist, source, n),
+        };
+        (values, SimStats::default())
     }
 }
 
@@ -666,7 +659,7 @@ mod tests {
                     500,
                     drop,
                     threads,
-                    SimOptions::dense(),
+                    SimOptions::event(1),
                 );
                 assert_eq!(
                     serial.detected_at(),
@@ -689,7 +682,7 @@ mod tests {
                 WeightedPatterns::equiprobable(3, 23),
                 1000,
                 threads,
-                SimOptions::dense(),
+                SimOptions::event(1),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -709,7 +702,7 @@ mod tests {
             128,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::event(1),
         );
         assert_eq!(r.num_faults(), 1);
         let empty = wrt_fault::FaultList::from_faults(vec![]);
@@ -720,7 +713,7 @@ mod tests {
             128,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::event(1),
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
@@ -750,7 +743,7 @@ mod tests {
             WeightedPatterns::equiprobable(2, 7),
             n,
             3,
-            SimOptions::dense(),
+            SimOptions::event(1),
         );
         assert_eq!(serial, sharded);
     }
@@ -764,7 +757,7 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let n = 40 * (CHUNK_BLOCKS as u64) * 64;
         let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(2, 7), n, true);
-        for (threads, opts) in [(1, SimOptions::dense()), (2, SimOptions::event(16))] {
+        for (threads, opts) in [(1, SimOptions::event(1)), (2, SimOptions::event(16))] {
             let (sharded, _) = coverage(
                 &c,
                 &faults,
@@ -790,7 +783,7 @@ mod tests {
             true,
         );
         for threads in [1, 2, 4] {
-            for opts in [SimOptions::dense(), SimOptions::event(4)] {
+            for opts in [SimOptions::event(1), SimOptions::event(4)] {
                 let robust = fault_coverage_robust(
                     &c,
                     &faults,
@@ -825,7 +818,7 @@ mod tests {
         );
         let mut partials = Vec::new();
         for threads in [1, 2, 3, 8] {
-            for opts in [SimOptions::dense(), SimOptions::event(2)] {
+            for opts in [SimOptions::event(1), SimOptions::event(2)] {
                 let outcome = fault_coverage_robust(
                     &c,
                     &faults,
@@ -839,7 +832,7 @@ mod tests {
                 assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
                 let rc = outcome.into_value();
                 // Identical partial result across thread counts and
-                // engines: exactly the first 100 patterns.
+                // widths: exactly the first 100 patterns.
                 assert_eq!(rc.result.detected_at(), clipped.detected_at());
                 partials.push(rc.result.detected_at().to_vec());
             }
@@ -859,7 +852,7 @@ mod tests {
             WeightedPatterns::equiprobable(3, 5),
             1000,
             2,
-            SimOptions::dense(),
+            SimOptions::event(1),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
@@ -880,7 +873,7 @@ mod tests {
             1000,
             true,
             2,
-            SimOptions::dense(),
+            SimOptions::event(1),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
@@ -903,7 +896,7 @@ mod tests {
             1000,
             true,
             2,
-            SimOptions::dense(),
+            SimOptions::event(1),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Cancelled));
@@ -920,7 +913,7 @@ mod tests {
             64,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::event(1),
             &Budget::unlimited(),
         );
         assert!(outcome.is_complete());
@@ -993,7 +986,7 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, threads, SimOptions::dense(),
+                patterns, drop, threads, SimOptions::event(1),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
 
@@ -1005,7 +998,7 @@ mod proptests {
             let (counts_sharded, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights, seed),
-                patterns, threads, SimOptions::dense(),
+                patterns, threads, SimOptions::event(1),
             );
             prop_assert_eq!(serial_counts, counts_sharded);
         }
@@ -1026,7 +1019,7 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7, SimOptions::dense(),
+                200, true, faults.len() * 3 + 7, SimOptions::event(1),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
         }

@@ -7,6 +7,7 @@ use wrt_robust::Budget;
 
 use crate::coverage::CoverageResult;
 use crate::event::{SimOptions, SimStats};
+use crate::fault_sim::{FaultSimulator, FaultWorklist};
 use crate::patterns::PatternSource;
 
 /// A small random 4-input circuit with two outputs: a mix of gate kinds
@@ -113,7 +114,7 @@ pub fn arb_chain_circuit() -> impl Strategy<Value = Circuit> {
 pub fn coverage(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource + Clone,
+    source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     drop: bool,
     threads: usize,
@@ -141,7 +142,7 @@ pub fn coverage(
 pub fn counts(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource + Clone,
+    source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     threads: usize,
     opts: SimOptions,
@@ -161,4 +162,25 @@ pub fn counts(
     assert!(run.recovery.is_clean(), "no fail point is armed");
     assert_eq!(run.num_patterns, num_patterns);
     (run.counts, run.stats)
+}
+
+/// The dense oracle's work counters: one [`FaultSimulator`] over the
+/// source's 64-pattern blocks, dropping detected faults with `drop` and
+/// stopping once none is left, as [`crate::fault_coverage`] does.
+pub fn dense_stats(
+    circuit: &Circuit,
+    faults: &FaultList,
+    mut source: impl PatternSource,
+    num_patterns: u64,
+    drop: bool,
+) -> SimStats {
+    let mut sim = FaultSimulator::new(circuit, faults);
+    let mut worklist = FaultWorklist::full(faults.len());
+    let mut done = 0;
+    while done < num_patterns && !(drop && worklist.is_empty()) {
+        let block = source.next_block((num_patterns - done).min(64) as u32);
+        sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, drop, |_, _| {});
+        done += u64::from(block.len);
+    }
+    sim.stats()
 }

@@ -77,7 +77,7 @@ pub struct RobustTiledCoverage {
 pub fn fault_coverage_tiled_robust(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource + Clone,
+    source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     drop: bool,
     opts: &TileOptions,

@@ -30,7 +30,7 @@ use wrt::core::optimize_budgeted;
 use wrt::estimate::DegradingEngine;
 use wrt::prelude::*;
 use wrt::robust::failpoint::{self, sites};
-use wrt::robust::{CheckpointError, FailAction};
+use wrt::robust::{CheckpointError, DegradeStep, FailAction};
 use wrt::sim::{fault_coverage_robust, CoverageResult, SimOptions};
 
 /// Patterns per simulation drill: enough chunks that every skip count in
@@ -153,7 +153,7 @@ fn budget_injection_drill(skip: u64) -> (Vec<Option<u64>>, u64) {
             PATTERNS,
             true,
             THREADS,
-            SimOptions::dense(),
+            SimOptions::event(1),
             &Budget::unlimited(),
         );
         (outcome, circuit, faults)
@@ -295,7 +295,7 @@ fn drill_workloads_exercise_every_planted_site() {
             128,
             true,
             2,
-            SimOptions::dense(),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         assert!(outcome.is_complete());
@@ -408,6 +408,47 @@ fn a_poisoned_lone_shard_replays_the_whole_stream() {
         assert_eq!(rc.recovery.replays, 1, "{action:?}");
         assert!(rc.recovery.unresolved.is_empty(), "{action:?}");
         assert_eq!(rc.result, reference, "{action:?}: replay must cover the whole stream");
+    }
+}
+
+/// A shard whose merge fails and whose event replay dies at spawn too
+/// reaches the ladder's second rung: the dense oracle replays it, and
+/// the run still completes bit-identically.
+#[test]
+fn a_failed_event_replay_falls_back_to_the_dense_oracle() {
+    let (circuit, faults) = s1();
+    let regions = wrt::circuit::FanoutFreeRegions::new(&circuit);
+    let shards = wrt::fault::FaultPartition::cone_locality(&regions, &faults, THREADS).num_shards();
+    for action in [FailAction::Panic, FailAction::Error] {
+        let session = failpoint::session();
+        session.arm(sites::SHARD_MERGE, FailAction::Error, 0);
+        // Every fan-out worker passes the spawn site once; the next pass
+        // is the first replay's.
+        session.arm(sites::WORKER_SPAWN, action, shards as u64);
+        let (outcome, reference) = within(WATCHDOG, move || {
+            let (circuit, faults) = s1();
+            let reference = fault_coverage(&circuit, &faults, patterns(&circuit), PATTERNS, true);
+            let outcome = fault_coverage_robust(
+                &circuit,
+                &faults,
+                patterns(&circuit),
+                PATTERNS,
+                true,
+                THREADS,
+                SimOptions::event(4),
+                &Budget::unlimited(),
+            );
+            (outcome, reference)
+        });
+        assert!(session.still_armed().is_empty(), "{action:?}: both arms fired");
+        assert!(outcome.is_complete(), "{action:?}");
+        let rc = outcome.into_value();
+        assert_eq!(rc.result, reference, "{action:?}: the oracle replay is bit-identical");
+        assert_eq!(rc.recovery.replays, 2, "{action:?}");
+        let ladder = &rc.recovery.ladder;
+        assert_eq!(ladder.count(DegradeStep::ShardRequeue), 1, "{action:?}");
+        assert_eq!(ladder.count(DegradeStep::EventToDense), 1, "{action:?}");
+        assert!(rc.recovery.unresolved.is_empty(), "{action:?}");
     }
 }
 
