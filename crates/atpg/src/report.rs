@@ -419,12 +419,7 @@ fn run_fingerprint(circuit: &Circuit, faults: &FaultList, config: &AtpgConfig) -
         config.guidance,
         config.degrade_on_abort,
     );
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    wrt_robust::fnv1a(text.bytes())
 }
 
 /// A budgeted batch-ATPG run: the (possibly partial) report, the

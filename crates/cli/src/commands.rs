@@ -1,93 +1,32 @@
-//! Subcommand wrappers.
+//! Process-level verbs and the process-wide execution context.
 //!
-//! Every verb's argument parsing and rendering lives in
+//! Every request verb's argument parsing and rendering lives in
 //! [`wrt_serve::exec`], where the resident server runs the *same*
 //! functions — that single source of truth is what makes a served
-//! response byte-identical to batch output.  This module only adapts
-//! them to the process: one shared [`ExecContext`] wired to the Ctrl-C
-//! flag, results printed to stdout, plus the `serve`/`client`/`--remote`
-//! process-level verbs that have no meaning inside a request.
+//! response byte-identical to batch output.  This module holds the one
+//! shared [`ExecContext`] wired to the Ctrl-C flag, plus the
+//! `serve`/`client`/`--remote` verbs that have no meaning inside a
+//! request.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use wrt_serve::exec::{self, flag_value, parse_flag, ExecContext};
+use wrt_serve::exec::{flag_value, parse_flag, ExecContext};
 use wrt_serve::Registry;
 
 pub use wrt_serve::exec::USAGE;
-
-#[cfg(test)]
-use wrt_atpg::ATPG_CHECKPOINT_KIND;
-#[cfg(test)]
-use wrt_core::OPTIMIZE_CHECKPOINT_KIND;
-#[cfg(test)]
-use wrt_robust::Checkpoint;
-#[cfg(test)]
-use wrt_serve::exec::{circuit_arg, engine_arg, load_circuit, sim_options_arg};
-#[cfg(test)]
-use wrt_sim::SimOptions;
 
 /// The process-wide execution context: one registry (so repeated
 /// in-process calls share parsed circuits and cached baselines, exactly
 /// like a server session) with the Ctrl-C flag attached, so every
 /// budgeted run cancels into its structured `Interrupted` path — partial
 /// result plus checkpoint — instead of dying mid-write.
-fn context() -> &'static ExecContext {
+pub fn context() -> &'static ExecContext {
     static CTX: OnceLock<ExecContext> = OnceLock::new();
     CTX.get_or_init(|| {
         ExecContext::new(Arc::new(Registry::new())).with_cancel(wrt_signal::ctrl_c_flag())
     })
-}
-
-fn emit(result: Result<String, String>) -> Result<(), String> {
-    let text = result?;
-    print!("{text}");
-    Ok(())
-}
-
-pub fn stats(args: &[String]) -> Result<(), String> {
-    emit(exec::stats(context(), args))
-}
-
-pub fn analyze(args: &[String]) -> Result<(), String> {
-    emit(exec::analyze(context(), args))
-}
-
-pub fn estimate(args: &[String]) -> Result<(), String> {
-    emit(exec::estimate(context(), args))
-}
-
-pub fn eco(args: &[String]) -> Result<(), String> {
-    emit(exec::eco(context(), args))
-}
-
-pub fn optimize(args: &[String]) -> Result<(), String> {
-    emit(exec::optimize(context(), args))
-}
-
-pub fn simulate(args: &[String]) -> Result<(), String> {
-    emit(exec::simulate(context(), args))
-}
-
-pub fn atpg(args: &[String]) -> Result<(), String> {
-    emit(exec::atpg(context(), args))
-}
-
-pub fn generate(args: &[String]) -> Result<(), String> {
-    emit(exec::generate(args))
-}
-
-pub fn load(args: &[String]) -> Result<(), String> {
-    emit(exec::load(context(), args))
-}
-
-pub fn stat() -> Result<(), String> {
-    emit(Ok(exec::stat(context())))
-}
-
-pub fn workloads() {
-    print!("{}", exec::workloads_list());
 }
 
 /// `wrt serve [--addr HOST:PORT] [--deadline SECS]`: run the resident
@@ -136,6 +75,11 @@ pub fn remote(addr: &str, argv: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wrt_atpg::ATPG_CHECKPOINT_KIND;
+    use wrt_core::OPTIMIZE_CHECKPOINT_KIND;
+    use wrt_robust::Checkpoint;
+    use wrt_serve::exec::{self, circuit_arg, engine_arg, load_circuit, sim_options_arg};
+    use wrt_sim::SimOptions;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
@@ -172,23 +116,23 @@ mod tests {
 
     #[test]
     fn commands_run_end_to_end_on_a_small_workload() {
-        workloads();
-        assert!(stats(&args(&["c880ish"])).is_ok());
-        assert!(simulate(&args(&["c880ish", "--patterns", "256"])).is_ok());
-        assert!(simulate(&args(&["c880ish"])).is_err()); // missing --patterns
-        assert!(atpg(&args(&["c880ish"])).is_ok());
+        assert!(!exec::workloads_list().is_empty());
+        assert!(exec::stats(context(), &args(&["c880ish"])).is_ok());
+        assert!(exec::simulate(context(), &args(&["c880ish", "--patterns", "256"])).is_ok());
+        assert!(exec::simulate(context(), &args(&["c880ish"])).is_err()); // missing --patterns
+        assert!(exec::atpg(context(), &args(&["c880ish"])).is_ok());
     }
 
     #[test]
     fn analyze_modes_run_and_lint_gates() {
         // Human, JSON, lint, and `all`-sweep modes all run; the registry
         // is lint-clean so --lint succeeds.
-        assert!(analyze(&args(&["s1"])).is_ok());
-        assert!(analyze(&args(&["s1", "--json"])).is_ok());
-        assert!(analyze(&args(&["s1", "--lint"])).is_ok());
-        assert!(analyze(&args(&["all", "--lint"])).is_ok());
-        assert!(analyze(&args(&[])).is_err());
-        assert!(analyze(&args(&["no-such-circuit"])).is_err());
+        assert!(exec::analyze(context(), &args(&["s1"])).is_ok());
+        assert!(exec::analyze(context(), &args(&["s1", "--json"])).is_ok());
+        assert!(exec::analyze(context(), &args(&["s1", "--lint"])).is_ok());
+        assert!(exec::analyze(context(), &args(&["all", "--lint"])).is_ok());
+        assert!(exec::analyze(context(), &args(&[])).is_err());
+        assert!(exec::analyze(context(), &args(&["no-such-circuit"])).is_err());
     }
 
     #[test]
@@ -199,34 +143,37 @@ mod tests {
         let path = dir.join("bad.bench");
         std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n").expect("write");
         let p = path.to_str().expect("utf8").to_string();
-        assert!(analyze(&[p, "--lint".into()]).is_err());
+        assert!(exec::analyze(context(), &[p, "--lint".into()]).is_err());
         // A clean file passes.
         let good = dir.join("good.bench");
         std::fs::write(&good, "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").expect("write");
         let g = good.to_str().expect("utf8").to_string();
-        assert!(analyze(&[g.clone(), "--lint".into()]).is_ok());
-        assert!(analyze(&[g]).is_ok());
+        assert!(exec::analyze(context(), &[g.clone(), "--lint".into()]).is_ok());
+        assert!(exec::analyze(context(), &[g]).is_ok());
     }
 
     #[test]
     fn atpg_guidance_flag() {
         for g in ["cop", "scoap", "unguided"] {
-            assert!(atpg(&args(&["s1", "--guidance", g])).is_ok(), "--guidance {g}");
+            assert!(
+                exec::atpg(context(), &args(&["s1", "--guidance", g])).is_ok(),
+                "--guidance {g}"
+            );
         }
-        assert!(atpg(&args(&["s1", "--guidance", "psychic"])).is_err());
+        assert!(exec::atpg(context(), &args(&["s1", "--guidance", "psychic"])).is_err());
     }
 
     #[test]
     fn optimize_seed_weights_flag() {
-        assert!(optimize(&args(&["s1", "--seed-weights", "scoap"])).is_ok());
-        assert!(optimize(&args(&["s1", "--seed-weights", "uniform"])).is_ok());
-        assert!(optimize(&args(&["s1", "--seed-weights", "psychic"])).is_err());
+        assert!(exec::optimize(context(), &args(&["s1", "--seed-weights", "scoap"])).is_ok());
+        assert!(exec::optimize(context(), &args(&["s1", "--seed-weights", "uniform"])).is_ok());
+        assert!(exec::optimize(context(), &args(&["s1", "--seed-weights", "psychic"])).is_err());
     }
 
     #[test]
     fn simulate_rejects_wrong_weight_count() {
         let a = args(&["c880ish", "--patterns", "64", "--weights", "0.5,0.5"]);
-        assert!(simulate(&a).is_err());
+        assert!(exec::simulate(context(), &a).is_err());
     }
 
     #[test]
@@ -241,13 +188,16 @@ mod tests {
         // flags are otherwise ignored), whatever the value.
         for engine in ["dense", "event", "psychic"] {
             let a = args(&["c880ish", "--patterns", "256", "--engine", engine]);
-            let err = simulate(&a).unwrap_err();
+            let err = exec::simulate(context(), &a).unwrap_err();
             assert!(err.starts_with("--engine was removed"), "{err}");
         }
         // End-to-end: every width runs.
         for words in ["1", "2", "4", "8", "16"] {
             let a = args(&["c880ish", "--patterns", "256", "--block-words", words]);
-            assert!(simulate(&a).is_ok(), "--block-words {words}");
+            assert!(
+                exec::simulate(context(), &a).is_ok(),
+                "--block-words {words}"
+            );
         }
     }
 
@@ -270,14 +220,14 @@ mod tests {
         }
         // Garbage values are parse errors, not panics.
         let a = args(&["c880ish", "--patterns", "256", "--pattern-stripes", "many"]);
-        assert!(simulate(&a).is_err());
+        assert!(exec::simulate(context(), &a).is_err());
     }
 
     #[test]
     fn simulate_accepts_thread_counts() {
         for t in ["1", "2", "0"] {
             let a = args(&["c880ish", "--patterns", "256", "--threads", t]);
-            assert!(simulate(&a).is_ok(), "--threads {t}");
+            assert!(exec::simulate(context(), &a).is_ok(), "--threads {t}");
         }
     }
 
@@ -287,7 +237,7 @@ mod tests {
         // zero-worker deadlock — on simulate and on the monte-carlo
         // optimize path alike.
         let a = args(&["c880ish", "--patterns", "128", "--threads", "0"]);
-        assert!(simulate(&a).is_ok());
+        assert!(exec::simulate(context(), &a).is_ok());
         let o = args(&[
             "s1",
             "--engine",
@@ -297,7 +247,7 @@ mod tests {
             "--mc-patterns",
             "256",
         ]);
-        assert!(optimize(&o).is_ok());
+        assert!(exec::optimize(context(), &o).is_ok());
     }
 
     #[test]
@@ -306,7 +256,7 @@ mod tests {
         // fault-list length.  The sharded engine clamps (empty shards
         // are simply never created) instead of panicking.
         let a = args(&["s1", "--patterns", "128", "--threads", "64"]);
-        assert!(simulate(&a).is_ok());
+        assert!(exec::simulate(context(), &a).is_ok());
         let o = args(&[
             "s1",
             "--engine",
@@ -316,7 +266,7 @@ mod tests {
             "--mc-patterns",
             "256",
         ]);
-        assert!(optimize(&o).is_ok());
+        assert!(exec::optimize(context(), &o).is_ok());
     }
 
     #[test]
@@ -329,7 +279,7 @@ mod tests {
             args(&["s1", "--commit-batch", "lots"]),
             args(&["s1", "--engine", "cop", "--commit-batch", "1"]),
         ] {
-            let err = optimize(&a).unwrap_err();
+            let err = exec::optimize(context(), &a).unwrap_err();
             assert!(err.contains("--commit-batch was removed"), "{err}");
         }
         assert!(engine_arg(&args(&["--commit-batch"])).is_err());
@@ -341,11 +291,19 @@ mod tests {
         // reports an interruption and exits cleanly — never a hang, a
         // panic, or a garbage result.
         let a = args(&["c880ish", "--patterns", "4096", "--time-limit", "0"]);
-        assert!(simulate(&a).is_ok());
-        assert!(atpg(&args(&["s1", "--time-limit", "0"])).is_ok());
+        assert!(exec::simulate(context(), &a).is_ok());
+        assert!(exec::atpg(context(), &args(&["s1", "--time-limit", "0"])).is_ok());
         // Malformed limits are clean errors.
-        assert!(simulate(&args(&["s1", "--patterns", "64", "--time-limit", "-1"])).is_err());
-        assert!(simulate(&args(&["s1", "--patterns", "64", "--time-limit", "soon"])).is_err());
+        assert!(exec::simulate(
+            context(),
+            &args(&["s1", "--patterns", "64", "--time-limit", "-1"])
+        )
+        .is_err());
+        assert!(exec::simulate(
+            context(),
+            &args(&["s1", "--patterns", "64", "--time-limit", "soon"])
+        )
+        .is_err());
     }
 
     #[test]
@@ -354,19 +312,23 @@ mod tests {
         // resolves to a zero-pattern clip — reported as an interruption
         // with an empty (but well-formed) coverage result.
         let a = args(&["c880ish", "--patterns", "4096", "--max-evals", "1"]);
-        assert!(simulate(&a).is_ok());
+        assert!(exec::simulate(context(), &a).is_ok());
     }
 
     #[test]
     fn backtrack_budget_is_atpg_only() {
         let a = args(&["s1", "--patterns", "64", "--max-backtracks-total", "5"]);
-        assert!(simulate(&a).is_err());
-        assert!(atpg(&args(&["s1", "--max-backtracks-total", "100000"])).is_ok());
+        assert!(exec::simulate(context(), &a).is_err());
+        assert!(exec::atpg(
+            context(),
+            &args(&["s1", "--max-backtracks-total", "100000"])
+        )
+        .is_ok());
     }
 
     #[test]
     fn atpg_degrade_flag_runs() {
-        assert!(atpg(&args(&["s1", "--degrade"])).is_ok());
+        assert!(exec::atpg(context(), &args(&["s1", "--degrade"])).is_ok());
     }
 
     #[test]
@@ -377,7 +339,7 @@ mod tests {
         // Missing file.
         let missing = dir.join("never-written.ckpt");
         let m = missing.to_str().expect("utf8").to_string();
-        let err = optimize(&args(&["s1", "--resume", &m])).unwrap_err();
+        let err = exec::optimize(context(), &args(&["s1", "--resume", &m])).unwrap_err();
         assert!(err.contains("cannot resume"), "{err}");
 
         // Corrupt file (tampered checksum): never deserialized.
@@ -389,15 +351,18 @@ mod tests {
             .replace("fingerprint=0000", "fingerprint=1111");
         std::fs::write(&corrupt, tampered).expect("write");
         let p = corrupt.to_str().expect("utf8").to_string();
-        let err = optimize(&args(&["s1", "--resume", &p])).unwrap_err();
+        let err = exec::optimize(context(), &args(&["s1", "--resume", &p])).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
 
         // Version from the future: reported, not guessed at.
         let future = dir.join("future.ckpt");
         std::fs::write(&future, "wrt-checkpoint v99\nkind=atpg\n").expect("write");
         let p = future.to_str().expect("utf8").to_string();
-        let err = atpg(&args(&["s1", "--resume", &p])).unwrap_err();
-        assert!(err.contains("v99") && err.contains("not supported"), "{err}");
+        let err = exec::atpg(context(), &args(&["s1", "--resume", &p])).unwrap_err();
+        assert!(
+            err.contains("v99") && err.contains("not supported"),
+            "{err}"
+        );
 
         // A checkpoint of the other subsystem.
         let foreign = dir.join("foreign.ckpt");
@@ -405,7 +370,7 @@ mod tests {
         c.put("fingerprint", "0000000000000000");
         c.write_atomic(&foreign).expect("write");
         let p = foreign.to_str().expect("utf8").to_string();
-        let err = optimize(&args(&["s1", "--resume", &p])).unwrap_err();
+        let err = exec::optimize(context(), &args(&["s1", "--resume", &p])).unwrap_err();
         assert!(err.contains("kind"), "{err}");
     }
 
@@ -419,14 +384,18 @@ mod tests {
 
         // A 1-engine-call budget trips right after the initial ANALYSIS.
         let interrupted = args(&["s1", "--max-evals", "1", "--checkpoint", &p]);
-        assert!(optimize(&interrupted).is_ok());
+        assert!(exec::optimize(context(), &interrupted).is_ok());
         assert!(ckpt.exists(), "interruption must persist resume state");
 
         // Resuming with the same inputs completes.
-        assert!(optimize(&args(&["s1", "--resume", &p])).is_ok());
+        assert!(exec::optimize(context(), &args(&["s1", "--resume", &p])).is_ok());
 
         // Resuming under a different config is refused via fingerprint.
-        let err = optimize(&args(&["s1", "--confidence", "0.9", "--resume", &p])).unwrap_err();
+        let err = exec::optimize(
+            context(),
+            &args(&["s1", "--confidence", "0.9", "--resume", &p]),
+        )
+        .unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
     }
 
@@ -439,9 +408,9 @@ mod tests {
         let _ = std::fs::remove_file(&ckpt);
 
         let interrupted = args(&["s1", "--max-evals", "2", "--checkpoint", &p]);
-        assert!(atpg(&interrupted).is_ok());
+        assert!(exec::atpg(context(), &interrupted).is_ok());
         assert!(ckpt.exists(), "interruption must persist resume state");
-        assert!(atpg(&args(&["s1", "--resume", &p])).is_ok());
+        assert!(exec::atpg(context(), &args(&["s1", "--resume", &p])).is_ok());
     }
 
     #[test]

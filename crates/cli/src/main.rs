@@ -1,28 +1,11 @@
 //! `wrt` — command-line front end for the weighted-random-testing
-//! workspace.
+//! workspace.  `wrt help` prints every verb and flag
+//! ([`wrt_serve::exec::USAGE`]).
 //!
-//! ```text
-//! wrt stats    <netlist.bench | workload>          circuit statistics
-//! wrt analyze  <netlist.bench | workload | all> [--lint] [--json]
-//! wrt estimate <netlist.bench | workload> [--weights w1,w2,…] [--top K]
-//! wrt eco      <netlist.bench | workload> --set g=KIND[,…] [--top K]
-//! wrt optimize <netlist.bench | workload> [--grid G] [--confidence C]
-//!              [--engine cop|stafan|monte-carlo] [--threads T]
-//!              [--seed-weights uniform|scoap]
-//! wrt simulate <netlist.bench | workload> --patterns N [--weights w1,w2,…]
-//!              [--threads T]
-//! wrt atpg     <netlist.bench | workload> [--backtracks B]
-//!              [--guidance cop|scoap|unguided]
-//! wrt generate [--gates N] [--seed S] [--out FILE]  tiled synthetic netlist
-//! wrt workloads                                    list built-in circuits
-//! wrt serve    [--addr HOST:PORT] [--deadline SECS] resident server
-//! wrt client   <addr> <command ...>                one request to a server
-//! wrt --remote <addr> <command ...>                same thing, prefix form
-//! ```
-//!
-//! A circuit argument is first tried as a workload registry name
-//! (e.g. `s1`, `c7552ish`), then as a `.bench` file path; `#<uid>`
-//! addresses a circuit already registered in the target registry.
+//! Request verbs run through [`wrt_serve::exec::execute`], the same
+//! dispatcher a `wrt serve` session uses, so batch output and served
+//! output are the same bytes.  Only the process-level verbs (`serve`,
+//! `client`, `--remote`) are handled here.
 //!
 //! Long-running commands respond to Ctrl-C by cancelling cooperatively:
 //! the run stops at its next budget check-in with a structured partial
@@ -30,6 +13,8 @@
 //! process being killed mid-write.  A second Ctrl-C kills the process.
 
 use std::process::ExitCode;
+
+use wrt_serve::exec;
 
 mod commands;
 
@@ -44,27 +29,9 @@ fn main() -> ExitCode {
             Some((addr, argv)) => commands::remote(addr, argv),
             None => Err(format!("--remote requires <addr> <command ...>\n{}", commands::USAGE)),
         },
-        "stats" => commands::stats(rest),
-        "analyze" => commands::analyze(rest),
-        "estimate" => commands::estimate(rest),
-        "eco" => commands::eco(rest),
-        "optimize" => commands::optimize(rest),
-        "simulate" => commands::simulate(rest),
-        "atpg" => commands::atpg(rest),
-        "generate" => commands::generate(rest),
-        "load" => commands::load(rest),
-        "stat" => commands::stat(),
         "serve" => commands::serve(rest),
         "client" => commands::client(rest),
-        "workloads" => {
-            commands::workloads();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
+        _ => exec::execute(commands::context(), &args).map(|text| print!("{text}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

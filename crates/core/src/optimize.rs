@@ -131,9 +131,14 @@ pub struct OptimizeResult {
 }
 
 impl OptimizeResult {
-    /// `initial_length / final_length` (> 1 when optimization helped).
+    /// `initial_length / final_length` (> 1 when optimization helped);
+    /// exactly 1 when the length did not change, including `0 → 0`.
     pub fn improvement_factor(&self) -> f64 {
-        self.initial_length / self.final_length
+        if self.final_length == self.initial_length {
+            1.0
+        } else {
+            self.initial_length / self.final_length
+        }
     }
 }
 
@@ -234,10 +239,12 @@ fn init_descent(
     let initial = required_test_length(&dprobs, theta);
     let initial_length = initial.patterns();
     let n_current = match initial {
-        TestLength::Patterns { n, .. } => n,
-        TestLength::Infinite => {
-            // Nothing the optimizer can do: every fault list member is
-            // undetectable under the interior starting point.
+        TestLength::Patterns { n, .. } if n > 0.0 => n,
+        // Nothing the optimizer can do: either the confidence target is
+        // met before the first pattern (θ ≥ |F|, so N = 0 and MINIMIZE
+        // has no objective), or some fault is undetectable under the
+        // interior starting point (N = ∞).
+        _ => {
             return Err(OptimizeResult {
                 weights,
                 initial_length,
@@ -484,12 +491,7 @@ fn run_fingerprint(circuit: &Circuit, faults: &FaultList, config: &OptimizeConfi
             text.push_str(&format!(" {:016x}", x.to_bits()));
         }
     }
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    wrt_robust::fnv1a(text.bytes())
 }
 
 /// A budgeted optimizer run: the (possibly partial) result, plus — when
@@ -675,6 +677,25 @@ mod tests {
         let result = optimize(&c, &faults, &mut engine, &OptimizeConfig::default());
         assert!(!result.excluded.is_empty(), "dead-node faults have p = 0");
         assert!(result.final_length.is_finite());
+    }
+
+    #[test]
+    fn confidence_met_at_zero_patterns_returns_the_start_vector() {
+        // θ = −ln 0.01 ≈ 4.6 exceeds the fault count, so N = 0 already
+        // meets the target and there is nothing to minimize.
+        let c = wide_and(2);
+        let faults = FaultList::checkpoints(&c);
+        assert!((faults.len() as f64) <= -(0.01f64).ln());
+        let config = OptimizeConfig {
+            confidence: 0.01,
+            starting_weights: Some(vec![0.3, 0.6]),
+            ..OptimizeConfig::default()
+        };
+        let result = optimize(&c, &faults, &mut CopEngine::new(), &config);
+        assert_eq!(result.weights, vec![0.3, 0.6]);
+        assert!(result.sweeps.is_empty());
+        assert_eq!((result.initial_length, result.final_length), (0.0, 0.0));
+        assert_eq!(result.improvement_factor(), 1.0);
     }
 
     #[test]

@@ -253,18 +253,20 @@ impl BddManager {
     pub fn build_circuit(&mut self, circuit: &Circuit) -> Result<Vec<u32>, BddOverflow> {
         let mut funcs = vec![F; circuit.num_nodes()];
         for (id, node) in circuit.iter() {
-            funcs[id.index()] = self.node_function(circuit, node, id, |f| funcs[f.index()])?;
+            funcs[id.index()] = self.node_function(circuit, node, id, |_, f| funcs[f.index()])?;
         }
         Ok(funcs)
     }
 
-    /// Builds one node's BDD from a fanin-function lookup.
+    /// Builds one node's BDD from a per-pin fanin-function lookup
+    /// (`pin_func(pin, driver)`), so a pin fault can tie one connection
+    /// without rebuilding the gate by hand.
     fn node_function(
         &mut self,
         circuit: &Circuit,
         node: wrt_circuit::Node<'_>,
         id: NodeId,
-        fanin_func: impl Fn(NodeId) -> u32,
+        pin_func: impl Fn(usize, NodeId) -> u32,
     ) -> Result<u32, BddOverflow> {
         Ok(match node.kind() {
             GateKind::Input => {
@@ -275,8 +277,8 @@ impl BddManager {
             GateKind::Const1 => T,
             kind => {
                 let mut acc: Option<u32> = None;
-                for &f in node.fanin() {
-                    let g = fanin_func(f);
+                for (pin, &f) in node.fanin().iter().enumerate() {
+                    let g = pin_func(pin, f);
                     acc = Some(match (acc, kind) {
                         (None, _) => g,
                         (Some(a), GateKind::And | GateKind::Nand) => self.and(a, g)?,
@@ -358,46 +360,18 @@ impl DetectionProbabilityEngine for BddEngine {
                     let value = if fault.site == FaultSite::Output(n) {
                         BddManager::constant(fault.stuck_value)
                     } else {
-                        let lookup = |f: NodeId| -> u32 {
-                            // A pin fault replaces one connection only.
-                            faulty.get(&f).copied().unwrap_or_else(|| good[f.index()])
-                        };
-                        match fault.site {
-                            FaultSite::InputPin { gate, pin } if gate == n => {
-                                // Rebuild this gate with the faulty pin tied.
-                                let mut acc: Option<u32> = None;
-                                let kind = node.kind();
-                                for (k, &f) in node.fanin().iter().enumerate() {
-                                    let g = if k == pin {
-                                        BddManager::constant(fault.stuck_value)
-                                    } else {
-                                        lookup(f)
-                                    };
-                                    acc = Some(match (acc, kind) {
-                                        (None, _) => g,
-                                        (Some(a), GateKind::And | GateKind::Nand) => {
-                                            manager.and(a, g).expect("budget")
-                                        }
-                                        (Some(a), GateKind::Or | GateKind::Nor) => {
-                                            manager.or(a, g).expect("budget")
-                                        }
-                                        (Some(a), GateKind::Xor | GateKind::Xnor) => {
-                                            manager.xor(a, g).expect("budget")
-                                        }
-                                        (Some(_), _) => unreachable!(),
-                                    });
+                        let pin_func = |k: usize, f: NodeId| -> u32 {
+                            match fault.site {
+                                // A pin fault replaces one connection only.
+                                FaultSite::InputPin { gate, pin } if gate == n && pin == k => {
+                                    BddManager::constant(fault.stuck_value)
                                 }
-                                let base = acc.expect("gates have fanin");
-                                if kind.is_inverting() {
-                                    manager.not(base).expect("budget")
-                                } else {
-                                    base
-                                }
+                                _ => faulty.get(&f).copied().unwrap_or_else(|| good[f.index()]),
                             }
-                            _ => manager
-                                .node_function(circuit, node, n, lookup)
-                                .expect("budget"),
-                        }
+                        };
+                        manager
+                            .node_function(circuit, node, n, pin_func)
+                            .expect("budget")
                     };
                     faulty.insert(n, value);
                 }

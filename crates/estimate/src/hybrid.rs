@@ -4,17 +4,21 @@
 //! ANALYSIS tool; PREDICT's idea is to compute probabilities *exactly
 //! inside supergates* and propagate independently between them.  This
 //! engine follows that recipe pragmatically: every signal whose input
-//! support fits a budget gets its exact probability (weighted cone
-//! enumeration); everything else falls back to the COP recurrence over
-//! the (partially corrected) fanin probabilities.  Observabilities remain
-//! COP.  The result strictly improves on plain COP wherever reconvergence
-//! is local — XOR/ECC structures especially — at bounded extra cost.
+//! support fits a budget gets its exact probability
+//! ([`exact_signal_probability`]); everything else falls back to the one
+//! COP recurrence over the (partially corrected) fanin probabilities.
+//! Observabilities and the detection model are COP's own, so a budget of
+//! zero gives exactly [`crate::CopEngine`]'s estimates.  The result
+//! strictly improves on plain COP wherever reconvergence is local —
+//! XOR/ECC structures especially — at bounded extra cost.
 
-use wrt_circuit::{input_support, transitive_fanin, Circuit, GateKind, NodeId};
-use wrt_fault::{FaultList, FaultSite};
+use wrt_circuit::Circuit;
+use wrt_fault::FaultList;
 
-use crate::cop::observabilities_cop;
+use crate::cop::node_probability;
 use crate::engine::DetectionProbabilityEngine;
+use crate::exact::exact_signal_probability;
+use crate::overlay::CopSolution;
 
 /// COP with exact small-support correction (a PREDICT-style estimator).
 #[derive(Debug, Clone)]
@@ -35,87 +39,13 @@ impl HybridEngine {
         assert_eq!(input_probs.len(), circuit.num_inputs());
         let mut p = vec![0.0f64; circuit.num_nodes()];
         for (id, node) in circuit.iter() {
-            p[id.index()] = match node.kind() {
-                GateKind::Input => input_probs[circuit.input_position(id).expect("pi")],
-                GateKind::Const0 => 0.0,
-                GateKind::Const1 => 1.0,
-                kind => {
-                    let support = input_support(circuit, id);
-                    if support.len() <= self.support_limit {
-                        exact_cone_probability(circuit, id, &support, input_probs)
-                    } else {
-                        cop_step(kind, node.fanin(), &p)
-                    }
-                }
-            };
+            p[id.index()] = exact_signal_probability(circuit, id, input_probs, self.support_limit)
+                .unwrap_or_else(|| {
+                    node_probability(circuit, id, node, &|k| input_probs[k], &|f| p[f.index()])
+                });
         }
         p
     }
-}
-
-/// One COP recurrence step from already-computed fanin probabilities.
-fn cop_step(kind: GateKind, fanin: &[NodeId], p: &[f64]) -> f64 {
-    match kind {
-        GateKind::And => fanin.iter().map(|f| p[f.index()]).product(),
-        GateKind::Nand => 1.0 - fanin.iter().map(|f| p[f.index()]).product::<f64>(),
-        GateKind::Or => 1.0 - fanin.iter().map(|f| 1.0 - p[f.index()]).product::<f64>(),
-        GateKind::Nor => fanin.iter().map(|f| 1.0 - p[f.index()]).product(),
-        GateKind::Xor => {
-            (1.0 - fanin
-                .iter()
-                .map(|f| 1.0 - 2.0 * p[f.index()])
-                .product::<f64>())
-                / 2.0
-        }
-        GateKind::Xnor => {
-            (1.0 + fanin
-                .iter()
-                .map(|f| 1.0 - 2.0 * p[f.index()])
-                .product::<f64>())
-                / 2.0
-        }
-        GateKind::Not => 1.0 - p[fanin[0].index()],
-        GateKind::Buf => p[fanin[0].index()],
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 => unreachable!(),
-    }
-}
-
-/// Exact weighted enumeration of one cone (support already known small).
-fn exact_cone_probability(
-    circuit: &Circuit,
-    node: NodeId,
-    support: &[NodeId],
-    input_probs: &[f64],
-) -> f64 {
-    let cone = transitive_fanin(circuit, &[node]);
-    let mut values = vec![false; circuit.num_nodes()];
-    let mut buf = Vec::new();
-    let mut total = 0.0f64;
-    for mask in 0..(1u64 << support.len()) {
-        let mut weight = 1.0f64;
-        for (k, &pi) in support.iter().enumerate() {
-            let bit = (mask >> k) & 1 == 1;
-            values[pi.index()] = bit;
-            let x = input_probs[circuit.input_position(pi).expect("pi")];
-            weight *= if bit { x } else { 1.0 - x };
-        }
-        if weight == 0.0 {
-            continue;
-        }
-        for &n in &cone {
-            let gate = circuit.node(n);
-            if gate.kind() == GateKind::Input {
-                continue;
-            }
-            buf.clear();
-            buf.extend(gate.fanin().iter().map(|f| values[f.index()]));
-            values[n.index()] = gate.kind().eval(&buf);
-        }
-        if values[node.index()] {
-            total += weight;
-        }
-    }
-    total
 }
 
 impl DetectionProbabilityEngine for HybridEngine {
@@ -126,26 +56,8 @@ impl DetectionProbabilityEngine for HybridEngine {
         input_probs: &[f64],
     ) -> Vec<f64> {
         let p = self.signal_probabilities(circuit, input_probs);
-        let (obs, pin_obs) = observabilities_cop(circuit, &p);
-        faults
-            .iter()
-            .map(|(_, fault)| {
-                let (act, o) = match fault.site {
-                    FaultSite::Output(node) => {
-                        let c1 = p[node.index()];
-                        let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                        (act, obs[node.index()])
-                    }
-                    FaultSite::InputPin { gate, pin } => {
-                        let driver = circuit.node(gate).fanin()[pin];
-                        let c1 = p[driver.index()];
-                        let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                        (act, pin_obs[circuit.fanin_offset(gate) + pin])
-                    }
-                };
-                (act * o).clamp(0.0, 1.0)
-            })
-            .collect()
+        CopSolution::from_signal_probabilities(circuit, input_probs, p)
+            .detection_probabilities(circuit, faults)
     }
 
     fn name(&self) -> &'static str {
@@ -156,7 +68,6 @@ impl DetectionProbabilityEngine for HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_signal_probability;
     use crate::signal_probabilities_cop;
     use wrt_circuit::parse_bench;
 
@@ -195,11 +106,45 @@ mod tests {
 
     #[test]
     fn budget_zero_degenerates_to_cop() {
-        let c = parse_bench("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n").unwrap();
-        let engine = HybridEngine::new(0);
-        let p = engine.signal_probabilities(&c, &[0.5]);
-        let cop = signal_probabilities_cop(&c, &[0.5]);
-        assert_eq!(p, cop);
+        let cases = [
+            (
+                "INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n",
+                vec![0.5],
+            ),
+            (
+                "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+                 m = XOR(a, b)\nn = XNOR(b, c)\nk = NOR(m, c)\ny = NAND(n, k)\n\
+                 z = XNOR(y, m, a)\n",
+                vec![0.13, 0.04, 0.62],
+            ),
+        ];
+        for (src, probs) in cases {
+            let c = parse_bench(src).unwrap();
+            let mut engine = HybridEngine::new(0);
+            let p = engine.signal_probabilities(&c, &probs);
+            let cop = signal_probabilities_cop(&c, &probs);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p), bits(&cop), "{src}");
+            let faults = wrt_fault::FaultList::checkpoints(&c);
+            let hybrid = engine.estimate(&c, &faults, &probs);
+            let cop = crate::CopEngine::new().estimate(&c, &faults, &probs);
+            assert_eq!(bits(&hybrid), bits(&cop), "{src}");
+        }
+    }
+
+    #[test]
+    fn supports_beyond_the_enumeration_cap_fall_back_to_cop() {
+        // 2^64 assignments cannot be enumerated; COP is exact on the tree.
+        let names: Vec<String> = (0..64).map(|i| format!("x{i}")).collect();
+        let src = format!(
+            "INPUT({})\nOUTPUT(y)\ny = AND({})\n",
+            names.join(")\nINPUT("),
+            names.join(", ")
+        );
+        let c = parse_bench(&src).unwrap();
+        let y = c.node_id("y").unwrap();
+        let p = HybridEngine::new(64).signal_probabilities(&c, &[0.5; 64]);
+        assert_eq!(p[y.index()], 0.5f64.powi(64));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   baseline solution plus an epoch-stamped delta that one forward walk
 //!   and one push-on-change backward walk keep bit-identical to a full
 //!   recompute;
+//! * [`HybridEngine`] — PREDICT-style: each signal's exact probability
+//!   where its input support fits a budget, the COP recurrence elsewhere;
 //! * [`StafanEngine`] — STAFAN-style statistical counting on a fault-free
 //!   bit-parallel sample \[AgJa84\];
 //! * [`MonteCarloEngine`] — direct PPSFP fault-simulation sampling;
@@ -33,6 +35,15 @@
 //!
 //! plus exact redundancy identification ([`constant_line_faults`]) in the
 //! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy".
+//!
+//! Each estimation model has one definition, which every engine calls:
+//! the COP recurrence ([`signal_probabilities_cop`] and
+//! [`observabilities_cop`], node by node for the overlays and the hybrid
+//! fallback), the detection model "activation × observability, clamped"
+//! (over COP values, or over STAFAN's counted rates), the exact weighted
+//! enumeration ([`exact_signal_probability`], refusing supports of 63
+//! inputs or more) and the BDD gate fold of [`BddManager`].  So
+//! `HybridEngine::new(0)` gives [`CopEngine`]'s estimates bit for bit.
 //!
 //! # Example
 //!

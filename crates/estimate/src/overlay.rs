@@ -51,6 +51,17 @@ impl CopSolution {
     /// One forward and one backward full pass at `weights`.
     pub(crate) fn compute(circuit: &Circuit, weights: &[f64]) -> Self {
         let p = signal_probabilities_cop(circuit, weights);
+        Self::from_signal_probabilities(circuit, weights, p)
+    }
+
+    /// The backward pass over signal probabilities `p` computed at
+    /// `weights` (COP's own, or the hybrid engine's exact-where-possible
+    /// ones).
+    pub(crate) fn from_signal_probabilities(
+        circuit: &Circuit,
+        weights: &[f64],
+        p: Vec<f64>,
+    ) -> Self {
         let (obs, pin_obs) = observabilities_cop(circuit, &p);
         CopSolution {
             weights: weights.to_vec(),

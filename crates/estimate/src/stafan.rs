@@ -8,8 +8,11 @@
 //! probability estimates.
 
 use wrt_circuit::{Circuit, GateKind, NodeId};
-use wrt_fault::{Fault, FaultList, FaultSite};
+use wrt_fault::{Fault, FaultList};
 use wrt_sim::{LogicSim, PatternSource};
+
+use crate::cop::stem_observability;
+use crate::engine::cop_fault_probability;
 
 /// Controllability/observability statistics counted from a fault-free
 /// simulation run.
@@ -87,23 +90,10 @@ impl StafanCounts {
         let mut pin_observability = vec![0.0f64; circuit.num_edges()];
         for idx in (0..n).rev() {
             let id = NodeId::from_index(idx);
-            let mut miss = 1.0f64;
-            let mut any = false;
-            if circuit.is_output(id) {
-                miss = 0.0;
-                any = true;
-            }
-            for &sink in circuit.fanout(id) {
-                let sink_base = circuit.fanin_offset(sink);
-                for (pin, &f) in circuit.node(sink).fanin().iter().enumerate() {
-                    if f == id {
-                        miss *= 1.0 - pin_observability[sink_base + pin];
-                        any = true;
-                    }
-                }
-            }
-            observability[idx] = if any { 1.0 - miss } else { 0.0 };
-            let o = observability[idx];
+            let o = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
+                pin_observability[circuit.fanin_offset(sink) + pin]
+            });
+            observability[idx] = o;
             let base = circuit.fanin_offset(id);
             for pin in 0..circuit.fanin(id).len() {
                 pin_observability[base + pin] =
@@ -149,27 +139,21 @@ impl StafanCounts {
     }
 
     /// Detection-probability estimate for one fault:
-    /// `P(line at the opposite value) × observability(line)`.
+    /// `P(line at the opposite value) × observability(line)`, the COP
+    /// detection model over the counted rates.
     ///
     /// NaN-free by construction: both factors come from
     /// `counted_rate`-guarded divisions and `1 − Π(1 − ·)` folds over
-    /// them, so they are always finite values in `[0, 1]` and the clamp
-    /// below never sees (and thus never silently forwards) a NaN.
+    /// them, so they are always finite values in `[0, 1]` and the model's
+    /// clamp never sees (and thus never silently forwards) a NaN.
     pub fn detection_probability(&self, circuit: &Circuit, fault: Fault) -> f64 {
-        let (act, obs) = match fault.site {
-            FaultSite::Output(node) => {
-                let c1 = self.controllability1(node);
-                let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                (act, self.observability[node.index()])
-            }
-            FaultSite::InputPin { gate, pin } => {
-                let driver = circuit.node(gate).fanin()[pin];
-                let c1 = self.controllability1(driver);
-                let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                (act, self.pin_observability[self.pin(gate, pin)])
-            }
-        };
-        (act * obs).clamp(0.0, 1.0)
+        cop_fault_probability(
+            circuit,
+            &fault,
+            &|n: NodeId| self.controllability1(n),
+            &|n: NodeId| self.observability[n.index()],
+            &|g: NodeId, pin: usize| self.pin_observability[self.pin(g, pin)],
+        )
     }
 
     /// Detection-probability estimates for a whole fault list.

@@ -106,10 +106,12 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a 64-bit, the tamper-evidence hash of the file format.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte stream: the tamper-evidence hash of the
+/// file format, also used for the optimize/atpg run fingerprints and the
+/// serve baseline cache key (stable across processes).
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
+    for b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -298,7 +300,7 @@ impl Checkpoint {
             body.push_str(value);
             body.push('\n');
         }
-        let checksum = fnv1a(body.as_bytes());
+        let checksum = fnv1a(body.bytes());
         body.push_str(&format!("checksum={checksum:016x}\n"));
         body
     }
@@ -353,7 +355,7 @@ impl Checkpoint {
             body.push_str(value);
             body.push('\n');
         }
-        let expected_sum = format!("{:016x}", fnv1a(body.as_bytes()));
+        let expected_sum = format!("{:016x}", fnv1a(body.bytes()));
         if recorded != expected_sum {
             return Err(CheckpointError::Corrupt {
                 reason: format!("checksum mismatch (recorded {recorded}, computed {expected_sum})"),
@@ -430,6 +432,12 @@ mod tests {
         c.put_u64_slice("excluded", &[3, 17, 99]);
         c.put("empty", "");
         c
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

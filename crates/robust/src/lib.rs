@@ -30,6 +30,6 @@ pub mod degrade;
 pub mod failpoint;
 
 pub use budget::{Budget, BudgetExceeded, Progress, RunOutcome};
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
+pub use checkpoint::{fnv1a, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use degrade::{DegradeStep, Ladder};
 pub use failpoint::{FailAction, InjectedFailure};

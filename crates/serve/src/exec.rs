@@ -1170,6 +1170,22 @@ mod tests {
     }
 
     #[test]
+    fn optimize_with_the_target_met_at_zero_patterns_has_nothing_to_do() {
+        let dir = std::env::temp_dir().join("wrt_exec_zero_length");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("and2.bench");
+        std::fs::write(&path, "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").expect("write");
+        let p = path.to_str().expect("utf8 path");
+        let out = optimize(&ctx(), &args(&[p, "--confidence", "0.01"])).expect("optimize");
+        assert!(
+            out.starts_with(
+                "test length: 0.000e0 -> 0.000e0  (factor 1.0, 0 sweeps, 1 engine calls)"
+            ),
+            "{out}"
+        );
+    }
+
+    #[test]
     fn zero_mc_patterns_is_a_clean_error() {
         let c = ctx();
         let monte_carlo = |n: &str| args(&["s1", "--engine", "monte-carlo", "--mc-patterns", n]);

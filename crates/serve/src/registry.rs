@@ -20,14 +20,7 @@ use wrt_fault::FaultList;
 /// FNV-1a over the bit patterns of a weight vector — the baseline cache
 /// key.  Collisions are guarded by an equality check on hit.
 pub fn weight_key(weights: &[f64]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for w in weights {
-        for b in w.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    wrt_robust::fnv1a(weights.iter().flat_map(|w| w.to_bits().to_le_bytes()))
 }
 
 /// One registered circuit plus its lazily built, shareable derived state.
@@ -278,6 +271,11 @@ pub fn load_circuit(arg: &str) -> Result<Circuit, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn weight_key_hashes_the_little_endian_bit_patterns() {
+        assert_eq!(weight_key(&[0.5, 0.25]), 0x27be_e7d4_e5a4_cb95);
+    }
 
     #[test]
     fn resolve_caches_by_source_and_uid() {
