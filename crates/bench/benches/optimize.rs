@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wrt_core::{minimize_coordinate, optimize, CoordinateProblem, OptimizeConfig};
-use wrt_estimate::{CopEngine, IncrementalCop};
+use wrt_estimate::CopEngine;
 use wrt_fault::FaultList;
 
 fn optimize_circuits(c: &mut Criterion) {
@@ -23,35 +23,6 @@ fn optimize_circuits(c: &mut Criterion) {
                     &mut engine,
                     &OptimizeConfig::default(),
                 ))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The PREPARE hot path: full COP recompute per coordinate vs the
-/// incremental cone-restricted engine (bit-identical descents; the whole
-/// difference is work per single-coordinate query).
-fn full_vs_incremental_cop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("optimize_engine");
-    group.sample_size(10);
-    for name in ["s1", "c2670ish"] {
-        let circuit = wrt_workloads::by_name(name).expect("registered");
-        let faults = FaultList::checkpoints(&circuit).collapse_equivalent(&circuit);
-        let config = OptimizeConfig {
-            max_sweeps: 6,
-            ..OptimizeConfig::default()
-        };
-        group.bench_function(BenchmarkId::new("full_cop", name), |b| {
-            b.iter(|| {
-                let mut engine = CopEngine::new();
-                black_box(optimize(&circuit, &faults, &mut engine, &config))
-            });
-        });
-        group.bench_function(BenchmarkId::new("incremental_cop", name), |b| {
-            b.iter(|| {
-                let mut engine = IncrementalCop::new();
-                black_box(optimize(&circuit, &faults, &mut engine, &config))
             });
         });
     }
@@ -113,7 +84,6 @@ fn newton_vs_golden(c: &mut Criterion) {
 criterion_group!(
     benches,
     optimize_circuits,
-    full_vs_incremental_cop,
     relevant_subset_ablation,
     newton_vs_golden
 );

@@ -11,7 +11,7 @@ use wrt_estimate::CopEngine;
 
 fn run(name: &str, config: &OptimizeConfig) -> (f64, f64) {
     let circuit = wrt_workloads::by_name(name).expect("registered");
-    let faults = wrt_bench::experiment_faults(&circuit);
+    let faults = wrt_estimate::experiment_faults(&circuit);
     let mut engine = CopEngine::new();
     let result = wrt_core::optimize(&circuit, &faults, &mut engine, config);
     (result.initial_length, result.final_length)

@@ -7,7 +7,7 @@
 fn main() {
     for name in ["s1", "c7552ish"] {
         let circuit = wrt_workloads::by_name(name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let result = wrt_bench::optimize_circuit(&circuit, &faults);
         let quantized = wrt_core::quantize_weights(&result.weights, 0.05);
 

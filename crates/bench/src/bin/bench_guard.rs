@@ -31,15 +31,12 @@
 //!   at all, so the floor cannot be dodged by deleting the row — the CI
 //!   smoke configuration runs a reduced circuit set and is exempt from
 //!   row presence only;
-//! * in the optimizer artifact (recognized by its
-//!   `incremental_node_evals` fields — only `bench_optimize` emits
-//!   them), every `"eval_reduction"` (full-recompute COP evals over
-//!   incremental COP evals per optimizer run) must be at least `1.0` —
-//!   the incremental engine doing *more* COP evaluations than the full
-//!   recompute it replaces is a regression.  The simulation floors above
-//!   do not apply there, nor does this one apply to other artifacts
-//!   that reuse the key;
-//! * in the same artifact, every `"faults_per_propagation"` (excited
+//! * every `"final_length"` (the optimizer artifact's test length after
+//!   the descent) must be finite and at most the `"initial_length"` its
+//!   row emits before it — the optimizer keeps the best vector seen, so
+//!   a length that grew, or a descent that ends at an infinite length,
+//!   is a regression;
+//! * in the simulation artifact, every `"faults_per_propagation"` (excited
 //!   fault attempts per event-engine root propagation) must be at least
 //!   `1.0` — every propagated region head serves at least one excited
 //!   fault, so less means the region grouping's bookkeeping broke;
@@ -187,8 +184,6 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     // the eval-reduction floors below apply only to it (other artifacts
     // reuse the `eval_reduction` key for differently-scaled metrics).
     let is_sim_artifact = values.iter().any(|v| v.key == "sparsity_reduction");
-    // The optimizer artifact is the one with incremental COP eval counts.
-    let is_optimize_artifact = values.iter().any(|v| v.key == "incremental_node_evals");
     // The serving artifact leads with warm-over-cold ratios; only
     // `bench_serve` emits that key.
     let is_serve_artifact = values.iter().any(|v| v.key == "warm_over_cold");
@@ -200,6 +195,8 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     // The most recent `"threads"` value: rows emit theirs before their
     // `serial_fraction`.
     let mut threads: Option<f64> = None;
+    // Likewise a row's `initial_length` comes before its `final_length`.
+    let mut initial_length: Option<f64> = None;
     for v in &values {
         if v.key == "threads" {
             threads = v.value.parse::<f64>().ok();
@@ -241,16 +238,21 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                 }
             }
         }
-        // Optimizer eval-reduction floor: the incremental engine must
-        // never do more COP evals than the full recompute.
-        if is_optimize_artifact && v.key == "eval_reduction" {
-            if let Ok(x) = v.value.parse::<f64>() {
-                if x < 1.0 {
-                    violations.push(format!(
-                        "{path}:{}: \"eval_reduction\" is {x} on {} — incremental COP evaluates more nodes than the full recompute",
-                        v.line, v.circuit
-                    ));
-                }
+        // Optimizer lengths: the descent never ends worse than it began.
+        if v.key == "initial_length" {
+            initial_length = v.value.parse::<f64>().ok();
+        }
+        if v.key == "final_length" {
+            match (v.value.parse::<f64>(), initial_length.take()) {
+                (Ok(x), Some(start)) if x.is_finite() && x <= start => {}
+                (_, Some(start)) => violations.push(format!(
+                    "{path}:{}: \"final_length\" is {} on {} — not finite or above the initial {start}",
+                    v.line, v.value, v.circuit
+                )),
+                (_, None) => violations.push(format!(
+                    "{path}:{}: \"final_length\" on {} has no \"initial_length\" before it",
+                    v.line, v.circuit
+                )),
             }
         }
         if is_sim_artifact && v.key == "faults_per_propagation" {
@@ -611,23 +613,27 @@ mod tests {
     }
 
     #[test]
-    fn sub_unity_optimizer_eval_reductions_are_flagged() {
-        let row = |er: &str| {
+    fn optimizer_lengths_that_grow_or_diverge_are_flagged() {
+        let row = |start: &str, end: &str| {
             format!(
-                "{{ \"smoke\": false, \"results\": [ {{ \"circuit\": \"s2\", \"full_node_evals\": 100, \"incremental_node_evals\": 50, \"eval_reduction\": {er}, \"bit_identical\": true }} ] }}"
+                "{{ \"smoke\": false, \"results\": [ {{ \"circuit\": \"s2\", \"initial_length\": {start}, \"final_length\": {end}, \"bit_identical\": true }} ] }}"
             )
         };
-        for er in ["1.00", "1.1", "11.7"] {
-            assert!(check_artifact("opt.json", &row(er)).is_empty(), "{er}");
+        for (start, end) in [("1.997000e8", "1.899000e4"), ("762.0", "762.0")] {
+            let v = check_artifact("opt.json", &row(start, end));
+            assert!(v.is_empty(), "{start} -> {end}: {v:?}");
         }
-        for er in ["0.99", "0.5"] {
-            let v = check_artifact("opt.json", &row(er));
-            assert_eq!(v.len(), 1, "{er}: {v:?}");
-            assert!(v[0].contains("full recompute"), "{v:?}");
-        }
-        // Without the optimizer's fields the key carries no such floor.
-        let other = "{ \"eval_reduction\": 0.5, \"bit_identical\": true }";
-        assert!(check_artifact("other.json", other).is_empty());
+        let v = check_artifact("opt.json", &row("1.0e4", "1.1e4"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("above the initial"), "{v:?}");
+        // A non-finite length is flagged by this rule and the numeric one.
+        let v = check_artifact("opt.json", &row("1.0e4", "inf"));
+        assert!(v.iter().any(|m| m.contains("above the initial")), "{v:?}");
+        // An orphaned final length cannot pass by omission.
+        let orphan = "{ \"final_length\": 5.0, \"bit_identical\": true }";
+        let v = check_artifact("opt.json", orphan);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("no \"initial_length\""), "{v:?}");
     }
 
     #[test]

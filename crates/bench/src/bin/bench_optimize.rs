@@ -1,14 +1,15 @@
-//! Machine-readable optimizer benchmark: full COP vs incremental COP.
+//! Machine-readable optimizer benchmark: the paper's descent with the COP
+//! engine on each circuit.
 //!
-//! Runs the PROTEST-style optimizer twice per circuit — once with the
-//! full-recompute [`CopEngine`] and once with the cone-restricted
-//! [`IncrementalCop`] (every coordinate move folded into its baseline by
-//! one walk over that input's fanout cone) — and writes
-//! `BENCH_optimize.json` (circuit, inputs, sweeps, engine calls, node
-//! evaluations per engine, wall time, bit-identity of the resulting
-//! descents), so the optimizer hot path's trajectory is tracked in a
-//! machine-readable artifact from PR to PR, alongside `BENCH_sim.json`
-//! for the fault-simulation path.
+//! Runs the PROTEST-style optimizer once per circuit with [`CopEngine`]
+//! and writes `BENCH_optimize.json`: inputs, sweeps, engine calls, COP
+//! node evaluations (one forward and one backward pass over every node
+//! per engine call), wall time, and the test length before and after.
+//! `bit_identical` re-checks checkpoint/resume on every circuit: a run
+//! interrupted by an eval budget at half its engine calls, its checkpoint
+//! round-tripped through text, and resumed with a fresh engine must equal
+//! the uninterrupted run.  `BENCH_sim.json` tracks the fault-simulation
+//! side of the same flow.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_optimize`.
 //!
@@ -25,10 +26,13 @@
 
 use std::time::Instant;
 
-use wrt_bench::experiment_faults;
 use wrt_circuit::Circuit;
-use wrt_core::{optimize, OptimizeConfig, OptimizeResult};
-use wrt_estimate::{CopEngine, IncrementalCop};
+use wrt_core::{
+    optimize, optimize_budgeted, OptimizeConfig, OptimizeResult, OPTIMIZE_CHECKPOINT_KIND,
+};
+use wrt_estimate::{experiment_faults, CopEngine};
+use wrt_fault::FaultList;
+use wrt_robust::{Budget, Checkpoint, RunOutcome};
 
 struct Row {
     circuit: String,
@@ -38,35 +42,22 @@ struct Row {
     faults: usize,
     sweeps: usize,
     engine_calls: usize,
-    full_node_evals: u64,
-    incremental_node_evals: u64,
-    incremental_forward_evals: u64,
-    incremental_backward_evals: u64,
-    full_seconds: f64,
-    incremental_seconds: f64,
-    improvement_factor: f64,
+    seconds: f64,
+    initial_length: f64,
+    final_length: f64,
     bit_identical: bool,
 }
 
 impl Row {
-    /// Node-evaluation reduction of the incremental engine vs full
-    /// recompute (the machine-independent measure of the
-    /// O(circuit) → O(cone) win).
-    fn eval_reduction(&self) -> f64 {
-        self.full_node_evals as f64 / self.incremental_node_evals as f64
-    }
-
-    fn speedup(&self) -> f64 {
-        self.full_seconds / self.incremental_seconds
-    }
-
-    fn evals_per_sweep(&self, evals: u64) -> f64 {
-        evals as f64 / (self.sweeps.max(1)) as f64
+    /// COP node evaluations of the run: every engine call is one forward
+    /// and one backward pass over the whole netlist.
+    fn cop_node_evals(&self) -> u64 {
+        self.engine_calls as u64 * 2 * self.nodes as u64
     }
 
     fn to_json(&self) -> String {
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"nodes\": {},\n      \"faults\": {},\n      \"sweeps\": {},\n      \"engine_calls\": {},\n      \"full_node_evals\": {},\n      \"incremental_node_evals\": {},\n      \"incremental_forward_evals\": {},\n      \"incremental_backward_evals\": {},\n      \"full_node_evals_per_sweep\": {:.1},\n      \"incremental_node_evals_per_sweep\": {:.1},\n      \"eval_reduction\": {:.2},\n      \"full_seconds\": {:.6},\n      \"incremental_seconds\": {:.6},\n      \"speedup\": {:.3},\n      \"improvement_factor\": {:.3},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"nodes\": {},\n      \"faults\": {},\n      \"sweeps\": {},\n      \"engine_calls\": {},\n      \"cop_node_evals\": {},\n      \"seconds\": {:.6},\n      \"initial_length\": {:.6e},\n      \"final_length\": {:.6e},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -74,17 +65,10 @@ impl Row {
             self.faults,
             self.sweeps,
             self.engine_calls,
-            self.full_node_evals,
-            self.incremental_node_evals,
-            self.incremental_forward_evals,
-            self.incremental_backward_evals,
-            self.evals_per_sweep(self.full_node_evals),
-            self.evals_per_sweep(self.incremental_node_evals),
-            self.eval_reduction(),
-            self.full_seconds,
-            self.incremental_seconds,
-            self.speedup(),
-            self.improvement_factor,
+            self.cop_node_evals(),
+            self.seconds,
+            self.initial_length,
+            self.final_length,
             self.bit_identical,
         )
     }
@@ -99,39 +83,52 @@ fn identical(a: &OptimizeResult, b: &OptimizeResult) -> bool {
         && a.engine_calls == b.engine_calls
 }
 
+/// Interrupts the run at half of `reference`'s engine calls, resumes it
+/// from its text-round-tripped checkpoint, and compares the result with
+/// `reference`.  A run the budget does not interrupt fails the check.
+fn resumes_identically(
+    circuit: &Circuit,
+    faults: &FaultList,
+    config: &OptimizeConfig,
+    reference: &OptimizeResult,
+) -> bool {
+    let half = Budget::unlimited().with_max_evals(reference.engine_calls as u64 / 2);
+    let run = optimize_budgeted(circuit, faults, &mut CopEngine::new(), config, &half, None)
+        .expect("fresh run");
+    let (RunOutcome::Interrupted { .. }, Some(checkpoint)) = (run.outcome, run.checkpoint) else {
+        return false;
+    };
+    let checkpoint = Checkpoint::parse(&checkpoint.render(), OPTIMIZE_CHECKPOINT_KIND)
+        .expect("checkpoint round-trips");
+    let resumed = optimize_budgeted(
+        circuit,
+        faults,
+        &mut CopEngine::new(),
+        config,
+        &Budget::unlimited(),
+        Some(&checkpoint),
+    )
+    .expect("resume validates");
+    matches!(resumed.outcome, RunOutcome::Complete(ref got) if identical(got, reference))
+}
+
 fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig) -> Row {
     let faults = experiment_faults(circuit);
-
-    let mut full_engine = CopEngine::new();
     let start = Instant::now();
-    let full = optimize(circuit, &faults, &mut full_engine, config);
-    let full_seconds = start.elapsed().as_secs_f64();
-    // Every CopEngine estimate is one forward plus one backward pass over
-    // the whole netlist; `engine_calls` counts estimates (a pair = 2).
-    let full_node_evals = full.engine_calls as u64 * 2 * circuit.num_nodes() as u64;
-
-    let mut incremental_engine = IncrementalCop::new();
-    let start = Instant::now();
-    let incremental = optimize(circuit, &faults, &mut incremental_engine, config);
-    let incremental_seconds = start.elapsed().as_secs_f64();
-    let stats = incremental_engine.stats();
-
+    let result = optimize(circuit, &faults, &mut CopEngine::new(), config);
+    let seconds = start.elapsed().as_secs_f64();
     Row {
         circuit: circuit.name().to_string(),
         inputs: circuit.num_inputs(),
         gates: circuit.num_gates(),
         nodes: circuit.num_nodes(),
         faults: faults.len(),
-        sweeps: full.sweeps.len(),
-        engine_calls: full.engine_calls,
-        full_node_evals,
-        incremental_node_evals: stats.node_evaluations,
-        incremental_forward_evals: stats.forward_evaluations,
-        incremental_backward_evals: stats.backward_evaluations,
-        full_seconds,
-        incremental_seconds,
-        improvement_factor: full.improvement_factor(),
-        bit_identical: identical(&full, &incremental),
+        sweeps: result.sweeps.len(),
+        engine_calls: result.engine_calls,
+        seconds,
+        initial_length: result.initial_length,
+        final_length: result.final_length,
+        bit_identical: resumes_identically(circuit, &faults, config, &result),
     }
 }
 
@@ -172,7 +169,7 @@ fn main() {
     }
 
     println!(
-        "optimizer PREPARE hot path: full COP vs incremental COP (max {} sweeps)",
+        "optimizer with the COP engine (max {} sweeps)",
         config.max_sweeps
     );
     let mut rows = Vec::new();
@@ -181,13 +178,16 @@ fn main() {
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = bench_circuit(&circuit, &config);
         println!(
-            "  {:<10} {:>4} inputs {:>5} nodes  evals {:>12} -> {:>10} ({:>5.1}x)  identical {}",
+            "  {:<10} {:>4} inputs {:>5} nodes  {:>3} sweeps {:>6} calls  {:.3e} -> {:.3e}  \
+             {:.3}s  resume identical {}",
             row.circuit,
             row.inputs,
             row.nodes,
-            row.full_node_evals,
-            row.incremental_node_evals,
-            row.eval_reduction(),
+            row.sweeps,
+            row.engine_calls,
+            row.initial_length,
+            row.final_length,
+            row.seconds,
             row.bit_identical,
         );
         rows.push(row);
@@ -195,7 +195,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"optimize_full_vs_incremental_cop\",\n  \"note\": \"eval_reduction is the machine-independent metric: COP node evaluations per optimizer run, full recompute vs cone-restricted incremental (bit-identical descents). The incremental engine folds every coordinate move into its baseline with one walk over the moved input's fanout cone, with no global-cone guard: it walks the whole dirty region of each move even where the cone covers the netlist, as on s2 and the c6288ish multiplier. bench_guard requires eval_reduction >= 1.0 on every row. Read alongside BENCH_sim.json, which tracks the fault-simulation (Monte-Carlo engine) side of the same hot path.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"optimize_cop\",\n  \"note\": \"One optimizer run per circuit with the stateless COP engine on the experiment fault set. cop_node_evals is the machine-independent work: engine_calls x 2 x nodes (one forward and one backward pass per call). bench_guard requires final_length finite and at most initial_length on every row. bit_identical: a run interrupted by an eval budget at half its engine calls, then resumed from its checkpoint with a fresh engine, equals the uninterrupted run. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         config.max_sweeps,
         smoke,
         body.join(",\n"),
@@ -203,9 +203,8 @@ fn main() {
     std::fs::write(&out, json).expect("write BENCH_optimize.json");
     println!("wrote {out}");
 
-    let all_identical = rows.iter().all(|r| r.bit_identical);
     assert!(
-        all_identical,
-        "an incremental descent diverged from the full engine"
+        rows.iter().all(|r| r.bit_identical),
+        "a resumed descent diverged from the uninterrupted run"
     );
 }

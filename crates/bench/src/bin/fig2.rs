@@ -6,7 +6,7 @@
 
 fn main() {
     let circuit = wrt_workloads::s1();
-    let faults = wrt_bench::experiment_faults(&circuit);
+    let faults = wrt_estimate::experiment_faults(&circuit);
     let patterns = 12_000;
 
     let conventional = wrt_bench::simulate_coverage(

@@ -21,7 +21,7 @@ fn main() {
         // Keep the heavy full-pass simulation affordable: sample counts
         // are modest and the budget is capped.
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let budget = row.sim_patterns.expect("starred").min(4_000);
         let optimized = wrt_bench::optimize_circuit(&circuit, &faults);
         let weights = wrt_core::quantize_weights(&optimized.weights, 0.05);

@@ -13,7 +13,7 @@ fn main() {
     );
     for row in &wrt_bench::paper::ROWS {
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let tl = wrt_bench::conventional_test_length(&circuit, &faults, theta);
         let star = if row.starred { "*" } else { "" };
         println!(

@@ -12,7 +12,7 @@ fn main() {
     );
     for row in wrt_bench::paper::starred() {
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let patterns = row.sim_patterns.expect("starred rows simulate");
         let result = wrt_bench::simulate_coverage(
             &circuit,

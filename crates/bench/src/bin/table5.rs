@@ -18,7 +18,7 @@ fn main() {
     );
     for row in wrt_bench::paper::starred() {
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let start = Instant::now();
         let result = wrt_bench::optimize_circuit(&circuit, &faults);
         let elapsed = start.elapsed();

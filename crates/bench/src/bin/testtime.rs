@@ -33,7 +33,7 @@ fn main() {
     );
     for row in wrt_bench::paper::starred() {
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
-        let faults = wrt_bench::experiment_faults(&circuit);
+        let faults = wrt_estimate::experiment_faults(&circuit);
         let theta = wrt_bench::experiment_theta();
         let conventional =
             wrt_bench::conventional_test_length(&circuit, &faults, theta).patterns();

@@ -13,31 +13,9 @@ pub mod paper;
 
 use wrt_circuit::Circuit;
 use wrt_core::{optimize, OptimizeConfig, OptimizeResult, TestLength};
-use wrt_estimate::{constant_line_faults, CopEngine, DetectionProbabilityEngine};
+use wrt_estimate::{CopEngine, DetectionProbabilityEngine};
 use wrt_fault::FaultList;
 use wrt_sim::{fault_coverage, CoverageResult, WeightedPatterns};
-
-/// Upper bound on the exact-enumeration support used for redundancy
-/// proofs during fault-list preparation.
-pub const REDUNDANCY_SUPPORT_LIMIT: usize = 14;
-
-/// Builds the experiment fault list for a circuit: checkpoint faults with
-/// equivalence collapsing, minus faults proven redundant by the exact
-/// constant-line argument — mirroring the paper's "all faults of F must
-/// be detectable" and the PROTEST redundancy note under Table 2.
-pub fn experiment_faults(circuit: &Circuit) -> FaultList {
-    // Checkpoint lists come out already collapsed (no equivalence rule
-    // pairs two checkpoint faults), so there is nothing to collapse.
-    let checkpoints = FaultList::checkpoints(circuit);
-    let redundant = constant_line_faults(circuit, &checkpoints, REDUNDANCY_SUPPORT_LIMIT);
-    let keep: Vec<_> = checkpoints
-        .iter()
-        .zip(&redundant)
-        .filter(|(_, &r)| !r)
-        .map(|((_, f), _)| f)
-        .collect();
-    FaultList::from_faults(keep)
-}
 
 /// One circuit's conventional-random-test analysis (Table 1 row):
 /// detection probabilities at `X = 0.5`, undetectable estimates dropped,
@@ -101,6 +79,7 @@ pub fn fmt_pct(c: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wrt_estimate::experiment_faults;
 
     #[test]
     fn fmt_sci_matches_paper_style() {

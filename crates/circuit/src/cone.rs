@@ -55,62 +55,6 @@ fn collect_marked(mark: &[bool]) -> Vec<NodeId> {
         .collect()
 }
 
-/// A lazy per-root cache of transitive fanout cones.
-///
-/// Incremental estimators query the same handful of cones (one per primary
-/// input) once per optimizer coordinate, sweep after sweep; this cache
-/// computes each cone on first use and hands out the cached slice
-/// afterwards.  A cache instance is tied to one circuit — callers that
-/// switch circuits must [`clear`](FanoutCones::clear) it (the cache resets
-/// itself only on a node-count mismatch, which is a safety net, not a
-/// circuit-identity check).
-///
-/// # Example
-///
-/// ```
-/// use wrt_circuit::{parse_bench, FanoutCones};
-/// # fn main() -> Result<(), wrt_circuit::ParseBenchError> {
-/// let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")?;
-/// let mut cones = FanoutCones::new();
-/// let a = c.node_id("a").unwrap();
-/// assert_eq!(cones.cone(&c, a).len(), 2); // a itself + the AND gate
-/// assert_eq!(cones.cached_roots(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FanoutCones {
-    cones: Vec<Option<Vec<NodeId>>>,
-}
-
-impl FanoutCones {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        FanoutCones::default()
-    }
-
-    /// The transitive fanout cone of `root` (including `root`), in
-    /// topological order; computed on first use, cached afterwards.
-    pub fn cone(&mut self, circuit: &Circuit, root: NodeId) -> &[NodeId] {
-        if self.cones.len() != circuit.num_nodes() {
-            self.cones = vec![None; circuit.num_nodes()];
-        }
-        self.cones[root.index()]
-            .get_or_insert_with(|| transitive_fanout(circuit, &[root]))
-            .as_slice()
-    }
-
-    /// Drops every cached cone (required when switching circuits).
-    pub fn clear(&mut self) {
-        self.cones.clear();
-    }
-
-    /// Number of roots whose cone has been computed.
-    pub fn cached_roots(&self) -> usize {
-        self.cones.iter().filter(|c| c.is_some()).count()
-    }
-}
-
 /// Linear merge of two sorted, duplicate-free node lists into `out`
 /// (sorted, deduplicated).
 pub fn merge_sorted_nodes(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
@@ -184,27 +128,5 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
-    }
-
-    #[test]
-    fn fanout_cone_cache_matches_direct_computation() {
-        let (c, [a, x, _, _, _]) = diamond();
-        let mut cache = FanoutCones::new();
-        assert_eq!(cache.cached_roots(), 0);
-        assert_eq!(cache.cone(&c, a), transitive_fanout(&c, &[a]).as_slice());
-        assert_eq!(cache.cone(&c, x), transitive_fanout(&c, &[x]).as_slice());
-        assert_eq!(cache.cached_roots(), 2);
-        // Second query hits the cache (same contents either way).
-        assert_eq!(cache.cone(&c, a), transitive_fanout(&c, &[a]).as_slice());
-        assert_eq!(cache.cached_roots(), 2);
-    }
-
-    #[test]
-    fn fanout_cone_cache_clears() {
-        let (c, [a, ..]) = diamond();
-        let mut cache = FanoutCones::new();
-        let _ = cache.cone(&c, a);
-        cache.clear();
-        assert_eq!(cache.cached_roots(), 0);
     }
 }

@@ -45,7 +45,6 @@ mod write;
 pub use builder::CircuitBuilder;
 pub use cone::{
     input_support, merge_sorted_nodes, output_cone, transitive_fanin, transitive_fanout,
-    FanoutCones,
 };
 pub use error::{BuildCircuitError, ParseBenchError};
 pub use ffr::FanoutFreeRegions;

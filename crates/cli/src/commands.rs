@@ -415,14 +415,12 @@ mod tests {
 
     #[test]
     fn engine_selection() {
-        assert_eq!(engine_arg(&args(&[])).unwrap().name(), "incremental-cop");
+        assert_eq!(engine_arg(&args(&[])).unwrap().name(), "cop");
         assert_eq!(engine_arg(&args(&["--engine", "cop"])).unwrap().name(), "cop");
-        assert_eq!(
-            engine_arg(&args(&["--engine", "incremental-cop"]))
-                .unwrap()
-                .name(),
-            "incremental-cop"
-        );
+        // The incremental engine is gone; naming it is a clean error.
+        let err = exec::optimize(context(), &args(&["s1", "--engine", "incremental-cop"]))
+            .unwrap_err();
+        assert!(err.contains("incremental-cop was removed"), "{err}");
         assert_eq!(
             engine_arg(&args(&["--engine", "stafan"])).unwrap().name(),
             "stafan"

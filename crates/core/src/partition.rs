@@ -230,27 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_engine_matches_full_cop_partitioning() {
-        // The recursion funnels every optimize() call through the
-        // coordinate-pair hook, so the incremental engine must reproduce
-        // the full engine's partitioning exactly.
-        let c = pathological(12);
-        let faults = FaultList::checkpoints(&c);
-        let config = OptimizeConfig::default();
-        let mut full = CopEngine::new();
-        let mut incremental = wrt_estimate::IncrementalCop::new();
-        let reference = optimize_partitioned(&c, &faults, &mut full, &config, 3);
-        let got = optimize_partitioned(&c, &faults, &mut incremental, &config, 3);
-        assert_eq!(got.parts.len(), reference.parts.len());
-        for (g, r) in got.parts.iter().zip(&reference.parts) {
-            assert_eq!(g.weights, r.weights);
-            assert_eq!(g.test_length.to_bits(), r.test_length.to_bits());
-            assert_eq!(g.fault_ids, r.fault_ids);
-        }
-        assert_eq!(got.excluded, reference.excluded);
-    }
-
-    #[test]
     fn all_faults_are_assigned_to_some_part() {
         let c = pathological(10);
         let faults = FaultList::checkpoints(&c);

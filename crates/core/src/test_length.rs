@@ -15,8 +15,9 @@ pub enum TestLength {
         /// Number of relevant (hardest) faults.
         num_relevant: usize,
     },
-    /// No finite test length exists: some fault has detection
-    /// probability 0 under the given distribution.
+    /// No finite test length exists (some fault has detection
+    /// probability 0 under the given distribution), or it exceeds
+    /// `2^1023` patterns, the range of `f64`.
     Infinite,
 }
 
@@ -54,10 +55,13 @@ pub fn sort_by_difficulty(dprobs: &[f64]) -> Vec<usize> {
 /// `NORMALIZE`: the minimal `N` with `J_N(X) ≤ θ`, where
 /// `θ = −ln(confidence target)`.
 ///
-/// Uses exponential search followed by bisection on the monotone
-/// `J_N`; the relevant-fault count is the number of faults whose
-/// individual term still matters at the resulting `N` (the paper's
-/// observation that `exp(−10·N·p_g)` drowns next to `exp(−N·p_g)`).
+/// Finds the first power of two meeting the target by bisection over
+/// its exponent, then bisects on the monotone `J_N` below it; the
+/// relevant-fault count is the number of faults whose individual term
+/// still matters at the resulting `N` (the paper's observation that
+/// `exp(−10·N·p_g)` drowns next to `exp(−N·p_g)`).  Returns
+/// [`TestLength::Infinite`] only when some probability is ≤ 0 or `2^1023`
+/// patterns still miss `θ`.
 ///
 /// # Panics
 ///
@@ -91,15 +95,24 @@ pub fn required_test_length(dprobs: &[f64], theta: f64) -> TestLength {
         };
     }
 
-    // Exponential search for an upper bound.
-    let mut hi = 1.0f64;
-    while objective_value(dprobs, hi) > theta {
-        hi *= 2.0;
-        if hi > 1e18 {
-            // Numerically indistinguishable from undetectable.
-            return TestLength::Infinite;
+    // The first power of two 2^k with J ≤ θ, for k ∈ [0, 1023]: J is
+    // monotone in N, so bisecting over the exponent lands on the same k
+    // as doubling from 1, in at most 11 evaluations.  `lo_k = -1` stands
+    // for "no smaller k", since N = 0 already misses θ.
+    const MAX_EXPONENT: i32 = f64::MAX_EXP - 1;
+    if objective_value(dprobs, 2f64.powi(MAX_EXPONENT)) > theta {
+        return TestLength::Infinite;
+    }
+    let (mut lo_k, mut hi_k) = (-1, MAX_EXPONENT);
+    while hi_k - lo_k > 1 {
+        let mid = (lo_k + hi_k) / 2;
+        if objective_value(dprobs, 2f64.powi(mid)) > theta {
+            lo_k = mid;
+        } else {
+            hi_k = mid;
         }
     }
+    let mut hi = 2f64.powi(hi_k);
     let mut lo = hi / 2.0;
     // Bisection to (relative) precision; N is conceptually an integer but
     // at 10^11 scales a relative tolerance is the honest answer.
@@ -237,9 +250,14 @@ mod tests {
         let n = tiny.patterns();
         assert!(n.is_finite() && n > 0.0, "N = {n}");
         assert!(tiny.num_relevant() >= 1);
-        // A fault below the exponential-search range is honestly infinite.
-        let hopeless = required_test_length(&[1e-17], 1e-300);
-        assert_eq!(hopeless, TestLength::Infinite);
+        // A tiny but positive probability still gets a finite length:
+        // N = ln(1/θ)/p ≈ 6.9e19.
+        let tiny_p = required_test_length(&[1e-17], 1e-300).patterns();
+        let expect = (1e300f64).ln() / 1e-17;
+        assert!((tiny_p - expect).abs() <= expect * 1e-9, "N = {tiny_p}");
+        // Past 2^1023 patterns the length leaves the f64 range.
+        let beyond = required_test_length(&[1e-308], 1e-3);
+        assert_eq!(beyond, TestLength::Infinite);
     }
 
     #[test]

@@ -38,10 +38,9 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
 /// probabilities.
 ///
 /// `input_prob` maps a primary-input *position* to its 1-probability; `p`
-/// maps any fanin node to its (already computed) signal probability.  Both
-/// the full pass ([`signal_probabilities_cop`]) and the incremental engine
-/// evaluate nodes through this single function, which is what makes their
-/// results bit-identical.
+/// maps any fanin node to its (already computed) signal probability.  The
+/// full pass ([`signal_probabilities_cop`]) and the hybrid engine's COP
+/// fallback evaluate nodes through this single function.
 pub(crate) fn node_probability(
     circuit: &Circuit,
     id: NodeId,
@@ -138,7 +137,7 @@ pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>)
 /// "at least one path" rule.
 ///
 /// Shared between the full backward pass ([`observabilities_cop`]) and the
-/// incremental engine so both produce bit-identical values.
+/// ECO overlay so both produce bit-identical values.
 pub(crate) fn stem_observability(
     circuit: &Circuit,
     id: NodeId,

@@ -1,18 +1,15 @@
 //! Graceful degradation for detection-probability engines.
 //!
-//! The incremental engines answer the optimizer's queries orders of
-//! magnitude faster than a from-scratch evaluation, but their overlay
-//! bookkeeping is also the most intricate numerical code in the
-//! workspace.  [`DegradingEngine`] wraps a primary engine with a simple,
-//! stateless fallback: every answer is screened for *anomalies* —
-//! non-finite values or estimates outside `[0, 1]` — and the first
-//! anomaly permanently retires the primary.  The query that tripped is
+//! [`DegradingEngine`] wraps a primary engine with a simple, stateless
+//! fallback: every answer is screened for *anomalies* — non-finite
+//! values or estimates outside `[0, 1]` — and the first anomaly
+//! permanently retires the primary.  The query that tripped is
 //! re-answered by the fallback, so callers never observe a bad value;
 //! the switch is recorded on a [`Ladder`] as
 //! [`DegradeStep::IncrementalToStateless`].
 //!
-//! Because the stateless COP fallback is bit-identical to the
-//! incremental engines on every healthy query, a mid-descent switch
+//! When the fallback is bit-identical to the primary on every healthy
+//! query (stateless COP behind any COP engine), a mid-descent switch
 //! leaves an optimizer trajectory unchanged — degradation costs speed,
 //! never correctness.
 //!
@@ -105,23 +102,6 @@ where
         self.fallback.estimate(circuit, faults, input_probs)
     }
 
-    fn estimate_pair(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        probs_a: &[f64],
-        probs_b: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
-        if !self.degraded {
-            let (a, b) = self.primary.estimate_pair(circuit, faults, probs_a, probs_b);
-            match Self::anomalous(&a).or_else(|| Self::anomalous(&b)) {
-                None => return (a, b),
-                Some(reason) => self.degrade(reason),
-            }
-        }
-        self.fallback.estimate_pair(circuit, faults, probs_a, probs_b)
-    }
-
     fn estimate_coordinate_pair(
         &mut self,
         circuit: &Circuit,
@@ -155,7 +135,6 @@ where
 mod tests {
     use super::*;
     use crate::engine::CopEngine;
-    use crate::incremental::IncrementalCop;
     use wrt_circuit::parse_bench;
 
     fn circuit() -> Circuit {
@@ -199,8 +178,8 @@ mod tests {
     fn healthy_primary_is_never_disturbed() {
         let c = circuit();
         let faults = FaultList::checkpoints(&c);
-        let mut plain = IncrementalCop::new();
-        let mut wrapped = DegradingEngine::new(IncrementalCop::new(), CopEngine::new());
+        let mut plain = CopEngine::new();
+        let mut wrapped = DegradingEngine::new(CopEngine::new(), CopEngine::new());
         let probs = [0.5, 0.25, 0.75];
         let reference = plain.estimate(&c, &faults, &probs);
         let got = wrapped.estimate(&c, &faults, &probs);

@@ -36,36 +36,14 @@ pub trait DetectionProbabilityEngine: Send {
     fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64])
         -> Vec<f64>;
 
-    /// Estimates detection probabilities at two probability vectors in one
-    /// call — the shape of the optimizer's PREPARE step, which needs
-    /// `p_f(X, x_i = 0)` and `p_f(X, x_i = 1)` for every coordinate.
-    ///
-    /// The default delegates to two sequential
-    /// [`estimate`](Self::estimate) calls; [`MonteCarloEngine`] overrides
-    /// it to simulate both points concurrently on a split thread budget
-    /// (identical results either way).
-    fn estimate_pair(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        probs_a: &[f64],
-        probs_b: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
-        (
-            self.estimate(circuit, faults, probs_a),
-            self.estimate(circuit, faults, probs_b),
-        )
-    }
-
     /// Estimates detection probabilities at the two boundary perturbations
     /// of one coordinate: `p_f(X, x_i = 0)` and `p_f(X, x_i = 1)` for
     /// `X = weights` — exactly the optimizer's PREPARE query.
     ///
-    /// The default materializes both perturbed vectors and delegates to
-    /// [`estimate_pair`](Self::estimate_pair); engines with incremental
-    /// state (e.g. [`crate::IncrementalCop`]) override it to recompute only
-    /// input *i*'s fanout cone and the observability region it dirties,
-    /// with identical (bit-identical, for the analytic engines) results.
+    /// The default materializes both perturbed vectors and makes two
+    /// sequential [`estimate`](Self::estimate) calls; [`MonteCarloEngine`]
+    /// overrides it to simulate both points concurrently on a split thread
+    /// budget (identical results either way).
     ///
     /// # Panics
     ///
@@ -78,15 +56,24 @@ pub trait DetectionProbabilityEngine: Send {
         weights: &[f64],
         coordinate: usize,
     ) -> (Vec<f64>, Vec<f64>) {
-        let mut at_zero = weights.to_vec();
-        at_zero[coordinate] = 0.0;
-        let mut at_one = weights.to_vec();
-        at_one[coordinate] = 1.0;
-        self.estimate_pair(circuit, faults, &at_zero, &at_one)
+        let (at_zero, at_one) = coordinate_endpoints(weights, coordinate);
+        (
+            self.estimate(circuit, faults, &at_zero),
+            self.estimate(circuit, faults, &at_one),
+        )
     }
 
     /// Short human-readable engine name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// `weights` with `coordinate` set to 0 and to 1.
+fn coordinate_endpoints(weights: &[f64], coordinate: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut at_zero = weights.to_vec();
+    at_zero[coordinate] = 0.0;
+    let mut at_one = weights.to_vec();
+    at_one[coordinate] = 1.0;
+    (at_zero, at_one)
 }
 
 /// The COP detection-probability model for one fault: activation
@@ -94,10 +81,9 @@ pub trait DetectionProbabilityEngine: Send {
 ///
 /// `p`, `obs` and `pin_obs` are lookups into a consistent solution: full
 /// COP arrays for [`CopEngine`] and [`crate::HybridEngine`], a
-/// baseline-plus-overlay view for [`crate::IncrementalCop`] and
-/// [`crate::SessionCop`], counted rates for [`StafanCounts`].  Every
-/// engine's detection model is this one function, which keeps the COP
-/// engines' estimates bit-identical.
+/// baseline-plus-overlay view for [`crate::SessionCop`], counted rates
+/// for [`StafanCounts`].  Every engine's detection model is this one
+/// function, which keeps the COP engines' estimates bit-identical.
 pub(crate) fn cop_fault_probability(
     circuit: &Circuit,
     fault: &Fault,
@@ -265,9 +251,9 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             .collect()
     }
 
-    /// Simulates both probability vectors concurrently, splitting the
-    /// thread budget between them (each half still shards its fault
-    /// list).  Identical output to two sequential
+    /// Simulates both boundary points concurrently, splitting the thread
+    /// budget between them (each half still shards its fault list).
+    /// Identical output to two sequential
     /// [`estimate`](DetectionProbabilityEngine::estimate) calls — the
     /// per-call seed derivation and the simulation engine's results are
     /// both independent of the thread count.
@@ -275,18 +261,19 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
     /// With an effective budget of one thread (explicit `threads = 1`,
     /// or auto mode on a small fault list / single-core machine) it
     /// stays fully serial.
-    fn estimate_pair(
+    fn estimate_coordinate_pair(
         &mut self,
         circuit: &Circuit,
         faults: &FaultList,
-        probs_a: &[f64],
-        probs_b: &[f64],
+        weights: &[f64],
+        coordinate: usize,
     ) -> (Vec<f64>, Vec<f64>) {
+        let (probs_a, probs_b) = coordinate_endpoints(weights, coordinate);
         let resolved = wrt_sim::recommended_threads(self.threads, faults.len());
         if resolved <= 1 {
             return (
-                self.estimate(circuit, faults, probs_a),
-                self.estimate(circuit, faults, probs_b),
+                self.estimate(circuit, faults, &probs_a),
+                self.estimate(circuit, faults, &probs_b),
             );
         }
         let patterns = self.patterns;
@@ -297,8 +284,8 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
                 self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
             )
         };
-        let source_a = source_for(probs_a);
-        let source_b = source_for(probs_b);
+        let source_a = source_for(&probs_a);
+        let source_b = source_for(&probs_b);
         // Split the budget without losing the odd thread (e.g. 3 → 2 + 1).
         let threads_b = (resolved / 2).max(1);
         let threads_a = (resolved - resolved / 2).max(1);
@@ -313,7 +300,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             let a = simulate_counts(circuit, faults, source_a, patterns, threads_a);
             (
                 to_probs(a),
-                to_probs(b.join().expect("estimate_pair worker panicked")),
+                to_probs(b.join().expect("coordinate-pair worker panicked")),
             )
         })
     }
@@ -507,8 +494,10 @@ mod tests {
     fn monte_carlo_estimate_pair_matches_sequential_calls() {
         let c = tree();
         let faults = FaultList::full(&c);
-        let a = [0.3, 0.5, 0.7];
-        let b = [0.7, 0.5, 0.3];
+        // PREPARE of coordinate 1 at X = (0.3, 0.5, 0.7).
+        let weights = [0.3, 0.5, 0.7];
+        let a = [0.3, 0.0, 0.7];
+        let b = [0.3, 1.0, 0.7];
         // Same engine state (seed, calls): pair == two sequential calls.
         let mut sequential = MonteCarloEngine::new(64 * 10, 13);
         let expected = (
@@ -517,7 +506,7 @@ mod tests {
         );
         for threads in [0, 1, 2, 4] {
             let mut paired = MonteCarloEngine::new(64 * 10, 13).with_threads(threads);
-            let got = paired.estimate_pair(&c, &faults, &a, &b);
+            let got = paired.estimate_coordinate_pair(&c, &faults, &weights, 1);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -526,12 +515,10 @@ mod tests {
     fn estimate_pair_matches_two_estimates() {
         let c = tree();
         let faults = FaultList::full(&c);
-        let a = [0.2, 0.5, 0.8];
-        let b = [0.8, 0.5, 0.2];
         let mut engine = CopEngine::new();
-        let (pa, pb) = engine.estimate_pair(&c, &faults, &a, &b);
-        assert_eq!(pa, engine.estimate(&c, &faults, &a));
-        assert_eq!(pb, engine.estimate(&c, &faults, &b));
+        let (pa, pb) = engine.estimate_coordinate_pair(&c, &faults, &[0.2, 0.5, 0.8], 0);
+        assert_eq!(pa, engine.estimate(&c, &faults, &[0.0, 0.5, 0.8]));
+        assert_eq!(pb, engine.estimate(&c, &faults, &[1.0, 0.5, 0.8]));
     }
 
     #[test]

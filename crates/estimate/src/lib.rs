@@ -8,18 +8,14 @@
 //!
 //! * [`CopEngine`] — analytic controllability/observability propagation
 //!   (COP-style, the default: fast, handles detection probabilities as
-//!   small as `2^-64` that no sampling method can see);
-//! * [`IncrementalCop`] — the same model with an incremental,
-//!   cone-restricted evaluation strategy (bit-identical estimates) that
-//!   answers the optimizer's single-coordinate PREPARE queries in
-//!   O(fanout cone) instead of O(circuit), and folds each coordinate
-//!   move into its baseline with one walk over that input's fanout cone;
+//!   small as `2^-64` that no sampling method can see).  The optimizer's
+//!   PREPARE step asks it for both boundary points of each coordinate,
+//!   one forward and one backward pass per point;
 //! * [`CopBaseline`] and [`SessionCop`] — a shareable COP solution plus
-//!   per-session what-if ECO queries (virtual gate-kind mutations).
-//!   They and [`IncrementalCop`] run on one COP overlay: an immutable
-//!   baseline solution plus an epoch-stamped delta that one forward walk
-//!   and one push-on-change backward walk keep bit-identical to a full
-//!   recompute;
+//!   per-session what-if ECO queries (virtual gate-kind mutations) on
+//!   one COP overlay: an immutable baseline solution plus an
+//!   epoch-stamped delta that one forward walk and one push-on-change
+//!   backward walk keep bit-identical to a full recompute;
 //! * [`HybridEngine`] — PREDICT-style: each signal's exact probability
 //!   where its input support fits a budget, the COP recurrence elsewhere;
 //! * [`StafanEngine`] — STAFAN-style statistical counting on a fault-free
@@ -34,7 +30,8 @@
 //!   via the cutting algorithm \[BDS84\].
 //!
 //! plus exact redundancy identification ([`constant_line_faults`]) in the
-//! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy".
+//! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy",
+//! and the experiment fault set built on it ([`experiment_faults`]).
 //!
 //! Each estimation model has one definition, which every engine calls:
 //! the COP recurrence ([`signal_probabilities_cop`] and
@@ -86,8 +83,8 @@ pub use engine::{
     CopEngine, DetectionProbabilityEngine, ExactEngine, MonteCarloEngine, StafanEngine,
 };
 pub use exact::{exact_detection_probability, exact_signal_probability};
-pub use incremental::{IncrementalCop, IncrementalStats};
+pub use incremental::IncrementalCop;
 pub use rank::spearman;
-pub use redundancy::constant_line_faults;
+pub use redundancy::{constant_line_faults, experiment_faults, REDUNDANCY_SUPPORT_LIMIT};
 pub use shared::{CopBaseline, EcoMutation, EcoStats, SessionCop};
 pub use stafan::StafanCounts;

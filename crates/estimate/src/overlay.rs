@@ -1,13 +1,11 @@
 //! The one COP overlay: an immutable COP solution plus an epoch-stamped
 //! delta over it.
 //!
-//! Both "baseline plus small change" questions the crate answers run on
-//! this module: the optimizer's weight moves ([`crate::IncrementalCop`])
-//! and what-if gate-kind mutations ([`crate::SessionCop`]).  A
-//! [`CopSolution`] holds the full COP solution at one weight vector; an
-//! [`Overlay`] holds only the nodes whose values differ from it, stamped
-//! with the current epoch, so every lookup is "overlay if stamped, else
-//! baseline".
+//! A [`CopSolution`] holds the full COP solution at one weight vector
+//! (every COP engine computes one); an [`Overlay`] holds only the nodes
+//! whose values differ from it under a what-if gate-kind mutation
+//! ([`crate::SessionCop`]), stamped with the current epoch, so every
+//! lookup is "overlay if stamped, else baseline".
 //!
 //! # Dirty-region invariants
 //!
@@ -44,7 +42,7 @@ pub(crate) struct CopSolution {
     pub(crate) obs: Vec<f64>,
     /// Pin observabilities, edge-indexed: pin `pin` of gate `g` lives at
     /// `circuit.fanin_offset(g) + pin` (same layout as the fanin CSR).
-    pub(crate) pin_obs: Vec<f64>,
+    pin_obs: Vec<f64>,
 }
 
 impl CopSolution {
@@ -100,23 +98,11 @@ impl CopSolution {
 /// BUF pins sensitize unconditionally, so such gates need backward
 /// recomputation only when their own stem observability moves — which
 /// push-on-change propagation covers without seeding them.
-pub(crate) fn sens_reacts(kind: GateKind, arity: usize) -> bool {
+fn sens_reacts(kind: GateKind, arity: usize) -> bool {
     matches!(
         kind,
         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor
     ) && arity >= 2
-}
-
-/// Advances a stamp token, refilling `stamps` with zero when it wraps so
-/// that no slot stamped in an earlier cycle reads as live.
-pub(crate) fn advance_token(token: &mut u32, stamps: &mut [&mut Vec<u32>]) {
-    *token = token.wrapping_add(1);
-    if *token == 0 {
-        for s in stamps.iter_mut() {
-            s.fill(0);
-        }
-        *token = 1;
-    }
 }
 
 /// Epoch-stamped scratch over a [`CopSolution`]: a slot is live iff its
@@ -125,9 +111,9 @@ pub(crate) fn advance_token(token: &mut u32, stamps: &mut [&mut Vec<u32>]) {
 /// recomputed together).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Overlay {
-    pub(crate) epoch: u32,
-    pub(crate) p: Vec<f64>,
-    pub(crate) p_stamp: Vec<u32>,
+    epoch: u32,
+    p: Vec<f64>,
+    p_stamp: Vec<u32>,
     obs: Vec<f64>,
     obs_stamp: Vec<u32>,
     /// Edge-indexed like [`CopSolution::pin_obs`].
@@ -148,37 +134,35 @@ impl Overlay {
     /// Fresh scratch for a circuit of `nodes` nodes and `edges` fanin
     /// edges.
     pub(crate) fn new(nodes: usize, edges: usize) -> Self {
-        let mut overlay = Overlay::default();
-        overlay.reset(nodes, edges);
-        overlay
-    }
-
-    /// Resizes and clears the scratch (eval counters are kept).
-    pub(crate) fn reset(&mut self, nodes: usize, edges: usize) {
-        self.epoch = 0;
-        self.p = vec![0.0; nodes];
-        self.p_stamp = vec![0; nodes];
-        self.obs = vec![0.0; nodes];
-        self.obs_stamp = vec![0; nodes];
-        self.pin = vec![0.0; edges];
-        self.queue_stamp = vec![0; nodes];
-        self.heap.clear();
-        self.touched_p.clear();
-        self.touched_obs.clear();
+        Overlay {
+            p: vec![0.0; nodes],
+            p_stamp: vec![0; nodes],
+            obs: vec![0.0; nodes],
+            obs_stamp: vec![0; nodes],
+            pin: vec![0.0; edges],
+            queue_stamp: vec![0; nodes],
+            ..Overlay::default()
+        }
     }
 
     /// Starts a new overlay: every scratch value becomes stale.
     pub(crate) fn next_epoch(&mut self) {
-        advance_token(
-            &mut self.epoch,
-            &mut [
-                &mut self.p_stamp,
-                &mut self.obs_stamp,
-                &mut self.queue_stamp,
-            ],
-        );
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: no slot stamped in an earlier cycle may read as
+            // live.
+            self.p_stamp.fill(0);
+            self.obs_stamp.fill(0);
+            self.queue_stamp.fill(0);
+            self.epoch = 1;
+        }
         self.touched_p.clear();
         self.touched_obs.clear();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
     }
 
     #[cfg(test)]
@@ -187,7 +171,7 @@ impl Overlay {
     }
 
     /// Overlay-or-baseline signal probability.
-    pub(crate) fn p(&self, base: &CopSolution, id: NodeId) -> f64 {
+    fn p(&self, base: &CopSolution, id: NodeId) -> f64 {
         if self.p_stamp[id.index()] == self.epoch {
             self.p[id.index()]
         } else {
@@ -238,16 +222,11 @@ impl Overlay {
     }
 
     /// Queues node `idx` for backward recomputation (once per epoch).
-    pub(crate) fn enqueue(&mut self, idx: usize) {
+    fn enqueue(&mut self, idx: usize) {
         if self.queue_stamp[idx] != self.epoch {
             self.queue_stamp[idx] = self.epoch;
             self.heap.push(idx);
         }
-    }
-
-    /// The highest queued node, if any.
-    pub(crate) fn pop(&mut self) -> Option<usize> {
-        self.heap.pop()
     }
 
     /// The eager walk: one forward pass over `nodes` (sorted ids =
@@ -298,26 +277,17 @@ impl Overlay {
         for &seed in seeds {
             self.enqueue(seed.index());
         }
-        while let Some(idx) = self.pop() {
+        while let Some(idx) = self.heap.pop() {
             let id = NodeId::from_index(idx);
-            self.recompute_obs(circuit, base, id, kind(id, circuit.node(id).kind()), |_| {
-                true
-            });
+            self.recompute_obs(circuit, base, id, kind(id, circuit.node(id).kind()));
         }
     }
 
     /// One backward step: recomputes `id`'s stem observability and its pin
     /// observabilities (under effective kind `kind`) from
     /// overlay-or-baseline values, stamps them, and queues the fanin of
-    /// every pin whose value moved and that `admit` accepts.
-    pub(crate) fn recompute_obs(
-        &mut self,
-        circuit: &Circuit,
-        base: &CopSolution,
-        id: NodeId,
-        kind: GateKind,
-        admit: impl Fn(usize) -> bool,
-    ) {
+    /// every pin whose value moved.
+    fn recompute_obs(&mut self, circuit: &Circuit, base: &CopSolution, id: NodeId, kind: GateKind) {
         let idx = id.index();
         let new_obs = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
             self.pin_obs(circuit, base, sink, pin)
@@ -333,23 +303,9 @@ impl Overlay {
         self.obs_stamp[idx] = self.epoch;
         self.touched_obs.push(id);
         for (pin, &f) in fanin.iter().enumerate() {
-            if self.pin[first + pin] != base.pin_obs[first + pin] && admit(f.index()) {
+            if self.pin[first + pin] != base.pin_obs[first + pin] {
                 self.enqueue(f.index());
             }
-        }
-    }
-
-    /// Writes every value of the current epoch into `base` (the caller
-    /// moves `base.weights` itself).
-    pub(crate) fn fold_into(&self, circuit: &Circuit, base: &mut CopSolution) {
-        for &id in &self.touched_p {
-            base.p[id.index()] = self.p[id.index()];
-        }
-        for &id in &self.touched_obs {
-            base.obs[id.index()] = self.obs[id.index()];
-            let lo = circuit.fanin_offset(id);
-            let hi = lo + circuit.fanin(id).len();
-            base.pin_obs[lo..hi].copy_from_slice(&self.pin[lo..hi]);
         }
     }
 }

@@ -43,6 +43,27 @@ const PREFILTER_SEED: u64 = 0x5EED_C0DE_0000_0001;
 const SEEN_0: u8 = 1;
 const SEEN_1: u8 = 2;
 
+/// The input-support limit of the experiment fault set's redundancy
+/// proofs.
+pub const REDUNDANCY_SUPPORT_LIMIT: usize = 14;
+
+/// The experiment fault set: the checkpoint faults minus those whose line
+/// [`constant_line_faults`] proves constant at [`REDUNDANCY_SUPPORT_LIMIT`]
+/// — the paper's "all faults of F must be detectable", with PROTEST's
+/// redundancy proof of the note under its Table 2.
+pub fn experiment_faults(circuit: &Circuit) -> FaultList {
+    // Checkpoint lists come out already collapsed (no equivalence rule
+    // pairs two checkpoint faults), so there is nothing to collapse.
+    let checkpoints = FaultList::checkpoints(circuit);
+    let redundant = constant_line_faults(circuit, &checkpoints, REDUNDANCY_SUPPORT_LIMIT);
+    checkpoints
+        .iter()
+        .zip(&redundant)
+        .filter(|(_, &r)| !r)
+        .map(|((_, f), _)| f)
+        .collect()
+}
+
 /// Marks faults proven redundant because their line is constant.
 ///
 /// Returns one flag per fault (`true` = proven redundant).  Lines whose

@@ -1,9 +1,9 @@
 //! Shared read-only COP baseline + cheap per-session overlay.
 //!
-//! Batch mode owns one engine per run, so `CopEngine`/`IncrementalCop`
-//! could keep mutable state and nobody cared.  A resident server cannot:
-//! many concurrent sessions query the same circuit at the same weight
-//! vector, and they must never serialize on one lock.  This module is
+//! Batch mode owns one engine per run, so an engine could keep mutable
+//! state and nobody cared.  A resident server cannot: many concurrent
+//! sessions query the same circuit at the same weight vector, and they
+//! must never serialize on one lock.  This module is
 //! the ownership split that makes that work:
 //!
 //! * [`CopBaseline`] — the expensive part (one forward + one backward
@@ -12,14 +12,13 @@
 //!   `Arc<Circuit>`), so any number of sessions share it by `Arc` and
 //!   answer per-fault queries through `&self` with zero locking.
 //! * [`SessionCop`] — per-session scratch layered over an
-//!   `Arc<CopBaseline>`: the crate's one COP overlay (`overlay.rs`, the
-//!   same one [`crate::IncrementalCop`] runs on).  A what-if ECO query
-//!   ([`SessionCop::what_if`]) mutates k gate kinds *virtually*: the
-//!   overlay's eager walk over the mutated gates' fanout cone, with the
-//!   new kinds as an override, touches only the dirtied region instead of
-//!   the `2·n` node evaluations a cold recompute costs — with results
-//!   bit-identical to rebuilding the mutated circuit and running full
-//!   COP, because both paths evaluate nodes through the same
+//!   `Arc<CopBaseline>`: the crate's one COP overlay (`overlay.rs`).  A
+//!   what-if ECO query ([`SessionCop::what_if`]) mutates k gate kinds
+//!   *virtually*: the overlay's eager walk over the mutated gates' fanout
+//!   cone, with the new kinds as an override, touches only the dirtied
+//!   region instead of the `2·n` node evaluations a cold recompute costs
+//!   — with results bit-identical to rebuilding the mutated circuit and
+//!   running full COP, because both paths evaluate nodes through the same
 //!   kind-parameterized helpers and unchanged values are reused bitwise
 //!   from the baseline.
 
@@ -259,6 +258,7 @@ impl SessionCop {
 mod tests {
     use super::*;
     use crate::engine::{CopEngine, DetectionProbabilityEngine};
+    use crate::experiment_faults;
     use wrt_circuit::CircuitBuilder;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -268,10 +268,6 @@ mod tests {
     fn baseline_is_shareable_and_session_is_send() {
         assert_send_sync::<CopBaseline>();
         assert_send::<SessionCop>();
-    }
-
-    fn experiment_faults(circuit: &Circuit) -> FaultList {
-        FaultList::checkpoints(circuit).collapse_equivalent(circuit)
     }
 
     /// Rebuilds `circuit` with the kinds of `mutations` really replaced.
@@ -431,7 +427,7 @@ mod tests {
             let reference_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
             assert_eq!(dp_bits, reference_bits, "gate {gate}");
         }
-        assert_eq!(session.overlay.epoch, 2);
+        assert_eq!(session.overlay.epoch(), 2);
     }
 
     #[test]

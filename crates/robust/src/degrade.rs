@@ -1,9 +1,9 @@
 //! The graceful-degradation ladder.
 //!
 //! When a subsystem detects an anomaly — a panicked shard, an aborted
-//! guided ATPG search, a non-finite incremental estimate — it does not
-//! abort the run.  It steps down one rung of a fixed ladder to a simpler,
-//! more conservative strategy and records the step, so the run completes
+//! guided ATPG search, a non-finite estimate — it does not abort the run.
+//! It steps down one rung of a fixed ladder to a simpler, more
+//! conservative strategy and records the step, so the run completes
 //! (possibly slower) and the report says exactly what was degraded and
 //! why.
 //!
@@ -14,12 +14,13 @@
 //! | sim       | sharded worklist     | shard replay (event)        |
 //! | sim       | shard replay (event) | shard replay (dense oracle) |
 //! | atpg      | guided PODEM         | unguided PODEM              |
-//! | estimate  | incremental COP      | stateless COP               |
+//! | estimate  | screened engine      | stateless COP               |
 //!
 //! Every fallback preserves the bit-identity contract: shard replays, the
-//! dense oracle, and stateless COP produce the same results as their
-//! preferred counterparts (that equivalence is property-tested
-//! elsewhere), so stepping down trades only speed, never correctness.
+//! dense oracle, and stateless COP (behind a COP engine) produce the same
+//! results as their preferred counterparts (that equivalence is
+//! property-tested elsewhere), so stepping down trades only speed, never
+//! correctness.
 
 use std::fmt;
 
@@ -31,8 +32,8 @@ pub enum DegradeStep {
     /// A poisoned shard's event replay failed too, and the shard was
     /// replayed on the serial dense oracle.
     EventToDense,
-    /// Detection-probability estimation fell back from the incremental
-    /// overlay engine to stateless full recomputation.
+    /// Detection-probability estimation retired its screened primary
+    /// engine after an anomaly and fell back to stateless COP.
     IncrementalToStateless,
     /// A panicked shard's fault worklist was requeued for serial replay.
     ShardRequeue,

@@ -27,8 +27,8 @@ use wrt_core::{
     OPTIMIZE_CHECKPOINT_KIND,
 };
 use wrt_estimate::{
-    CopEngine, DetectionProbabilityEngine, EcoMutation, IncrementalCop, MonteCarloEngine,
-    SessionCop, StafanEngine,
+    CopEngine, DetectionProbabilityEngine, EcoMutation, MonteCarloEngine, SessionCop,
+    StafanEngine,
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
@@ -71,9 +71,8 @@ commands:
            [--seed S] [--mc-patterns N] [--seed-weights uniform|scoap]
            [--time-limit SECS] [--max-evals N] [--checkpoint F] [--resume F]
            optimized input probabilities;
-           E = incremental-cop (default; cone-restricted per-coordinate
-           recompute that folds each coordinate move into its baseline,
-           bit-identical to cop) | cop | stafan | monte-carlo
+           E = cop (default; one forward and one backward COP pass per
+           PREPARE point) | stafan | monte-carlo
            (--seed and --mc-patterns apply to the sampling engines).
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
@@ -549,10 +548,12 @@ pub fn estimate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
             );
         }
         TestLength::Infinite => {
-            let _ = writeln!(
-                out,
-                "test length N({confidence}): infinite (some fault has zero detection probability)"
-            );
+            let why = if dp.iter().any(|&p| p <= 0.0) {
+                "some fault has zero detection probability"
+            } else {
+                "beyond 2^1023 patterns, the f64 range"
+            };
+            let _ = writeln!(out, "test length N({confidence}): infinite ({why})");
         }
     }
     let hardest = sorted.iter().take(top);
@@ -709,14 +710,19 @@ pub fn flush(ctx: &ExecContext) -> String {
 pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>, String> {
     // Unknown flags are otherwise ignored, so a removed one must say so.
     if args.iter().any(|a| a == "--commit-batch") {
-        return Err("--commit-batch was removed: incremental-cop folds every \
-             coordinate move into its baseline at once"
+        return Err("--commit-batch was removed: every COP query is a full \
+             two-pass recompute"
             .into());
     }
-    let engine = flag_value(args, "--engine").unwrap_or("incremental-cop");
-    if !["incremental-cop", "cop", "stafan", "monte-carlo"].contains(&engine) {
+    let engine = flag_value(args, "--engine").unwrap_or("cop");
+    if engine == "incremental-cop" {
+        return Err("--engine incremental-cop was removed: use --engine cop, \
+             which gives bit-identical results"
+            .into());
+    }
+    if !["cop", "stafan", "monte-carlo"].contains(&engine) {
         return Err(format!(
-            "unknown engine `{engine}` (expected incremental-cop, cop, stafan, or monte-carlo)"
+            "unknown engine `{engine}` (expected cop, stafan, or monte-carlo)"
         ));
     }
     if engine != "monte-carlo" {
@@ -728,13 +734,12 @@ pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>
             }
         }
     }
-    if engine.ends_with("cop") && flag_value(args, "--seed").is_some() {
+    if engine == "cop" && flag_value(args, "--seed").is_some() {
         return Err("--seed only applies to sampling engines (stafan, monte-carlo)".into());
     }
     let threads: usize = parse_flag(args, "--threads", 0)?;
     let seed: u64 = parse_flag(args, "--seed", 42)?;
     Ok(match engine {
-        "incremental-cop" => Box::new(IncrementalCop::new()),
         "cop" => Box::new(CopEngine::new()),
         "stafan" => Box::new(StafanEngine::new(64 * 256, seed)),
         "monte-carlo" => {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use wrt_circuit::Circuit;
-use wrt_estimate::{constant_line_faults, CopBaseline};
+use wrt_estimate::{experiment_faults, CopBaseline};
 use wrt_fault::FaultList;
 
 /// FNV-1a over the bit patterns of a weight vector — the baseline cache
@@ -51,22 +51,11 @@ impl CircuitEntry {
         &self.circuit
     }
 
-    /// The experiment fault set (collapsed, redundancy-filtered), built
-    /// once on first use.
+    /// The experiment fault set ([`experiment_faults`]), built once on
+    /// first use.
     pub fn experiment_faults(&self) -> &Arc<FaultList> {
-        self.experiment_faults.get_or_init(|| {
-            // Already collapsed; see `atpg_faults`.
-            let checkpoints = FaultList::checkpoints(&self.circuit);
-            let redundant = constant_line_faults(&self.circuit, &checkpoints, 14);
-            Arc::new(
-                checkpoints
-                    .iter()
-                    .zip(&redundant)
-                    .filter(|(_, &r)| !r)
-                    .map(|((_, f), _)| f)
-                    .collect(),
-            )
-        })
+        self.experiment_faults
+            .get_or_init(|| Arc::new(experiment_faults(&self.circuit)))
     }
 
     /// The collapsed checkpoint fault set (ATPG's working set), built

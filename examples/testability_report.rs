@@ -11,7 +11,7 @@
 //! `wrt::workloads::WORKLOAD_NAMES`).
 
 use wrt::prelude::*;
-use wrt_estimate::{constant_line_faults, signal_probability_bounds};
+use wrt_estimate::{experiment_faults, signal_probability_bounds};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "c432ish".into());
@@ -41,22 +41,16 @@ fn main() {
 
     // Fault universe and redundancy proofs.
     let full = FaultList::full(&circuit);
-    let collapsed = full.collapse_equivalent(&circuit);
-    let redundant = constant_line_faults(&circuit, &collapsed, 14);
-    let proven = redundant.iter().filter(|&&r| r).count();
+    let checkpoints = FaultList::checkpoints(&circuit);
+    let live = experiment_faults(&circuit);
     println!(
-        "faults: {} full, {} collapsed, {proven} proven redundant",
+        "faults: {} full, {} checkpoints, {} proven redundant",
         full.len(),
-        collapsed.len()
+        checkpoints.len(),
+        checkpoints.len() - live.len()
     );
 
     // Hardest faults under equiprobable inputs.
-    let live: FaultList = collapsed
-        .iter()
-        .zip(&redundant)
-        .filter(|(_, &r)| !r)
-        .map(|((_, f), _)| f)
-        .collect();
     let mut engine = CopEngine::new();
     let estimates = engine.estimate(&circuit, &live, &probs);
     let mut order: Vec<usize> = (0..estimates.len()).collect();
