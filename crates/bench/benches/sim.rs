@@ -91,8 +91,8 @@ fn sharded_fault_sim(c: &mut Criterion) {
 }
 
 /// The dense oracle's cone walk vs the engine's event-driven sparse
-/// propagation at each superblock width on one shard (results are
-/// bit-identical; only the wall clock changes).
+/// propagation on one shard (results are bit-identical; only the wall
+/// clock changes).
 fn event_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_fault_sim");
     group.sample_size(10);
@@ -107,23 +107,21 @@ fn event_fault_sim(c: &mut Criterion) {
                 black_box(fault_coverage(&circuit, &faults, source, patterns, true))
             });
         });
-        for words in [1usize, 4, 8] {
-            group.bench_function(BenchmarkId::new(format!("event_w{words}"), name), |b| {
-                b.iter(|| {
-                    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                    black_box(fault_coverage_robust(
-                        &circuit,
-                        &faults,
-                        source,
-                        patterns,
-                        true,
-                        1,
-                        SimOptions::event(words),
-                        &Budget::unlimited(),
-                    ))
-                });
+        group.bench_function(BenchmarkId::new("event", name), |b| {
+            b.iter(|| {
+                let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
+                black_box(fault_coverage_robust(
+                    &circuit,
+                    &faults,
+                    source,
+                    patterns,
+                    true,
+                    1,
+                    SimOptions::default(),
+                    &Budget::unlimited(),
+                ))
             });
-        }
+        });
     }
     group.finish();
 }

@@ -216,7 +216,7 @@ fn bench_size(target: usize, seed: u64) -> Row {
         SIM_PATTERNS,
         true,
         1,
-        SimOptions::event(4),
+        SimOptions::default(),
         &Budget::unlimited(),
     )
     .into_value()

@@ -8,18 +8,19 @@
 //! scheduling (only nodes the fault effect reaches are evaluated,
 //! stopping when the frontier dies) and superblock amortization (one
 //! `[u64; W]` evaluation covers `W` dense blocks' worth of patterns) —
-//! so the artifact also records an event run at `W = 1`
+//! so the artifact also records an event-kernel run at `W = 1`
 //! (`sparsity_reduction`) to separate the two, the frontier die-out
 //! rate, the event engine's root propagations (one per fanout-free
 //! region head per superblock that some excited fault's effect reaches,
 //! shared by every fault in the region) with the excited faults served
 //! per propagation, and a bit-identity check of all runs' coverage
 //! results.  The dense baseline is a serial [`FaultSimulator`] loop; the
-//! event and event-`W = 1` runs use one shard of the engine; a
-//! further event run uses `--threads` shards, and `serial_fraction`
-//! accounts its parallelism in counts: serial-path evals plus the
-//! busiest shard's evals, over all evals (`1 / threads` is perfect
-//! balance, 1 is no parallelism).  Wall-clock fields depend on the host
+//! event run uses one shard of the engine (at its width,
+//! [`BLOCK_WORDS`]), and the event-`W = 1` run drives one
+//! [`EventSimulator`] directly; a further event run uses `--threads`
+//! shards, and `serial_fraction` accounts its parallelism in counts:
+//! serial-path evals plus the busiest shard's evals, over all evals
+//! (`1 / threads` is perfect balance, 1 is no parallelism).  Wall-clock fields depend on the host
 //! and are reported alongside.
 //!
 //! Circuits too large for the dense engine's per-cone storage report a
@@ -32,14 +33,13 @@
 //! Run with `cargo run --release -p wrt-bench --bin bench_sim`.
 //!
 //! ```text
-//! bench_sim [--patterns N] [--block-words W] [--threads T]
-//!           [--circuits a,b,...] [--out PATH] [--smoke]
+//! bench_sim [--patterns N] [--threads T] [--circuits a,b,...]
+//!           [--out PATH] [--smoke]
 //! ```
 //!
-//! Defaults: 2048 patterns, `W = 4` (256 patterns per event pass), 4
-//! threads for the sharded-event run, the four large workload circuits
-//! plus the 120k-gate `tiled_120000_7` scale circuit, `BENCH_sim.json` in
-//! the current directory.  `--smoke` runs a scaled-down version for CI
+//! Defaults: 2048 patterns, 4 threads for the sharded-event run, the
+//! four large workload circuits plus the 120k-gate `tiled_120000_7` scale
+//! circuit, `BENCH_sim.json` in the current directory.  `--smoke` runs a scaled-down version for CI
 //! (small circuits, few patterns).
 
 use std::collections::HashMap;
@@ -49,9 +49,9 @@ use wrt_circuit::{transitive_fanout, Circuit, FanoutFreeRegions};
 use wrt_fault::{FaultList, FaultPartition};
 use wrt_robust::Budget;
 use wrt_sim::{
-    available_threads, fault_coverage_robust, recommended_threads, superblock_split,
-    CoverageResult, EventSimulator, FaultSimulator, FaultWorklist, PatternSource, SimOptions,
-    SimStats, SuperBlock, WeightedPatterns,
+    available_threads, fault_coverage_robust, first_set_bit, recommended_threads, superblock_split,
+    CoverageResult, EventSimulator, FaultEvalProfile, FaultSimulator, FaultWorklist, PatternSource,
+    SimOptions, SimStats, SuperBlock, WeightedPatterns, BLOCK_WORDS,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -67,7 +67,6 @@ struct Row {
     faults: usize,
     detected: usize,
     patterns: u64,
-    block_words: usize,
     threads: usize,
     /// `None` when the dense baseline is derived, not measured.
     dense_seconds: Option<f64>,
@@ -77,7 +76,7 @@ struct Row {
     dense_node_evals: u64,
     dense_baseline: &'static str,
     event_stats: SimStats,
-    /// Event engine at `W = 1`: same block granularity as dense, so the
+    /// Event kernel at `W = 1`: same block granularity as dense, so the
     /// eval ratio against it isolates the pure scheduling-sparsity win.
     event_w1_stats: SimStats,
     /// Event evals of each shard of the sharded run.
@@ -145,7 +144,7 @@ impl Row {
             self.faults,
             self.detected,
             self.patterns,
-            self.block_words,
+            BLOCK_WORDS,
             self.dense_baseline,
             dense_seconds,
             self.event_seconds,
@@ -185,6 +184,44 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, result)
 }
 
+/// One [`EventSimulator`] at width `W` with fault dropping over the
+/// stream's superblocks, stopping once every fault is detected: each
+/// fault's first detecting pattern, the kernel's work counters, and, with
+/// `profile`, its per-fault eval profile.
+fn simulate_kernel<const W: usize>(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+    profile: bool,
+) -> (Vec<Option<u64>>, SimStats, Option<FaultEvalProfile>) {
+    let mut sim = EventSimulator::<W>::new(circuit, faults);
+    if profile {
+        sim.enable_eval_profile();
+    }
+    let mut worklist = FaultWorklist::full(faults.len());
+    let mut source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
+    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
+    let mut remaining = patterns;
+    let mut blocks = Vec::new();
+    while remaining > 0 {
+        let block = source.next_block(remaining.min(64) as u32);
+        remaining -= u64::from(block.len);
+        blocks.push(block);
+    }
+    let mut detected_at = vec![None; faults.len()];
+    let (mut b, mut done) = (0, 0);
+    while b < blocks.len() && !worklist.is_empty() {
+        let take = superblock_split(&blocks[b..], W);
+        sb.refill_from_blocks(&blocks[b..b + take]);
+        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |i, w| {
+            detected_at[i] = first_set_bit(&w).map(|bit| done + u64::from(bit));
+        });
+        done += u64::from(sb.len);
+        b += take;
+    }
+    (detected_at, sim.stats(), sim.take_eval_profile())
+}
+
 /// Derives the dense engine's exact `node_evals` without running (or even
 /// constructing) it: a profiled event run with fault dropping records how
 /// many 64-pattern blocks each fault stayed excited (clipped at its
@@ -196,26 +233,8 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// count is the per-fault dense engine's whatever the event kernel
 /// groups.
 fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64) -> u64 {
-    let mut sim = EventSimulator::<4>::new(circuit, faults);
-    sim.enable_eval_profile();
-    let mut worklist = FaultWorklist::full(faults.len());
-    let mut source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
-    let mut sb = SuperBlock::<4>::empty(circuit.num_inputs());
-    let mut remaining = patterns;
-    let mut blocks = Vec::new();
-    while remaining > 0 {
-        let block = source.next_block(remaining.min(64) as u32);
-        remaining -= u64::from(block.len);
-        blocks.push(block);
-    }
-    let mut b = 0;
-    while b < blocks.len() && !worklist.is_empty() {
-        let take = superblock_split(&blocks[b..], 4);
-        sb.refill_from_blocks(&blocks[b..b + take]);
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |_, _| {});
-        b += take;
-    }
-    let profile = sim.take_eval_profile().expect("profile enabled");
+    let (_, _, profile) = simulate_kernel::<BLOCK_WORDS>(circuit, faults, patterns, true);
+    let profile = profile.expect("profile enabled");
     let mut cone_len: HashMap<u32, u64> = HashMap::new();
     faults
         .iter()
@@ -260,20 +279,26 @@ fn simulate(
     faults: &FaultList,
     patterns: u64,
     threads: usize,
-    opts: SimOptions,
 ) -> (CoverageResult, SimStats) {
     let source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
     let unlimited = Budget::unlimited();
-    let outcome =
-        fault_coverage_robust(circuit, faults, source, patterns, true, threads, opts, &unlimited);
+    let outcome = fault_coverage_robust(
+        circuit,
+        faults,
+        source,
+        patterns,
+        true,
+        threads,
+        SimOptions::default(),
+        &unlimited,
+    );
     let run = outcome.into_value();
     assert!(run.recovery.is_clean(), "no fail point is armed");
     (run.result, run.stats)
 }
 
-fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: usize) -> Row {
+fn bench_circuit(circuit: &Circuit, patterns: u64, threads: usize) -> Row {
     let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
-    let event_opts = SimOptions::event(block_words);
     let derive_dense = circuit.num_nodes() > DENSE_DERIVE_NODES;
     // Big derived-baseline rows (the 10^5-gate scale circuit) get one
     // timed run per engine instead of warm-up + best-of-2: their
@@ -282,7 +307,7 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     // triple an already-long artifact regeneration.
     let reps = if derive_dense { 0 } else { 2 };
     let (event_seconds, (event, event_stats)) =
-        time_best(reps, || simulate(circuit, &faults, patterns, 1, event_opts));
+        time_best(reps, || simulate(circuit, &faults, patterns, 1));
     let (dense_seconds, dense_node_evals, dense_identical) = if derive_dense {
         (
             None,
@@ -298,12 +323,11 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
             dense == event.detected_at(),
         )
     };
-    // One untimed event pass at W = 1: same block granularity as dense,
-    // isolating the scheduling-sparsity share of the eval reduction.
-    let (event_w1, event_w1_stats) =
-        simulate(circuit, &faults, patterns, 1, SimOptions::event(1));
+    // One untimed event-kernel pass at W = 1: same block granularity as
+    // dense, isolating the scheduling-sparsity share of the eval reduction.
+    let (event_w1, event_w1_stats, _) = simulate_kernel::<1>(circuit, &faults, patterns, false);
     let (event_sharded_seconds, (event_sharded, sharded_stats)) =
-        time_best(reps, || simulate(circuit, &faults, patterns, threads, event_opts));
+        time_best(reps, || simulate(circuit, &faults, patterns, threads));
     // The sharded run's per-shard evals: each shard of the engine's own
     // partition run alone (shards are independent, so their one-shard
     // runs spend exactly what they spend as workers).
@@ -313,9 +337,7 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     let shard_evals: Vec<u64> = (0..partition.num_shards())
         .map(|s| {
             let sublist = partition.sublist(&faults, s);
-            simulate(circuit, &sublist, patterns, 1, event_opts)
-                .1
-                .node_evals
+            simulate(circuit, &sublist, patterns, 1).1.node_evals
         })
         .collect();
     assert_eq!(
@@ -330,7 +352,6 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         faults: faults.len(),
         detected: event.num_detected(),
         patterns,
-        block_words,
         threads,
         dense_seconds,
         event_seconds,
@@ -343,7 +364,7 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         // Shards never split a fanout-free region, so the sharded run
         // spends exactly the one-shard run's evals.
         identical: dense_identical
-            && event == event_w1
+            && event.detected_at() == event_w1
             && event == event_sharded
             && event_stats == sharded_stats,
     }
@@ -362,9 +383,6 @@ fn main() {
     let patterns: u64 = flag(&args, "--patterns")
         .map(|v| v.parse().expect("--patterns N"))
         .unwrap_or(if smoke { 512 } else { 2048 });
-    let block_words: usize = flag(&args, "--block-words")
-        .map(|v| v.parse().expect("--block-words W"))
-        .unwrap_or(4);
     let threads: usize = flag(&args, "--threads")
         .map(|v| v.parse().expect("--threads T"))
         .unwrap_or(4);
@@ -386,7 +404,7 @@ fn main() {
         });
 
     println!(
-        "PPSFP dense vs event ({patterns} patterns, W = {block_words}, \
+        "PPSFP dense vs event ({patterns} patterns, W = {BLOCK_WORDS}, \
          {threads} threads for the sharded-event run, {} cores available)",
         available_threads()
     );
@@ -394,7 +412,7 @@ fn main() {
     for name in &circuits {
         let circuit = wrt_workloads::by_name(name)
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
-        let row = bench_circuit(&circuit, patterns, block_words, threads);
+        let row = bench_circuit(&circuit, patterns, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
              ({:.2}x fewer; {:.2}x from sparsity; {:.2} faults/propagation; \
@@ -415,9 +433,9 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include region grouping and lane retirement: the event engine propagates once per superblock from each fanout-free region head that an excited fault's effect reaches, for all live faults in the region (a fault's lanes at the head are its excited lanes ANDed with the local observability of its effect root along the region's single-fanout path; those sensitization steps are not counted as evals), and stops a propagation once every flipped lane is observed at a primary output; root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. The dense baseline is a serial FaultSimulator loop; the event and event-W1 runs use one fault shard of the fault-simulation engine, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split a fanout-free region; serial_fraction = (serial-path evals + the busiest shard's evals) / all evals of that run, where the serial path (the pattern producer) evaluates no gates - 1/threads is perfect balance, 1 no parallelism, and bench_guard requires 1/threads <= serial_fraction <= 1. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run that counts each fault's own excited blocks - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; both event figures already include region grouping and lane retirement: the event engine propagates once per superblock from each fanout-free region head that an excited fault's effect reaches, for all live faults in the region (a fault's lanes at the head are its excited lanes ANDed with the local observability of its effect root along the region's single-fanout path; those sensitization steps are not counted as evals), and stops a propagation once every flipped lane is observed at a primary output; root_propagations / faults_per_propagation (excited fault-superblock attempts per propagation, at least 1) record that sharing for the event run at block_words; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. The dense baseline is a serial FaultSimulator loop; the event run uses one fault shard of the fault-simulation engine (at its one width, block_words), the event-W1 run one event kernel at W = 1, event_sharded_seconds times the event run on `threads` cone-locality shards, which spends exactly the one-shard evals because shards never split a fanout-free region; serial_fraction = (serial-path evals + the busiest shard's evals) / all evals of that run, where the serial path (the pattern producer) evaluates no gates - 1/threads is perfect balance, 1 no parallelism, and bench_guard requires 1/threads <= serial_fraction <= 1. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run that counts each fault's own excited blocks - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and sharded-event coverage agree exactly, and that the sharded run's work counters equal the one-shard run's. Wall-clock fields are host-dependent; with fewer cores than threads the sharded run measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
-        block_words,
+        BLOCK_WORDS,
         threads,
         available_threads(),
         smoke,

@@ -78,8 +78,7 @@ mod tests {
     use wrt_atpg::ATPG_CHECKPOINT_KIND;
     use wrt_core::OPTIMIZE_CHECKPOINT_KIND;
     use wrt_robust::Checkpoint;
-    use wrt_serve::exec::{self, circuit_arg, engine_arg, load_circuit, sim_options_arg};
-    use wrt_sim::SimOptions;
+    use wrt_serve::exec::{self, circuit_arg, engine_arg, load_circuit};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
@@ -178,45 +177,30 @@ mod tests {
 
     #[test]
     fn simulate_sim_engine_flags() {
-        assert_eq!(sim_options_arg(&args(&[])).unwrap(), SimOptions::event(4));
-        assert_eq!(
-            sim_options_arg(&args(&["--block-words", "8"])).unwrap(),
-            SimOptions::event(8)
-        );
-        assert!(sim_options_arg(&args(&["--block-words", "3"])).is_err());
-        // The engine choice is gone; the flag must fail loudly (unknown
-        // flags are otherwise ignored), whatever the value.
-        for engine in ["dense", "event", "psychic"] {
-            let a = args(&["c880ish", "--patterns", "256", "--engine", engine]);
-            let err = exec::simulate(context(), &a).unwrap_err();
-            assert!(err.starts_with("--engine was removed"), "{err}");
-        }
-        // End-to-end: every width runs.
-        for words in ["1", "2", "4", "8", "16"] {
-            let a = args(&["c880ish", "--patterns", "256", "--block-words", words]);
-            assert!(
-                exec::simulate(context(), &a).is_ok(),
-                "--block-words {words}"
-            );
+        // The engine and width choices are gone; each flag must fail
+        // loudly (unknown flags are otherwise ignored), whatever the value.
+        for (flag, values) in [
+            ("--engine", ["dense", "event", "psychic"]),
+            ("--block-words", ["4", "16", "psychic"]),
+        ] {
+            for value in values {
+                let a = args(&["c880ish", "--patterns", "256", flag, value]);
+                let err = exec::simulate(context(), &a).unwrap_err();
+                assert!(err.starts_with(&format!("{flag} was removed")), "{err}");
+            }
         }
     }
 
     #[test]
     fn simulate_pattern_stripes_flag() {
-        // Accepted for compatibility and without effect: for every width
-        // and any count, the output is byte-identical to the run without
-        // the flag.
-        for words in ["1", "4"] {
-            let plain = args(&[
-                "c880ish", "--patterns", "256", "--threads", "2", "--seed", "7", "--block-words",
-                words,
-            ]);
-            let expected = exec::simulate(context(), &plain).expect("runs");
-            for stripes in ["2", "0", "100000"] {
-                let a = [plain.clone(), args(&["--pattern-stripes", stripes])].concat();
-                let out = exec::simulate(context(), &a).expect("runs");
-                assert_eq!(out, expected, "W = {words}, --pattern-stripes {stripes}");
-            }
+        // Accepted for compatibility and without effect: for any count,
+        // the output is byte-identical to the run without the flag.
+        let plain = args(&["c880ish", "--patterns", "256", "--threads", "2", "--seed", "7"]);
+        let expected = exec::simulate(context(), &plain).expect("runs");
+        for stripes in ["2", "0", "100000"] {
+            let a = [plain.clone(), args(&["--pattern-stripes", stripes])].concat();
+            let out = exec::simulate(context(), &a).expect("runs");
+            assert_eq!(out, expected, "--pattern-stripes {stripes}");
         }
         // Garbage values are parse errors, not panics.
         let a = args(&["c880ish", "--patterns", "256", "--pattern-stripes", "many"]);

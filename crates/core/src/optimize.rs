@@ -608,7 +608,7 @@ fn jitter_sign(i: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrt_estimate::{CopEngine, ExactEngine};
+    use wrt_estimate::{CopEngine, ExactEngine, MonteCarloEngine, StafanEngine};
 
     fn wide_and(k: usize) -> Circuit {
         let mut src = String::from("OUTPUT(y)\n");
@@ -953,6 +953,52 @@ mod tests {
                 }
                 RunOutcome::Interrupted { .. } => panic!("resumed run must complete"),
             }
+        }
+    }
+
+    #[test]
+    fn resume_with_a_sampling_engine_is_bit_identical_to_uninterrupted() {
+        // A sampling engine's estimate depends on its inputs alone, so a
+        // fresh engine resuming a checkpoint draws exactly the samples the
+        // uninterrupted run drew after the interruption.
+        let c = wide_and(8);
+        let faults = FaultList::checkpoints(&c);
+        let config = OptimizeConfig {
+            min_improvement: 0.0,
+            max_sweeps: 4,
+            ..OptimizeConfig::default()
+        };
+        let engines: [fn() -> Box<dyn DetectionProbabilityEngine>; 2] = [
+            || Box::new(StafanEngine::new(64 * 8, 3)),
+            || Box::new(MonteCarloEngine::new(64 * 8, 3)),
+        ];
+        for make in engines {
+            let reference = optimize(&c, &faults, make().as_mut(), &config);
+            let name = make().name();
+            assert!(
+                reference.sweeps.len() >= 2,
+                "{name}: need room to interrupt"
+            );
+            // Interrupt at the start of the second sweep.
+            let budget = wrt_robust::Budget::unlimited().with_max_evals(1 + 2 * 8 + 1);
+            let run = optimize_budgeted(&c, &faults, make().as_mut(), &config, &budget, None)
+                .expect("fresh run");
+            assert_eq!(run.outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+            let ckpt = run.checkpoint.expect("interrupted run must checkpoint");
+            let resumed = optimize_budgeted(
+                &c,
+                &faults,
+                make().as_mut(),
+                &config,
+                &wrt_robust::Budget::unlimited(),
+                Some(&ckpt),
+            )
+            .expect("resume validates");
+            assert!(
+                resumed.outcome.is_complete(),
+                "{name}: resumed run must complete"
+            );
+            assert_same_result(&resumed.outcome.into_value(), &reference, name);
         }
     }
 

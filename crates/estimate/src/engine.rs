@@ -2,7 +2,7 @@
 
 use wrt_circuit::{Circuit, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
-use wrt_robust::Budget;
+use wrt_robust::{fnv1a, Budget};
 use wrt_sim::{detection_counts_robust, SimOptions, WeightedPatterns};
 
 use crate::exact::exact_detection_probability;
@@ -74,6 +74,18 @@ fn coordinate_endpoints(weights: &[f64], coordinate: usize) -> (Vec<f64>, Vec<f6
     let mut at_one = weights.to_vec();
     at_one[coordinate] = 1.0;
     (at_zero, at_one)
+}
+
+/// The seed of a sampling engine's draw at `input_probs`: FNV-1a over the
+/// base seed and the probabilities' bits.  An estimate thus depends on
+/// its inputs alone, not on how many calls came before — so a resumed
+/// optimization draws exactly the samples of an uninterrupted one.
+fn sample_seed(seed: u64, input_probs: &[f64]) -> u64 {
+    fnv1a(
+        seed.to_le_bytes()
+            .into_iter()
+            .chain(input_probs.iter().flat_map(|p| p.to_bits().to_le_bytes())),
+    )
 }
 
 /// The COP detection-probability model for one fault: activation
@@ -150,19 +162,15 @@ impl DetectionProbabilityEngine for CopEngine {
 pub struct StafanEngine {
     /// Number of fault-free patterns to count over.
     pub patterns: u64,
-    /// Base RNG seed (each call derives a fresh stream).
+    /// Base RNG seed (each call draws from a stream derived from it and
+    /// the input probabilities).
     pub seed: u64,
-    calls: u64,
 }
 
 impl StafanEngine {
     /// Creates an engine counting over `patterns` patterns per call.
     pub fn new(patterns: u64, seed: u64) -> Self {
-        StafanEngine {
-            patterns,
-            seed,
-            calls: 0,
-        }
+        StafanEngine { patterns, seed }
     }
 }
 
@@ -173,11 +181,8 @@ impl DetectionProbabilityEngine for StafanEngine {
         faults: &FaultList,
         input_probs: &[f64],
     ) -> Vec<f64> {
-        self.calls += 1;
-        let mut source = WeightedPatterns::new(
-            input_probs.to_vec(),
-            self.seed.wrapping_add(self.calls.wrapping_mul(0x9E37_79B9)),
-        );
+        let mut source =
+            WeightedPatterns::new(input_probs.to_vec(), sample_seed(self.seed, input_probs));
         let counts = StafanCounts::count(circuit, &mut source, self.patterns);
         counts.detection_probabilities(circuit, faults)
     }
@@ -193,11 +198,10 @@ impl DetectionProbabilityEngine for StafanEngine {
 /// Unbiased but blind to probabilities below `≈ 1 / patterns`.
 ///
 /// The simulation runs on the fault-simulation engine
-/// ([`wrt_sim::detection_counts_robust`], unbudgeted, at the default
-/// superblock width): `threads` worker threads each own one
-/// cone-locality-aware fault shard (one shard at `threads = 1`).  The
-/// thread count does not affect the estimates: every count is
-/// bit-identical to the serial dense oracle.
+/// ([`wrt_sim::detection_counts_robust`], unbudgeted): `threads` worker
+/// threads each own one cone-locality-aware fault shard (one shard at
+/// `threads = 1`).  The thread count does not affect the estimates:
+/// every count is bit-identical to the serial dense oracle.
 ///
 /// # Panics
 ///
@@ -208,11 +212,11 @@ impl DetectionProbabilityEngine for StafanEngine {
 pub struct MonteCarloEngine {
     /// Number of simulated patterns per call.
     pub patterns: u64,
-    /// Base RNG seed (each call derives a fresh stream).
+    /// Base RNG seed (each call draws from a stream derived from it and
+    /// the input probabilities).
     pub seed: u64,
     /// Fault-simulation worker threads (`1` = serial, `0` = all cores).
     pub threads: usize,
-    calls: u64,
 }
 
 impl MonteCarloEngine {
@@ -222,7 +226,6 @@ impl MonteCarloEngine {
             patterns,
             seed,
             threads: 1,
-            calls: 0,
         }
     }
 
@@ -240,11 +243,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
         faults: &FaultList,
         input_probs: &[f64],
     ) -> Vec<f64> {
-        self.calls += 1;
-        let source = WeightedPatterns::new(
-            input_probs.to_vec(),
-            self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
-        );
+        let source = WeightedPatterns::new(input_probs.to_vec(), sample_seed(self.seed, input_probs));
         simulate_counts(circuit, faults, source, self.patterns, self.threads)
             .into_iter()
             .map(|c| c as f64 / self.patterns as f64)
@@ -255,8 +254,8 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
     /// budget between them (each half still shards its fault list).
     /// Identical output to two sequential
     /// [`estimate`](DetectionProbabilityEngine::estimate) calls — the
-    /// per-call seed derivation and the simulation engine's results are
-    /// both independent of the thread count.
+    /// seed derivation and the simulation engine's results are both
+    /// independent of the thread count.
     ///
     /// With an effective budget of one thread (explicit `threads = 1`,
     /// or auto mode on a small fault list / single-core machine) it
@@ -277,13 +276,8 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             );
         }
         let patterns = self.patterns;
-        let mut source_for = |probs: &[f64]| {
-            self.calls += 1;
-            WeightedPatterns::new(
-                probs.to_vec(),
-                self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
-            )
-        };
+        let source_for =
+            |probs: &[f64]| WeightedPatterns::new(probs.to_vec(), sample_seed(self.seed, probs));
         let source_a = source_for(&probs_a);
         let source_b = source_for(&probs_b);
         // Split the budget without losing the odd thread (e.g. 3 → 2 + 1).
@@ -476,8 +470,7 @@ mod tests {
         let faults = FaultList::full(&c);
         let probs = [0.4, 0.5, 0.6];
         let patterns = 64 * 20;
-        // The first call draws from `seed + 0x2545_F491`.
-        let source = WeightedPatterns::new(probs.to_vec(), 9 + 0x2545_F491);
+        let source = WeightedPatterns::new(probs.to_vec(), sample_seed(9, &probs));
         let expected: Vec<f64> = wrt_sim::detection_counts(&c, &faults, source, patterns)
             .into_iter()
             .map(|n| n as f64 / patterns as f64)
@@ -498,7 +491,7 @@ mod tests {
         let weights = [0.3, 0.5, 0.7];
         let a = [0.3, 0.0, 0.7];
         let b = [0.3, 1.0, 0.7];
-        // Same engine state (seed, calls): pair == two sequential calls.
+        // Same seed: pair == two sequential calls.
         let mut sequential = MonteCarloEngine::new(64 * 10, 13);
         let expected = (
             sequential.estimate(&c, &faults, &a),

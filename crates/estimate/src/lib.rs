@@ -63,7 +63,6 @@
 mod bdd;
 mod cop;
 mod cutting;
-mod degrade;
 mod engine;
 mod exact;
 mod hybrid;
@@ -78,7 +77,6 @@ pub use bdd::{exact_signal_probabilities_bdd, BddEngine, BddManager, BddOverflow
 pub use cop::{observabilities_cop, signal_probabilities_cop};
 pub use hybrid::HybridEngine;
 pub use cutting::{signal_probability_bounds, CuttingBounds, ProbabilityInterval};
-pub use degrade::DegradingEngine;
 pub use engine::{
     CopEngine, DetectionProbabilityEngine, ExactEngine, MonteCarloEngine, StafanEngine,
 };

@@ -123,20 +123,6 @@ impl FaultPartition {
         FaultPartition { offsets, data }
     }
 
-    /// Partitions `0..num_faults` into round-robin shards, ignoring cone
-    /// structure.  Useful as a locality-blind baseline.
-    pub fn round_robin(num_faults: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.clamp(1, num_faults.max(1));
-        let mut offsets: Vec<u32> = Vec::with_capacity(num_shards + 1);
-        offsets.push(0);
-        let mut data: Vec<FaultId> = Vec::with_capacity(num_faults);
-        for s in 0..num_shards {
-            data.extend((s..num_faults).step_by(num_shards).map(FaultId::from_index));
-            offsets.push(data.len() as u32);
-        }
-        FaultPartition { offsets, data }
-    }
-
     /// Number of shards (≥ 1; at most the requested shard count).
     pub fn num_shards(&self) -> usize {
         self.offsets.len() - 1
@@ -310,15 +296,6 @@ mod tests {
         let p = partition(&c, &faults, 4);
         assert_eq!(p.num_shards(), 1);
         assert!(p.shard(0).is_empty());
-        let rr = FaultPartition::round_robin(0, 4);
-        assert_eq!(rr.num_shards(), 1);
-    }
-
-    #[test]
-    fn round_robin_balances_counts() {
-        let p = FaultPartition::round_robin(10, 3);
-        let lens: Vec<usize> = p.shards().map(<[_]>::len).collect();
-        assert_eq!(lens, vec![4, 3, 3]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The graceful-degradation ladder.
 //!
-//! When a subsystem detects an anomaly — a panicked shard, an aborted
-//! guided ATPG search, a non-finite estimate — it does not abort the run.
+//! When a subsystem detects an anomaly — a panicked shard or an aborted
+//! guided ATPG search — it does not abort the run.
 //! It steps down one rung of a fixed ladder to a simpler, more
 //! conservative strategy and records the step, so the run completes
 //! (possibly slower) and the report says exactly what was degraded and
@@ -14,13 +14,12 @@
 //! | sim       | sharded worklist     | shard replay (event)        |
 //! | sim       | shard replay (event) | shard replay (dense oracle) |
 //! | atpg      | guided PODEM         | unguided PODEM              |
-//! | estimate  | screened engine      | stateless COP               |
 //!
-//! Every fallback preserves the bit-identity contract: shard replays, the
-//! dense oracle, and stateless COP (behind a COP engine) produce the same
-//! results as their preferred counterparts (that equivalence is
-//! property-tested elsewhere), so stepping down trades only speed, never
-//! correctness.
+//! The simulation fallbacks preserve the bit-identity contract: shard
+//! replays and the dense oracle produce the same results as the sharded
+//! worklist (that equivalence is property-tested elsewhere), so stepping
+//! down trades only speed, never correctness.  ATPG's unguided retry
+//! revisits only the faults the guided search aborted.
 
 use std::fmt;
 
@@ -32,9 +31,6 @@ pub enum DegradeStep {
     /// A poisoned shard's event replay failed too, and the shard was
     /// replayed on the serial dense oracle.
     EventToDense,
-    /// Detection-probability estimation retired its screened primary
-    /// engine after an anomaly and fell back to stateless COP.
-    IncrementalToStateless,
     /// A panicked shard's fault worklist was requeued for serial replay.
     ShardRequeue,
 }
@@ -45,7 +41,6 @@ impl DegradeStep {
         match self {
             DegradeStep::GuidedToUnguided => "guided_to_unguided",
             DegradeStep::EventToDense => "event_to_dense",
-            DegradeStep::IncrementalToStateless => "incremental_to_stateless",
             DegradeStep::ShardRequeue => "shard_requeue",
         }
     }
@@ -56,9 +51,6 @@ impl fmt::Display for DegradeStep {
         match self {
             DegradeStep::GuidedToUnguided => write!(f, "guided PODEM -> unguided PODEM"),
             DegradeStep::EventToDense => write!(f, "event engine -> dense engine"),
-            DegradeStep::IncrementalToStateless => {
-                write!(f, "incremental COP -> stateless COP")
-            }
             DegradeStep::ShardRequeue => write!(f, "sharded worklist -> serial replay"),
         }
     }
@@ -153,10 +145,10 @@ mod tests {
         let mut a = Ladder::new();
         a.record(DegradeStep::GuidedToUnguided, "fault 7 aborted");
         let mut b = Ladder::new();
-        b.record(DegradeStep::IncrementalToStateless, "non-finite estimate");
+        b.record(DegradeStep::ShardRequeue, "shard 2 worker panicked");
         a.merge(b);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.steps()[1].0, DegradeStep::IncrementalToStateless);
+        assert_eq!(a.steps()[1].0, DegradeStep::ShardRequeue);
     }
 
     #[test]
@@ -164,7 +156,6 @@ mod tests {
         for step in [
             DegradeStep::GuidedToUnguided,
             DegradeStep::EventToDense,
-            DegradeStep::IncrementalToStateless,
             DegradeStep::ShardRequeue,
         ] {
             let name = step.name();

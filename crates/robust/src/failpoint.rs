@@ -162,8 +162,6 @@ pub mod sites {
     pub const CHECKPOINT_WRITE: &str = "checkpoint::write";
     /// Cooperative budget check-in.
     pub const BUDGET_CHECK_IN: &str = "budget::check_in";
-    /// Detection-probability estimate anomaly (degradation-ladder drill).
-    pub const ESTIMATE_ANOMALY: &str = "estimate::anomaly";
     /// One accepted connection in the `wrt serve` accept loop.
     pub const SERVE_ACCEPT: &str = "serve::accept";
     /// One request dispatch inside a `wrt serve` session handler.
@@ -172,12 +170,11 @@ pub mod sites {
     pub const SERVE_ECO_APPLY: &str = "serve::eco_apply";
 
     /// Every planted site, for seed-driven chaos iteration.
-    pub const ALL: [&str; 8] = [
+    pub const ALL: [&str; 7] = [
         WORKER_SPAWN,
         SHARD_MERGE,
         CHECKPOINT_WRITE,
         BUDGET_CHECK_IN,
-        ESTIMATE_ANOMALY,
         SERVE_ACCEPT,
         SERVE_SESSION,
         SERVE_ECO_APPLY,

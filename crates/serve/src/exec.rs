@@ -77,17 +77,14 @@ commands:
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
   simulate <circuit> --patterns N [--weights w1,w2,...] [--seed S] [--threads T]
-           [--block-words W] [--pattern-stripes P]
-           [--time-limit SECS] [--max-evals N]
+           [--pattern-stripes P] [--time-limit SECS] [--max-evals N]
            weighted-random fault simulation: event-driven sparse
-           propagation over W-word superblocks (--block-words 1|2|4|8|16,
-           default 4), once per fanout-free region head for all faults
-           whose effects reach it, stopping once every flipped pattern is
-           observed.  Root propagations (from region heads) are reported
-           next to the gate evals.
+           propagation over 256-pattern superblocks, once per fanout-free
+           region head for all faults whose effects reach it, stopping
+           once every flipped pattern is observed.  Root propagations
+           (from region heads) are reported next to the gate evals.
            --pattern-stripes P is accepted for compatibility and has no
-           effect.  Coverage is bit-identical for every width/thread
-           choice.
+           effect.  Coverage is bit-identical for every thread count.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
            [--degrade] [--time-limit SECS] [--max-evals N]
            [--max-backtracks-total N] [--checkpoint F] [--resume F]
@@ -831,7 +828,7 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let seed: u64 = parse_flag(args, "--seed", 42)?;
     let weights = weights_arg(args, circuit.num_inputs())?;
     let threads: usize = parse_flag(args, "--threads", 0)?;
-    let opts = sim_options_arg(args)?;
+    reject_removed_sim_flags(args)?;
     // Accepted for compatibility with the retired 2D tiled engine: still
     // validated, but it no longer changes anything.
     let _: usize = parse_flag(args, "--pattern-stripes", 0)?;
@@ -845,7 +842,7 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         patterns,
         true,
         threads,
-        opts,
+        SimOptions::default(),
         &budget,
     );
     let robust = match outcome {
@@ -885,22 +882,18 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the simulate subcommand's `--block-words W` into validated
-/// [`SimOptions`].
-pub fn sim_options_arg(args: &[String]) -> Result<SimOptions, String> {
-    // Unknown flags are otherwise ignored, so a removed one must say so.
+/// Rejects the simulate subcommand's removed flags, whatever their value:
+/// unknown flags are otherwise ignored, so a removed one must say so.
+fn reject_removed_sim_flags(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--engine") {
-        return Err("--engine was removed: simulate always runs the event kernel; \
-             pick its superblock width with --block-words"
+        return Err("--engine was removed: simulate always runs the event kernel".into());
+    }
+    if args.iter().any(|a| a == "--block-words") {
+        return Err("--block-words was removed: simulate runs one superblock width, \
+             and coverage never depended on it"
             .into());
     }
-    let opts = SimOptions::event(parse_flag(
-        args,
-        "--block-words",
-        SimOptions::default().block_words,
-    )?);
-    opts.validate()?;
-    Ok(opts)
+    Ok(())
 }
 
 pub fn atpg(ctx: &ExecContext, args: &[String]) -> Result<String, String> {

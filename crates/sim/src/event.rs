@@ -9,13 +9,13 @@
 //! propagation terminates the moment the active frontier drains.  Faults
 //! whose effects die early cost `O(frontier)` instead of `O(cone)`.
 //!
-//! On top of that, blocks are widened from one `u64` to
-//! `W ∈ {1, 2, 4, 8, 16}` words ([`SuperBlock`]): each scheduled node
-//! evaluates `64 * W` patterns
-//! at once through fixed-size `[u64; W]` lanes
-//! ([`crate::eval_gate_lanes`]), amortizing the scheduling and good-value
-//! lookups across `W`× more patterns and giving the autovectorizer
-//! straight-line SIMD bodies.
+//! On top of that, blocks are widened from one `u64` to `W` words
+//! ([`SuperBlock`]; the fault-simulation engine runs at
+//! [`crate::BLOCK_WORDS`], ATPG's fault dropping at 1): each scheduled
+//! node evaluates `64 * W` patterns at once through fixed-size
+//! `[u64; W]` lanes ([`crate::eval_gate_lanes`]), amortizing the
+//! scheduling and good-value lookups across `W`× more patterns and giving
+//! the autovectorizer straight-line SIMD bodies.
 //!
 //! # Event queue invariants
 //!
@@ -65,9 +65,8 @@
 //! chains its faults touch, not for a whole-circuit backward sweep.
 //!
 //! Detection results are bit-identical to the dense oracle for every
-//! block width, drop mode, and shard count — property-tested in this
-//! module and relied on by the whole stack (`MonteCarloEngine`, the CLI,
-//! the benches).
+//! drop mode and shard count — property-tested in this module and relied
+//! on by the whole stack (`MonteCarloEngine`, the CLI, the benches).
 
 use std::borrow::Cow;
 
@@ -77,89 +76,6 @@ use wrt_fault::{Fault, FaultList, FaultSite};
 use crate::fault_sim::FaultWorklist;
 use crate::logic::{eval_gate_lanes, WideLogicSim};
 use crate::patterns::PatternBlock;
-
-/// Superblock widths the event engine is monomorphized over.
-///
-/// Adding a width means extending this list *and* the `with_block_words!`
-/// dispatch macro below — the two are the single source of truth every
-/// entry point shares.
-pub const SUPPORTED_BLOCK_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Monomorphizes `$body` over the supported superblock widths: `$W`
-/// becomes a `const usize` bound to the runtime value `$w`.  The one copy
-/// of the width dispatch, used by the shard workers in `parallel.rs`.
-///
-/// Callers must have validated `$w` via [`SimOptions::validate`] first.
-macro_rules! with_block_words {
-    ($w:expr, $W:ident => $body:expr) => {
-        match $w {
-            1 => {
-                const $W: usize = 1;
-                $body
-            }
-            2 => {
-                const $W: usize = 2;
-                $body
-            }
-            4 => {
-                const $W: usize = 4;
-                $body
-            }
-            8 => {
-                const $W: usize = 8;
-                $body
-            }
-            16 => {
-                const $W: usize = 16;
-                $body
-            }
-            _ => unreachable!("SimOptions::validate admits only SUPPORTED_BLOCK_WORDS"),
-        }
-    };
-}
-pub(crate) use with_block_words;
-
-/// Configuration of the PPSFP inner loop: the superblock width.
-///
-/// The default is `W = 4` (256 patterns per pass).  Results are
-/// bit-identical to the dense oracle ([`crate::fault_coverage`]) at every
-/// width; only the cost changes, and the cheapest width depends on the
-/// workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimOptions {
-    /// Words per superblock (`64 * block_words` patterns per pass).
-    /// Must be one of [`SUPPORTED_BLOCK_WORDS`].
-    pub block_words: usize,
-}
-
-impl SimOptions {
-    /// The event kernel at the given superblock width.
-    pub fn event(block_words: usize) -> Self {
-        SimOptions { block_words }
-    }
-
-    /// Checks the option combination.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message when `block_words` is not a
-    /// supported width.
-    pub fn validate(&self) -> Result<(), String> {
-        if !SUPPORTED_BLOCK_WORDS.contains(&self.block_words) {
-            return Err(format!(
-                "block_words must be one of {SUPPORTED_BLOCK_WORDS:?}, got {}",
-                self.block_words
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions::event(4)
-    }
-}
 
 /// Machine-independent work counters of one PPSFP run.
 ///
@@ -893,7 +809,8 @@ mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::{ExhaustivePatterns, PatternSource, WeightedPatterns};
-    use crate::test_support::{counts, coverage, dense_stats};
+    use crate::test_support::{counts, coverage, dense_superblock_stats};
+    use crate::BLOCK_WORDS;
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -925,9 +842,9 @@ mod tests {
         let sb = SuperBlock::<4>::from_blocks(&blocks);
         assert_eq!(sb.len, 130);
         assert_eq!(sb.mask(), [u64::MAX, u64::MAX, 0b11, 0]);
-        let full = SuperBlock::<2>::from_blocks(&blocks[..2]);
-        assert_eq!(full.len, 128);
-        assert_eq!(full.mask(), [u64::MAX, u64::MAX]);
+        let two = SuperBlock::<4>::from_blocks(&blocks[..2]);
+        assert_eq!(two.len, 128);
+        assert_eq!(two.mask(), [u64::MAX, u64::MAX, 0, 0]);
     }
 
     #[test]
@@ -972,20 +889,13 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let short = || ShortBlocks(WeightedPatterns::equiprobable(3, 3));
         let dense = fault_coverage(&c, &faults, short(), 200, true);
-        for words in SUPPORTED_BLOCK_WORDS {
-            let (event, _) =
-                coverage(&c, &faults, short(), 200, true, 1, SimOptions::event(words));
-            assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
-            let (sharded, _) = coverage(
-                &c,
-                &faults,
-                short(),
-                200,
-                true,
-                3,
-                SimOptions::event(words),
+        for threads in [1, 3] {
+            let (event, _) = coverage(&c, &faults, short(), 200, true, threads);
+            assert_eq!(
+                dense.detected_at(),
+                event.detected_at(),
+                "threads = {threads}"
             );
-            assert_eq!(dense.detected_at(), sharded.detected_at(), "sharded W = {words}");
         }
         // A short mid-stream block closes the superblock early.
         let mut src = short();
@@ -1014,10 +924,10 @@ mod tests {
 
     #[test]
     fn lane_bit_helpers() {
-        let lanes = [0u64, 0b1000, u64::MAX];
+        let lanes = [0u64, 0b1000, u64::MAX, 0];
         assert_eq!(first_set_bit(&lanes), Some(64 + 3));
         assert_eq!(count_set_bits(&lanes), 1 + 64);
-        assert_eq!(first_set_bit(&[0u64; 2]), None);
+        assert_eq!(first_set_bit(&[0u64; 4]), None);
         assert_eq!(first_set_bit(&[1u64]), Some(0));
     }
 
@@ -1027,18 +937,9 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let dense = fault_coverage(&c, &faults, ExhaustivePatterns::new(3), 8, false);
         for drop in [false, true] {
-            for words in SUPPORTED_BLOCK_WORDS {
-                let (event, stats) = coverage(
-                    &c,
-                    &faults,
-                    ExhaustivePatterns::new(3),
-                    8,
-                    drop, 1,
-                    SimOptions::event(words),
-                );
-                assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
-                assert!(stats.fault_blocks > 0);
-            }
+            let (event, stats) = coverage(&c, &faults, ExhaustivePatterns::new(3), 8, drop, 1);
+            assert_eq!(dense.detected_at(), event.detected_at(), "drop = {drop}");
+            assert!(stats.fault_blocks > 0);
         }
     }
 
@@ -1047,16 +948,8 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let dense = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 5), 999);
-        for words in SUPPORTED_BLOCK_WORDS {
-            let (event, _) = counts(
-                &c,
-                &faults,
-                WeightedPatterns::equiprobable(3, 5),
-                999, 1,
-                SimOptions::event(words),
-            );
-            assert_eq!(dense, event, "W = {words}");
-        }
+        let (event, _) = counts(&c, &faults, WeightedPatterns::equiprobable(3, 5), 999, 1);
+        assert_eq!(dense, event);
     }
 
     #[test]
@@ -1193,10 +1086,10 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let source = || WeightedPatterns::equiprobable(3, 77);
-        let dense = dense_stats(&c, &faults, source(), 512, true);
-        let (_, event) = coverage(&c, &faults, source(), 512, true, 1, SimOptions::event(1));
-        // Same blocks, same drops at W = 1: the event engine evaluates a
-        // subset of each cone.
+        let dense = dense_superblock_stats::<BLOCK_WORDS>(&c, &faults, source(), 512, true);
+        let (_, event) = coverage(&c, &faults, source(), 512, true, 1);
+        // Same superblocks, same drops: each propagation evaluates a
+        // subset of the cone of some excited fault the oracle walks.
         assert!(
             event.node_evals <= dense.node_evals,
             "event {} vs dense {}",
@@ -1204,109 +1097,28 @@ mod tests {
             dense.node_evals
         );
     }
-
-    #[test]
-    fn options_validation() {
-        assert!(SimOptions::default().validate().is_ok());
-        for w in SUPPORTED_BLOCK_WORDS {
-            assert!(SimOptions::event(w).validate().is_ok());
-        }
-        assert!(SimOptions::event(0).validate().is_err());
-        assert!(SimOptions::event(3).validate().is_err());
-        assert!(SimOptions::event(32).validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SimOptions")]
-    fn invalid_width_panics_in_driver() {
-        let c = adder();
-        let faults = wrt_fault::FaultList::primary_inputs(&c);
-        let _ = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 1),
-            64,
-            true, 1,
-            SimOptions::event(5),
-        );
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::fault_sim::{detection_counts, fault_coverage, FaultSimulator};
+    use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::{PatternSource, WeightedPatterns};
-    use crate::test_support::{arb_chain_circuit, arb_circuit, counts, coverage, dense_stats};
+    use crate::test_support::{
+        arb_chain_circuit, arb_circuit, counts, coverage, dense_stats, dense_superblock_stats,
+    };
+    use crate::BLOCK_WORDS;
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
-    /// The dense oracle's per-fault counters regrouped into `W`-word
-    /// superblocks: every lane word of a superblock is one dense block
-    /// (padding lanes included, as the event engine sees them), and a
-    /// `(fault, superblock)` attempt is excited, detected, or a frontier
-    /// death when any of its blocks is excited, when any detects, or when
-    /// it is excited and no excited block reached an output.  With `drop`
-    /// a fault leaves after its detecting superblock.
-    fn dense_superblock_stats<const W: usize>(
-        circuit: &Circuit,
-        faults: &FaultList,
-        mut source: impl PatternSource,
-        patterns: u64,
-        drop: bool,
-    ) -> SimStats {
-        let mut blocks = Vec::new();
-        let mut left = patterns;
-        while left > 0 {
-            let block = source.next_block(left.min(64) as u32);
-            left -= u64::from(block.len);
-            blocks.push(block);
+    /// Every field but the two propagation costs, which region grouping
+    /// changes.
+    fn unpropagated(s: SimStats) -> SimStats {
+        SimStats {
+            node_evals: 0,
+            root_propagations: 0,
+            ..s
         }
-        let mut dense = FaultSimulator::new(circuit, faults);
-        let mut live = vec![true; faults.len()];
-        let mut stats = SimStats::default();
-        let mut b = 0;
-        while b < blocks.len() {
-            let take = superblock_split(&blocks[b..], W);
-            let sb = SuperBlock::<W>::from_blocks(&blocks[b..b + take]);
-            let mask = sb.mask();
-            for i in 0..faults.len() {
-                if !live[i] {
-                    continue;
-                }
-                let (mut excited, mut reached, mut detected) = (false, false, false);
-                for k in 0..W {
-                    let words: Vec<u64> = sb.words.iter().map(|lanes| lanes[k]).collect();
-                    let only: Vec<bool> = (0..faults.len()).map(|j| j == i).collect();
-                    let before = dense.stats();
-                    dense.detect_block_worklist(
-                        &words,
-                        mask[k],
-                        &mut FaultWorklist::from_active(&only),
-                        false,
-                        |_, _| {},
-                    );
-                    let after = dense.stats();
-                    if after.unexcited == before.unexcited {
-                        excited = true;
-                        reached |= after.frontier_deaths == before.frontier_deaths;
-                    }
-                    detected |= after.detected_blocks > before.detected_blocks;
-                }
-                stats.fault_blocks += 1;
-                if !excited {
-                    stats.unexcited += 1;
-                } else if !reached {
-                    stats.frontier_deaths += 1;
-                }
-                if detected {
-                    stats.detected_blocks += 1;
-                    live[i] &= !drop;
-                }
-            }
-            b += take;
-        }
-        stats
     }
 
     proptest! {
@@ -1315,70 +1127,46 @@ mod proptests {
         /// The event-driven engine is bit-identical to the dense one —
         /// `detected_at` and `counts`, and the sharded engine's work
         /// counters equal the serial ones — across random circuits, weights,
-        /// superblock widths 1/2/4/8/16, pattern counts, drop modes, and
-        /// shard counts (1 = serial, plus oversharding).
+        /// pattern counts, drop modes, and shard counts (1 = serial, plus
+        /// oversharding).
         #[test]
         fn event_is_bit_identical_to_dense(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            width_and_threads in (0usize..5, 1usize..7),
+            threads in 1usize..7,
             seed in 0u64..1_000,
             patterns in 1u64..700,
             drop in any::<bool>(),
         ) {
-            let (width_idx, threads) = width_and_threads;
             let faults = FaultList::full(&circuit);
-            let words = SUPPORTED_BLOCK_WORDS[width_idx];
-            let opts = SimOptions::event(words);
+            let source = || WeightedPatterns::new(weights.clone(), seed);
 
-            let dense = fault_coverage(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop,
-            );
-            let (event, event_stats) = coverage(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, 1, opts,
-            );
+            let dense = fault_coverage(&circuit, &faults, source(), patterns, drop);
+            let (event, event_stats) = coverage(&circuit, &faults, source(), patterns, drop, 1);
             prop_assert_eq!(dense.detected_at(), event.detected_at());
 
-            let (event_sharded, sharded_stats) = coverage(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, threads, opts,
-            );
+            let (event_sharded, sharded_stats) =
+                coverage(&circuit, &faults, source(), patterns, drop, threads);
             prop_assert_eq!(dense.detected_at(), event_sharded.detected_at());
             // Shards never split a fanout-free region, so sharding changes
             // no counter — root propagations and gate evals included.
             prop_assert_eq!(event_stats, sharded_stats);
 
-            let serial_counts = detection_counts(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns,
-            );
-            let (counts_event, _) = counts(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, 1, opts,
-            );
+            let serial_counts = detection_counts(&circuit, &faults, source(), patterns);
+            let (counts_event, _) = counts(&circuit, &faults, source(), patterns, 1);
             prop_assert_eq!(&serial_counts, &counts_event);
 
-            let (counts_sharded, _) = counts(
-                &circuit, &faults,
-                WeightedPatterns::new(weights, seed),
-                patterns, threads, opts,
-            );
+            let (counts_sharded, _) = counts(&circuit, &faults, source(), patterns, threads);
             prop_assert_eq!(&serial_counts, &counts_sharded);
         }
 
-        /// Region grouping keeps every per-fault counter exact: at `W = 1`
-        /// the event engine's stats equal the dense engine's on every
-        /// field but the two propagation costs, which never exceed the
-        /// dense ones.  Full fault lists make roots shared.
+        /// Region grouping keeps every per-fault counter exact: the
+        /// engine's stats equal the dense engine's regrouped into the same
+        /// superblocks on every field but the two propagation costs, which
+        /// never exceed the dense ones.  Full fault lists make roots
+        /// shared.
         #[test]
-        fn event_stats_match_dense_at_one_word(
+        fn event_stats_match_dense_per_superblock(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
             seed in 0u64..1_000,
@@ -1387,17 +1175,13 @@ mod proptests {
         ) {
             let faults = FaultList::full(&circuit);
             let source = || WeightedPatterns::new(weights.clone(), seed);
-            let dense = dense_stats(&circuit, &faults, source(), patterns, drop);
-            let (_, event) = coverage(
-                &circuit, &faults, source(), patterns, drop, 1, SimOptions::event(1),
+            let dense = dense_superblock_stats::<BLOCK_WORDS>(
+                &circuit, &faults, source(), patterns, drop,
             );
+            let (_, event) = coverage(&circuit, &faults, source(), patterns, drop, 1);
             prop_assert!(event.node_evals <= dense.node_evals);
             prop_assert!(event.root_propagations <= dense.root_propagations);
-            prop_assert_eq!(dense.root_propagations, dense.excited());
-            prop_assert_eq!(
-                SimStats { node_evals: 0, root_propagations: 0, ..event },
-                SimStats { node_evals: 0, root_propagations: 0, ..dense }
-            );
+            prop_assert_eq!(unpropagated(event), unpropagated(dense));
             prop_assert!(event.faults_per_propagation() >= 1.0);
         }
 
@@ -1407,7 +1191,6 @@ mod proptests {
         fn excited_blocks_derive_the_dense_evals(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            width_idx in 0usize..5,
             seed in 0u64..1_000,
             patterns in 1u64..700,
         ) {
@@ -1421,19 +1204,17 @@ mod proptests {
             let blocks: Vec<_> = (0..patterns.div_ceil(64))
                 .map(|b| source.next_block((patterns - 64 * b).min(64) as u32))
                 .collect();
-            let excited = with_block_words!(SUPPORTED_BLOCK_WORDS[width_idx], W => {
-                let mut sim = EventSimulator::<W>::new(&circuit, &faults);
-                sim.enable_eval_profile();
-                let mut worklist = FaultWorklist::full(faults.len());
-                let mut b = 0;
-                while b < blocks.len() && !worklist.is_empty() {
-                    let take = superblock_split(&blocks[b..], W);
-                    let sb = SuperBlock::<W>::from_blocks(&blocks[b..b + take]);
-                    sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |_, _| {});
-                    b += take;
-                }
-                sim.take_eval_profile().expect("enabled").excited_blocks
-            });
+            let mut sim = EventSimulator::<BLOCK_WORDS>::new(&circuit, &faults);
+            sim.enable_eval_profile();
+            let mut worklist = FaultWorklist::full(faults.len());
+            let mut b = 0;
+            while b < blocks.len() && !worklist.is_empty() {
+                let take = superblock_split(&blocks[b..], BLOCK_WORDS);
+                let sb = SuperBlock::<BLOCK_WORDS>::from_blocks(&blocks[b..b + take]);
+                sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, true, |_, _| {});
+                b += take;
+            }
+            let excited = sim.take_eval_profile().expect("enabled").excited_blocks;
             let derived: u64 = faults
                 .iter()
                 .zip(&excited)
@@ -1447,32 +1228,27 @@ mod proptests {
 
         /// Region grouping and lane retirement keep every per-fault
         /// counter exact on circuits made of long single-fanout chains:
-        /// at every superblock width the event engine's stats (one shard
-        /// and sharded) equal the dense `FaultSimulator`'s regrouped into
-        /// the same superblocks on every field but the two propagation
-        /// costs, and its detections equal the dense oracle's.
+        /// the event engine's stats (one shard and sharded) equal the
+        /// dense `FaultSimulator`'s regrouped into the same superblocks on
+        /// every field but the two propagation costs, and its detections
+        /// equal the dense oracle's.
         #[test]
         fn chain_regions_keep_every_per_fault_counter(
             circuit in arb_chain_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            width_and_threads in (0usize..5, 1usize..6),
+            threads in 1usize..6,
             seed in 0u64..1_000,
             patterns in 1u64..700,
             drop in any::<bool>(),
         ) {
-            let (width_idx, threads) = width_and_threads;
             let faults = FaultList::full(&circuit);
-            let words = SUPPORTED_BLOCK_WORDS[width_idx];
             let source = || WeightedPatterns::new(weights.clone(), seed);
             let dense = fault_coverage(&circuit, &faults, source(), patterns, drop);
-            let oracle = with_block_words!(words, W => {
-                dense_superblock_stats::<W>(&circuit, &faults, source(), patterns, drop)
-            });
-            let unpropagated = |s: SimStats| SimStats { node_evals: 0, root_propagations: 0, ..s };
+            let oracle = dense_superblock_stats::<BLOCK_WORDS>(
+                &circuit, &faults, source(), patterns, drop,
+            );
             for shards in [1, threads] {
-                let (event, stats) = coverage(
-                    &circuit, &faults, source(), patterns, drop, shards, SimOptions::event(words),
-                );
+                let (event, stats) = coverage(&circuit, &faults, source(), patterns, drop, shards);
                 prop_assert_eq!(dense.detected_at(), event.detected_at());
                 prop_assert_eq!(unpropagated(stats), unpropagated(oracle));
                 prop_assert!(stats.root_propagations <= stats.excited());
@@ -1485,10 +1261,8 @@ mod proptests {
         fn event_oversharding_is_identical(
             circuit in arb_circuit(),
             seed in 0u64..100,
-            width_idx in 0usize..5,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
-            let opts = SimOptions::event(SUPPORTED_BLOCK_WORDS[width_idx]);
             let dense = fault_coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
@@ -1497,7 +1271,7 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                300, true, faults.len() * 3 + 7, opts,
+                300, true, faults.len() * 3 + 7,
             );
             prop_assert_eq!(dense.detected_at(), sharded.detected_at());
         }

@@ -20,10 +20,10 @@
 //! bounded chunks — so a run keeps to its deadline and its memory stays
 //! flat whatever the pattern count.  `threads = 1` runs one shard.  Every
 //! shard worker runs the event kernel ([`EventSimulator`]): event-driven
-//! sparse propagation over `W`-word superblocks ([`SuperBlock`],
-//! `W ∈ {1, 2, 4, 8, 16}`, picked via [`SimOptions`]) — only nodes
-//! actually reached by a fault effect are evaluated, until every flipped
-//! pattern is observed, and each evaluation covers `64 * W` patterns.
+//! sparse propagation over [`BLOCK_WORDS`]-word superblocks
+//! ([`SuperBlock`]) — only nodes actually reached by a fault effect are
+//! evaluated, until every flipped pattern is observed, and each
+//! evaluation covers `64 * BLOCK_WORDS` patterns.
 //! The faults of one fanout-free region are propagated once per
 //! superblock from the region's head — the head complemented in the
 //! union of their lanes that reach it, each fault detected where those
@@ -34,13 +34,15 @@
 //! The [`FaultSimulator`]'s per-fault cone walk over one `u64` block is
 //! the serial dense oracle ([`fault_coverage`], [`detection_counts`]).
 //! Merging per-shard results by fault id makes the engine bit-identical
-//! to it for every thread count and width — a property-tested invariant.
+//! to it for every thread count — a property-tested invariant.
 //! Both entry points also report machine-independent work counters
 //! ([`SimStats`]), the metrics `BENCH_sim.json` tracks, and what shard
 //! recovery the run needed ([`ShardRecovery`]).
 //!
 //! [`fault_coverage_tiled_robust`] and its option and stats types are a
-//! compatibility forwarder for the retired 2D tiled engine.
+//! compatibility forwarder for the retired 2D tiled engine, and
+//! [`SimOptions`] is the engine's former, now empty, option set; both
+//! stay for the frozen `perfbench/trace` helper.
 //!
 //! # Example
 //!
@@ -75,15 +77,15 @@ mod tile;
 
 pub use coverage::{CoverageCurve, CoverageResult};
 pub use event::{
-    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile, SimOptions,
-    SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile, SimStats,
+    SuperBlock,
 };
 pub use fault_sim::{detection_counts, fault_coverage, FaultSimulator, FaultWorklist};
 pub use logic::{eval_gate_lanes, eval_gate_words, simulate_pattern, LogicSim, WideLogicSim};
 pub use multiple::{detect_multiple, multiple_fault_coverage, random_multiples};
 pub use parallel::{
     available_threads, detection_counts_robust, fault_coverage_robust, recommended_threads,
-    RobustCounts, RobustCoverage, ShardRecovery,
+    RobustCounts, RobustCoverage, ShardRecovery, SimOptions, BLOCK_WORDS,
 };
 pub use patterns::{ExhaustivePatterns, PatternBlock, PatternSource, WeightedPatterns};
 pub use rng::Xoshiro256;

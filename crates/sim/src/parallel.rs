@@ -37,8 +37,8 @@
 //! per circuit node per pattern of fault-free simulation.  That makes
 //! `max_evals` a machine- and thread-count-independent measure of the
 //! pattern stream, so an eval-budget interruption at the same value
-//! yields the *bit-identical* partial result across runs, widths, and
-//! thread counts: the budget resolves upfront to a deterministic pattern
+//! yields the *bit-identical* partial result across runs and thread
+//! counts: the budget resolves upfront to a deterministic pattern
 //! clip `min(num_patterns, max_evals / num_nodes)`.  The real measured
 //! work (far lower, since the event kernel evaluates only the nodes a
 //! fault effect reaches) is still reported via [`SimStats`].
@@ -79,18 +79,33 @@ use wrt_robust::{
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator, SimOptions,
-    SimStats, SuperBlock,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, SimStats, SuperBlock,
 };
 use crate::fault_sim::{detection_counts, fault_coverage, FaultWorklist};
 use crate::patterns::{PatternBlock, PatternSource};
 
+/// The engine's superblock width: each event pass covers
+/// `64 * BLOCK_WORDS` patterns.  Results do not depend on it (they are
+/// bit-identical to the one-block dense oracle); only the cost does.
+pub const BLOCK_WORDS: usize = 4;
+
+/// Compatibility only: the engine's former options.
+///
+/// The engine runs at one superblock width, [`BLOCK_WORDS`], so there is
+/// nothing left to configure.  The type stays because the frozen
+/// `perfbench/trace` helper passes `SimOptions::default()` to
+/// [`fault_coverage_robust`]; it goes when that helper does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimOptions {
+    _private: (),
+}
+
 /// Pattern blocks per broadcast chunk (8 Ki patterns): large enough to
 /// amortize channel traffic, small enough to bound in-flight memory and
 /// to overlap pattern generation with simulation even on short runs.
-/// A multiple of every supported superblock width, so a chunk boundary
-/// never cuts a superblock of full blocks: the grouping is the whole
-/// stream's, whatever the chunking.
+/// A multiple of the superblock width, so a chunk boundary never cuts a
+/// superblock of full blocks: the grouping is the whole stream's,
+/// whatever the chunking.
 const CHUNK_BLOCKS: usize = 128;
 
 /// Chunks a worker may have queued; the producer blocks beyond that, so
@@ -200,14 +215,10 @@ pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
 /// longer simulated.  `threads = 0` resolves via [`recommended_threads`];
 /// `threads = 1` runs one shard.  Over the patterns it reports, the
 /// result is bit-identical to the dense oracle [`crate::fault_coverage`]
-/// for every width and thread count.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`] (programmer error —
-/// the CLI validates `--block-words` before reaching this point).
-// One argument past the lint's threshold: the run's inputs, its width
-// and its budget.
+/// for every thread count.  `_opts` configures nothing (see
+/// [`SimOptions`]).
+// One argument past the lint's threshold: the run's inputs, the retired
+// options and the budget.
 #[allow(clippy::too_many_arguments)]
 pub fn fault_coverage_robust(
     circuit: &Circuit,
@@ -216,10 +227,10 @@ pub fn fault_coverage_robust(
     num_patterns: u64,
     drop: bool,
     threads: usize,
-    opts: SimOptions,
+    _opts: SimOptions,
     budget: &Budget,
 ) -> RunOutcome<RobustCoverage> {
-    Job::new(circuit, faults, Mode::Coverage { drop }, opts)
+    Job::new(circuit, faults, Mode::Coverage { drop })
         .run(source, num_patterns, threads, budget)
         .map(|run| RobustCoverage {
             result: CoverageResult::new(
@@ -239,20 +250,16 @@ pub fn fault_coverage_robust(
 /// Monte-Carlo estimate of `p_f(X)` is `counts[f] / num_patterns`.  See
 /// [`fault_coverage_robust`] for the threads, budget and recovery
 /// semantics; counts are bit-identical to [`crate::detection_counts`].
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`].
 pub fn detection_counts_robust(
     circuit: &Circuit,
     faults: &FaultList,
     source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     threads: usize,
-    opts: SimOptions,
+    _opts: SimOptions,
     budget: &Budget,
 ) -> RunOutcome<RobustCounts> {
-    Job::new(circuit, faults, Mode::Counts, opts)
+    Job::new(circuit, faults, Mode::Counts)
         .run(source, num_patterns, threads, budget)
         .map(|run| RobustCounts {
             counts: run.values,
@@ -289,7 +296,7 @@ impl Mode {
 
     /// The recording rule: folds the detection lanes of a pass starting at
     /// pattern `base` into a fault's slot.
-    fn record<const W: usize>(self, slot: &mut u64, base: u64, lanes: &[u64; W]) {
+    fn record(self, slot: &mut u64, base: u64, lanes: &[u64; BLOCK_WORDS]) {
         match self {
             Mode::Coverage { .. } => {
                 if *slot == UNDETECTED {
@@ -302,28 +309,29 @@ impl Mode {
     }
 }
 
-/// Shard worker: one [`EventSimulator`] over `W`-wide superblocks of the
-/// broadcast chunks, grouped by [`superblock_split`] (extend only across
-/// full blocks).  Returns when the stream ends or, under dropping, when
-/// the worklist drains — dropping `rx` hangs up on the producer.
-fn worker<const W: usize>(
+/// Shard worker: one [`EventSimulator`] over [`BLOCK_WORDS`]-wide
+/// superblocks of the broadcast chunks, grouped by [`superblock_split`]
+/// (extend only across full blocks).  Returns when the stream ends or,
+/// under dropping, when the worklist drains — dropping `rx` hangs up on
+/// the producer.
+fn worker(
     circuit: &Circuit,
     regions: &FanoutFreeRegions,
     sublist: &FaultList,
     rx: Receiver<Arc<Chunk>>,
     mode: Mode,
 ) -> ShardResult {
-    let mut sim = EventSimulator::<W>::with_regions(circuit, regions, sublist);
+    let mut sim = EventSimulator::<BLOCK_WORDS>::with_regions(circuit, regions, sublist);
     let mut worklist = FaultWorklist::full(sublist.len());
     let mut local = vec![mode.initial(); sublist.len()];
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
+    let mut sb = SuperBlock::<BLOCK_WORDS>::empty(circuit.num_inputs());
     while let Ok(chunk) = rx.recv() {
         let (mut b, mut done) = (0, chunk.start);
         while b < chunk.blocks.len() {
             if mode.drops() && worklist.is_empty() {
                 return (local, sim.stats());
             }
-            let take = superblock_split(&chunk.blocks[b..], W);
+            let take = superblock_split(&chunk.blocks[b..], BLOCK_WORDS);
             sb.refill_from_blocks(&chunk.blocks[b..b + take]);
             sim.detect_superblock_worklist(
                 &sb.words,
@@ -386,7 +394,6 @@ struct Job<'a> {
     regions: FanoutFreeRegions,
     faults: &'a FaultList,
     mode: Mode,
-    opts: SimOptions,
 }
 
 /// A run's merged per-fault values (in [`Mode`]'s encoding), the patterns
@@ -428,13 +435,12 @@ impl Run {
 }
 
 impl<'a> Job<'a> {
-    fn new(circuit: &'a Circuit, faults: &'a FaultList, mode: Mode, opts: SimOptions) -> Self {
+    fn new(circuit: &'a Circuit, faults: &'a FaultList, mode: Mode) -> Self {
         Job {
             circuit,
             regions: FanoutFreeRegions::new(circuit),
             faults,
             mode,
-            opts,
         }
     }
 
@@ -447,7 +453,6 @@ impl<'a> Job<'a> {
         threads: usize,
         budget: &Budget,
     ) -> RunOutcome<Run> {
-        self.opts.validate().expect("invalid SimOptions");
         let evals_per_pattern = (self.circuit.num_nodes() as u64).max(1);
         let target = budget.max_evals().map_or(num_patterns, |max| {
             (max / evals_per_pattern).min(num_patterns)
@@ -599,11 +604,9 @@ impl<'a> Job<'a> {
         })
     }
 
-    /// Runs one shard's worker at the job's superblock width.
+    /// Runs one shard's worker.
     fn work(&self, sublist: &FaultList, rx: Receiver<Arc<Chunk>>) -> ShardResult {
-        with_block_words!(self.opts.block_words, W => {
-            worker::<W>(self.circuit, &self.regions, sublist, rx, self.mode)
-        })
+        worker(self.circuit, &self.regions, sublist, rx, self.mode)
     }
 
     /// The serial dense oracle on one shard's faults, in [`Mode`]'s
@@ -659,7 +662,6 @@ mod tests {
                     500,
                     drop,
                     threads,
-                    SimOptions::event(1),
                 );
                 assert_eq!(
                     serial.detected_at(),
@@ -682,7 +684,6 @@ mod tests {
                 WeightedPatterns::equiprobable(3, 23),
                 1000,
                 threads,
-                SimOptions::event(1),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -695,15 +696,7 @@ mod tests {
             c.node_id("s").unwrap(),
             false,
         )]);
-        let (r, _) = coverage(
-            &c,
-            &one,
-            WeightedPatterns::equiprobable(3, 1),
-            128,
-            true,
-            4,
-            SimOptions::event(1),
-        );
+        let (r, _) = coverage(&c, &one, WeightedPatterns::equiprobable(3, 1), 128, true, 4);
         assert_eq!(r.num_faults(), 1);
         let empty = wrt_fault::FaultList::from_faults(vec![]);
         let (r, _) = coverage(
@@ -713,7 +706,6 @@ mod tests {
             128,
             true,
             4,
-            SimOptions::event(1),
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
@@ -737,14 +729,7 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let n = (CHUNK_BLOCKS as u64) * 64 + 321;
         let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(2, 7), n);
-        let (sharded, _) = counts(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(2, 7),
-            n,
-            3,
-            SimOptions::event(1),
-        );
+        let (sharded, _) = counts(&c, &faults, WeightedPatterns::equiprobable(2, 7), n, 3);
         assert_eq!(serial, sharded);
     }
 
@@ -757,7 +742,7 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let n = 40 * (CHUNK_BLOCKS as u64) * 64;
         let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(2, 7), n, true);
-        for (threads, opts) in [(1, SimOptions::event(1)), (2, SimOptions::event(16))] {
+        for threads in [1, 2] {
             let (sharded, _) = coverage(
                 &c,
                 &faults,
@@ -765,7 +750,6 @@ mod tests {
                 n,
                 true,
                 threads,
-                opts,
             );
             assert_eq!(sharded, serial, "threads = {threads}");
         }
@@ -783,22 +767,20 @@ mod tests {
             true,
         );
         for threads in [1, 2, 4] {
-            for opts in [SimOptions::event(1), SimOptions::event(4)] {
-                let robust = fault_coverage_robust(
-                    &c,
-                    &faults,
-                    WeightedPatterns::equiprobable(3, 11),
-                    500,
-                    true,
-                    threads,
-                    opts,
-                    &Budget::unlimited(),
-                );
-                assert!(robust.is_complete());
-                let rc = robust.into_value();
-                assert!(rc.recovery.is_clean());
-                assert_eq!(legacy.detected_at(), rc.result.detected_at());
-            }
+            let robust = fault_coverage_robust(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 11),
+                500,
+                true,
+                threads,
+                SimOptions::default(),
+                &Budget::unlimited(),
+            );
+            assert!(robust.is_complete());
+            let rc = robust.into_value();
+            assert!(rc.recovery.is_clean());
+            assert_eq!(legacy.detected_at(), rc.result.detected_at());
         }
     }
 
@@ -818,24 +800,22 @@ mod tests {
         );
         let mut partials = Vec::new();
         for threads in [1, 2, 3, 8] {
-            for opts in [SimOptions::event(1), SimOptions::event(2)] {
-                let outcome = fault_coverage_robust(
-                    &c,
-                    &faults,
-                    WeightedPatterns::equiprobable(3, 5),
-                    100_000,
-                    false,
-                    threads,
-                    opts,
-                    &budget,
-                );
-                assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
-                let rc = outcome.into_value();
-                // Identical partial result across thread counts and
-                // widths: exactly the first 100 patterns.
-                assert_eq!(rc.result.detected_at(), clipped.detected_at());
-                partials.push(rc.result.detected_at().to_vec());
-            }
+            let outcome = fault_coverage_robust(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 5),
+                100_000,
+                false,
+                threads,
+                SimOptions::default(),
+                &budget,
+            );
+            assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+            let rc = outcome.into_value();
+            // Identical partial result across thread counts: exactly the
+            // first 100 patterns.
+            assert_eq!(rc.result.detected_at(), clipped.detected_at());
+            partials.push(rc.result.detected_at().to_vec());
         }
         assert!(partials.windows(2).all(|w| w[0] == w[1]));
     }
@@ -852,7 +832,7 @@ mod tests {
             WeightedPatterns::equiprobable(3, 5),
             1000,
             2,
-            SimOptions::event(1),
+            SimOptions::default(),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
@@ -873,7 +853,7 @@ mod tests {
             1000,
             true,
             2,
-            SimOptions::event(1),
+            SimOptions::default(),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
@@ -896,7 +876,7 @@ mod tests {
             1000,
             true,
             2,
-            SimOptions::event(1),
+            SimOptions::default(),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Cancelled));
@@ -913,7 +893,7 @@ mod tests {
             64,
             true,
             4,
-            SimOptions::event(1),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         assert!(outcome.is_complete());
@@ -986,7 +966,7 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, threads, SimOptions::event(1),
+                patterns, drop, threads,
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
 
@@ -998,7 +978,7 @@ mod proptests {
             let (counts_sharded, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights, seed),
-                patterns, threads, SimOptions::event(1),
+                patterns, threads,
             );
             prop_assert_eq!(serial_counts, counts_sharded);
         }
@@ -1019,7 +999,7 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7, SimOptions::event(1),
+                200, true, faults.len() * 3 + 7,
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
         }

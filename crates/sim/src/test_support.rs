@@ -6,8 +6,9 @@ use wrt_fault::FaultList;
 use wrt_robust::Budget;
 
 use crate::coverage::CoverageResult;
-use crate::event::{SimOptions, SimStats};
+use crate::event::{superblock_split, SimStats, SuperBlock};
 use crate::fault_sim::{FaultSimulator, FaultWorklist};
+use crate::parallel::SimOptions;
 use crate::patterns::PatternSource;
 
 /// A small random 4-input circuit with two outputs: a mix of gate kinds
@@ -118,7 +119,6 @@ pub fn coverage(
     num_patterns: u64,
     drop: bool,
     threads: usize,
-    opts: SimOptions,
 ) -> (CoverageResult, SimStats) {
     let unlimited = Budget::unlimited();
     let outcome = crate::fault_coverage_robust(
@@ -128,7 +128,7 @@ pub fn coverage(
         num_patterns,
         drop,
         threads,
-        opts,
+        SimOptions::default(),
         &unlimited,
     );
     assert!(outcome.is_complete(), "an unlimited run completes");
@@ -145,7 +145,6 @@ pub fn counts(
     source: impl PatternSource + Clone + Send,
     num_patterns: u64,
     threads: usize,
-    opts: SimOptions,
 ) -> (Vec<u64>, SimStats) {
     let unlimited = Budget::unlimited();
     let outcome = crate::detection_counts_robust(
@@ -154,7 +153,7 @@ pub fn counts(
         source,
         num_patterns,
         threads,
-        opts,
+        SimOptions::default(),
         &unlimited,
     );
     assert!(outcome.is_complete(), "an unlimited run completes");
@@ -183,4 +182,76 @@ pub fn dense_stats(
         done += u64::from(block.len);
     }
     sim.stats()
+}
+
+/// The dense oracle's counters regrouped into `W`-word superblocks: every
+/// lane word of a superblock is one dense block (padding lanes included,
+/// as the event engine sees them), and a `(fault, superblock)` attempt is
+/// excited, detected, or a frontier death when any of its blocks is
+/// excited, when any detects, or when it is excited and no excited block
+/// reached an output.  `node_evals` and `root_propagations` are the dense
+/// engine's own, summed over those blocks.  With `drop` a fault leaves
+/// after its detecting superblock.
+pub fn dense_superblock_stats<const W: usize>(
+    circuit: &Circuit,
+    faults: &FaultList,
+    mut source: impl PatternSource,
+    patterns: u64,
+    drop: bool,
+) -> SimStats {
+    let mut blocks = Vec::new();
+    let mut left = patterns;
+    while left > 0 {
+        let block = source.next_block(left.min(64) as u32);
+        left -= u64::from(block.len);
+        blocks.push(block);
+    }
+    let mut dense = FaultSimulator::new(circuit, faults);
+    let mut live = vec![true; faults.len()];
+    let mut stats = SimStats::default();
+    let mut b = 0;
+    while b < blocks.len() {
+        let take = superblock_split(&blocks[b..], W);
+        let sb = SuperBlock::<W>::from_blocks(&blocks[b..b + take]);
+        let mask = sb.mask();
+        for i in 0..faults.len() {
+            if !live[i] {
+                continue;
+            }
+            let (mut excited, mut reached, mut detected) = (false, false, false);
+            for k in 0..W {
+                let words: Vec<u64> = sb.words.iter().map(|lanes| lanes[k]).collect();
+                let only: Vec<bool> = (0..faults.len()).map(|j| j == i).collect();
+                let before = dense.stats();
+                dense.detect_block_worklist(
+                    &words,
+                    mask[k],
+                    &mut FaultWorklist::from_active(&only),
+                    false,
+                    |_, _| {},
+                );
+                let after = dense.stats();
+                if after.unexcited == before.unexcited {
+                    excited = true;
+                    reached |= after.frontier_deaths == before.frontier_deaths;
+                }
+                detected |= after.detected_blocks > before.detected_blocks;
+            }
+            stats.fault_blocks += 1;
+            if !excited {
+                stats.unexcited += 1;
+            } else if !reached {
+                stats.frontier_deaths += 1;
+            }
+            if detected {
+                stats.detected_blocks += 1;
+                live[i] &= !drop;
+            }
+        }
+        b += take;
+    }
+    let dense = dense.stats();
+    stats.node_evals = dense.node_evals;
+    stats.root_propagations = dense.root_propagations;
+    stats
 }

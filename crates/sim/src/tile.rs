@@ -14,8 +14,8 @@ use wrt_fault::FaultList;
 use wrt_robust::{Budget, RunOutcome};
 
 use crate::coverage::CoverageResult;
-use crate::event::{SimOptions, SimStats};
-use crate::parallel::{fault_coverage_robust, ShardRecovery};
+use crate::event::SimStats;
+use crate::parallel::{fault_coverage_robust, ShardRecovery, SimOptions};
 use crate::patterns::PatternSource;
 
 /// Compatibility only: the single batch mode of the retired engine.
@@ -27,11 +27,11 @@ pub enum BatchMode {
 }
 
 /// Compatibility only: options of the retired 2D tiled engine.  Only
-/// `block_words` (0 = the default width 4) and `threads` still matter;
-/// the stripe and shard counts and the batch mode are ignored.
+/// `threads` still matters; the width, the stripe and shard counts and
+/// the batch mode are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileOptions {
-    /// Superblock width, or 0 for the default of 4.
+    /// Ignored: the engine runs at [`crate::BLOCK_WORDS`].
     pub block_words: usize,
     /// Ignored.
     pub pattern_stripes: usize,
@@ -68,12 +68,8 @@ pub struct RobustTiledCoverage {
     pub recovery: ShardRecovery,
 }
 
-/// Compatibility only: [`fault_coverage_robust`] on the event engine at
-/// `opts.block_words` (0 = 4) with `opts.threads` threads.
-///
-/// # Panics
-///
-/// Panics if `opts.block_words` is not 0 or a supported width.
+/// Compatibility only: [`fault_coverage_robust`] with `opts.threads`
+/// threads.
 pub fn fault_coverage_tiled_robust(
     circuit: &Circuit,
     faults: &FaultList,
@@ -83,12 +79,6 @@ pub fn fault_coverage_tiled_robust(
     opts: &TileOptions,
     budget: &Budget,
 ) -> RunOutcome<RobustTiledCoverage> {
-    let block_words = if opts.block_words == 0 {
-        4
-    } else {
-        opts.block_words
-    };
-    let sim_opts = SimOptions::event(block_words);
     fault_coverage_robust(
         circuit,
         faults,
@@ -96,7 +86,7 @@ pub fn fault_coverage_tiled_robust(
         num_patterns,
         drop,
         opts.threads,
-        sim_opts,
+        SimOptions::default(),
         budget,
     )
     .map(|run| RobustTiledCoverage {
@@ -251,19 +241,18 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// The forwarder is bit-identical to the serial dense engine
-        /// across random circuits, widths (0 = the default), thread
-        /// counts, the ignored stripe and shard counts, and drop modes.
+        /// across random circuits, thread counts, the ignored width,
+        /// stripe and shard counts, and drop modes.
         #[test]
         fn tiled_is_bit_identical_to_serial(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            shape in (0usize..6, 1usize..6, 0usize..40, 0usize..30),
+            shape in (0usize..20, 1usize..6, 0usize..40, 0usize..30),
             run in (0u64..1_000, 1u64..700, any::<bool>()),
         ) {
-            let (width_idx, threads, stripes, shards) = shape;
+            let (words, threads, stripes, shards) = shape;
             let (seed, patterns, drop) = run;
             let faults = FaultList::full(&circuit);
-            let words = crate::SUPPORTED_BLOCK_WORDS.get(width_idx).copied().unwrap_or(0);
             let topts = TileOptions {
                 block_words: words,
                 pattern_stripes: stripes,

@@ -9,11 +9,10 @@
 //!
 //! The contract under test, for every site in
 //! [`wrt::robust::failpoint::sites::ALL`]: an injected failure is either
-//! *recovered bit-identically* (shard panics, estimate anomalies) or
-//! surfaced as a *structured error* (budget injections, checkpoint write
-//! failures) — never a hang, never silent result loss.  "Never a hang"
-//! is enforced mechanically: every chaos workload runs under a
-//! wall-clock watchdog.
+//! *recovered bit-identically* (shard panics) or surfaced as a
+//! *structured error* (budget injections, checkpoint write failures) —
+//! never a hang, never silent result loss.  "Never a hang" is enforced
+//! mechanically: every chaos workload runs under a wall-clock watchdog.
 
 // Sessions are deliberately held for whole test bodies (resume runs must
 // observe the spent arm; recording must span every drill), not dropped at
@@ -27,7 +26,6 @@ use std::time::Duration;
 use proptest::prelude::*;
 use wrt::atpg::generate_tests_budgeted;
 use wrt::core::optimize_budgeted;
-use wrt::estimate::DegradingEngine;
 use wrt::prelude::*;
 use wrt::robust::failpoint::{self, sites};
 use wrt::robust::{CheckpointError, DegradeStep, FailAction};
@@ -102,7 +100,7 @@ fn shard_drill(site: &'static str, action: FailAction, skip: u64, must_fire: boo
             PATTERNS,
             true,
             THREADS,
-            SimOptions::event(4),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         (outcome, reference)
@@ -153,7 +151,7 @@ fn budget_injection_drill(skip: u64) -> (Vec<Option<u64>>, u64) {
             PATTERNS,
             true,
             THREADS,
-            SimOptions::event(1),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         (outcome, circuit, faults)
@@ -214,28 +212,6 @@ fn checkpoint_drill(skip: u64, tag: &str) {
         assert!(!path.exists(), "a failed write must not leave a file");
     }
     let _ = std::fs::remove_file(&path);
-}
-
-/// Injects at `estimate::anomaly`: the caller keeps getting healthy,
-/// bit-identical answers while the degradation is recorded on the ladder.
-fn estimate_drill(skip: u64) {
-    let (circuit, faults) = s1();
-    let probs = vec![0.5; circuit.num_inputs()];
-    let session = failpoint::session();
-    // The bare engine passes no fail points; safe while the arm is live.
-    let mut reference = CopEngine::new();
-    session.arm(sites::ESTIMATE_ANOMALY, FailAction::Error, skip);
-    let mut wrapped = DegradingEngine::new(CopEngine::new(), CopEngine::new());
-    for _ in 0..4 {
-        let expected = reference.estimate(&circuit, &faults, &probs);
-        let got = wrapped.estimate(&circuit, &faults, &probs);
-        assert!(got.iter().all(|v| v.is_finite()));
-        assert_eq!(got, expected, "degradation must not change answers");
-    }
-    let fired = !session.fired().is_empty();
-    assert!(fired, "skip {skip}: four estimates must spend the arm");
-    assert!(wrapped.is_degraded());
-    assert_eq!(wrapped.ladder().len(), 1, "one switch, recorded once");
 }
 
 /// Injects at a serve site and asserts the server keeps speaking the
@@ -303,10 +279,6 @@ fn drill_workloads_exercise_every_planted_site() {
         let path = std::env::temp_dir().join("wrt_chaos_drill.ckpt");
         Checkpoint::new("chaos").write_atomic(&path).expect("writes");
         let _ = std::fs::remove_file(&path);
-        // Screened estimate.
-        let mut engine = DegradingEngine::new(CopEngine::new(), CopEngine::new());
-        let probs = vec![0.5; circuit.num_inputs()];
-        let _ = engine.estimate(&circuit, &faults, &probs);
         // Resident server: the accept loop, the per-request session
         // handler, and the ECO overlay apply each pass their site.
         let registry = std::sync::Arc::new(wrt::serve::Registry::new());
@@ -357,7 +329,6 @@ fn seeded_injection_storm_recovers_or_errors_never_hangs() {
                 assert_eq!(first, second, "seed {seed}: partials diverged");
             }
             sites::CHECKPOINT_WRITE => checkpoint_drill(skip, &format!("storm{seed}")),
-            sites::ESTIMATE_ANOMALY => estimate_drill(skip),
             sites::SERVE_ACCEPT | sites::SERVE_SESSION | sites::SERVE_ECO_APPLY => {
                 serve_drill(site, skip);
             }
@@ -397,7 +368,7 @@ fn a_poisoned_lone_shard_replays_the_whole_stream() {
                 num_patterns,
                 false,
                 1,
-                SimOptions::event(4),
+                SimOptions::default(),
                 &Budget::unlimited(),
             );
             (outcome, reference)
@@ -435,7 +406,7 @@ fn a_failed_event_replay_falls_back_to_the_dense_oracle() {
                 PATTERNS,
                 true,
                 THREADS,
-                SimOptions::event(4),
+                SimOptions::default(),
                 &Budget::unlimited(),
             );
             (outcome, reference)
