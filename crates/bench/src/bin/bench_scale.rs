@@ -308,7 +308,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"scale_bytes_per_gate_and_throughput\",\n  \"note\": \"Rows sweep the tiled synthetic generator (wrt_workloads::tiled, deterministic by target_gates+seed) from 10^4 toward 10^6 gates. bytes_per_gate comes from Circuit::memory_footprint(), the exact capacity-based accounting of every arena of the flat circuit core (kinds, fanin/fanout CSR, name arena + sorted index, level CSR, interface arrays); the workspace forbids unsafe code, so this analytic shim stands in for a global-allocator hook. The bench_guard rule requires bytes_per_gate flat-or-decreasing across rows (rows are ordered by increasing size). Throughputs expose superlinear time terms: parse_levelize_seconds is a full .bench parse of the written netlist including levelization; cop_evals_per_sec is one full COP forward+backward pass (2 node evaluations per node); sim_patterns_per_sec is event-driven PPSFP over a fixed probe fault list. The fault_prep fields time fault-list preparation as every cold verb runs it (checkpoints, then constant_line_faults with support limit 14; fastest of 3 runs each); collapse_seconds times collapse_equivalent beside it, off the verb path because checkpoint lists come out already collapsed (fault_prep_collapsed equals fault_prep_checkpoints); fault_prep_over_parse compares it with the parse of the same netlist, and the bench_guard rule bounds fault_prep_us_per_gate to at most 2x growth between adjacent rows, so a quadratic term fails the guard. bit_identical re-checks the event-driven probe coverage, first detections included, against the dense oracle fault_coverage at every size. Wall-clock fields are host-dependent; per-gate and per-eval rates are comparable across rows on one host.\",\n  \"seed\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"scale_bytes_per_gate_and_throughput\",\n  \"note\": \"Rows sweep the tiled synthetic generator (wrt_workloads::tiled, deterministic by target_gates+seed) from 10^4 toward 10^6 gates. bytes_per_gate comes from Circuit::memory_footprint(), the exact capacity-based accounting of every arena of the flat circuit core (kinds, fanin CSR, fanout CSR with its fanin-edge index, name arena + sorted index, level CSR, interface arrays); the workspace forbids unsafe code, so this analytic shim stands in for a global-allocator hook. The bench_guard rule requires bytes_per_gate flat-or-decreasing across rows (rows are ordered by increasing size). Throughputs expose superlinear time terms: parse_levelize_seconds is a full .bench parse of the written netlist including levelization; cop_evals_per_sec is one full COP forward+backward pass (2 node evaluations per node); sim_patterns_per_sec is event-driven PPSFP over a fixed probe fault list. The fault_prep fields time fault-list preparation as every cold verb runs it (checkpoints, then constant_line_faults with support limit 14; fastest of 3 runs each); collapse_seconds times collapse_equivalent beside it, off the verb path because checkpoint lists come out already collapsed (fault_prep_collapsed equals fault_prep_checkpoints); fault_prep_over_parse compares it with the parse of the same netlist, and the bench_guard rule bounds fault_prep_us_per_gate to at most 2x growth between adjacent rows, so a quadratic term fails the guard. bit_identical re-checks the event-driven probe coverage, first detections included, against the dense oracle fault_coverage at every size. Wall-clock fields are host-dependent; per-gate and per-eval rates are comparable across rows on one host.\",\n  \"seed\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         seed,
         smoke,
         body.join(",\n"),

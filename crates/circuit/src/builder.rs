@@ -266,13 +266,15 @@ impl CircuitBuilder {
         }
         let num_edges = *fanout_offsets.last().expect("offsets non-empty") as usize;
         let mut fanout_data = vec![NodeId::from_index(0); num_edges];
+        let mut fanout_edges = vec![0u32; num_edges];
         let mut cursor: Vec<u32> = fanout_offsets[..n].to_vec();
         for i in 0..n {
-            let lo = self.fanin_offsets[i] as usize;
-            let hi = self.fanin_offsets[i + 1] as usize;
-            for &f in &self.fanin_data[lo..hi] {
-                let c = &mut cursor[f.index()];
+            let lo = self.fanin_offsets[i];
+            let hi = self.fanin_offsets[i + 1];
+            for e in lo..hi {
+                let c = &mut cursor[self.fanin_data[e as usize].index()];
                 fanout_data[*c as usize] = NodeId::from_index(i);
+                fanout_edges[*c as usize] = e;
                 *c += 1;
             }
         }
@@ -318,6 +320,7 @@ impl CircuitBuilder {
             outputs: self.outputs,
             fanout_offsets,
             fanout_data,
+            fanout_edges,
             output_flags,
             input_position,
             num_gates: u32::try_from(num_gates).expect("gate count fits in u32"),

@@ -148,6 +148,8 @@ pub struct Circuit {
     /// fanout walks of event-driven simulation cache-friendly.
     pub(crate) fanout_offsets: Vec<u32>,
     pub(crate) fanout_data: Vec<NodeId>,
+    /// The fanin edge of each `fanout_data` entry.
+    pub(crate) fanout_edges: Vec<u32>,
     /// `output_flags[i]` is true when node `i` is a primary output.
     pub(crate) output_flags: Vec<bool>,
     /// Position of each primary input in `inputs`, by node index
@@ -298,6 +300,17 @@ impl Circuit {
         &self.fanin_data[lo..hi]
     }
 
+    /// Gate kind of every node, by node index.
+    pub fn kinds(&self) -> &[GateKind] {
+        &self.kinds
+    }
+
+    /// The fanin CSR `(offsets, data)`: node `i`'s fanin is
+    /// `data[offsets[i]..offsets[i + 1]]`.  For passes over every node.
+    pub fn fanin_csr(&self) -> (&[u32], &[NodeId]) {
+        (&self.fanin_offsets, &self.fanin_data)
+    }
+
     /// Base index of `id`'s fanin pins in edge-indexed tables.
     ///
     /// Per-pin quantities (pin observabilities, pin counts, SCOAP branch
@@ -321,6 +334,16 @@ impl Circuit {
         let lo = self.fanout_offsets[i] as usize;
         let hi = self.fanout_offsets[i + 1] as usize;
         &self.fanout_data[lo..hi]
+    }
+
+    /// The fanin edge (`fanin_offset(sink) + pin`) of each entry of
+    /// [`Circuit::fanout`], in the same order; a sink that lists `id` on
+    /// two pins is two entries.
+    pub fn fanout_edges(&self, id: NodeId) -> &[u32] {
+        let i = id.index();
+        let lo = self.fanout_offsets[i] as usize;
+        let hi = self.fanout_offsets[i + 1] as usize;
+        &self.fanout_edges[lo..hi]
     }
 
     /// Total number of fanout edges (equivalently, fanin edges) in the

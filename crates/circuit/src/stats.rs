@@ -103,7 +103,7 @@ pub struct MemoryFootprint {
     pub kinds: usize,
     /// Fanin CSR arena (offsets + edge data).
     pub fanin_csr: usize,
-    /// Fanout CSR arena (offsets + edge data).
+    /// Fanout CSR arena (offsets + sink data + fanin-edge index).
     pub fanout_csr: usize,
     /// Name arena (string bytes + offsets + sorted lookup index).
     pub names: usize,
@@ -153,7 +153,8 @@ impl Circuit {
             fanin_csr: self.fanin_offsets.capacity() * size_of::<u32>()
                 + self.fanin_data.capacity() * size_of::<NodeId>(),
             fanout_csr: self.fanout_offsets.capacity() * size_of::<u32>()
-                + self.fanout_data.capacity() * size_of::<NodeId>(),
+                + self.fanout_data.capacity() * size_of::<NodeId>()
+                + self.fanout_edges.capacity() * size_of::<u32>(),
             names: self.name_bytes.capacity()
                 + self.name_offsets.capacity() * size_of::<u32>()
                 + self.name_sorted.capacity() * size_of::<NodeId>(),

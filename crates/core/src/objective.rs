@@ -55,7 +55,12 @@ pub fn log_confidence(dprobs: &[f64], n: f64) -> f64 {
 /// assert!((j - ((-1.0f64).exp() + (-2.0f64).exp())).abs() < 1e-12);
 /// ```
 pub fn objective_value(dprobs: &[f64], n: f64) -> f64 {
-    dprobs.iter().map(|&p| (-n * p).exp()).sum()
+    // exp(−x) is exactly +0.0 for x > 746, so skipping the call leaves the
+    // sum bit-identical; most terms NORMALIZE evaluates are such.
+    dprobs
+        .iter()
+        .map(|&p| if n * p > 746.0 { 0.0 } else { (-n * p).exp() })
+        .sum()
 }
 
 #[cfg(test)]
@@ -105,6 +110,28 @@ mod tests {
     fn empty_fault_list_is_trivially_covered() {
         assert_eq!(confidence(&[], 1.0), 1.0);
         assert_eq!(objective_value(&[], 1.0), 0.0);
+    }
+
+    #[test]
+    fn underflow_cutoff_is_bit_identical() {
+        assert_eq!((-746.0f64).exp().to_bits(), 0.0f64.to_bits());
+        let plain = |d: &[f64], n: f64| d.iter().map(|&p| (-n * p).exp()).sum::<f64>();
+        let straddle = [
+            745.0, 745.1, 745.2, 745.99, 746.0, 746.01, 800.0, 1e300, 0.5, 3.0,
+        ];
+        for n in [1.0, 0.999, 1.001, 1e-3, 1e6] {
+            let dprobs: Vec<f64> = straddle.iter().map(|x| x / n).collect();
+            assert_eq!(
+                objective_value(&dprobs, n).to_bits(),
+                plain(&dprobs, n).to_bits()
+            );
+            let far = &dprobs[5..8];
+            assert_eq!(objective_value(far, n).to_bits(), plain(far, n).to_bits());
+        }
+        assert_eq!(
+            objective_value(&[1.0], f64::INFINITY).to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

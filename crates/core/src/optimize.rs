@@ -2,7 +2,7 @@
 //!
 //! The descent is exposed in two forms: [`optimize`], the original
 //! run-to-completion entry point, and [`optimize_budgeted`], which bounds
-//! the run with a [`Budget`] (checked at sweep boundaries), carries
+//! the run with a [`Budget`] (checked before every coordinate), carries
 //! partial results out as [`RunOutcome::Interrupted`], and supports
 //! checkpoint/resume — the descent state at the last completed sweep is
 //! serialized to a versioned [`Checkpoint`], and a resumed run continues
@@ -271,10 +271,11 @@ fn init_descent(
 }
 
 /// Runs coordinate-descent sweeps until the config's termination
-/// criterion — or, when a budget is given, until a check-in at a sweep
-/// boundary trips (the tripped axis is returned; the descent state is
-/// left at the last completed sweep).  The optimizer's eval unit is
-/// engine calls.
+/// criterion — or, when a budget is given, until a check-in trips (the
+/// tripped axis is returned; the descent state is left at the last
+/// completed sweep).  The optimizer's eval unit is engine calls, checked
+/// at sweep boundaries; deadline and cancellation are checked before
+/// every coordinate.
 fn run_sweeps(
     circuit: &Circuit,
     live_list: &FaultList,
@@ -293,15 +294,22 @@ fn run_sweeps(
             }
         }
         // Relevant subset: hardest `nf + slack` faults at the current X.
-        let order = sort_by_difficulty(&d.dprobs);
-        let take = (d.num_relevant + config.relevant_slack).min(order.len());
-        let relevant_ids: Vec<usize> = order[..take].to_vec();
-        let relevant_list: FaultList = relevant_ids
-            .iter()
-            .map(|&k| live_list.fault(wrt_fault::FaultId::from_index(k)))
-            .collect();
+        let relevant_list: FaultList =
+            sort_by_difficulty(&d.dprobs, d.num_relevant + config.relevant_slack)
+                .into_iter()
+                .map(|k| live_list.fault(wrt_fault::FaultId::from_index(k)))
+                .collect();
 
+        let (start_weights, start_calls) = (d.weights.clone(), d.engine_calls);
         for i in 0..num_inputs {
+            // Deadline and cancellation trip inside a sweep too (evals
+            // only at boundaries); the sweep is undone, so the checkpoint
+            // stays at a boundary.
+            if let Some(Err(reason)) = budget.map(|b| b.check_in(0, 0)) {
+                d.weights = start_weights;
+                d.engine_calls = start_calls;
+                return Some(reason);
+            }
             // PREPARE: engine at x_i = 0 and x_i = 1, both boundary points
             // in one engine call so parallel engines (e.g. the sharded
             // Monte-Carlo simulator) can run them concurrently.
@@ -504,12 +512,14 @@ pub struct BudgetedOptimize {
 
 /// [`optimize`] under a [`Budget`], with checkpoint/resume.
 ///
-/// The budget is checked at sweep boundaries; its eval axis counts
-/// *engine calls* (the optimizer's canonical work unit, machine- and
-/// engine-independent).  On interruption the outcome carries the best
-/// result over the completed sweeps plus a checkpoint of the descent
-/// state; passing that checkpoint back as `resume` continues the descent
-/// bit-identically to a run that was never interrupted.
+/// The budget's eval axis counts *engine calls* (the optimizer's
+/// canonical work unit, machine- and engine-independent) and is checked
+/// at sweep boundaries; deadline and cancellation are checked before
+/// every coordinate, and a sweep they interrupt is undone.  On
+/// interruption the outcome carries the best result over the completed
+/// sweeps plus a checkpoint of the descent state; passing that checkpoint
+/// back as `resume` continues the descent bit-identically to a run that
+/// was never interrupted.
 ///
 /// # Errors
 ///
@@ -953,6 +963,77 @@ mod tests {
                 }
                 RunOutcome::Interrupted { .. } => panic!("resumed run must complete"),
             }
+        }
+    }
+
+    /// A [`CopEngine`] that sets a cancel token once it has answered
+    /// `after` estimates.
+    struct CancelAfter {
+        inner: CopEngine,
+        calls: usize,
+        after: usize,
+        token: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl DetectionProbabilityEngine for CancelAfter {
+        fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, probs: &[f64]) -> Vec<f64> {
+            self.calls += 1;
+            if self.calls >= self.after {
+                self.token.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.inner.estimate(circuit, faults, probs)
+        }
+
+        fn name(&self) -> &'static str {
+            "cancel-after"
+        }
+    }
+
+    #[test]
+    fn cancellation_inside_a_sweep_resumes_bit_identically() {
+        let c = wide_and(8);
+        let faults = FaultList::checkpoints(&c);
+        let config = OptimizeConfig {
+            min_improvement: 0.0,
+            max_sweeps: 6,
+            ..OptimizeConfig::default()
+        };
+        let reference = optimize(&c, &faults, &mut CopEngine::new(), &config);
+        // One sweep is 2·8 + 1 = 17 calls after the initial ANALYSIS:
+        // these trip inside sweeps 1, 1, 2 and 3.
+        for after in [2usize, 9, 24, 45] {
+            let mut budget = wrt_robust::Budget::unlimited();
+            let mut engine = CancelAfter {
+                inner: CopEngine::new(),
+                calls: 0,
+                after,
+                token: budget.cancel_token(),
+            };
+            let run = optimize_budgeted(&c, &faults, &mut engine, &config, &budget, None)
+                .expect("fresh run");
+            assert_eq!(
+                run.outcome.interrupt_reason(),
+                Some(BudgetExceeded::Cancelled)
+            );
+            let partial = run.outcome.value();
+            assert_eq!(partial.sweeps.len(), (after - 1) / 17, "after {after}");
+            assert_eq!(partial.engine_calls, 1 + partial.sweeps.len() * 17);
+            let ckpt = run.checkpoint.expect("interrupted run must checkpoint");
+            let ckpt = Checkpoint::parse(&ckpt.render(), OPTIMIZE_CHECKPOINT_KIND).unwrap();
+            let resumed = optimize_budgeted(
+                &c,
+                &faults,
+                &mut CopEngine::new(),
+                &config,
+                &wrt_robust::Budget::unlimited(),
+                Some(&ckpt),
+            )
+            .expect("resume validates");
+            assert_same_result(
+                &resumed.outcome.into_value(),
+                &reference,
+                &format!("cancel after {after}"),
+            );
         }
     }
 

@@ -39,16 +39,24 @@ impl TestLength {
     }
 }
 
-/// `SORT(F)`: indices of `dprobs` ordered by increasing detection
-/// probability (hardest first), ties broken by index for determinism.
-pub fn sort_by_difficulty(dprobs: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..dprobs.len()).collect();
-    order.sort_by(|&a, &b| {
+/// `SORT(F)`: the `take` hardest indices of `dprobs` (all of them when
+/// `take` exceeds the length), ordered by increasing detection
+/// probability, ties broken by index for determinism.  Only the selected
+/// prefix is sorted; with the index tie-break the order is total on
+/// NaN-free input, so it equals the prefix of a full sort.
+pub fn sort_by_difficulty(dprobs: &[f64], take: usize) -> Vec<usize> {
+    let by_difficulty = |&a: &usize, &b: &usize| {
         dprobs[a]
             .partial_cmp(&dprobs[b])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
-    });
+    };
+    let mut order: Vec<usize> = (0..dprobs.len()).collect();
+    if take < order.len() {
+        order.select_nth_unstable_by(take, by_difficulty);
+        order.truncate(take);
+    }
+    order.sort_by(by_difficulty);
     order
 }
 
@@ -220,8 +228,23 @@ mod tests {
     #[test]
     fn sorting_is_deterministic_and_ascending() {
         let dprobs = [0.5, 1e-6, 0.25, 1e-6];
-        let order = sort_by_difficulty(&dprobs);
+        let order = sort_by_difficulty(&dprobs, dprobs.len());
         assert_eq!(order, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn hardest_prefix_matches_the_full_sort() {
+        let dprobs: Vec<f64> = (0..200u64)
+            .map(|i| ((i * 7919) % 37) as f64 * 1e-3 + 1e-9)
+            .collect();
+        let full = sort_by_difficulty(&dprobs, dprobs.len());
+        for take in [0, 1, 5, 36, 37, 38, 199, 200, 500] {
+            assert_eq!(
+                sort_by_difficulty(&dprobs, take),
+                full[..take.min(200)],
+                "take {take}"
+            );
+        }
     }
 
     #[test]

@@ -25,11 +25,18 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
         circuit.num_inputs(),
         "one probability per primary input"
     );
+    let (offsets, data) = circuit.fanin_csr();
     let mut p = vec![0.0f64; circuit.num_nodes()];
-    for (id, node) in circuit.iter() {
-        p[id.index()] = node_probability(circuit, id, node, &|k| input_probs[k], &|f: NodeId| {
-            p[f.index()]
-        });
+    for (i, (&kind, w)) in circuit.kinds().iter().zip(offsets.windows(2)).enumerate() {
+        let fanin = &data[w[0] as usize..w[1] as usize];
+        p[i] = node_probability_of_kind(
+            circuit,
+            NodeId::from_index(i),
+            kind,
+            fanin,
+            &|k| input_probs[k],
+            &|f: NodeId| p[f.index()],
+        );
     }
     p
 }
@@ -39,8 +46,7 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
 ///
 /// `input_prob` maps a primary-input *position* to its 1-probability; `p`
 /// maps any fanin node to its (already computed) signal probability.  The
-/// full pass ([`signal_probabilities_cop`]) and the hybrid engine's COP
-/// fallback evaluate nodes through this single function.
+/// hybrid engine's COP fallback evaluates nodes through it.
 pub(crate) fn node_probability(
     circuit: &Circuit,
     id: NodeId,
@@ -53,11 +59,13 @@ pub(crate) fn node_probability(
 
 /// [`node_probability`] with the gate kind supplied explicitly.
 ///
-/// The ECO overlay ([`crate::SessionCop`]) evaluates what-if gate-kind
-/// mutations without building a mutated circuit: it calls this function
-/// with the overridden kind and the *unchanged* fanin list, so a later
-/// cold recompute of the really-mutated circuit produces bit-identical
-/// values (same function, same operand order).
+/// The full pass ([`signal_probabilities_cop`]) evaluates every node
+/// through this function.  The ECO overlay ([`crate::SessionCop`])
+/// evaluates what-if gate-kind mutations without building a mutated
+/// circuit: it calls this function with the overridden kind and the
+/// *unchanged* fanin list, so a later cold recompute of the
+/// really-mutated circuit produces bit-identical values (same function,
+/// same operand order).
 pub(crate) fn node_probability_of_kind(
     circuit: &Circuit,
     id: NodeId,
@@ -97,7 +105,9 @@ fn xor_prob(ps: impl Iterator<Item = f64>) -> f64 {
 /// observability 1; a gate input pin is observable when the gate output is
 /// observable and the other pins are at non-controlling values; a fanout
 /// stem combines its branches with the "at least one path" rule
-/// `1 − Π (1 − obs_branch)` (capped at 1).
+/// `1 − Π (1 − obs_branch)`, one factor per fanout edge in
+/// [`Circuit::fanout_edges`] order (a gate that lists the stem on two pins
+/// is two branches).
 ///
 /// Returns `(node_observability, pin_observability)` where
 /// `pin_observability` is edge-indexed: the entry for pin `p` of gate `g`
@@ -109,93 +119,85 @@ fn xor_prob(ps: impl Iterator<Item = f64>) -> f64 {
 /// Panics if `p.len() != circuit.num_nodes()`.
 pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(p.len(), circuit.num_nodes(), "one probability per node");
-    let n = circuit.num_nodes();
-    let mut obs = vec![0.0f64; n];
+    let (offsets, data) = circuit.fanin_csr();
+    let kinds = circuit.kinds();
+    let mut obs = vec![0.0f64; circuit.num_nodes()];
     let mut pin_obs = vec![0.0f64; circuit.num_edges()];
 
     // Reverse topological order: node ids descending.
-    for idx in (0..n).rev() {
-        let id = NodeId::from_index(idx);
-        obs[idx] = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
-            pin_obs[circuit.fanin_offset(sink) + pin]
-        });
+    for idx in (0..obs.len()).rev() {
+        let o = stem_observability(circuit, NodeId::from_index(idx), &|e| pin_obs[e]);
+        obs[idx] = o;
 
         // Pin observabilities of this node's own fanin.
-        let node = circuit.node(id);
-        let o = obs[idx];
-        let base = circuit.fanin_offset(id);
-        for pin in 0..node.fanin().len() {
-            pin_obs[base + pin] = o * pin_sensitivity(node, pin, &|f: NodeId| p[f.index()]);
-        }
+        let base = offsets[idx] as usize;
+        let fanin = &data[base..offsets[idx + 1] as usize];
+        pin_sensitivities_of_kind(kinds[idx], fanin, &|f: NodeId| p[f.index()], |pin, s| {
+            pin_obs[base + pin] = o * s;
+        });
     }
     (obs, pin_obs)
 }
 
 /// Stem observability of one node from its sinks' (already computed) pin
-/// observabilities: POs see the node directly; fanout branches each
-/// contribute pin observability at their sink gate, combined with the
-/// "at least one path" rule.
+/// observabilities: POs see the node directly; each fanout edge
+/// contributes the pin observability at its sink gate, combined with the
+/// "at least one path" rule, in [`Circuit::fanout_edges`] order.  A gate
+/// that lists the node on two pins is two branches, each counted once.
 ///
-/// Shared between the full backward pass ([`observabilities_cop`]) and the
-/// ECO overlay so both produce bit-identical values.
+/// `pin_obs(e)` reads the pin observability of fanin edge `e`
+/// (edge-indexed, see [`Circuit::fanin_offset`]).  Shared between the
+/// full backward pass ([`observabilities_cop`]), the ECO overlay and
+/// STAFAN, so all produce bit-identical values.
 pub(crate) fn stem_observability(
     circuit: &Circuit,
     id: NodeId,
-    pin_obs: &impl Fn(NodeId, usize) -> f64,
+    pin_obs: &impl Fn(usize) -> f64,
 ) -> f64 {
-    let mut miss = 1.0f64;
-    let mut any_path = false;
-    if circuit.is_output(id) {
-        miss = 0.0;
-        any_path = true;
-    }
-    for &sink in circuit.fanout(id) {
-        for (pin, &f) in circuit.node(sink).fanin().iter().enumerate() {
-            if f == id {
-                miss *= 1.0 - pin_obs(sink, pin);
-                any_path = true;
-            }
-        }
-    }
-    if any_path {
+    let edges = circuit.fanout_edges(id);
+    let output = circuit.is_output(id);
+    let start = if output { 0.0 } else { 1.0 };
+    let miss = edges
+        .iter()
+        .fold(start, |miss, &e| miss * (1.0 - pin_obs(e as usize)));
+    if output || !edges.is_empty() {
         1.0 - miss
     } else {
         0.0
     }
 }
 
-/// COP sensitization factor of one gate-input pin: the probability that the
-/// other pins hold non-controlling values (the pin observability is the
-/// gate's stem observability times this factor).
-pub(crate) fn pin_sensitivity(node: Node<'_>, pin: usize, p: &impl Fn(NodeId) -> f64) -> f64 {
-    pin_sensitivity_of_kind(node.kind(), node.fanin(), pin, p)
-}
-
-/// [`pin_sensitivity`] with the gate kind supplied explicitly (the ECO
-/// overlay's kind-override entry point; see [`node_probability_of_kind`]).
-pub(crate) fn pin_sensitivity_of_kind(
+/// COP sensitization factors of a gate's pins: `out(pin, s)` receives,
+/// pin by pin, the probability `s` that the other pins hold
+/// non-controlling values (the pin observability is the gate's stem
+/// observability times this factor).  The gate kind is a parameter so the
+/// ECO overlay can override it (see [`node_probability_of_kind`]).
+pub(crate) fn pin_sensitivities_of_kind(
     kind: GateKind,
     fanin: &[NodeId],
-    pin: usize,
     p: &impl Fn(NodeId) -> f64,
-) -> f64 {
+    mut out: impl FnMut(usize, f64),
+) {
     match kind {
-        GateKind::And | GateKind::Nand => fanin
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != pin)
-            .map(|(_, &f)| p(f))
-            .product(),
-        GateKind::Or | GateKind::Nor => fanin
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != pin)
-            .map(|(_, &f)| 1.0 - p(f))
-            .product(),
+        GateKind::And | GateKind::Nand => products_of_others(fanin, p, out),
+        GateKind::Or | GateKind::Nor => products_of_others(fanin, |f| 1.0 - p(f), out),
         // A change on one XOR input always flips the output.
-        GateKind::Xor | GateKind::Xnor => 1.0,
-        GateKind::Not | GateKind::Buf => 1.0,
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 => 0.0,
+        GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => {
+            (0..fanin.len()).for_each(|pin| out(pin, 1.0));
+        }
+        GateKind::Input | GateKind::Const0 | GateKind::Const1 => {}
+    }
+}
+
+/// For each pin, the product of `value` over the other pins, in pin order.
+fn products_of_others(
+    fanin: &[NodeId],
+    value: impl Fn(NodeId) -> f64,
+    mut out: impl FnMut(usize, f64),
+) {
+    for pin in 0..fanin.len() {
+        let others = fanin.iter().enumerate().filter(|&(k, _)| k != pin);
+        out(pin, others.map(|(_, &f)| value(f)).product());
     }
 }
 
@@ -290,6 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_fanin_counts_once_per_edge() {
+        // `a` feeding one AND on two pins is two branches, exactly as
+        // when each pin is fed through its own BUF.
+        let twice = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, a, b)\n").unwrap();
+        let split = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\na1 = BUF(a)\na2 = BUF(a)\ny = AND(a1, a2, b)\n",
+        )
+        .unwrap();
+        let obs_of_a = |c: &Circuit| {
+            let p = signal_probabilities_cop(c, &[0.5, 0.5]);
+            observabilities_cop(c, &p).0[c.node_id("a").unwrap().index()]
+        };
+        assert_eq!(obs_of_a(&twice), 1.0 - 0.75 * 0.75);
+        assert_eq!(obs_of_a(&twice).to_bits(), obs_of_a(&split).to_bits());
+    }
+
+    #[test]
     fn wide_and_probability_is_tiny() {
         let mut src = String::from("OUTPUT(y)\n");
         let mut args = Vec::new();
@@ -303,5 +322,92 @@ mod tests {
         let y = c.node_id("y").unwrap();
         let expect = 0.5f64.powi(32);
         assert!((p[y.index()] - expect).abs() < 1e-18);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use wrt_circuit::CircuitBuilder;
+
+    /// Random DAGs over 5 inputs; picks collide often, so many gates list
+    /// one driver on two pins.
+    fn arb_circuit() -> impl Strategy<Value = Circuit> {
+        let kinds = prop::sample::select(vec![
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+        ]);
+        proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..4)), 3..20)
+            .prop_map(|specs| {
+                let mut b = CircuitBuilder::named("rand");
+                let mut ids: Vec<NodeId> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
+                for (kind, picks) in specs {
+                    let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
+                        1
+                    } else {
+                        picks.len()
+                    };
+                    let fanin: Vec<_> =
+                        picks[..arity].iter().map(|&p| ids[p % ids.len()]).collect();
+                    ids.push(b.gate_auto(kind, &fanin).expect("valid"));
+                }
+                for &o in ids.iter().rev().step_by(4) {
+                    b.mark_output(o);
+                }
+                b.build().expect("valid circuit")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn full_passes_equal_node_by_node_evaluation(
+            circuit in arb_circuit(),
+            weights in proptest::collection::vec(0.0f64..=1.0, 5),
+        ) {
+            let p = signal_probabilities_cop(&circuit, &weights);
+            let (obs, pin_obs) = observabilities_cop(&circuit, &p);
+            let mut q = vec![0.0f64; circuit.num_nodes()];
+            for (id, node) in circuit.iter() {
+                q[id.index()] =
+                    node_probability(&circuit, id, node, &|k| weights[k], &|f: NodeId| q[f.index()]);
+            }
+            prop_assert_eq!(&bits(&p), &bits(&q));
+            let mut o = vec![0.0f64; circuit.num_nodes()];
+            let mut pin = vec![0.0f64; circuit.num_edges()];
+            for (id, node) in circuit.iter().collect::<Vec<_>>().into_iter().rev() {
+                let stem = stem_observability(&circuit, id, &|e| pin[e]);
+                // Independently: scan each distinct sink's pins, so a sink
+                // listing `id` twice contributes two factors, not four.
+                let mut sinks = circuit.fanout(id).to_vec();
+                sinks.dedup();
+                let mut miss = if circuit.is_output(id) { 0.0 } else { 1.0 };
+                for &s in &sinks {
+                    for (k, _) in circuit.fanin(s).iter().enumerate().filter(|&(_, &f)| f == id) {
+                        miss *= 1.0 - pin[circuit.fanin_offset(s) + k];
+                    }
+                }
+                let reached = circuit.is_output(id) || !sinks.is_empty();
+                prop_assert_eq!(stem.to_bits(), if reached { 1.0 - miss } else { 0.0 }.to_bits());
+                o[id.index()] = stem;
+                let base = circuit.fanin_offset(id);
+                pin_sensitivities_of_kind(node.kind(), node.fanin(), &|f: NodeId| p[f.index()], |k, s| {
+                    pin[base + k] = stem * s;
+                });
+            }
+            prop_assert_eq!(&bits(&obs), &bits(&o));
+            prop_assert_eq!(&bits(&pin_obs), &bits(&pin));
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 }

@@ -29,7 +29,7 @@ use wrt_circuit::{Circuit, GateKind, NodeId};
 use wrt_fault::FaultList;
 
 use crate::cop::{
-    node_probability_of_kind, observabilities_cop, pin_sensitivity_of_kind,
+    node_probability_of_kind, observabilities_cop, pin_sensitivities_of_kind,
     signal_probabilities_cop, stem_observability,
 };
 use crate::engine::cop_fault_probability;
@@ -106,9 +106,9 @@ fn sens_reacts(kind: GateKind, arity: usize) -> bool {
 }
 
 /// Epoch-stamped scratch over a [`CopSolution`]: a slot is live iff its
-/// stamp equals the current epoch.  One stamp per node covers the node's
-/// observability *and* its pin observabilities (they are always
-/// recomputed together).
+/// stamp equals the current epoch.  A node's observability and its pin
+/// observabilities are always recomputed together; the pins carry their
+/// own edge-indexed stamps so a stem reads a branch by edge alone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Overlay {
     epoch: u32,
@@ -118,6 +118,7 @@ pub(crate) struct Overlay {
     obs_stamp: Vec<u32>,
     /// Edge-indexed like [`CopSolution::pin_obs`].
     pin: Vec<f64>,
+    pin_stamp: Vec<u32>,
     queue_stamp: Vec<u32>,
     /// Max-heap of pending backward recomputations (descending node id =
     /// reverse topological order).
@@ -140,6 +141,7 @@ impl Overlay {
             obs: vec![0.0; nodes],
             obs_stamp: vec![0; nodes],
             pin: vec![0.0; edges],
+            pin_stamp: vec![0; edges],
             queue_stamp: vec![0; nodes],
             ..Overlay::default()
         }
@@ -153,6 +155,7 @@ impl Overlay {
             // live.
             self.p_stamp.fill(0);
             self.obs_stamp.fill(0);
+            self.pin_stamp.fill(0);
             self.queue_stamp.fill(0);
             self.epoch = 1;
         }
@@ -188,10 +191,9 @@ impl Overlay {
         }
     }
 
-    /// Overlay-or-baseline observability of pin `pin` of gate `g`.
-    fn pin_obs(&self, circuit: &Circuit, base: &CopSolution, g: NodeId, pin: usize) -> f64 {
-        let e = circuit.fanin_offset(g) + pin;
-        if self.obs_stamp[g.index()] == self.epoch {
+    /// Overlay-or-baseline observability of fanin edge `e`.
+    fn pin_obs(&self, base: &CopSolution, e: usize) -> f64 {
+        if self.pin_stamp[e] == self.epoch {
             self.pin[e]
         } else {
             base.pin_obs[e]
@@ -215,7 +217,7 @@ impl Overlay {
                     fault,
                     &|f: NodeId| self.p(base, f),
                     &|n: NodeId| self.obs(base, n),
-                    &|g: NodeId, pin: usize| self.pin_obs(circuit, base, g, pin),
+                    &|g: NodeId, pin: usize| self.pin_obs(base, circuit.fanin_offset(g) + pin),
                 )
             })
             .collect()
@@ -289,16 +291,17 @@ impl Overlay {
     /// every pin whose value moved.
     fn recompute_obs(&mut self, circuit: &Circuit, base: &CopSolution, id: NodeId, kind: GateKind) {
         let idx = id.index();
-        let new_obs = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
-            self.pin_obs(circuit, base, sink, pin)
-        });
+        let new_obs = stem_observability(circuit, id, &|e| self.pin_obs(base, e));
         self.backward_evals += 1;
         let fanin = circuit.node(id).fanin();
         let first = circuit.fanin_offset(id);
-        for pin in 0..fanin.len() {
-            let sens = pin_sensitivity_of_kind(kind, fanin, pin, &|f: NodeId| self.p(base, f));
-            self.pin[first + pin] = new_obs * sens;
-        }
+        // `pin` leaves `self` while the lookups borrow it.
+        let mut pin = std::mem::take(&mut self.pin);
+        pin_sensitivities_of_kind(kind, fanin, &|f: NodeId| self.p(base, f), |k, s| {
+            pin[first + k] = new_obs * s;
+        });
+        self.pin = pin;
+        self.pin_stamp[first..first + fanin.len()].fill(self.epoch);
         self.obs[idx] = new_obs;
         self.obs_stamp[idx] = self.epoch;
         self.touched_obs.push(id);

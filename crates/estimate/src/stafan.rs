@@ -90,9 +90,7 @@ impl StafanCounts {
         let mut pin_observability = vec![0.0f64; circuit.num_edges()];
         for idx in (0..n).rev() {
             let id = NodeId::from_index(idx);
-            let o = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
-                pin_observability[circuit.fanin_offset(sink) + pin]
-            });
+            let o = stem_observability(circuit, id, &|e| pin_observability[e]);
             observability[idx] = o;
             let base = circuit.fanin_offset(id);
             for pin in 0..circuit.fanin(id).len() {

@@ -984,22 +984,24 @@ mod proptests {
         }
 
         /// Shard counts far beyond the fault count degenerate gracefully
-        /// (singleton shards), still bit-identical.
+        /// (singleton shards), still bit-identical, in drop mode and at
+        /// pattern counts that end mid-superblock.
         #[test]
         fn oversharding_is_identical(
             circuit in arb_circuit(),
             seed in 0u64..100,
+            patterns in 200u64..=300,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
             let serial = fault_coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true,
+                patterns, true,
             );
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7,
+                patterns, true, faults.len() * 3 + 7,
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
         }
