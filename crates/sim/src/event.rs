@@ -1254,5 +1254,26 @@ mod proptests {
                 prop_assert!(stats.root_propagations <= stats.excited());
             }
         }
+
+        /// Oversharding (more shards than faults) stays identical for the
+        /// event engine, including drop mode.
+        #[test]
+        fn event_oversharding_is_identical(
+            circuit in arb_circuit(),
+            seed in 0u64..100,
+        ) {
+            let faults = FaultList::primary_inputs(&circuit);
+            let dense = fault_coverage(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                300, true,
+            );
+            let (sharded, _) = coverage(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                300, true, faults.len() * 3 + 7,
+            );
+            prop_assert_eq!(dense.detected_at(), sharded.detected_at());
+        }
     }
 }
