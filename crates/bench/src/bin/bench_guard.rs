@@ -36,6 +36,9 @@
 //!   row emits before it — the optimizer keeps the best vector seen, so
 //!   a length that grew, or a descent that ends at an infinite length,
 //!   is a regression;
+//! * every `"cop_node_evals"` must be at most `2 × "engine_calls" ×
+//!   "nodes"` of its row (both emitted before it) — no optimizer engine
+//!   call does more than two full COP passes;
 //! * in the simulation artifact, every `"faults_per_propagation"` (excited
 //!   fault attempts per event-engine root propagation) must be at least
 //!   `1.0` — every propagated region head serves at least one excited
@@ -195,8 +198,11 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     // The most recent `"threads"` value: rows emit theirs before their
     // `serial_fraction`.
     let mut threads: Option<f64> = None;
-    // Likewise a row's `initial_length` comes before its `final_length`.
+    // Likewise a row's `initial_length` comes before its `final_length`,
+    // and its `nodes` and `engine_calls` before its `cop_node_evals`.
     let mut initial_length: Option<f64> = None;
+    let mut nodes: Option<f64> = None;
+    let mut engine_calls: Option<f64> = None;
     for v in &values {
         if v.key == "threads" {
             threads = v.value.parse::<f64>().ok();
@@ -254,6 +260,18 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                     v.line, v.circuit
                 )),
             }
+        }
+        match v.key.as_str() {
+            "nodes" => nodes = v.value.parse::<f64>().ok(),
+            "engine_calls" => engine_calls = v.value.parse::<f64>().ok(),
+            "cop_node_evals" => match (v.value.parse::<f64>(), engine_calls.take(), nodes.take()) {
+                (Ok(x), Some(calls), Some(n)) if x <= 2.0 * calls * n => {}
+                _ => violations.push(format!(
+                    "{path}:{}: \"cop_node_evals\" is {} on {} — above 2 x engine_calls x nodes, or those fields are missing before it",
+                    v.line, v.value, v.circuit
+                )),
+            },
+            _ => {}
         }
         if is_sim_artifact && v.key == "faults_per_propagation" {
             if let Ok(x) = v.value.parse::<f64>() {
@@ -634,6 +652,26 @@ mod tests {
         let v = check_artifact("opt.json", orphan);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("no \"initial_length\""), "{v:?}");
+    }
+
+    #[test]
+    fn cop_work_above_two_full_passes_per_call_is_flagged() {
+        let row = |evals: &str| {
+            format!(
+                "{{ \"results\": [ {{ \"circuit\": \"s2\", \"nodes\": 10, \"engine_calls\": 3, \"cop_node_evals\": {evals}, \"bit_identical\": true }} ] }}"
+            )
+        };
+        for evals in ["60", "41"] {
+            let v = check_artifact("opt.json", &row(evals));
+            assert!(v.is_empty(), "{evals}: {v:?}");
+        }
+        let v = check_artifact("opt.json", &row("61"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("above 2 x engine_calls x nodes"), "{v:?}");
+        let orphan = "{ \"cop_node_evals\": 5, \"bit_identical\": true }";
+        let v = check_artifact("opt.json", orphan);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("fields are missing"), "{v:?}");
     }
 
     #[test]

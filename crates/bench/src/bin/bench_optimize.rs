@@ -3,8 +3,8 @@
 //!
 //! Runs the PROTEST-style optimizer once per circuit with [`CopEngine`]
 //! and writes `BENCH_optimize.json`: inputs, sweeps, engine calls, COP
-//! node evaluations (one forward and one backward pass over every node
-//! per engine call), wall time, and the test length before and after.
+//! node evaluations (counted by the engine, PREPARE's query cones
+//! included), wall time, and the test length before and after.
 //! `bit_identical` re-checks checkpoint/resume on every circuit: a run
 //! interrupted by an eval budget at half its engine calls, its checkpoint
 //! round-tripped through text, and resumed with a fresh engine must equal
@@ -42,6 +42,7 @@ struct Row {
     faults: usize,
     sweeps: usize,
     engine_calls: usize,
+    cop_node_evals: u64,
     seconds: f64,
     initial_length: f64,
     final_length: f64,
@@ -49,12 +50,6 @@ struct Row {
 }
 
 impl Row {
-    /// COP node evaluations of the run: every engine call is one forward
-    /// and one backward pass over the whole netlist.
-    fn cop_node_evals(&self) -> u64 {
-        self.engine_calls as u64 * 2 * self.nodes as u64
-    }
-
     fn to_json(&self) -> String {
         format!(
             "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"nodes\": {},\n      \"faults\": {},\n      \"sweeps\": {},\n      \"engine_calls\": {},\n      \"cop_node_evals\": {},\n      \"seconds\": {:.6},\n      \"initial_length\": {:.6e},\n      \"final_length\": {:.6e},\n      \"bit_identical\": {}\n    }}",
@@ -65,7 +60,7 @@ impl Row {
             self.faults,
             self.sweeps,
             self.engine_calls,
-            self.cop_node_evals(),
+            self.cop_node_evals,
             self.seconds,
             self.initial_length,
             self.final_length,
@@ -114,8 +109,9 @@ fn resumes_identically(
 
 fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig) -> Row {
     let faults = experiment_faults(circuit);
+    let mut engine = CopEngine::new();
     let start = Instant::now();
-    let result = optimize(circuit, &faults, &mut CopEngine::new(), config);
+    let result = optimize(circuit, &faults, &mut engine, config);
     let seconds = start.elapsed().as_secs_f64();
     Row {
         circuit: circuit.name().to_string(),
@@ -125,6 +121,7 @@ fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig) -> Row {
         faults: faults.len(),
         sweeps: result.sweeps.len(),
         engine_calls: result.engine_calls,
+        cop_node_evals: engine.node_evaluations(),
         seconds,
         initial_length: result.initial_length,
         final_length: result.final_length,
@@ -195,7 +192,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"optimize_cop\",\n  \"note\": \"One optimizer run per circuit with the stateless COP engine on the experiment fault set. cop_node_evals is the machine-independent work: engine_calls x 2 x nodes (one forward and one backward pass per call). bench_guard requires final_length finite and at most initial_length on every row. bit_identical: a run interrupted by an eval budget at half its engine calls, then resumed from its checkpoint with a fresh engine, equals the uninterrupted run. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"optimize_cop\",\n  \"note\": \"One optimizer run per circuit with the stateless COP engine on the experiment fault set. cop_node_evals is the machine-independent work, counted by the engine: one forward and one backward pass per call, over every node for ANALYSIS and over the relevant faults' query cone for each PREPARE endpoint. bench_guard requires cop_node_evals at most engine_calls x 2 x nodes (two full passes per call), and final_length finite and at most initial_length, on every row. bit_identical: a run interrupted by an eval budget at half its engine calls, then resumed from its checkpoint with a fresh engine, equals the uninterrupted run. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         config.max_sweeps,
         smoke,
         body.join(",\n"),

@@ -10,7 +10,7 @@
 //! Long-running commands respond to Ctrl-C by cancelling cooperatively:
 //! the run stops at its next budget check-in with a structured partial
 //! result (and, for optimize/atpg, a resume checkpoint) instead of the
-//! process being killed mid-write.  A second Ctrl-C kills the process.
+//! process being killed mid-write, also on a second Ctrl-C (SIGTERM still kills it).
 
 use std::process::ExitCode;
 

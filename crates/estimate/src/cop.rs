@@ -8,8 +8,17 @@
 //! known source of COP's estimation error — the cutting algorithm
 //! ([`crate::signal_probability_bounds`]) brackets that error, and the
 //! statistical engines avoid it.
+//!
+//! Each pass is one loop over a node sequence ([`forward_on`],
+//! [`backward_on`]): every node for the full passes, a fault list's
+//! *query cone* for PREPARE.  `B` is the fanout closure of the fault
+//! sites (an output fault's node, a pin fault's gate); `F` is the fanin
+//! closure of the faults' drivers and of `B`'s gates' fanins.  Every value
+//! the detection model reads depends on `F`'s probabilities and `B`'s
+//! observabilities alone, so passes over `F` ascending and `B` descending
+//! compute it from the same operands in the same order: same f64 bits.
 
-use wrt_circuit::{Circuit, GateKind, Node, NodeId};
+use wrt_circuit::{Circuit, GateKind, NodeId};
 
 /// One forward pass of signal probabilities.
 ///
@@ -25,47 +34,45 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
         circuit.num_inputs(),
         "one probability per primary input"
     );
-    let (offsets, data) = circuit.fanin_csr();
     let mut p = vec![0.0f64; circuit.num_nodes()];
-    for (i, (&kind, w)) in circuit.kinds().iter().zip(offsets.windows(2)).enumerate() {
-        let fanin = &data[w[0] as usize..w[1] as usize];
+    forward_on(circuit, input_probs, 0..circuit.num_nodes(), &mut p);
+    p
+}
+
+/// The forward pass over `nodes` (ascending ids, closed under fanin):
+/// writes each listed node's signal probability into `p`.
+pub(crate) fn forward_on(
+    circuit: &Circuit,
+    input_probs: &[f64],
+    nodes: impl IntoIterator<Item = usize>,
+    p: &mut [f64],
+) {
+    let (offsets, data) = circuit.fanin_csr();
+    let kinds = circuit.kinds();
+    for i in nodes {
+        let fanin = &data[offsets[i] as usize..offsets[i + 1] as usize];
         p[i] = node_probability_of_kind(
             circuit,
             NodeId::from_index(i),
-            kind,
+            kinds[i],
             fanin,
             &|k| input_probs[k],
             &|f: NodeId| p[f.index()],
         );
     }
-    p
 }
 
-/// The COP recurrence for one node: its signal probability from its fanin
-/// probabilities.
+/// The COP recurrence for one node of gate kind `kind`: its signal
+/// probability from its fanin probabilities.
 ///
 /// `input_prob` maps a primary-input *position* to its 1-probability; `p`
-/// maps any fanin node to its (already computed) signal probability.  The
-/// hybrid engine's COP fallback evaluates nodes through it.
-pub(crate) fn node_probability(
-    circuit: &Circuit,
-    id: NodeId,
-    node: Node<'_>,
-    input_prob: &impl Fn(usize) -> f64,
-    p: &impl Fn(NodeId) -> f64,
-) -> f64 {
-    node_probability_of_kind(circuit, id, node.kind(), node.fanin(), input_prob, p)
-}
-
-/// [`node_probability`] with the gate kind supplied explicitly.
-///
-/// The full pass ([`signal_probabilities_cop`]) evaluates every node
-/// through this function.  The ECO overlay ([`crate::SessionCop`])
-/// evaluates what-if gate-kind mutations without building a mutated
-/// circuit: it calls this function with the overridden kind and the
-/// *unchanged* fanin list, so a later cold recompute of the
-/// really-mutated circuit produces bit-identical values (same function,
-/// same operand order).
+/// maps any fanin node to its (already computed) signal probability.
+/// The forward pass ([`forward_on`]) evaluates every node through this
+/// function.  The ECO overlay ([`crate::SessionCop`]) evaluates what-if
+/// gate-kind mutations without building a mutated circuit: it calls this
+/// function with the overridden kind and the *unchanged* fanin list, so a
+/// later cold recompute of the really-mutated circuit produces
+/// bit-identical values (same function, same operand order).
 pub(crate) fn node_probability_of_kind(
     circuit: &Circuit,
     id: NodeId,
@@ -119,16 +126,28 @@ fn xor_prob(ps: impl Iterator<Item = f64>) -> f64 {
 /// Panics if `p.len() != circuit.num_nodes()`.
 pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(p.len(), circuit.num_nodes(), "one probability per node");
-    let (offsets, data) = circuit.fanin_csr();
-    let kinds = circuit.kinds();
     let mut obs = vec![0.0f64; circuit.num_nodes()];
     let mut pin_obs = vec![0.0f64; circuit.num_edges()];
-
     // Reverse topological order: node ids descending.
-    for idx in (0..obs.len()).rev() {
+    backward_on(circuit, p, (0..obs.len()).rev(), &mut obs, &mut pin_obs);
+    (obs, pin_obs)
+}
+
+/// The backward pass over `nodes` (descending ids, closed under fanout;
+/// `p` holds their fanins' probabilities): writes each listed node's
+/// observability and the pin observabilities of its fanin.
+pub(crate) fn backward_on(
+    circuit: &Circuit,
+    p: &[f64],
+    nodes: impl IntoIterator<Item = usize>,
+    obs: &mut [f64],
+    pin_obs: &mut [f64],
+) {
+    let (offsets, data) = circuit.fanin_csr();
+    let kinds = circuit.kinds();
+    for idx in nodes {
         let o = stem_observability(circuit, NodeId::from_index(idx), &|e| pin_obs[e]);
         obs[idx] = o;
-
         // Pin observabilities of this node's own fanin.
         let base = offsets[idx] as usize;
         let fanin = &data[base..offsets[idx + 1] as usize];
@@ -136,7 +155,6 @@ pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>)
             pin_obs[base + pin] = o * s;
         });
     }
-    (obs, pin_obs)
 }
 
 /// Stem observability of one node from its sinks' (already computed) pin
@@ -326,14 +344,14 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
     use wrt_circuit::CircuitBuilder;
 
     /// Random DAGs over 5 inputs; picks collide often, so many gates list
     /// one driver on two pins.
-    fn arb_circuit() -> impl Strategy<Value = Circuit> {
+    pub(crate) fn arb_circuit() -> impl Strategy<Value = Circuit> {
         let kinds = prop::sample::select(vec![
             GateKind::And,
             GateKind::Nand,
@@ -376,8 +394,14 @@ mod proptests {
             let (obs, pin_obs) = observabilities_cop(&circuit, &p);
             let mut q = vec![0.0f64; circuit.num_nodes()];
             for (id, node) in circuit.iter() {
-                q[id.index()] =
-                    node_probability(&circuit, id, node, &|k| weights[k], &|f: NodeId| q[f.index()]);
+                q[id.index()] = node_probability_of_kind(
+                    &circuit,
+                    id,
+                    node.kind(),
+                    node.fanin(),
+                    &|k| weights[k],
+                    &|f: NodeId| q[f.index()],
+                );
             }
             prop_assert_eq!(&bits(&p), &bits(&q));
             let mut o = vec![0.0f64; circuit.num_nodes()];

@@ -5,6 +5,7 @@ use wrt_fault::{Fault, FaultList, FaultSite};
 use wrt_robust::{fnv1a, Budget};
 use wrt_sim::{detection_counts_robust, SimOptions, WeightedPatterns};
 
+use crate::cop::{backward_on, forward_on};
 use crate::exact::exact_detection_probability;
 use crate::overlay::CopSolution;
 use crate::stafan::StafanCounts;
@@ -43,7 +44,8 @@ pub trait DetectionProbabilityEngine: Send {
     /// The default materializes both perturbed vectors and makes two
     /// sequential [`estimate`](Self::estimate) calls; [`MonteCarloEngine`]
     /// overrides it to simulate both points concurrently on a split thread
-    /// budget (identical results either way).
+    /// budget, [`CopEngine`] to evaluate only the faults' query cone
+    /// (identical results either way).
     ///
     /// # Panics
     ///
@@ -130,13 +132,53 @@ pub(crate) fn cop_fault_probability(
 /// own estimator).
 #[derive(Debug, Clone, Default)]
 pub struct CopEngine {
-    _private: (),
+    /// Query-cone key (circuit uid, fault list); `F` ascending, `B` descending.
+    cone: Option<(u64, FaultList)>,
+    forward: Vec<u32>,
+    backward: Vec<u32>,
+    /// What the cone passes write; entries outside the cone are stale.
+    scratch: CopSolution,
+    node_evaluations: u64,
 }
 
 impl CopEngine {
     /// Creates the engine.
     pub fn new() -> Self {
         CopEngine::default()
+    }
+
+    /// COP node evaluations so far (forward plus backward): every node per
+    /// `estimate`, the query cone per PREPARE endpoint.
+    pub fn node_evaluations(&self) -> u64 {
+        self.node_evaluations
+    }
+
+    /// Builds `faults`' query cone and sizes the scratch for `circuit`.
+    fn build_cone(&mut self, circuit: &Circuit, faults: &FaultList) {
+        let n = circuit.num_nodes();
+        let (mut in_b, mut in_f) = (vec![false; n], vec![false; n]);
+        // A pin fault's driver is a fanin of its gate in `B`, so joins `F` below.
+        for fault in faults.as_slice() {
+            match fault.site {
+                FaultSite::Output(node) => (in_b[node.index()], in_f[node.index()]) = (true, true),
+                FaultSite::InputPin { gate, .. } => in_b[gate.index()] = true,
+            }
+        }
+        // Fanins have smaller ids and sinks larger: one sweep closes each.
+        for i in 0..n {
+            let fanin = circuit.fanin(NodeId::from_index(i));
+            in_b[i] |= fanin.iter().any(|f| in_b[f.index()]);
+        }
+        for i in (0..n).rev() {
+            let sinks = circuit.fanout(NodeId::from_index(i));
+            in_f[i] |= sinks.iter().any(|s| in_b[s.index()] || in_f[s.index()]);
+        }
+        self.forward = (0..n as u32).filter(|&i| in_f[i as usize]).collect();
+        self.backward = (0..n as u32).rev().filter(|&i| in_b[i as usize]).collect();
+        self.cone = Some((circuit.uid(), faults.clone()));
+        self.scratch.p.resize(n, 0.0);
+        self.scratch.obs.resize(n, 0.0);
+        self.scratch.pin_obs.resize(circuit.num_edges(), 0.0);
     }
 }
 
@@ -147,7 +189,34 @@ impl DetectionProbabilityEngine for CopEngine {
         faults: &FaultList,
         input_probs: &[f64],
     ) -> Vec<f64> {
+        self.node_evaluations += 2 * circuit.num_nodes() as u64;
         CopSolution::compute(circuit, input_probs).detection_probabilities(circuit, faults)
+    }
+
+    /// Both endpoints over the query cone of `faults`, kept while the
+    /// circuit and fault list stay the same; bit-identical to full passes.
+    fn estimate_coordinate_pair(
+        &mut self,
+        circuit: &Circuit,
+        faults: &FaultList,
+        weights: &[f64],
+        coordinate: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(weights.len(), circuit.num_inputs());
+        if !matches!(&self.cone, Some((uid, f)) if *uid == circuit.uid() && f == faults) {
+            self.build_cone(circuit, faults);
+        }
+        let mut endpoint = |x: &[f64]| {
+            let (forward, backward) = (&self.forward, &self.backward);
+            let s = &mut self.scratch;
+            forward_on(circuit, x, forward.iter().map(|&i| i as usize), &mut s.p);
+            let nodes = backward.iter().map(|&i| i as usize);
+            backward_on(circuit, &s.p, nodes, &mut s.obs, &mut s.pin_obs);
+            self.node_evaluations += (forward.len() + backward.len()) as u64;
+            s.detection_probabilities(circuit, faults)
+        };
+        let (at_zero, at_one) = coordinate_endpoints(weights, coordinate);
+        (endpoint(&at_zero), endpoint(&at_one))
     }
 
     fn name(&self) -> &'static str {
@@ -512,6 +581,76 @@ mod tests {
         let (pa, pb) = engine.estimate_coordinate_pair(&c, &faults, &[0.2, 0.5, 0.8], 0);
         assert_eq!(pa, engine.estimate(&c, &faults, &[0.0, 0.5, 0.8]));
         assert_eq!(pb, engine.estimate(&c, &faults, &[1.0, 0.5, 0.8]));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn cone_pairs_are_bit_identical_to_full_passes(
+            circuits in (crate::cop::proptests::arb_circuit(), crate::cop::proptests::arb_circuit()),
+            weights in proptest::collection::vec(0.0f64..=1.0, 5),
+            masks in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<bool>(), 1..16),
+                2,
+            ),
+            calls in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                    0usize..5,
+                ),
+                1..12,
+            ),
+        ) {
+            // One engine across the whole sequence: a cone kept for the
+            // wrong circuit or the wrong subset would show as a mismatch.
+            // Shared subsets (output faults on nodes 0..8, which every
+            // generated circuit has) recur on both circuits.
+            let mut engine = CopEngine::new();
+            for (second, other_mask, shared, coordinate) in calls {
+                let c = if second { &circuits.1 } else { &circuits.0 };
+                let pool = if shared {
+                    (0..8)
+                        .flat_map(|i| [false, true].map(|v| Fault::output(NodeId::from_index(i), v)))
+                        .collect()
+                } else {
+                    FaultList::full(c).as_slice().to_vec()
+                };
+                let subset: FaultList = pool
+                    .into_iter()
+                    .zip(masks[usize::from(other_mask)].iter().cycle())
+                    .filter(|&(_, &keep)| keep)
+                    .map(|(fault, _)| fault)
+                    .collect();
+                let (got0, got1) = engine.estimate_coordinate_pair(c, &subset, &weights, coordinate);
+                let (at_zero, at_one) = coordinate_endpoints(&weights, coordinate);
+                let mut oracle = CopEngine::new();
+                proptest::prop_assert_eq!(bits(&got0), bits(&oracle.estimate(c, &subset, &at_zero)));
+                proptest::prop_assert_eq!(bits(&got1), bits(&oracle.estimate(c, &subset, &at_one)));
+            }
+        }
+    }
+
+    #[test]
+    fn cop_counts_cone_and_full_pass_evaluations() {
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+             m = NAND(a, b)\ny = OR(m, d)\nz = NOT(d)\n",
+        )
+        .unwrap();
+        let z = c.node_id("z").unwrap();
+        let faults = FaultList::from_faults(vec![wrt_fault::Fault::output(z, false)]);
+        let mut engine = CopEngine::new();
+        let _ = engine.estimate(&c, &faults, &[0.5; 3]);
+        assert_eq!(engine.node_evaluations(), 2 * c.num_nodes() as u64);
+        // z's cone: F = {d, z}, B = {z}, at both endpoints.
+        let _ = engine.estimate_coordinate_pair(&c, &faults, &[0.5; 3], 0);
+        assert_eq!(engine.node_evaluations(), 2 * c.num_nodes() as u64 + 2 * 3);
     }
 
     #[test]

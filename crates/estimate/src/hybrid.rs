@@ -12,10 +12,10 @@
 //! strictly improves on plain COP wherever reconvergence is local —
 //! XOR/ECC structures especially — at bounded extra cost.
 
-use wrt_circuit::Circuit;
+use wrt_circuit::{Circuit, NodeId};
 use wrt_fault::FaultList;
 
-use crate::cop::node_probability;
+use crate::cop::forward_on;
 use crate::engine::DetectionProbabilityEngine;
 use crate::exact::exact_signal_probability;
 use crate::overlay::CopSolution;
@@ -38,11 +38,12 @@ impl HybridEngine {
     pub fn signal_probabilities(&self, circuit: &Circuit, input_probs: &[f64]) -> Vec<f64> {
         assert_eq!(input_probs.len(), circuit.num_inputs());
         let mut p = vec![0.0f64; circuit.num_nodes()];
-        for (id, node) in circuit.iter() {
-            p[id.index()] = exact_signal_probability(circuit, id, input_probs, self.support_limit)
-                .unwrap_or_else(|| {
-                    node_probability(circuit, id, node, &|k| input_probs[k], &|f| p[f.index()])
-                });
+        for i in 0..circuit.num_nodes() {
+            let id = NodeId::from_index(i);
+            match exact_signal_probability(circuit, id, input_probs, self.support_limit) {
+                Some(exact) => p[i] = exact,
+                None => forward_on(circuit, input_probs, [i], &mut p),
+            }
         }
         p
     }

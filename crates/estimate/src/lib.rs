@@ -10,7 +10,8 @@
 //!   (COP-style, the default: fast, handles detection probabilities as
 //!   small as `2^-64` that no sampling method can see).  The optimizer's
 //!   PREPARE step asks it for both boundary points of each coordinate,
-//!   one forward and one backward pass per point;
+//!   one forward and one backward pass per point over the relevant
+//!   faults' query cone only (bit-identical to full passes);
 //! * [`CopBaseline`] and [`SessionCop`] — a shareable COP solution plus
 //!   per-session what-if ECO queries (virtual gate-kind mutations) on
 //!   one COP overlay: an immutable baseline solution plus an

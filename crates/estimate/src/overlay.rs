@@ -42,7 +42,7 @@ pub(crate) struct CopSolution {
     pub(crate) obs: Vec<f64>,
     /// Pin observabilities, edge-indexed: pin `pin` of gate `g` lives at
     /// `circuit.fanin_offset(g) + pin` (same layout as the fanin CSR).
-    pin_obs: Vec<f64>,
+    pub(crate) pin_obs: Vec<f64>,
 }
 
 impl CopSolution {
