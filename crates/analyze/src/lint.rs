@@ -273,9 +273,8 @@ mod tests {
 
     #[test]
     fn dead_gate_is_flagged() {
-        let f = circuit_findings(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n",
-        );
+        let f =
+            circuit_findings("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, "dead-gate");
         assert_eq!(f[0].signal, "dead");

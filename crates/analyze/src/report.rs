@@ -234,10 +234,9 @@ mod tests {
 
     #[test]
     fn report_summarizes_a_clean_circuit() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = AND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = AND(a, b)\ny = OR(m, d)\n")
+                .unwrap();
         let r = analyze(&c);
         assert_eq!(r.inputs, 3);
         assert!(r.findings.is_empty());

@@ -337,10 +337,9 @@ mod tests {
 
     #[test]
     fn and_or_recurrences_match_goldstein() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = AND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = AND(a, b)\ny = OR(m, d)\n")
+                .unwrap();
         let s = Scoap::compute(&c);
         let m = id(&c, "m");
         let y = id(&c, "y");
@@ -359,8 +358,9 @@ mod tests {
 
     #[test]
     fn inverting_gates_swap_controllabilities() {
-        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = NAND(a, b)\nz = NOT(a)\n")
-            .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = NAND(a, b)\nz = NOT(a)\n")
+                .unwrap();
         let s = Scoap::compute(&c);
         let y = id(&c, "y");
         let z = id(&c, "z");
@@ -403,10 +403,8 @@ mod tests {
 
     #[test]
     fn dead_gate_is_unobservable() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n",
-        )
-        .unwrap();
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n")
+            .unwrap();
         let s = Scoap::compute(&c);
         assert_eq!(s.co(id(&c, "dead")), SCOAP_INF);
         // a still observable through y.

@@ -63,8 +63,7 @@ pub fn scoap_seed_weights(circuit: &Circuit, scoap: &Scoap) -> Vec<f64> {
             // sinks are where random-resistance lives, so they get more
             // say than near-output logic.
             #[allow(clippy::cast_precision_loss)]
-            let influence =
-                (width as f64 - 1.0).max(1.0) * (1.0 + f64::from(co.min(256)) / 32.0);
+            let influence = (width as f64 - 1.0).max(1.0) * (1.0 + f64::from(co.min(256)) / 32.0);
             num += target * influence;
             den += influence;
         }
@@ -104,9 +103,7 @@ mod tests {
     fn floating_input_defaults_to_half() {
         let c = parse_bench("INPUT(a)\nINPUT(unused)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
         let w = scoap_seed_weights(&c, &Scoap::compute(&c));
-        let pos = c
-            .input_position(c.node_id("unused").unwrap())
-            .unwrap();
+        let pos = c.input_position(c.node_id("unused").unwrap()).unwrap();
         assert_eq!(w[pos], 0.5);
     }
 

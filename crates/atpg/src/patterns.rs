@@ -94,7 +94,10 @@ impl PatternSet {
     ///
     /// Panics if `k` or `i` is out of range.
     pub fn bit(&self, k: usize, i: usize) -> bool {
-        assert!(k < self.len() && i < self.width, "pattern index out of range");
+        assert!(
+            k < self.len() && i < self.width,
+            "pattern index out of range"
+        );
         self.words[k * self.words_per_pattern() + i / 64] >> (i % 64) & 1 == 1
     }
 

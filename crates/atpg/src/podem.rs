@@ -224,10 +224,7 @@ impl<'c> Podem<'c> {
             let mut pair = match node.kind() {
                 GateKind::Input => {
                     let t = assignment[self.circuit.input_position(id).expect("pi")];
-                    Dv {
-                        good: t,
-                        faulty: t,
-                    }
+                    Dv { good: t, faulty: t }
                 }
                 GateKind::Const0 => Dv::known(false),
                 GateKind::Const1 => Dv::known(true),
@@ -341,12 +338,7 @@ impl<'c> Podem<'c> {
     }
 
     /// Walks an objective back to an unassigned primary input.
-    fn backtrace(
-        &self,
-        mut node: NodeId,
-        mut value: bool,
-        values: &[Dv],
-    ) -> Option<(usize, bool)> {
+    fn backtrace(&self, mut node: NodeId, mut value: bool, values: &[Dv]) -> Option<(usize, bool)> {
         loop {
             let nd = self.circuit.node(node);
             match nd.kind() {
@@ -537,7 +529,10 @@ mod tests {
         let c = parse_bench("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = OR(a, n)\n").unwrap();
         let y = c.node_id("y").unwrap();
         let podem = Podem::new(&c);
-        assert_eq!(podem.generate(Fault::output(y, true)), AtpgOutcome::Redundant);
+        assert_eq!(
+            podem.generate(Fault::output(y, true)),
+            AtpgOutcome::Redundant
+        );
         // …while s-a-0 is trivially testable.
         assert!(matches!(
             podem.generate(Fault::output(y, false)),
@@ -563,7 +558,10 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // z s-a-0 is redundant: z is never 1.
-        assert_eq!(podem.generate(Fault::output(z, false)), AtpgOutcome::Redundant);
+        assert_eq!(
+            podem.generate(Fault::output(z, false)),
+            AtpgOutcome::Redundant
+        );
     }
 
     #[test]
@@ -589,10 +587,9 @@ mod tests {
 
     #[test]
     fn pin_faults_at_fanout_stems() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n")
+                .unwrap();
         let y = c.node_id("y").unwrap();
         let podem = Podem::new(&c);
         let fault = Fault::input_pin(y, 0, true);
@@ -674,7 +671,11 @@ mod tests {
         let podem = Podem::with_backtrace_costs(&c, &scoap);
         for (_, fault) in FaultList::checkpoints(&c).iter().take(40) {
             if let AtpgOutcome::Test(t) = podem.generate(fault) {
-                assert!(detects(&c, fault, &t), "bogus test for {}", fault.describe(&c));
+                assert!(
+                    detects(&c, fault, &t),
+                    "bogus test for {}",
+                    fault.describe(&c)
+                );
             }
         }
     }

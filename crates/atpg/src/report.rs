@@ -13,7 +13,9 @@
 use wrt_analyze::Scoap;
 use wrt_circuit::Circuit;
 use wrt_fault::{FaultId, FaultList};
-use wrt_robust::{Budget, BudgetExceeded, Checkpoint, CheckpointError, DegradeStep, Ladder, Progress, RunOutcome};
+use wrt_robust::{
+    Budget, BudgetExceeded, Checkpoint, CheckpointError, DegradeStep, Ladder, Progress, RunOutcome,
+};
 use wrt_sim::{EventSimulator, FaultWorklist, Xoshiro256};
 
 use crate::patterns::PatternSet;
@@ -198,7 +200,10 @@ impl AtpgState {
             .collect();
         c.put("tests", tests.join(","));
         // RNG mid-stream state; empty when fill is deterministic zeros.
-        c.put_u64_slice("rng_state", &self.rng.as_ref().map_or(Vec::new(), |r| r.state().to_vec()));
+        c.put_u64_slice(
+            "rng_state",
+            &self.rng.as_ref().map_or(Vec::new(), |r| r.state().to_vec()),
+        );
         c
     }
 
@@ -334,8 +339,7 @@ fn run_atpg_loop(
     let podem = guided_podem(circuit, config);
     // The unguided fallback for `degrade_on_abort` (pointless when the
     // primary search is already unguided).
-    let fallback = (config.degrade_on_abort
-        && config.guidance != BacktraceGuidance::Unguided)
+    let fallback = (config.degrade_on_abort && config.guidance != BacktraceGuidance::Unguided)
         .then(|| Podem::unguided(circuit).with_backtrack_limit(config.backtrack_limit));
     // Fault dropping runs on the event kernel, one pattern per pass, over
     // the still-undetected faults — rebuilt from `detected`, so a resumed
@@ -354,8 +358,7 @@ fn run_atpg_loop(
         }
         if let Some(budget) = budget {
             state.next_index = id.index();
-            if let Err(reason) =
-                budget.check_in(state.podem_calls as u64, state.backtracks as u64)
+            if let Err(reason) = budget.check_in(state.podem_calls as u64, state.backtracks as u64)
             {
                 return Some(reason);
             }
@@ -530,10 +533,9 @@ mod tests {
 
     #[test]
     fn redundancies_are_reported() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nt = OR(a, n)\ny = AND(t, b)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nt = OR(a, n)\ny = AND(t, b)\n")
+                .unwrap();
         let faults = FaultList::full(&c);
         let report = generate_tests(&c, &faults, &AtpgConfig::default());
         assert!(!report.redundant.is_empty(), "t s-a-1 class is redundant");
@@ -596,14 +598,9 @@ mod tests {
         let faults = FaultList::checkpoints(&c).collapse_equivalent(&c);
         let config = AtpgConfig::default();
         let reference = generate_tests(&c, &faults, &config);
-        let run = generate_tests_budgeted(
-            &c,
-            &faults,
-            &config,
-            &wrt_robust::Budget::unlimited(),
-            None,
-        )
-        .expect("no checkpoint involved");
+        let run =
+            generate_tests_budgeted(&c, &faults, &config, &wrt_robust::Budget::unlimited(), None)
+                .expect("no checkpoint involved");
         assert!(run.checkpoint.is_none());
         assert!(run.ladder.is_empty());
         match run.outcome {
@@ -624,14 +621,17 @@ mod tests {
         let c = wrt_workloads::s1();
         let faults = FaultList::checkpoints(&c).collapse_equivalent(&c);
         let config = AtpgConfig::default();
-        assert!(config.random_fill_seed.is_some(), "fill must be random here");
+        assert!(
+            config.random_fill_seed.is_some(),
+            "fill must be random here"
+        );
         let reference = generate_tests(&c, &faults, &config);
         assert!(reference.podem_calls > 6, "need room to interrupt");
 
         for calls in [1u64, 3, 5] {
             let budget = wrt_robust::Budget::unlimited().with_max_evals(calls);
-            let run = generate_tests_budgeted(&c, &faults, &config, &budget, None)
-                .expect("fresh run");
+            let run =
+                generate_tests_budgeted(&c, &faults, &config, &budget, None).expect("fresh run");
             let ckpt = run.checkpoint.expect("interrupted run must checkpoint");
             match &run.outcome {
                 wrt_robust::RunOutcome::Interrupted {
@@ -647,9 +647,8 @@ mod tests {
                 wrt_robust::RunOutcome::Complete(_) => panic!("{calls} calls must interrupt"),
             }
 
-            let ckpt =
-                wrt_robust::Checkpoint::parse(&ckpt.render(), ATPG_CHECKPOINT_KIND)
-                    .expect("checkpoint round-trips");
+            let ckpt = wrt_robust::Checkpoint::parse(&ckpt.render(), ATPG_CHECKPOINT_KIND)
+                .expect("checkpoint round-trips");
             let resumed = generate_tests_budgeted(
                 &c,
                 &faults,
@@ -672,10 +671,9 @@ mod tests {
         // A redundancy proof forces backtracks; a 0-backtrack global
         // budget must trip at the first fault boundary after they accrue,
         // identically across runs.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nt = OR(a, n)\ny = AND(t, b)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nt = OR(a, n)\ny = AND(t, b)\n")
+                .unwrap();
         let faults = FaultList::full(&c);
         let budget = wrt_robust::Budget::unlimited().with_max_backtracks(1);
         let run = |config: &AtpgConfig| {
@@ -735,14 +733,12 @@ mod tests {
         // A structural twin — same input/node/fault counts, different
         // gates — slips past the count-only fingerprint; the recorded
         // structural digest must refuse it.
-        let and4 = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)\n",
-        )
-        .unwrap();
-        let or4 = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)\n",
-        )
-        .unwrap();
+        let and4 =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = AND(a, b, c, d)\n")
+                .unwrap();
+        let or4 =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny = OR(a, b, c, d)\n")
+                .unwrap();
         let and_faults = FaultList::checkpoints(&and4);
         let or_faults = FaultList::checkpoints(&or4);
         assert_eq!(and_faults.len(), or_faults.len(), "twin must match counts");

@@ -70,5 +70,10 @@ fn exact_engine_small(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, engines_on_workloads, exact_engine_small, bdd_exact_on_c432);
+criterion_group!(
+    benches,
+    engines_on_workloads,
+    exact_engine_small,
+    bdd_exact_on_c432
+);
 criterion_main!(benches);

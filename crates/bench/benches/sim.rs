@@ -14,7 +14,9 @@ fn logic_sim(c: &mut Criterion) {
     for name in ["c880ish", "c6288ish"] {
         let circuit = wrt_workloads::by_name(name).expect("registered");
         let blocks = 16u64;
-        group.throughput(Throughput::Elements(blocks * 64 * circuit.num_gates() as u64));
+        group.throughput(Throughput::Elements(
+            blocks * 64 * circuit.num_gates() as u64,
+        ));
         group.bench_function(BenchmarkId::new("blocks16", name), |b| {
             b.iter(|| {
                 let mut sim = LogicSim::new(&circuit);
@@ -126,5 +128,11 @@ fn event_fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, logic_sim, fault_sim, sharded_fault_sim, event_fault_sim);
+criterion_group!(
+    benches,
+    logic_sim,
+    fault_sim,
+    sharded_fault_sim,
+    event_fault_sim
+);
 criterion_main!(benches);

@@ -7,8 +7,7 @@
 //! Run with `cargo run --release -p wrt-bench --bin accuracy`.
 
 use wrt_estimate::{
-    BddEngine, CopEngine, DetectionProbabilityEngine, HybridEngine, MonteCarloEngine,
-    StafanEngine,
+    BddEngine, CopEngine, DetectionProbabilityEngine, HybridEngine, MonteCarloEngine, StafanEngine,
 };
 use wrt_fault::FaultList;
 
@@ -21,10 +20,7 @@ fn main() {
         let probs = vec![0.5; circuit.num_inputs()];
         let exact = BddEngine::new(4_000_000).estimate(&circuit, &faults, &probs);
 
-        println!(
-            "{name} ({} primary-input faults):",
-            faults.len()
-        );
+        println!("{name} ({} primary-input faults):", faults.len());
         let mut engines: Vec<Box<dyn DetectionProbabilityEngine>> = vec![
             Box::new(CopEngine::new()),
             Box::new(HybridEngine::new(14)),

@@ -197,8 +197,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for name in &circuits {
-        let circuit = wrt_workloads::by_name(name)
-            .unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        let circuit =
+            wrt_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = bench_circuit(&circuit, backtrack_limit);
         println!(
             "  {:<10} {:>5} faults  analysis {:>7.1} ms  lints {}  spearman {:+.3}  backtracks {:>6} guided vs {:>6} unguided ({:.2}x)  identical {}",

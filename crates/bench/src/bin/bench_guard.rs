@@ -147,10 +147,7 @@ fn bare_values(text: &str) -> Vec<BareValue> {
                 // A bare token: number, boolean, null, or corruption.
                 let start = i;
                 while i < bytes.len()
-                    && !matches!(
-                        bytes[i],
-                        b',' | b'}' | b']' | b'\n' | b' ' | b'\t' | b'\r'
-                    )
+                    && !matches!(bytes[i], b',' | b'}' | b']' | b'\n' | b' ' | b'\t' | b'\r')
                 {
                     i += 1;
                 }
@@ -190,9 +187,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     // The serving artifact leads with warm-over-cold ratios; only
     // `bench_serve` emits that key.
     let is_serve_artifact = values.iter().any(|v| v.key == "warm_over_cold");
-    let is_smoke = values
-        .iter()
-        .any(|v| v.key == "smoke" && v.value == "true");
+    let is_smoke = values.iter().any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
     let mut warm_headline_rows = 0usize;
     // The most recent `"threads"` value: rows emit theirs before their
@@ -468,8 +463,7 @@ mod tests {
     #[test]
     fn nan_and_inf_ratios_are_flagged() {
         for bad in ["NaN", "inf", "-inf", "Infinity"] {
-            let text =
-                format!("{{ \"speedup\": {bad}, \"bit_identical\": true, \"x\": 1.0 }}");
+            let text = format!("{{ \"speedup\": {bad}, \"bit_identical\": true, \"x\": 1.0 }}");
             let v = check_artifact("x.json", &text);
             assert_eq!(v.len(), 1, "token {bad}: {v:?}");
             assert!(v[0].contains("speedup"), "token {bad}");
@@ -495,11 +489,14 @@ mod tests {
 
     #[test]
     fn guidance_regressions_are_flagged() {
-        let ok = "{ \"guided_backtracks\": 32, \"unguided_backtracks\": 50, \"bit_identical\": true }";
+        let ok =
+            "{ \"guided_backtracks\": 32, \"unguided_backtracks\": 50, \"bit_identical\": true }";
         assert!(check_artifact("x.json", ok).is_empty());
-        let tie = "{ \"guided_backtracks\": 16, \"unguided_backtracks\": 16, \"bit_identical\": true }";
+        let tie =
+            "{ \"guided_backtracks\": 16, \"unguided_backtracks\": 16, \"bit_identical\": true }";
         assert!(check_artifact("x.json", tie).is_empty());
-        let bad = "{ \"guided_backtracks\": 51, \"unguided_backtracks\": 50, \"bit_identical\": true }";
+        let bad =
+            "{ \"guided_backtracks\": 51, \"unguided_backtracks\": 50, \"bit_identical\": true }";
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("guidance regression"));
@@ -518,9 +515,7 @@ mod tests {
         let ok = "{ \"unrecovered\": 0, \"bit_identical\": true, \"x\": 1.0 }";
         assert!(check_artifact("x.json", ok).is_empty());
         for bad in ["1", "3.0", "NaN"] {
-            let text = format!(
-                "{{ \"unrecovered\": {bad}, \"bit_identical\": true, \"x\": 1.0 }}"
-            );
+            let text = format!("{{ \"unrecovered\": {bad}, \"bit_identical\": true, \"x\": 1.0 }}");
             let v = check_artifact("x.json", &text);
             assert_eq!(v.len(), 1, "value {bad}: {v:?}");
             assert!(v[0].contains("unrecovered"), "value {bad}");

@@ -171,8 +171,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for name in &circuits {
-        let circuit = wrt_workloads::by_name(name)
-            .unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        let circuit =
+            wrt_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = bench_circuit(&circuit, &config);
         println!(
             "  {:<10} {:>4} inputs {:>5} nodes  {:>3} sweeps {:>6} calls  {:.3e} -> {:.3e}  \

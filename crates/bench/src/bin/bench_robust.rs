@@ -321,8 +321,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for name in &circuits {
-        let circuit = wrt_workloads::by_name(name)
-            .unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        let circuit =
+            wrt_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = overhead_row(&circuit, patterns, threads, reps);
         println!(
             "  {:<10} unlimited {:.4}s  budgeted {:.4}s  overhead {:+.2} %  identical {}",
@@ -332,14 +332,16 @@ fn main() {
             row.overhead_pct(),
             row.identical,
         );
-        assert!(row.identical, "{name}: the budgeted run diverged from the unlimited one");
+        assert!(
+            row.identical,
+            "{name}: the budgeted run diverged from the unlimited one"
+        );
         rows.push(row);
     }
 
     // Chaos sweep on a small circuit: outcome classification, not timing.
     let chaos_circuit = wrt_workloads::s1();
-    let chaos_faults =
-        FaultList::checkpoints(&chaos_circuit).collapse_equivalent(&chaos_circuit);
+    let chaos_faults = FaultList::checkpoints(&chaos_circuit).collapse_equivalent(&chaos_circuit);
     let (mut fired, mut recovered, mut structured) = (0u64, 0u64, 0u64);
     let mut unrecovered: Vec<String> = Vec::new();
     // Injected panics are caught by the shard scaffold; silence the

@@ -38,8 +38,7 @@ use std::time::Instant;
 
 use wrt_circuit::Circuit;
 use wrt_estimate::{
-    constant_line_faults, observabilities_cop, signal_probabilities_cop,
-    REDUNDANCY_SUPPORT_LIMIT,
+    constant_line_faults, observabilities_cop, signal_probabilities_cop, REDUNDANCY_SUPPORT_LIMIT,
 };
 use wrt_fault::FaultList;
 use wrt_robust::Budget;
@@ -110,8 +109,9 @@ impl FaultPrep {
             prep.collapse_seconds = prep.collapse_seconds.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
             let redundant = constant_line_faults(circuit, &checkpoints, REDUNDANCY_SUPPORT_LIMIT);
-            prep.constant_lines_seconds =
-                prep.constant_lines_seconds.min(start.elapsed().as_secs_f64());
+            prep.constant_lines_seconds = prep
+                .constant_lines_seconds
+                .min(start.elapsed().as_secs_f64());
             prep.checkpoints = checkpoints.len();
             prep.collapsed = collapsed.len();
             prep.proven = redundant.iter().filter(|&&r| r).count();
@@ -272,7 +272,9 @@ fn main() {
     let seed: u64 = flag(&args, "--seed")
         .map(|v| v.parse().expect("--seed S"))
         .unwrap_or(SEED);
-    let out = flag(&args, "--out").unwrap_or("BENCH_scale.json").to_string();
+    let out = flag(&args, "--out")
+        .unwrap_or("BENCH_scale.json")
+        .to_string();
     let sizes: Vec<usize> = flag(&args, "--sizes")
         .map(|v| {
             v.split(',')

@@ -88,13 +88,24 @@ fn flippable_mutations(circuit: &Circuit) -> (String, Vec<EcoMutation>) {
             GateKind::Nor => GateKind::Nand,
             _ => continue,
         };
-        spec.push(format!("{}={}", node.name(), format!("{flipped:?}").to_uppercase()));
-        mutations.push(EcoMutation { gate: id, kind: flipped });
+        spec.push(format!(
+            "{}={}",
+            node.name(),
+            format!("{flipped:?}").to_uppercase()
+        ));
+        mutations.push(EcoMutation {
+            gate: id,
+            kind: flipped,
+        });
         if mutations.len() == 2 {
             break;
         }
     }
-    assert_eq!(mutations.len(), 2, "benchmark circuit has too few mutable gates");
+    assert_eq!(
+        mutations.len(),
+        2,
+        "benchmark circuit has too few mutable gates"
+    );
     (spec.join(","), mutations)
 }
 
@@ -131,11 +142,19 @@ fn main() {
     let reps: u32 = flag(&args, "--reps")
         .map(|v| v.parse().expect("--reps takes an integer"))
         .unwrap_or(if smoke { 5 } else { 20 });
-    let out_path = flag(&args, "--out").unwrap_or("BENCH_serve.json").to_string();
+    let out_path = flag(&args, "--out")
+        .unwrap_or("BENCH_serve.json")
+        .to_string();
     let circuits: &[&str] = if smoke {
         &["s1", "c880ish"]
     } else {
-        &["c880ish", "c2670ish", "c5315ish", "tiled_5000_1", "tiled_20000_1"]
+        &[
+            "c880ish",
+            "c2670ish",
+            "c5315ish",
+            "tiled_5000_1",
+            "tiled_20000_1",
+        ]
     };
 
     // One registry shared by the server and the in-process reference —
@@ -195,7 +214,10 @@ fn main() {
             row.warm_over_cold(),
             row.identical
         );
-        assert!(row.identical, "{name}: served payload diverged from direct execution");
+        assert!(
+            row.identical,
+            "{name}: served payload diverged from direct execution"
+        );
         assert!(
             row.warm_over_cold() >= 1.0,
             "{name}: warm serving slower than cold ({:.2}x)",
@@ -243,7 +265,10 @@ fn main() {
         stats.eval_reduction(),
         eco_identical
     );
-    assert!(eco_identical, "{eco_name}: ECO overlay diverged from cold recompute");
+    assert!(
+        eco_identical,
+        "{eco_name}: ECO overlay diverged from cold recompute"
+    );
     let floor = if smoke { 1.0 } else { 2.0 };
     assert!(
         stats.eval_reduction() >= floor,

@@ -410,8 +410,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for name in &circuits {
-        let circuit = wrt_workloads::by_name(name)
-            .unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        let circuit =
+            wrt_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
         let row = bench_circuit(&circuit, patterns, threads);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
@@ -420,7 +420,11 @@ fn main() {
             row.circuit,
             row.faults,
             row.dense_evals_per_detected(),
-            if row.dense_seconds.is_none() { "*" } else { " " },
+            if row.dense_seconds.is_none() {
+                "*"
+            } else {
+                " "
+            },
             row.event_evals_per_detected(),
             row.eval_reduction(),
             row.sparsity_reduction(),

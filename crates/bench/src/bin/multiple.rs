@@ -27,8 +27,7 @@ fn main() {
         let weights = wrt_core::quantize_weights(&optimized.weights, 0.05);
 
         let singles =
-            wrt_bench::simulate_coverage(&circuit, &faults, &weights, budget, 0xD0)
-                .coverage();
+            wrt_bench::simulate_coverage(&circuit, &faults, &weights, budget, 0xD0).coverage();
         let base: Vec<_> = faults.iter().map(|(_, f)| f).collect();
         let mut multi_cov = Vec::new();
         for multiplicity in [2usize, 3] {

@@ -16,8 +16,7 @@ fn main() {
         let patterns = row.sim_patterns.expect("starred rows simulate");
         let optimized = wrt_bench::optimize_circuit(&circuit, &faults);
         let weights = wrt_core::quantize_weights(&optimized.weights, 0.05);
-        let result =
-            wrt_bench::simulate_coverage(&circuit, &faults, &weights, patterns, 0xBEEF);
+        let result = wrt_bench::simulate_coverage(&circuit, &faults, &weights, patterns, 0xBEEF);
         println!(
             "  {:<10} {:>9} {:>12} {:>9.1} %",
             row.paper_name,

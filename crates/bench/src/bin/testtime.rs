@@ -35,8 +35,7 @@ fn main() {
         let circuit = wrt_workloads::by_name(row.name).expect("registered");
         let faults = wrt_estimate::experiment_faults(&circuit);
         let theta = wrt_bench::experiment_theta();
-        let conventional =
-            wrt_bench::conventional_test_length(&circuit, &faults, theta).patterns();
+        let conventional = wrt_bench::conventional_test_length(&circuit, &faults, theta).patterns();
         let optimized = wrt_bench::optimize_circuit(&circuit, &faults).final_length;
         let access = TestAccess::ScanChain {
             chain_length: circuit.num_inputs(),

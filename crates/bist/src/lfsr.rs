@@ -146,12 +146,7 @@ mod tests {
 
     #[test]
     fn galois_period_is_maximal() {
-        let mut lfsr = Lfsr::new(
-            9,
-            primitive_taps(9).unwrap(),
-            7,
-            LfsrForm::Galois,
-        );
+        let mut lfsr = Lfsr::new(9, primitive_taps(9).unwrap(), 7, LfsrForm::Galois);
         let start = lfsr.state();
         let mut period = 0u64;
         loop {

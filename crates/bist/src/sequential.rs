@@ -64,10 +64,7 @@ impl SequentialCircuit {
     /// Rejects bindings whose pseudo input is not a core primary input,
     /// whose pseudo output is not a core primary output, or that reuse a
     /// node.
-    pub fn new(
-        core: Circuit,
-        registers: Vec<(NodeId, NodeId)>,
-    ) -> Result<Self, SequentialError> {
+    pub fn new(core: Circuit, registers: Vec<(NodeId, NodeId)>) -> Result<Self, SequentialError> {
         let mut seen_in = std::collections::HashSet::new();
         let mut seen_out = std::collections::HashSet::new();
         for &(ppi, ppo) in &registers {

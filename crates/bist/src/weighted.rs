@@ -29,7 +29,11 @@ impl DyadicWeight {
     pub fn closest(w: f64, max_bits: u32) -> Self {
         assert!(max_bits > 0, "need at least one LFSR bit");
         let w = w.clamp(0.0, 1.0);
-        let (target, invert) = if w <= 0.5 { (w, false) } else { (1.0 - w, true) };
+        let (target, invert) = if w <= 0.5 {
+            (w, false)
+        } else {
+            (1.0 - w, true)
+        };
         // Choose k minimizing |2^-k − target|.
         let mut best = DyadicWeight { bits: 1, invert };
         let mut best_err = (0.5 - target).abs();
@@ -369,8 +373,14 @@ mod tests {
         let seed = 0xFEED;
         let mut generator = WeightedLfsr::new(
             vec![
-                DyadicWeight { bits: 1, invert: false },
-                DyadicWeight { bits: 1, invert: true },
+                DyadicWeight {
+                    bits: 1,
+                    invert: false,
+                },
+                DyadicWeight {
+                    bits: 1,
+                    invert: true,
+                },
             ],
             seed,
         );

@@ -155,7 +155,9 @@ impl CircuitBuilder {
             });
         }
         if fanin.iter().any(|f| f.index() >= self.kinds.len()) {
-            return Err(BuildCircuitError::UnknownFanin { gate: name.to_string() });
+            return Err(BuildCircuitError::UnknownFanin {
+                gate: name.to_string(),
+            });
         }
         Ok(self.push(name, kind, fanin))
     }
@@ -303,7 +305,10 @@ impl CircuitBuilder {
             &self.name_bytes[lo..hi]
         };
         name_sorted.sort_unstable_by(|&a, &b| name_of(a).cmp(name_of(b)));
-        if let Some(w) = name_sorted.windows(2).find(|w| name_of(w[0]) == name_of(w[1])) {
+        if let Some(w) = name_sorted
+            .windows(2)
+            .find(|w| name_of(w[0]) == name_of(w[1]))
+        {
             return Err(BuildCircuitError::DuplicateName(name_of(w[0]).to_string()));
         }
         static NEXT_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

@@ -51,7 +51,8 @@ pub fn output_cone(circuit: &Circuit, output: NodeId) -> Vec<NodeId> {
 fn collect_marked(mark: &[bool]) -> Vec<NodeId> {
     mark.iter()
         .enumerate()
-        .filter(|&(_i, &m)| m).map(|(i, &_m)| NodeId::from_index(i))
+        .filter(|&(_i, &m)| m)
+        .map(|(i, &_m)| NodeId::from_index(i))
         .collect()
 }
 

@@ -47,7 +47,10 @@ impl fmt::Display for BuildCircuitError {
                 write!(f, "node `{n}` marked as output twice")
             }
             BuildCircuitError::InputAsGate(n) => {
-                write!(f, "node `{n}`: use CircuitBuilder::input for primary inputs")
+                write!(
+                    f,
+                    "node `{n}`: use CircuitBuilder::input for primary inputs"
+                )
             }
         }
     }

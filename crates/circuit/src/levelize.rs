@@ -31,11 +31,7 @@ impl Levels {
     /// [`crate::ParseBenchError::Cycle`] values before a `Circuit` ever
     /// exists.  The assert below turns any future violation of that
     /// invariant into a loud failure instead of silently wrong levels.
-    pub(crate) fn compute(
-        num_nodes: usize,
-        fanin_offsets: &[u32],
-        fanin_data: &[NodeId],
-    ) -> Self {
+    pub(crate) fn compute(num_nodes: usize, fanin_offsets: &[u32], fanin_data: &[NodeId]) -> Self {
         let mut level = vec![0u32; num_nodes];
         let mut depth = 0;
         for i in 0..num_nodes {
@@ -105,9 +101,9 @@ impl Levels {
 
     /// Iterates over levels `0..=depth` as slices of node ids.
     pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.level_offsets.windows(2).map(move |w| {
-            &self.level_data[w[0] as usize..w[1] as usize]
-        })
+        self.level_offsets
+            .windows(2)
+            .map(move |w| &self.level_data[w[0] as usize..w[1] as usize])
     }
 
     /// Bytes of heap memory held by the levelization arrays.

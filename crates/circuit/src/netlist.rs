@@ -90,9 +90,7 @@ impl fmt::Debug for Node<'_> {
 
 impl PartialEq for Node<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.kind() == other.kind()
-            && self.fanin() == other.fanin()
-            && self.name() == other.name()
+        self.kind() == other.kind() && self.fanin() == other.fanin() && self.name() == other.name()
     }
 }
 
@@ -384,9 +382,7 @@ impl Circuit {
     /// Nodes with more than one fanout (fanout stems), the source of
     /// reconvergence and thus of signal correlation.
     pub fn fanout_stems(&self) -> Vec<NodeId> {
-        self.ids()
-            .filter(|&id| self.fanout(id).len() > 1)
-            .collect()
+        self.ids().filter(|&id| self.fanout(id).len() > 1).collect()
     }
 }
 
@@ -487,7 +483,7 @@ mod tests {
         assert_eq!(total, fanin_edges);
         assert_eq!(c.num_edges(), fanin_edges);
         assert_eq!(c.fanout(a), &[n, g, h, h]); // ascending, duplicates kept
-        // Fanout slices are ascending (CSR fill visits sinks in id order).
+                                                // Fanout slices are ascending (CSR fill visits sinks in id order).
         for id in c.ids() {
             for w in c.fanout(id).windows(2) {
                 assert!(w[0] <= w[1]);

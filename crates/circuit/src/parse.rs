@@ -101,9 +101,8 @@ fn scan_lines<'a>(text: &'a str, issues: &mut Vec<ParseBenchError>) -> Scan<'a> 
                 u32::try_from(scan.fanin_names.len()).expect("fanin arena fits in u32");
             scan.fanin_names
                 .extend(args.split(',').map(str::trim).filter(|a| !a.is_empty()));
-            let fanin_len =
-                u32::try_from(scan.fanin_names.len()).expect("fanin arena fits in u32")
-                    - fanin_start;
+            let fanin_len = u32::try_from(scan.fanin_names.len()).expect("fanin arena fits in u32")
+                - fanin_start;
             scan.gates.push(RawGate {
                 name: target,
                 kind,
@@ -112,7 +111,10 @@ fn scan_lines<'a>(text: &'a str, issues: &mut Vec<ParseBenchError>) -> Scan<'a> 
                 line,
             });
         } else {
-            issues.push(syntax(line, "expected INPUT(..), OUTPUT(..) or `sig = KIND(..)`"));
+            issues.push(syntax(
+                line,
+                "expected INPUT(..), OUTPUT(..) or `sig = KIND(..)`",
+            ));
         }
     }
     scan
@@ -191,7 +193,10 @@ pub fn parse_bench_named(text: &str, name: &str) -> Result<Circuit, ParseBenchEr
     let mut input_pos: HashMap<&str, u32> = HashMap::with_capacity(scan.inputs.len());
     let mut input_ids: Vec<NodeId> = Vec::with_capacity(scan.inputs.len());
     for &(name, _) in &scan.inputs {
-        input_pos.insert(name, u32::try_from(input_ids.len()).expect("inputs fit in u32"));
+        input_pos.insert(
+            name,
+            u32::try_from(input_ids.len()).expect("inputs fit in u32"),
+        );
         input_ids.push(builder.input(name));
     }
 
@@ -246,15 +251,13 @@ pub fn parse_bench_named(text: &str, name: &str) -> Result<Circuit, ParseBenchEr
                 // All fanins materialized: emit this gate.
                 let lo = g.fanin_start as usize;
                 fanin_ids.clear();
-                fanin_ids.extend(fanin_refs[lo..lo + g.fanin_len as usize].iter().map(
-                    |&r| {
-                        if r & INPUT_REF != 0 {
-                            input_ids[(r & !INPUT_REF) as usize]
-                        } else {
-                            gate_ids[r as usize]
-                        }
-                    },
-                ));
+                fanin_ids.extend(fanin_refs[lo..lo + g.fanin_len as usize].iter().map(|&r| {
+                    if r & INPUT_REF != 0 {
+                        input_ids[(r & !INPUT_REF) as usize]
+                    } else {
+                        gate_ids[r as usize]
+                    }
+                }));
                 gate_ids[gi] = builder.gate(g.kind, g.name, &fanin_ids)?;
                 mark[gi] = Mark::Black;
                 stack.pop();
@@ -433,8 +436,7 @@ mod tests {
 
     #[test]
     fn detects_cycles_with_full_path() {
-        let err =
-            parse_bench("INPUT(a)\nOUTPUT(p)\np = AND(a, q)\nq = NOT(p)\n").unwrap_err();
+        let err = parse_bench("INPUT(a)\nOUTPUT(p)\np = AND(a, q)\nq = NOT(p)\n").unwrap_err();
         let ParseBenchError::Cycle { path, line } = err else {
             panic!("expected cycle, got {err:?}");
         };
@@ -519,8 +521,7 @@ mod tests {
 
     #[test]
     fn detects_double_definition() {
-        let err =
-            parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\n").unwrap_err();
+        let err = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\n").unwrap_err();
         assert!(matches!(err, ParseBenchError::Syntax { line: 4, .. }));
     }
 

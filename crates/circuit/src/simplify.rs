@@ -329,10 +329,8 @@ mod tests {
 
     #[test]
     fn removes_dead_logic() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n",
-        )
-        .unwrap();
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n")
+            .unwrap();
         let s = simplify(&c);
         assert!(equivalent(&c, &s));
         assert!(s.node_id("dead").is_none());

@@ -65,7 +65,13 @@ pub fn to_bench(circuit: &Circuit) -> String {
                     .iter()
                     .map(|&f| circuit.node(f).name())
                     .collect();
-                let _ = writeln!(out, "{} = {}({})", node.name(), kind.bench_keyword(), args.join(", "));
+                let _ = writeln!(
+                    out,
+                    "{} = {}({})",
+                    node.name(),
+                    kind.bench_keyword(),
+                    args.join(", ")
+                );
             }
         }
     }

@@ -195,7 +195,15 @@ mod tests {
     fn simulate_pattern_stripes_flag() {
         // Accepted for compatibility and without effect: for any count,
         // the output is byte-identical to the run without the flag.
-        let plain = args(&["c880ish", "--patterns", "256", "--threads", "2", "--seed", "7"]);
+        let plain = args(&[
+            "c880ish",
+            "--patterns",
+            "256",
+            "--threads",
+            "2",
+            "--seed",
+            "7",
+        ]);
         let expected = exec::simulate(context(), &plain).expect("runs");
         for stripes in ["2", "0", "100000"] {
             let a = [plain.clone(), args(&["--pattern-stripes", stripes])].concat();
@@ -330,9 +338,7 @@ mod tests {
         let corrupt = dir.join("corrupt.ckpt");
         let mut c = Checkpoint::new(OPTIMIZE_CHECKPOINT_KIND);
         c.put("fingerprint", "0000000000000000");
-        let tampered = c
-            .render()
-            .replace("fingerprint=0000", "fingerprint=1111");
+        let tampered = c.render().replace("fingerprint=0000", "fingerprint=1111");
         std::fs::write(&corrupt, tampered).expect("write");
         let p = corrupt.to_str().expect("utf8").to_string();
         let err = exec::optimize(context(), &args(&["s1", "--resume", &p])).unwrap_err();
@@ -400,10 +406,13 @@ mod tests {
     #[test]
     fn engine_selection() {
         assert_eq!(engine_arg(&args(&[])).unwrap().name(), "cop");
-        assert_eq!(engine_arg(&args(&["--engine", "cop"])).unwrap().name(), "cop");
+        assert_eq!(
+            engine_arg(&args(&["--engine", "cop"])).unwrap().name(),
+            "cop"
+        );
         // The incremental engine is gone; naming it is a clean error.
-        let err = exec::optimize(context(), &args(&["s1", "--engine", "incremental-cop"]))
-            .unwrap_err();
+        let err =
+            exec::optimize(context(), &args(&["s1", "--engine", "incremental-cop"])).unwrap_err();
         assert!(err.contains("incremental-cop was removed"), "{err}");
         assert_eq!(
             engine_arg(&args(&["--engine", "stafan"])).unwrap().name(),

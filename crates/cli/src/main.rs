@@ -27,7 +27,10 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "--remote" => match rest.split_first() {
             Some((addr, argv)) => commands::remote(addr, argv),
-            None => Err(format!("--remote requires <addr> <command ...>\n{}", commands::USAGE)),
+            None => Err(format!(
+                "--remote requires <addr> <command ...>\n{}",
+                commands::USAGE
+            )),
         },
         "serve" => commands::serve(rest),
         "client" => commands::client(rest),

@@ -174,11 +174,7 @@ mod tests {
 
     #[test]
     fn result_is_a_local_minimum() {
-        let prob = CoordinateProblem::new(
-            vec![1e-4, 2e-3, 0.05],
-            vec![5e-3, 1e-4, 0.01],
-            3000.0,
-        );
+        let prob = CoordinateProblem::new(vec![1e-4, 2e-3, 0.05], vec![5e-3, 1e-4, 0.01], 3000.0);
         let y = minimize_coordinate(&prob, 0.5, 0.02, 0.98);
         let j = prob.objective(y);
         for dy in [-1e-3, 1e-3] {

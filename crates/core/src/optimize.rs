@@ -314,14 +314,12 @@ fn run_sweeps(
             // in one engine call so parallel engines (e.g. the sharded
             // Monte-Carlo simulator) can run them concurrently.
             let saved = d.weights[i];
-            let (p0, p1) =
-                engine.estimate_coordinate_pair(circuit, &relevant_list, &d.weights, i);
+            let (p0, p1) = engine.estimate_coordinate_pair(circuit, &relevant_list, &d.weights, i);
             d.engine_calls += 2;
             // MINIMIZE (with optional under-relaxation).
             let problem = CoordinateProblem::new(p0, p1, d.n_current);
             let optimum = minimize_coordinate(&problem, saved, lo, hi);
-            d.weights[i] =
-                saved + config.damping.clamp(f64::MIN_POSITIVE, 1.0) * (optimum - saved);
+            d.weights[i] = saved + config.damping.clamp(f64::MIN_POSITIVE, 1.0) * (optimum - saved);
         }
 
         // ANALYSIS + SORT + NORMALIZE at the new X.
@@ -336,7 +334,10 @@ fn run_sweeps(
         d.engine_calls += 1;
         d.dprobs = probs.into_iter().map(|p| p.max(1e-300)).collect();
         let sweep_length = match required_test_length(&d.dprobs, theta) {
-            TestLength::Patterns { n, num_relevant: nf } => {
+            TestLength::Patterns {
+                n,
+                num_relevant: nf,
+            } => {
                 d.n_current = n;
                 d.num_relevant = nf;
                 n
@@ -578,7 +579,14 @@ pub fn optimize_budgeted(
             Ok(ready) => ready,
         },
     };
-    let tripped = run_sweeps(circuit, &live_list, engine, config, &mut descent, Some(budget));
+    let tripped = run_sweeps(
+        circuit,
+        &live_list,
+        engine,
+        config,
+        &mut descent,
+        Some(budget),
+    );
     match tripped {
         None => Ok(BudgetedOptimize {
             outcome: RunOutcome::Complete(descent.into_result()),
@@ -671,8 +679,17 @@ mod tests {
         // fault of this AND reads p = 0 and is excluded.)
         let c = wide_and(64);
         let faults = FaultList::full(&c);
-        let result = optimize(&c, &faults, &mut CopEngine::new(), &OptimizeConfig::default());
-        assert!(result.initial_length > 1e18, "start {}", result.initial_length);
+        let result = optimize(
+            &c,
+            &faults,
+            &mut CopEngine::new(),
+            &OptimizeConfig::default(),
+        );
+        assert!(
+            result.initial_length > 1e18,
+            "start {}",
+            result.initial_length
+        );
         assert!(!result.sweeps.is_empty());
         assert!(result.final_length.is_finite());
         assert!(

@@ -183,12 +183,8 @@ mod tests {
         // to keep the dev-dependency graph acyclic.
         let mut b = wrt_circuit::CircuitBuilder::named("patho");
         let xs: Vec<_> = (0..width).map(|i| b.input(format!("X{i}"))).collect();
-        let and = b
-            .gate(wrt_circuit::GateKind::And, "WIDE_AND", &xs)
-            .unwrap();
-        let nor = b
-            .gate(wrt_circuit::GateKind::Nor, "WIDE_NOR", &xs)
-            .unwrap();
+        let and = b.gate(wrt_circuit::GateKind::And, "WIDE_AND", &xs).unwrap();
+        let nor = b.gate(wrt_circuit::GateKind::Nor, "WIDE_NOR", &xs).unwrap();
         b.mark_output(and);
         b.mark_output(nor);
         b.build().unwrap()

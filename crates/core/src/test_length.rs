@@ -190,8 +190,7 @@ mod tests {
     fn hardest_fault_dominates() {
         // Adding easy faults barely changes N.
         let hard_only = required_test_length(&[1e-5], 1e-3).patterns();
-        let with_easy =
-            required_test_length(&[1e-5, 0.3, 0.4, 0.25, 0.5], 1e-3).patterns();
+        let with_easy = required_test_length(&[1e-5, 0.3, 0.4, 0.25, 0.5], 1e-3).patterns();
         assert!((with_easy - hard_only).abs() / hard_only < 0.01);
     }
 

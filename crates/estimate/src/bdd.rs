@@ -160,8 +160,16 @@ impl BddManager {
         }
         let (na, nb) = (self.nodes[a as usize], self.nodes[b as usize]);
         let var = na.var.min(nb.var);
-        let (a_lo, a_hi) = if na.var == var { (na.lo, na.hi) } else { (a, a) };
-        let (b_lo, b_hi) = if nb.var == var { (nb.lo, nb.hi) } else { (b, b) };
+        let (a_lo, a_hi) = if na.var == var {
+            (na.lo, na.hi)
+        } else {
+            (a, a)
+        };
+        let (b_lo, b_hi) = if nb.var == var {
+            (nb.lo, nb.hi)
+        } else {
+            (b, b)
+        };
         let lo = self.apply(op, a_lo, b_lo)?;
         let hi = self.apply(op, a_hi, b_hi)?;
         let r = self.mk(var, lo, hi)?;
@@ -339,12 +347,7 @@ impl DetectionProbabilityEngine for BddEngine {
     ///
     /// Panics if the circuit's BDD exceeds the node budget (use the
     /// heuristic engines for such circuits).
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         let mut manager = BddManager::new(self.max_nodes);
         let good = manager
             .build_circuit(circuit)

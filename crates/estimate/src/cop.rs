@@ -289,10 +289,8 @@ mod tests {
 
     #[test]
     fn dead_node_has_zero_observability() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n",
-        )
-        .unwrap();
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n")
+            .unwrap();
         let p = signal_probabilities_cop(&c, &[0.5, 0.5]);
         let (obs, _) = observabilities_cop(&c, &p);
         assert_eq!(obs[c.node_id("dead").unwrap().index()], 0.0);
@@ -300,10 +298,9 @@ mod tests {
 
     #[test]
     fn output_that_also_fans_out_is_fully_observable() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(m)\nOUTPUT(y)\nm = AND(a, b)\ny = NOT(m)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(m)\nOUTPUT(y)\nm = AND(a, b)\ny = NOT(m)\n")
+                .unwrap();
         let p = signal_probabilities_cop(&c, &[0.5, 0.5]);
         let (obs, _) = observabilities_cop(&c, &p);
         assert_eq!(obs[c.node_id("m").unwrap().index()], 1.0);

@@ -170,15 +170,18 @@ mod tests {
 
     #[test]
     fn tree_circuit_bounds_are_tight() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n")
+                .unwrap();
         let bounds = signal_probability_bounds(&c, &[0.5, 0.5, 0.5]);
         let y = c.node_id("y").unwrap();
         let exact = exact_signal_probability(&c, y, &[0.5, 0.5, 0.5], 10).unwrap();
         let iv = bounds.interval(y);
-        assert!(iv.width() < 1e-12, "no fanout, no cut: width {}", iv.width());
+        assert!(
+            iv.width() < 1e-12,
+            "no fanout, no cut: width {}",
+            iv.width()
+        );
         assert!(iv.contains(exact));
     }
 

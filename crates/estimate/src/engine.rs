@@ -34,8 +34,7 @@ pub trait DetectionProbabilityEngine: Send {
     /// # Panics
     ///
     /// Panics if `input_probs.len() != circuit.num_inputs()`.
-    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64])
-        -> Vec<f64>;
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64>;
 
     /// Estimates detection probabilities at the two boundary perturbations
     /// of one coordinate: `p_f(X, x_i = 0)` and `p_f(X, x_i = 1)` for
@@ -183,12 +182,7 @@ impl CopEngine {
 }
 
 impl DetectionProbabilityEngine for CopEngine {
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         self.node_evaluations += 2 * circuit.num_nodes() as u64;
         CopSolution::compute(circuit, input_probs).detection_probabilities(circuit, faults)
     }
@@ -244,12 +238,7 @@ impl StafanEngine {
 }
 
 impl DetectionProbabilityEngine for StafanEngine {
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         let mut source =
             WeightedPatterns::new(input_probs.to_vec(), sample_seed(self.seed, input_probs));
         let counts = StafanCounts::count(circuit, &mut source, self.patterns);
@@ -306,13 +295,9 @@ impl MonteCarloEngine {
 }
 
 impl DetectionProbabilityEngine for MonteCarloEngine {
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
-        let source = WeightedPatterns::new(input_probs.to_vec(), sample_seed(self.seed, input_probs));
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
+        let source =
+            WeightedPatterns::new(input_probs.to_vec(), sample_seed(self.seed, input_probs));
         simulate_counts(circuit, faults, source, self.patterns, self.threads)
             .into_iter()
             .map(|c| c as f64 / self.patterns as f64)
@@ -426,12 +411,7 @@ impl DetectionProbabilityEngine for ExactEngine {
     /// # Panics
     ///
     /// Panics if the circuit has more than `max_inputs` primary inputs.
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         faults
             .iter()
             .map(|(_, fault)| {
@@ -459,10 +439,8 @@ mod tests {
     use wrt_fault::FaultList;
 
     fn tree() -> Circuit {
-        parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap()
+        parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n")
+            .unwrap()
     }
 
     #[test]

@@ -50,12 +50,7 @@ impl HybridEngine {
 }
 
 impl DetectionProbabilityEngine for HybridEngine {
-    fn estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
+    fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, input_probs: &[f64]) -> Vec<f64> {
         let p = self.signal_probabilities(circuit, input_probs);
         CopSolution::from_signal_probabilities(circuit, input_probs, p)
             .detection_probabilities(circuit, faults)
@@ -75,8 +70,9 @@ mod tests {
     #[test]
     fn corrects_the_classic_cop_error() {
         // y = AND(a, NOT a): COP says 0.25, exact says 0.
-        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NOT(a)\ny = AND(a, n)\nz = OR(y, b)\n")
-            .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NOT(a)\ny = AND(a, n)\nz = OR(y, b)\n")
+                .unwrap();
         let engine = HybridEngine::new(8);
         let p = engine.signal_probabilities(&c, &[0.5, 0.5]);
         let y = c.node_id("y").unwrap();

@@ -137,10 +137,8 @@ mod tests {
 
     #[test]
     fn dead_logic_keeps_zero_observability() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n",
-        )
-        .unwrap();
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead = XOR(a, b)\ny = AND(a, b)\n")
+            .unwrap();
         let faults = FaultList::full(&c);
         let mut inc = IncrementalCop::new();
         let mut full = CopEngine::new();

@@ -76,12 +76,12 @@ mod stafan;
 
 pub use bdd::{exact_signal_probabilities_bdd, BddEngine, BddManager, BddOverflow};
 pub use cop::{observabilities_cop, signal_probabilities_cop};
-pub use hybrid::HybridEngine;
 pub use cutting::{signal_probability_bounds, CuttingBounds, ProbabilityInterval};
 pub use engine::{
     CopEngine, DetectionProbabilityEngine, ExactEngine, MonteCarloEngine, StafanEngine,
 };
 pub use exact::{exact_detection_probability, exact_signal_probability};
+pub use hybrid::HybridEngine;
 pub use incremental::IncrementalCop;
 pub use rank::spearman;
 pub use redundancy::{constant_line_faults, experiment_faults, REDUNDANCY_SUPPORT_LIMIT};

@@ -252,11 +252,7 @@ impl<'c> ConstantProver<'c> {
 
 /// Node `n`'s sorted input support from a `ConstantProver` span table,
 /// or `None` when it is over the enumeration limit.
-fn capped_support<'a>(
-    span: &[(u32, u8)],
-    arena: &'a [NodeId],
-    n: NodeId,
-) -> Option<&'a [NodeId]> {
+fn capped_support<'a>(span: &[(u32, u8)], arena: &'a [NodeId], n: NodeId) -> Option<&'a [NodeId]> {
     let (start, len) = span[n.index()];
     ((start, len) != OVER_LIMIT).then(|| &arena[start as usize..][..usize::from(len)])
 }
@@ -315,8 +311,9 @@ mod tests {
 
     #[test]
     fn contradiction_line_proves_sa0_redundant() {
-        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nz = AND(a, n)\ny = OR(z, b)\n")
-            .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\nz = AND(a, n)\ny = OR(z, b)\n")
+                .unwrap();
         let z = c.node_id("z").unwrap();
         let faults = FaultList::from_faults(vec![
             Fault::output(z, false), // line always 0: s-a-0 redundant
@@ -401,9 +398,19 @@ mod tests {
         for c in wrt_workloads::all_paper_circuits().into_iter().chain(tiled) {
             let faults = FaultList::checkpoints(&c);
             let proven = constant_line_faults(&c, &faults, 14);
-            assert_eq!(proven, constant_line_faults_oracle(&c, &faults, 14), "{}", c.name());
+            assert_eq!(
+                proven,
+                constant_line_faults_oracle(&c, &faults, 14),
+                "{}",
+                c.name()
+            );
             let expected = if c.name().starts_with("tiled_") { 4 } else { 0 };
-            assert_eq!(proven.iter().filter(|&&p| p).count(), expected, "{}", c.name());
+            assert_eq!(
+                proven.iter().filter(|&&p| p).count(),
+                expected,
+                "{}",
+                c.name()
+            );
         }
     }
 
@@ -424,7 +431,10 @@ mod tests {
         ]);
         (
             1usize..9,
-            proptest::collection::vec((kinds, proptest::collection::vec(0usize..1000, 1..6)), 1..40),
+            proptest::collection::vec(
+                (kinds, proptest::collection::vec(0usize..1000, 1..6)),
+                1..40,
+            ),
         )
             .prop_map(|(n_in, specs)| {
                 let mut b = CircuitBuilder::named("random");
@@ -433,9 +443,9 @@ mod tests {
                     let id = match kind {
                         GateKind::Const0 => b.const0(),
                         GateKind::Const1 => b.const1(),
-                        GateKind::Not | GateKind::Buf => {
-                            b.gate_auto(kind, &[ids[picks[0] % ids.len()]]).expect("valid")
-                        }
+                        GateKind::Not | GateKind::Buf => b
+                            .gate_auto(kind, &[ids[picks[0] % ids.len()]])
+                            .expect("valid"),
                         _ => {
                             let fanin: Vec<_> = picks.iter().map(|&p| ids[p % ids.len()]).collect();
                             b.gate_auto(kind, &fanin).expect("valid")

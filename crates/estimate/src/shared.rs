@@ -286,8 +286,7 @@ mod tests {
                 GateKind::Const0 => b.const0(),
                 GateKind::Const1 => b.const1(),
                 k => {
-                    let fanin: Vec<NodeId> =
-                        node.fanin().iter().map(|&f| map[f.index()]).collect();
+                    let fanin: Vec<NodeId> = node.fanin().iter().map(|&f| map[f.index()]).collect();
                     b.gate(k, node.name(), &fanin).expect("legal rebuild")
                 }
             };

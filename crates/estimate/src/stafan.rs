@@ -52,11 +52,7 @@ impl StafanCounts {
     /// Panics if the source width does not match the circuit, or if the
     /// source returns an empty block (a `PatternSource` contract
     /// violation that would otherwise loop forever).
-    pub fn count(
-        circuit: &Circuit,
-        source: &mut dyn PatternSource,
-        num_patterns: u64,
-    ) -> Self {
+    pub fn count(circuit: &Circuit, source: &mut dyn PatternSource, num_patterns: u64) -> Self {
         assert_eq!(source.num_inputs(), circuit.num_inputs());
         let n = circuit.num_nodes();
         let mut ones = vec![0u64; n];
@@ -229,17 +225,15 @@ mod tests {
 
     #[test]
     fn detection_estimates_close_to_exact_on_tree() {
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n")
+                .unwrap();
         let probs = [0.5, 0.5, 0.5];
         let mut src = WeightedPatterns::new(probs.to_vec(), 7);
         let counts = StafanCounts::count(&c, &mut src, 64 * 1000);
         let faults = wrt_fault::FaultList::full(&c);
         for (_, fault) in faults.iter() {
-            let exact =
-                crate::exact_detection_probability(&c, fault, &probs, 10).expect("small");
+            let exact = crate::exact_detection_probability(&c, fault, &probs, 10).expect("small");
             let est = counts.detection_probability(&c, fault);
             assert!(
                 (est - exact).abs() < 0.08,
@@ -263,16 +257,20 @@ mod tests {
         // Regression: counting over zero blocks used to divide 0/0 into
         // NaN controllabilities/sensitizations, which clamp() silently
         // forwarded into the detection estimates.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nm = NAND(a, b)\ny = OR(m, d)\n")
+                .unwrap();
         let mut src = WeightedPatterns::equiprobable(3, 5);
         let counts = StafanCounts::count(&c, &mut src, 0);
         assert_eq!(counts.num_patterns(), 0);
         for (id, node) in c.iter() {
             let c1 = counts.controllability1(id);
-            assert_eq!(c1, 0.0, "controllability of {} must be 0, not NaN", id.index());
+            assert_eq!(
+                c1,
+                0.0,
+                "controllability of {} must be 0, not NaN",
+                id.index()
+            );
             for pin in 0..node.fanin().len() {
                 let s = counts.sensitization(id, pin);
                 assert_eq!(s, 0.0, "sensitization must be 0, not NaN");

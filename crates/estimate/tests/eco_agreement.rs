@@ -105,10 +105,7 @@ fn bit_diffs(a: &[f64], b: &[f64]) -> usize {
 /// Turns raw picks into 1–3 distinct-gate mutations, each to a kind that
 /// accepts the gate's fanin count (so single-fanin gates may become any
 /// family, wider ones any AND/OR/XOR family).
-fn mutations_of(
-    specs: &[GateSpec],
-    picks: &[(usize, usize)],
-) -> Vec<(usize, GateKind)> {
+fn mutations_of(specs: &[GateSpec], picks: &[(usize, usize)]) -> Vec<(usize, GateKind)> {
     let mut out: Vec<(usize, GateKind)> = Vec::new();
     for &(gate, kind) in picks {
         let gate = gate % specs.len();

@@ -77,31 +77,63 @@ impl EquivalenceClasses {
             match node.kind() {
                 GateKind::And => {
                     for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, false), Fault::output(gid, false), &mut uf);
+                        union(
+                            Fault::input_pin(gid, pin, false),
+                            Fault::output(gid, false),
+                            &mut uf,
+                        );
                     }
                 }
                 GateKind::Nand => {
                     for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, false), Fault::output(gid, true), &mut uf);
+                        union(
+                            Fault::input_pin(gid, pin, false),
+                            Fault::output(gid, true),
+                            &mut uf,
+                        );
                     }
                 }
                 GateKind::Or => {
                     for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, true), Fault::output(gid, true), &mut uf);
+                        union(
+                            Fault::input_pin(gid, pin, true),
+                            Fault::output(gid, true),
+                            &mut uf,
+                        );
                     }
                 }
                 GateKind::Nor => {
                     for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, true), Fault::output(gid, false), &mut uf);
+                        union(
+                            Fault::input_pin(gid, pin, true),
+                            Fault::output(gid, false),
+                            &mut uf,
+                        );
                     }
                 }
                 GateKind::Not => {
-                    union(Fault::input_pin(gid, 0, false), Fault::output(gid, true), &mut uf);
-                    union(Fault::input_pin(gid, 0, true), Fault::output(gid, false), &mut uf);
+                    union(
+                        Fault::input_pin(gid, 0, false),
+                        Fault::output(gid, true),
+                        &mut uf,
+                    );
+                    union(
+                        Fault::input_pin(gid, 0, true),
+                        Fault::output(gid, false),
+                        &mut uf,
+                    );
                 }
                 GateKind::Buf => {
-                    union(Fault::input_pin(gid, 0, false), Fault::output(gid, false), &mut uf);
-                    union(Fault::input_pin(gid, 0, true), Fault::output(gid, true), &mut uf);
+                    union(
+                        Fault::input_pin(gid, 0, false),
+                        Fault::output(gid, false),
+                        &mut uf,
+                    );
+                    union(
+                        Fault::input_pin(gid, 0, true),
+                        Fault::output(gid, true),
+                        &mut uf,
+                    );
                 }
                 _ => {}
             }
@@ -232,10 +264,10 @@ pub fn dominance_collapse(circuit: &Circuit, list: &FaultList) -> FaultList {
             return true; // 1-input gates are handled by equivalence
         }
         let dominated = match (kind, f.stuck_value) {
-            (GateKind::And, true) => Some(true),   // dominated by input s-a-1
+            (GateKind::And, true) => Some(true), // dominated by input s-a-1
             (GateKind::Nand, false) => Some(true), // by input s-a-1
-            (GateKind::Or, false) => Some(false),  // by input s-a-0
-            (GateKind::Nor, true) => Some(false),  // by input s-a-0
+            (GateKind::Or, false) => Some(false), // by input s-a-0
+            (GateKind::Nor, true) => Some(false), // by input s-a-0
             _ => None,
         };
         match dominated {
@@ -325,9 +357,15 @@ mod tests {
         let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n").unwrap();
         let full = FaultList::full(&c);
         let classes = EquivalenceClasses::compute(&c, &full);
-        let a0 = full.id_of(Fault::output(c.node_id("a").unwrap(), false)).unwrap();
-        let y1 = full.id_of(Fault::output(c.node_id("y").unwrap(), true)).unwrap();
-        let b0 = full.id_of(Fault::output(c.node_id("b").unwrap(), false)).unwrap();
+        let a0 = full
+            .id_of(Fault::output(c.node_id("a").unwrap(), false))
+            .unwrap();
+        let y1 = full
+            .id_of(Fault::output(c.node_id("y").unwrap(), true))
+            .unwrap();
+        let b0 = full
+            .id_of(Fault::output(c.node_id("b").unwrap(), false))
+            .unwrap();
         assert!(classes.equivalent(a0, y1));
         assert!(classes.equivalent(y1, b0));
         assert!(classes.equivalent(a0, b0));
@@ -338,13 +376,14 @@ mod tests {
     fn fanout_branches_do_not_collapse_with_stem() {
         // `a` fans out to two gates; branch faults must stay separate from
         // the stem fault.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n")
+                .unwrap();
         let full = FaultList::full(&c);
         let classes = EquivalenceClasses::compute(&c, &full);
-        let a1 = full.id_of(Fault::output(c.node_id("a").unwrap(), true)).unwrap();
+        let a1 = full
+            .id_of(Fault::output(c.node_id("a").unwrap(), true))
+            .unwrap();
         let y = c.node_id("y").unwrap();
         let ypin1 = full.id_of(Fault::input_pin(y, 0, true)).unwrap();
         assert!(!classes.equivalent(a1, ypin1));

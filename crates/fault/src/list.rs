@@ -244,9 +244,7 @@ mod tests {
         let c = two_gate();
         let list = FaultList::primary_inputs(&c);
         assert_eq!(list.len(), 2 * c.num_inputs());
-        assert!(list
-            .iter()
-            .all(|(_, f)| is_primary_input_fault(&c, f)));
+        assert!(list.iter().all(|(_, f)| is_primary_input_fault(&c, f)));
     }
 
     #[test]
@@ -280,8 +278,10 @@ mod tests {
         b.mark_output(g);
         let c = b.build().unwrap();
         let list = FaultList::full(&c);
-        assert!(list
-            .iter()
-            .all(|(_, f)| f.site.driver(&c) != one || matches!(f.site, FaultSite::InputPin { .. })));
+        assert!(
+            list.iter()
+                .all(|(_, f)| f.site.driver(&c) != one
+                    || matches!(f.site, FaultSite::InputPin { .. }))
+        );
     }
 }

@@ -115,9 +115,7 @@ impl FaultPartition {
                 // prefix target, so do not reset it.
             }
         }
-        if data.len() as u32 > *offsets.last().expect("offsets non-empty")
-            || offsets.len() == 1
-        {
+        if data.len() as u32 > *offsets.last().expect("offsets non-empty") || offsets.len() == 1 {
             offsets.push(data.len() as u32);
         }
         FaultPartition { offsets, data }

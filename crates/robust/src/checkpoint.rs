@@ -589,7 +589,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Pre-identity checkpoints carry no digest and pass unchecked.
-        assert!(Checkpoint::new("optimize").validate_circuit_digest(1).is_ok());
+        assert!(Checkpoint::new("optimize")
+            .validate_circuit_digest(1)
+            .is_ok());
     }
 
     #[test]
@@ -607,6 +609,8 @@ mod tests {
         }
         drop(s);
         // With the arm spent, the same write succeeds.
-        sample().write_atomic(&path).expect("writes after injection");
+        sample()
+            .write_atomic(&path)
+            .expect("writes after injection");
     }
 }

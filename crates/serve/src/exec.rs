@@ -27,8 +27,7 @@ use wrt_core::{
     OPTIMIZE_CHECKPOINT_KIND,
 };
 use wrt_estimate::{
-    CopEngine, DetectionProbabilityEngine, EcoMutation, MonteCarloEngine, SessionCop,
-    StafanEngine,
+    CopEngine, DetectionProbabilityEngine, EcoMutation, MonteCarloEngine, SessionCop, StafanEngine,
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
@@ -417,7 +416,11 @@ pub fn stats(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let _ = writeln!(out, "  digest: {:016x}", circuit.structural_digest());
     let m = circuit.memory_footprint();
     let _ = writeln!(out, "{m}");
-    let _ = writeln!(out, "  bytes/gate: {:.1}", m.bytes_per_gate(circuit.num_gates()));
+    let _ = writeln!(
+        out,
+        "  bytes/gate: {:.1}",
+        m.bytes_per_gate(circuit.num_gates())
+    );
     Ok(out)
 }
 
@@ -556,7 +559,11 @@ pub fn estimate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let hardest = sorted.iter().take(top);
     let fault_slice = faults.as_slice();
     for &(i, p) in hardest {
-        let _ = writeln!(out, "  hard: {} p={p:.6e}", fault_slice[i].describe(circuit));
+        let _ = writeln!(
+            out,
+            "  hard: {} p={p:.6e}",
+            fault_slice[i].describe(circuit)
+        );
     }
     Ok(out)
 }
@@ -608,7 +615,12 @@ pub fn eco(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     drop(sessions);
 
     let mut out = String::new();
-    let _ = writeln!(out, "eco {}: {} gate(s) mutated", circuit.name(), mutations.len());
+    let _ = writeln!(
+        out,
+        "eco {}: {} gate(s) mutated",
+        circuit.name(),
+        mutations.len()
+    );
     for m in &mutations {
         let node = circuit.node(m.gate);
         let _ = writeln!(out, "  {} {:?} -> {:?}", node.name(), node.kind(), m.kind);
@@ -796,7 +808,10 @@ pub fn optimize(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
             progress,
         } => {
             report_interrupt(&mut out, "optimization", reason, &progress);
-            let ckpt = run.checkpoint.as_ref().expect("interrupted runs checkpoint");
+            let ckpt = run
+                .checkpoint
+                .as_ref()
+                .expect("interrupted runs checkpoint");
             write_checkpoint(&mut out, ckpt, checkpoint_path_arg(args).as_ref())?;
             partial
         }
@@ -889,9 +904,11 @@ fn reject_removed_sim_flags(args: &[String]) -> Result<(), String> {
         return Err("--engine was removed: simulate always runs the event kernel".into());
     }
     if args.iter().any(|a| a == "--block-words") {
-        return Err("--block-words was removed: simulate runs one superblock width, \
+        return Err(
+            "--block-words was removed: simulate runs one superblock width, \
              and coverage never depended on it"
-            .into());
+                .into(),
+        );
     }
     Ok(())
 }
@@ -930,7 +947,10 @@ pub fn atpg(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
             progress,
         } => {
             report_interrupt(&mut out, "atpg", reason, &progress);
-            let ckpt = run.checkpoint.as_ref().expect("interrupted runs checkpoint");
+            let ckpt = run
+                .checkpoint
+                .as_ref()
+                .expect("interrupted runs checkpoint");
             write_checkpoint(&mut out, ckpt, checkpoint_path_arg(args).as_ref())?;
             partial
         }
@@ -1041,7 +1061,11 @@ mod tests {
         assert!(eco(&c, &args(&["c880ish"])).is_err(), "missing --set");
         assert!(eco(&c, &args(&["c880ish", "--set", "garbage"])).is_err());
         assert!(eco(&c, &args(&["c880ish", "--set", "nosuchgate=OR"])).is_err());
-        assert!(eco(&c, &args(&["c880ish", "--set", &format!("{gate_name}=FROB")])).is_err());
+        assert!(eco(
+            &c,
+            &args(&["c880ish", "--set", &format!("{gate_name}=FROB")])
+        )
+        .is_err());
     }
 
     #[test]
@@ -1132,8 +1156,16 @@ mod tests {
         // so 60 M patterns under a 0.2 s limit stop early with a partial
         // over a pattern prefix; the stripes flag changes nothing.
         let argv = args(&[
-            "simulate", "c2670ish", "--patterns", "60000000", "--threads", "2",
-            "--time-limit", "0.2", "--pattern-stripes", "0",
+            "simulate",
+            "c2670ish",
+            "--patterns",
+            "60000000",
+            "--threads",
+            "2",
+            "--time-limit",
+            "0.2",
+            "--pattern-stripes",
+            "0",
         ]);
         let start = std::time::Instant::now();
         let out = execute(&ctx(), &argv).expect("interrupted ok");

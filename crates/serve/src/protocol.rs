@@ -80,7 +80,10 @@ impl<R: Read> LineReader<R> {
     /// Oversized lines, invalid UTF-8, abandoned waits, and transport
     /// failures are rendered messages; after any of them the stream
     /// offset is unreliable and the connection should close.
-    pub fn read_line(&mut self, on_idle: &mut dyn FnMut() -> bool) -> Result<Option<String>, String> {
+    pub fn read_line(
+        &mut self,
+        on_idle: &mut dyn FnMut() -> bool,
+    ) -> Result<Option<String>, String> {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                 // A line that arrived whole is still subject to the cap —
@@ -205,8 +208,14 @@ mod tests {
     #[test]
     fn reader_handles_pipelining_crlf_and_eof_tails() {
         let mut r = LineReader::new(&b"first\r\nsecond\nunterminated"[..]);
-        assert_eq!(r.read_line(&mut always()).unwrap().as_deref(), Some("first"));
-        assert_eq!(r.read_line(&mut always()).unwrap().as_deref(), Some("second"));
+        assert_eq!(
+            r.read_line(&mut always()).unwrap().as_deref(),
+            Some("first")
+        );
+        assert_eq!(
+            r.read_line(&mut always()).unwrap().as_deref(),
+            Some("second")
+        );
         assert_eq!(
             r.read_line(&mut always()).unwrap().as_deref(),
             Some("unterminated")

@@ -70,7 +70,10 @@ impl CircuitEntry {
     }
 
     fn cached_baseline(&self, key: u64, weights: &[f64]) -> Option<Arc<CopBaseline>> {
-        let map = self.baselines.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let map = self
+            .baselines
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         map.get(&key)
             .filter(|b| b.weights() == weights)
             .map(Arc::clone)
@@ -160,7 +163,9 @@ impl Registry {
             self.counters.baseline_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        self.counters.baseline_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .baseline_misses
+            .fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(CopBaseline::build(Arc::clone(&entry.circuit), weights));
         let mut map = entry
             .baselines

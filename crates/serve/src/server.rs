@@ -58,7 +58,9 @@ impl ServerHandle {
 
     /// Whether the accept loop has exited.
     pub fn finished(&self) -> bool {
-        self.accept_thread.as_ref().is_none_or(JoinHandle::is_finished)
+        self.accept_thread
+            .as_ref()
+            .is_none_or(JoinHandle::is_finished)
     }
 
     /// Blocks until the accept loop and every session have drained.
@@ -97,7 +99,15 @@ pub fn spawn(
     let accept_shutdown = Arc::clone(&shutdown);
     let accept_thread = std::thread::Builder::new()
         .name("wrt-serve-accept".into())
-        .spawn(move || accept_loop(&listener, addr, &registry, default_deadline, &accept_shutdown))
+        .spawn(move || {
+            accept_loop(
+                &listener,
+                addr,
+                &registry,
+                default_deadline,
+                &accept_shutdown,
+            )
+        })
         .map_err(|e| format!("cannot spawn accept thread: {e}"))?;
     Ok(ServerHandle {
         addr,
@@ -306,7 +316,10 @@ mod tests {
         }
         assert!(handle.finished(), "accept loop must exit after shutdown");
         handle.wait();
-        assert!(client::run(&addr, &strs(&["stat"])).is_err(), "server is gone");
+        assert!(
+            client::run(&addr, &strs(&["stat"])).is_err(),
+            "server is gone"
+        );
     }
 
     #[test]

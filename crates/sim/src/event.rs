@@ -255,7 +255,11 @@ impl<const W: usize> SuperBlock<W> {
                 break;
             }
             let take = left.min(64);
-            *lane = if take >= 64 { u64::MAX } else { (1u64 << take) - 1 };
+            *lane = if take >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << take) - 1
+            };
             left -= take;
         }
         m
@@ -278,11 +282,11 @@ pub(crate) fn inject_root_lanes<const W: usize>(
         FaultSite::Output(_) => stuck,
         FaultSite::InputPin { gate, pin } => {
             let node = circuit.node(gate);
-            let lanes = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(p, f)| if p == pin { stuck } else { good(*f) });
+            let lanes =
+                node.fanin()
+                    .iter()
+                    .enumerate()
+                    .map(|(p, f)| if p == pin { stuck } else { good(*f) });
             eval_gate_lanes(node.kind(), lanes)
         }
     }
@@ -956,13 +960,9 @@ mod tests {
     fn event_stats_count_frontier_deaths() {
         // y = AND(m, 0-ish): fault on `a` propagates into m but the AND
         // with b = 0 kills it before the output in every pattern.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nm = NOT(a)\ny = AND(m, b)\n",
-        )
-        .unwrap();
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nm = NOT(a)\ny = AND(m, b)\n").unwrap();
         let a = c.node_id("a").unwrap();
-        let faults =
-            wrt_fault::FaultList::from_faults(vec![wrt_fault::Fault::output(a, true)]);
+        let faults = wrt_fault::FaultList::from_faults(vec![wrt_fault::Fault::output(a, true)]);
         let mut sim = EventSimulator::<1>::new(&c, &faults);
         // Patterns with a = 0 (fault excited) and b = 0 (effect masked at y).
         let mut worklist = FaultWorklist::full(1);

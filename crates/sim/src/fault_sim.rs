@@ -59,8 +59,7 @@ impl<'c> FaultSimulator<'c> {
     /// Builds a simulator for `circuit` and `faults`.
     pub fn new(circuit: &'c Circuit, faults: &FaultList) -> Self {
         let mut cone_slot = Vec::with_capacity(faults.len());
-        let mut cache: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
+        let mut cache: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
         let mut cones: Vec<(Vec<NodeId>, Vec<NodeId>)> = Vec::new();
         for (_, f) in faults.iter() {
             let root = f.site.effect_root();
@@ -181,10 +180,9 @@ impl<'c> FaultSimulator<'c> {
 
         // Inject at the root (the same shared helper the event engine
         // uses, at W = 1).
-        let root_value =
-            crate::event::inject_root_lanes::<1>(self.circuit, fault, [stuck], |f| {
-                [self.good.value(f)]
-            })[0];
+        let root_value = crate::event::inject_root_lanes::<1>(self.circuit, fault, [stuck], |f| {
+            [self.good.value(f)]
+        })[0];
         if root_value == self.good.value(root) {
             // Fault not excited anywhere in this block.
             self.stats.unexcited += 1;
@@ -410,16 +408,13 @@ mod tests {
     #[test]
     fn pin_fault_vs_stem_fault_at_fanout() {
         // a fans out to AND and OR; a-pin s-a-1 at the AND only affects y.
-        let c = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n",
-        )
-        .unwrap();
+        let c =
+            parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = AND(a, b)\nz = OR(a, b)\n")
+                .unwrap();
         let yid = c.node_id("y").unwrap();
         let a = c.node_id("a").unwrap();
-        let faults = FaultList::from_faults(vec![
-            Fault::input_pin(yid, 0, true),
-            Fault::output(a, true),
-        ]);
+        let faults =
+            FaultList::from_faults(vec![Fault::input_pin(yid, 0, true), Fault::output(a, true)]);
         let mut sim = FaultSimulator::new(&c, &faults);
         // pattern (a,b) = (0,0): pin fault makes y=0 still (b=0) -> undetected;
         // stem fault makes z=1 -> detected at z.
@@ -441,7 +436,11 @@ mod tests {
         .unwrap();
         let faults = FaultList::full(&c);
         let res = fault_coverage(&c, &faults, ExhaustivePatterns::new(3), 8, false);
-        assert_eq!(res.num_detected(), faults.len(), "full adder is irredundant");
+        assert_eq!(
+            res.num_detected(),
+            faults.len(),
+            "full adder is irredundant"
+        );
         assert_eq!(res.coverage(), 1.0);
     }
 
@@ -464,7 +463,13 @@ mod tests {
         .unwrap();
         let faults = FaultList::full(&c);
         let r1 = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 5), 256, true);
-        let r2 = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 5), 256, false);
+        let r2 = fault_coverage(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            256,
+            false,
+        );
         assert_eq!(r1.detected_at(), r2.detected_at());
     }
 
@@ -476,12 +481,7 @@ mod tests {
         let y = c.node_id("y").unwrap();
         let faults = FaultList::from_faults(vec![Fault::output(y, false)]);
         let n = 64 * 400;
-        let counts = detection_counts(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(2, 17),
-            n,
-        );
+        let counts = detection_counts(&c, &faults, WeightedPatterns::equiprobable(2, 17), n);
         let p = counts[0] as f64 / n as f64;
         assert!((p - 0.25).abs() < 0.02, "p = {p}");
     }

@@ -109,13 +109,8 @@ impl<'c, const W: usize> WideLogicSim<'c, W> {
         );
         for (id, node) in self.circuit.iter() {
             let w = match node.kind() {
-                GateKind::Input => {
-                    pi_words[self.circuit.input_position(id).expect("input")]
-                }
-                kind => eval_gate_lanes(
-                    kind,
-                    node.fanin().iter().map(|f| self.values[f.index()]),
-                ),
+                GateKind::Input => pi_words[self.circuit.input_position(id).expect("input")],
+                kind => eval_gate_lanes(kind, node.fanin().iter().map(|f| self.values[f.index()])),
             };
             self.values[id.index()] = w;
         }
@@ -182,13 +177,8 @@ impl<'c> LogicSim<'c> {
         );
         for (id, node) in self.circuit.iter() {
             let w = match node.kind() {
-                GateKind::Input => {
-                    pi_words[self.circuit.input_position(id).expect("input")]
-                }
-                kind => eval_gate_words(
-                    kind,
-                    node.fanin().iter().map(|f| self.values[f.index()]),
-                ),
+                GateKind::Input => pi_words[self.circuit.input_position(id).expect("input")],
+                kind => eval_gate_words(kind, node.fanin().iter().map(|f| self.values[f.index()])),
             };
             self.values[id.index()] = w;
         }
@@ -374,32 +364,35 @@ mod proptests {
             GateKind::Not,
             GateKind::Buf,
         ]);
-        proptest::collection::vec((kinds, proptest::collection::vec(0usize..1000, 1..4)), n_gates)
-            .prop_map(move |specs| {
-                let mut b = CircuitBuilder::named("random");
-                let mut ids = Vec::new();
-                for i in 0..n_in {
-                    ids.push(b.input(format!("i{i}")));
-                }
-                for (kind, picks) in specs {
-                    let fanin: Vec<_> = match kind {
-                        GateKind::Not | GateKind::Buf => {
-                            vec![ids[picks[0] % ids.len()]]
-                        }
-                        _ => picks.iter().map(|&p| ids[p % ids.len()]).collect(),
-                    };
-                    let id = b.gate_auto(kind, &fanin).expect("valid fanin");
-                    ids.push(id);
-                }
-                let last = *ids.last().expect("non-empty");
-                b.mark_output(last);
-                // A couple more outputs for observability.
-                let mid = ids[ids.len() / 2];
-                if mid != last {
-                    b.mark_output(mid);
-                }
-                b.build().expect("structurally valid")
-            })
+        proptest::collection::vec(
+            (kinds, proptest::collection::vec(0usize..1000, 1..4)),
+            n_gates,
+        )
+        .prop_map(move |specs| {
+            let mut b = CircuitBuilder::named("random");
+            let mut ids = Vec::new();
+            for i in 0..n_in {
+                ids.push(b.input(format!("i{i}")));
+            }
+            for (kind, picks) in specs {
+                let fanin: Vec<_> = match kind {
+                    GateKind::Not | GateKind::Buf => {
+                        vec![ids[picks[0] % ids.len()]]
+                    }
+                    _ => picks.iter().map(|&p| ids[p % ids.len()]).collect(),
+                };
+                let id = b.gate_auto(kind, &fanin).expect("valid fanin");
+                ids.push(id);
+            }
+            let last = *ids.last().expect("non-empty");
+            b.mark_output(last);
+            // A couple more outputs for observability.
+            let mid = ids[ids.len() / 2];
+            if mid != last {
+                b.mark_output(mid);
+            }
+            b.build().expect("structurally valid")
+        })
     }
 
     proptest! {

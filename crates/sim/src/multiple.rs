@@ -198,8 +198,7 @@ mod tests {
         let faults = FaultList::full(&c);
         let base: Vec<_> = faults.iter().map(|(_, f)| f).collect();
         let multiples = random_multiples(&base, 2, 40, 7);
-        let coverage =
-            multiple_fault_coverage(&c, &multiples, ExhaustivePatterns::new(3), 8);
+        let coverage = multiple_fault_coverage(&c, &multiples, ExhaustivePatterns::new(3), 8);
         // Doubles are overwhelmingly detectable on an irredundant adder.
         assert!(coverage > 0.9, "coverage {coverage}");
     }

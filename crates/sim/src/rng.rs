@@ -41,10 +41,7 @@ impl Xoshiro256 {
 
     /// The next 64 uniform random bits.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -191,10 +188,7 @@ mod tests {
         for &p in &[0.05, 0.25, 0.5, 0.8, 0.95] {
             let ones: u32 = (0..2000).map(|_| r.weighted_word(p).count_ones()).sum();
             let frac = f64::from(ones) / 128_000.0;
-            assert!(
-                (frac - p).abs() < 0.01,
-                "p = {p}, measured = {frac}"
-            );
+            assert!((frac - p).abs() < 0.01, "p = {p}, measured = {frac}");
         }
     }
 
@@ -272,7 +266,15 @@ mod tests {
         // drawn after it.
         let mut r = Xoshiro256::seed_from(77);
         let reference = r.clone();
-        for p in [0.0, 1.0, -1.0, 2.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+        for p in [
+            0.0,
+            1.0,
+            -1.0,
+            2.0,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+        ] {
             let word = r.weighted_word(p);
             assert!(word == 0 || word == u64::MAX, "p = {p}");
             assert_eq!(r, reference, "p = {p} must not advance the state");

@@ -39,7 +39,9 @@ pub fn adder_comparator(width: usize, eq_width: usize) -> Circuit {
     for i in 0..width {
         let x_i = b.xor2(a[i], bb[i]).expect("valid fanin");
         let f = mux2(&mut b, sel, sums[i], x_i);
-        let named = b.gate(GateKind::Buf, format!("F{i}"), &[f]).expect("valid fanin");
+        let named = b
+            .gate(GateKind::Buf, format!("F{i}"), &[f])
+            .expect("valid fanin");
         result.push(named);
     }
     for &f in &result {

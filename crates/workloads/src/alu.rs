@@ -88,7 +88,9 @@ pub fn alu(width: usize, features: AluFeatures) -> Circuit {
         let lo = mux2(&mut b, s0, add_bits[i], and_i);
         let hi = mux2(&mut b, s0, or_i, xor_i);
         let f = mux2(&mut b, s1, lo, hi);
-        let named = b.gate(GateKind::Buf, format!("F{i}"), &[f]).expect("valid fanin");
+        let named = b
+            .gate(GateKind::Buf, format!("F{i}"), &[f])
+            .expect("valid fanin");
         result.push(named);
     }
 
@@ -176,14 +178,7 @@ mod tests {
         c.outputs().iter().map(|&o| values[o.index()]).collect()
     }
 
-    fn run_alu(
-        c: &Circuit,
-        width: usize,
-        a: u64,
-        b: u64,
-        sel: u8,
-        cin: bool,
-    ) -> (u64, bool, bool) {
+    fn run_alu(c: &Circuit, width: usize, a: u64, b: u64, sel: u8, cin: bool) -> (u64, bool, bool) {
         let mut assignment = Vec::new();
         for i in 0..width {
             assignment.push((a >> i) & 1 == 1);

@@ -14,12 +14,7 @@ pub fn half_adder(b: &mut CircuitBuilder, x: NodeId, y: NodeId) -> (NodeId, Node
 }
 
 /// Full adder: returns `(sum, carry)`.
-pub fn full_adder(
-    b: &mut CircuitBuilder,
-    x: NodeId,
-    y: NodeId,
-    cin: NodeId,
-) -> (NodeId, NodeId) {
+pub fn full_adder(b: &mut CircuitBuilder, x: NodeId, y: NodeId, cin: NodeId) -> (NodeId, NodeId) {
     let t = b.xor2(x, y).expect("valid cell fanin");
     let sum = b.xor2(t, cin).expect("valid cell fanin");
     let c1 = b.and2(x, y).expect("valid cell fanin");
@@ -88,10 +83,17 @@ pub fn or_tree(b: &mut CircuitBuilder, leaves: &[NodeId]) -> NodeId {
 /// XOR built from four NAND gates (the expansion used by ISCAS-85's C1355,
 /// which is C499 with its XORs replaced by NAND networks).
 pub fn xor_from_nands(b: &mut CircuitBuilder, x: NodeId, y: NodeId) -> NodeId {
-    let n1 = b.gate_auto(GateKind::Nand, &[x, y]).expect("valid cell fanin");
-    let n2 = b.gate_auto(GateKind::Nand, &[x, n1]).expect("valid cell fanin");
-    let n3 = b.gate_auto(GateKind::Nand, &[y, n1]).expect("valid cell fanin");
-    b.gate_auto(GateKind::Nand, &[n2, n3]).expect("valid cell fanin")
+    let n1 = b
+        .gate_auto(GateKind::Nand, &[x, y])
+        .expect("valid cell fanin");
+    let n2 = b
+        .gate_auto(GateKind::Nand, &[x, n1])
+        .expect("valid cell fanin");
+    let n3 = b
+        .gate_auto(GateKind::Nand, &[y, n1])
+        .expect("valid cell fanin");
+    b.gate_auto(GateKind::Nand, &[n2, n3])
+        .expect("valid cell fanin")
 }
 
 /// Ripple-carry adder over equal-width operands; returns `(sum_bits, cout)`.
@@ -130,7 +132,10 @@ pub fn equality(b: &mut CircuitBuilder, xs: &[NodeId], ys: &[NodeId]) -> NodeId 
     let bits: Vec<NodeId> = xs
         .iter()
         .zip(ys)
-        .map(|(&x, &y)| b.gate_auto(GateKind::Xnor, &[x, y]).expect("valid cell fanin"))
+        .map(|(&x, &y)| {
+            b.gate_auto(GateKind::Xnor, &[x, y])
+                .expect("valid cell fanin")
+        })
         .collect();
     and_tree(b, &bits)
 }

@@ -31,8 +31,12 @@ pub fn sn7485(
                 .expect("valid fanin")
         })
         .collect();
-    let nb: Vec<NodeId> = (0..4).map(|i| b.not(b_bits[i]).expect("valid fanin")).collect();
-    let na: Vec<NodeId> = (0..4).map(|i| b.not(a_bits[i]).expect("valid fanin")).collect();
+    let nb: Vec<NodeId> = (0..4)
+        .map(|i| b.not(b_bits[i]).expect("valid fanin"))
+        .collect();
+    let na: Vec<NodeId> = (0..4)
+        .map(|i| b.not(a_bits[i]).expect("valid fanin"))
+        .collect();
 
     // A>B terms, highest bit first: a3 b̄3, e3 a2 b̄2, e3 e2 a1 b̄1,
     // e3 e2 e1 a0 b̄0, e3 e2 e1 e0 · GTin.
@@ -71,7 +75,10 @@ pub fn sn7485(
 ///
 /// Panics if `width` is zero or not a multiple of 4.
 pub fn comparator(width: usize) -> Circuit {
-    assert!(width > 0 && width.is_multiple_of(4), "width must be a positive multiple of 4");
+    assert!(
+        width > 0 && width.is_multiple_of(4),
+        "width must be a positive multiple of 4"
+    );
     let mut b = CircuitBuilder::named(format!("cmp{width}"));
     let a_in: Vec<NodeId> = (0..width).map(|i| b.input(format!("A{i}"))).collect();
     let b_in: Vec<NodeId> = (0..width).map(|i| b.input(format!("B{i}"))).collect();

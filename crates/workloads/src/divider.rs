@@ -52,7 +52,9 @@ pub fn array_divider(n: usize) -> Circuit {
     let one = b.const1();
 
     // Divisor zero-extended to the remainder width.
-    let opb: Vec<NodeId> = (0..w).map(|j| if j < n { divisor[j] } else { zero }).collect();
+    let opb: Vec<NodeId> = (0..w)
+        .map(|j| if j < n { divisor[j] } else { zero })
+        .collect();
 
     // R starts as the top n dividend bits, zero-extended (non-negative).
     let mut rem: Vec<NodeId> = (0..w)
@@ -125,7 +127,8 @@ pub fn array_divider(n: usize) -> Circuit {
         .collect();
     let ovfeq = {
         let tree = crate::cells::and_tree(&mut b, &eq_bits);
-        b.gate(GateKind::Buf, "OVFEQ", &[tree]).expect("valid fanin")
+        b.gate(GateKind::Buf, "OVFEQ", &[tree])
+            .expect("valid fanin")
     };
     b.mark_output(ovfeq);
     wrt_circuit::simplify(&b.build().expect("generator produces valid circuits"))

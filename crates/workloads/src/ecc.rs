@@ -120,9 +120,7 @@ fn hamming_positions(data_bits: usize) -> Vec<usize> {
 /// Number of check bits needed: enough that the largest data position
 /// fits in the syndrome.
 fn syndrome_width(data_bits: usize) -> usize {
-    let max_pos = *hamming_positions(data_bits)
-        .last()
-        .expect("data_bits > 0");
+    let max_pos = *hamming_positions(data_bits).last().expect("data_bits > 0");
     usize::BITS as usize - max_pos.leading_zeros() as usize
 }
 

@@ -110,7 +110,12 @@ mod tests {
         assert_eq!(c.name(), "tiled_2000_5");
         assert!(c.num_gates() >= 2000);
         for bad in [
-            "tiled_", "tiled_abc_1", "tiled_100", "tiled_100_x", "tiled_0_1", "tiled__",
+            "tiled_",
+            "tiled_abc_1",
+            "tiled_100",
+            "tiled_100_x",
+            "tiled_0_1",
+            "tiled__",
         ] {
             assert!(by_name(bad).is_none(), "{bad} must not parse");
         }

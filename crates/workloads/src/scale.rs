@@ -64,8 +64,7 @@ fn instantiate(
             GateKind::Const0 => b.const0(),
             GateKind::Const1 => b.const1(),
             kind => {
-                let fanin: Vec<NodeId> =
-                    node.fanin().iter().map(|f| map[f.index()]).collect();
+                let fanin: Vec<NodeId> = node.fanin().iter().map(|f| map[f.index()]).collect();
                 b.gate(kind, format!("t{instance}n{}", id.index()), &fanin)
                     .expect("replaying a valid tile")
             }
@@ -169,7 +168,10 @@ mod tests {
     fn reaches_target_and_overshoots_at_most_one_tile() {
         let c = tiled(5_000, 1);
         assert!(c.num_gates() >= 5_000);
-        assert!(c.num_gates() < 5_000 + 1_500, "overshoot bounded by one tile");
+        assert!(
+            c.num_gates() < 5_000 + 1_500,
+            "overshoot bounded by one tile"
+        );
         assert_eq!(c.name(), "tiled_5000_1");
     }
 

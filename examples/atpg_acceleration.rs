@@ -49,7 +49,10 @@ fn main() {
             .collect();
         println!();
         println!("{label} random patterns ({budget} applied):");
-        println!("  fault coverage        : {:.1} %", result.coverage() * 100.0);
+        println!(
+            "  fault coverage        : {:.1} %",
+            result.coverage() * 100.0
+        );
         println!("  compact test set size : {} patterns", kept.len());
         println!("  faults left for ATPG  : {}", leftovers.len());
         leftovers_by_label.push((label, leftovers));

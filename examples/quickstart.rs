@@ -31,7 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = CopEngine::new();
     let conventional = engine.estimate(&circuit, &faults, &[0.5; 16]);
     let n_conv = required_test_length(&conventional, 1e-3);
-    println!("conventional test length (99.9 % confidence): {:.3e}", n_conv.patterns());
+    println!(
+        "conventional test length (99.9 % confidence): {:.3e}",
+        n_conv.patterns()
+    );
 
     // Optimize the input probabilities.
     let result = optimize(&circuit, &faults, &mut engine, &OptimizeConfig::default());

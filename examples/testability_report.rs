@@ -59,7 +59,11 @@ fn main() {
     println!("hardest faults at p = 0.5:");
     for &k in order.iter().take(8) {
         let fault = live.fault(wrt::fault::FaultId::from_index(k));
-        println!("  {:<30} p = {:.3e}", fault.describe(&circuit), estimates[k]);
+        println!(
+            "  {:<30} p = {:.3e}",
+            fault.describe(&circuit),
+            estimates[k]
+        );
     }
 
     let detectable: Vec<f64> = estimates.iter().copied().filter(|&p| p > 0.0).collect();

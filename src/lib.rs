@@ -73,7 +73,6 @@ pub mod prelude {
     pub use wrt_fault::{Fault, FaultList, FaultSite};
     pub use wrt_robust::{Budget, BudgetExceeded, Checkpoint, RunOutcome};
     pub use wrt_sim::{
-        detection_counts, fault_coverage, FaultSimulator, LogicSim, PatternSource,
-        WeightedPatterns,
+        detection_counts, fault_coverage, FaultSimulator, LogicSim, PatternSource, WeightedPatterns,
     };
 }

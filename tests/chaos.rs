@@ -178,8 +178,7 @@ fn budget_injection_drill(skip: u64) -> (Vec<Option<u64>>, u64) {
         }
     };
     // Bit-identity of the partial: exactly the first `done` patterns.
-    let prefix: CoverageResult =
-        fault_coverage(&circuit, &faults, patterns(&circuit), done, true);
+    let prefix: CoverageResult = fault_coverage(&circuit, &faults, patterns(&circuit), done, true);
     assert_eq!(
         partial.result.detected_at(),
         prefix.detected_at(),
@@ -277,7 +276,9 @@ fn drill_workloads_exercise_every_planted_site() {
         assert!(outcome.is_complete());
         // Atomic checkpoint write.
         let path = std::env::temp_dir().join("wrt_chaos_drill.ckpt");
-        Checkpoint::new("chaos").write_atomic(&path).expect("writes");
+        Checkpoint::new("chaos")
+            .write_atomic(&path)
+            .expect("writes");
         let _ = std::fs::remove_file(&path);
         // Resident server: the accept loop, the per-request session
         // handler, and the ECO overlay apply each pass their site.
@@ -378,7 +379,10 @@ fn a_poisoned_lone_shard_replays_the_whole_stream() {
         let rc = outcome.into_value();
         assert_eq!(rc.recovery.replays, 1, "{action:?}");
         assert!(rc.recovery.unresolved.is_empty(), "{action:?}");
-        assert_eq!(rc.result, reference, "{action:?}: replay must cover the whole stream");
+        assert_eq!(
+            rc.result, reference,
+            "{action:?}: replay must cover the whole stream"
+        );
     }
 }
 
@@ -411,10 +415,16 @@ fn a_failed_event_replay_falls_back_to_the_dense_oracle() {
             );
             (outcome, reference)
         });
-        assert!(session.still_armed().is_empty(), "{action:?}: both arms fired");
+        assert!(
+            session.still_armed().is_empty(),
+            "{action:?}: both arms fired"
+        );
         assert!(outcome.is_complete(), "{action:?}");
         let rc = outcome.into_value();
-        assert_eq!(rc.result, reference, "{action:?}: the oracle replay is bit-identical");
+        assert_eq!(
+            rc.result, reference,
+            "{action:?}: the oracle replay is bit-identical"
+        );
         assert_eq!(rc.recovery.replays, 2, "{action:?}");
         let ladder = &rc.recovery.ladder;
         assert_eq!(ladder.count(DegradeStep::ShardRequeue), 1, "{action:?}");
@@ -451,7 +461,9 @@ fn injected_interruption_checkpoints_and_resumes_optimize_bit_identically() {
         first.outcome.interrupt_reason(),
         Some(BudgetExceeded::Injected)
     );
-    let ckpt = first.checkpoint.expect("interrupted runs carry resume state");
+    let ckpt = first
+        .checkpoint
+        .expect("interrupted runs carry resume state");
 
     // The arm is spent; resume inside the same session and the descent
     // must land exactly where the uninterrupted reference did.
@@ -502,7 +514,9 @@ fn injected_interruption_checkpoints_and_resumes_atpg_bit_identically() {
         !partial.survivors.is_empty(),
         "an early interruption leaves unattempted faults"
     );
-    let ckpt = first.checkpoint.expect("interrupted runs carry resume state");
+    let ckpt = first
+        .checkpoint
+        .expect("interrupted runs carry resume state");
 
     let resumed = generate_tests_budgeted(
         &circuit,
@@ -514,7 +528,10 @@ fn injected_interruption_checkpoints_and_resumes_atpg_bit_identically() {
     .expect("checkpoint validates");
     assert!(resumed.outcome.is_complete());
     let got = resumed.outcome.into_value();
-    assert_eq!(got.tests, reference.tests, "random fill must resume mid-stream");
+    assert_eq!(
+        got.tests, reference.tests,
+        "random fill must resume mid-stream"
+    );
     assert_eq!(got.detected, reference.detected);
     assert_eq!(got.redundant, reference.redundant);
     assert_eq!(got.aborted, reference.aborted);

@@ -14,8 +14,8 @@ fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
         GateKind::Xnor,
         GateKind::Not,
     ]);
-    proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..3)), 4..20)
-        .prop_map(|specs| {
+    proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..3)), 4..20).prop_map(
+        |specs| {
             let mut b = CircuitBuilder::named("rand");
             let mut ids = Vec::new();
             for i in 0..6 {
@@ -32,7 +32,8 @@ fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
             b.mark_output(*ids.last().expect("non-empty"));
             b.mark_output(ids[7.min(ids.len() - 1)]);
             b.build().expect("valid circuit")
-        })
+        },
+    )
 }
 
 /// Per-fault detection words over the full 2^6 input space.
@@ -194,6 +195,10 @@ fn registry_collapse_matches_recorded_class_counts() {
         let reps = full.collapse_equivalent(&circuit);
         assert_eq!(reps.len(), classes, "{name}");
         let checkpoints = FaultList::checkpoints(&circuit);
-        assert_eq!(checkpoints.collapse_equivalent(&circuit), checkpoints, "{name}");
+        assert_eq!(
+            checkpoints.collapse_equivalent(&circuit),
+            checkpoints,
+            "{name}"
+        );
     }
 }

@@ -124,27 +124,24 @@ mod proptests {
             GateKind::Xor,
             GateKind::Not,
         ]);
-        proptest::collection::vec(
-            (kinds, proptest::collection::vec(0usize..64, 1..4)),
-            4..24,
-        )
-        .prop_map(|specs| {
-            let mut b = CircuitBuilder::named("rand");
-            let mut ids = Vec::new();
-            for i in 0..6 {
-                ids.push(b.input(format!("i{i}")));
-            }
-            for (kind, picks) in specs {
-                let fanin: Vec<_> = if kind == GateKind::Not {
-                    vec![ids[picks[0] % ids.len()]]
-                } else {
-                    picks.iter().map(|&p| ids[p % ids.len()]).collect()
-                };
-                ids.push(b.gate_auto(kind, &fanin).expect("valid"));
-            }
-            b.mark_output(*ids.last().expect("non-empty"));
-            b.build().expect("valid circuit")
-        })
+        proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..4)), 4..24)
+            .prop_map(|specs| {
+                let mut b = CircuitBuilder::named("rand");
+                let mut ids = Vec::new();
+                for i in 0..6 {
+                    ids.push(b.input(format!("i{i}")));
+                }
+                for (kind, picks) in specs {
+                    let fanin: Vec<_> = if kind == GateKind::Not {
+                        vec![ids[picks[0] % ids.len()]]
+                    } else {
+                        picks.iter().map(|&p| ids[p % ids.len()]).collect()
+                    };
+                    ids.push(b.gate_auto(kind, &fanin).expect("valid"));
+                }
+                b.mark_output(*ids.last().expect("non-empty"));
+                b.build().expect("valid circuit")
+            })
     }
 
     proptest! {

@@ -20,9 +20,7 @@ use wrt_circuit::scan_bench_issues;
 /// so that redefinition, forward references, and cycles actually occur
 /// instead of every identifier being unique garbage.
 fn arb_line() -> impl Strategy<Value = String> {
-    let name = prop::sample::select(vec![
-        "a", "b", "c", "d", "e", "y", "q0", "_x", "ghost",
-    ]);
+    let name = prop::sample::select(vec!["a", "b", "c", "d", "e", "y", "q0", "_x", "ghost"]);
     let kind = prop::sample::select(vec![
         "AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF", "DFF", "MAJ", "and", "N O T", "",
     ]);
@@ -51,7 +49,9 @@ fn arb_bench_text() -> impl Strategy<Value = String> {
     (any::<bool>(), proptest::collection::vec(arb_line(), 0..25)).prop_map(|(seed, lines)| {
         let mut text = String::new();
         if seed {
-            text.push_str("INPUT(a)\nINPUT(b)\nINPUT(c)\ny = AND(a, b)\nq0 = NOR(y, c)\nOUTPUT(q0)\n");
+            text.push_str(
+                "INPUT(a)\nINPUT(b)\nINPUT(c)\ny = AND(a, b)\nq0 = NOR(y, c)\nOUTPUT(q0)\n",
+            );
         }
         text.push_str(&lines.join("\n"));
         text

@@ -64,12 +64,58 @@ fn strs(args: &[&str]) -> Vec<String> {
 /// workload names (the deadline would cut them off anyway, but slowly),
 /// and `shutdown` (the server is shared across cases).
 const ALPHABET: &[&str] = &[
-    "stats", "analyze", "estimate", "eco", "simulate", "optimize", "atpg", "workloads", "stat",
-    "load", "flush", "help", "generate", "s1", "#1", "#999999", "#nope", "--top", "3", "--json",
-    "--lint", "--weights", "0.5,0.5", "0.25", "--set", "G10=OR", "x=NAND", "=", "--patterns",
-    "64", "--confidence", "0.95", "--grid", "2", "--threads", "2", "--seed", "7", "--gates",
-    "32", "--engine", "cop", "--guidance", "scoap", "--max-evals", "5", "nonsense", "--", "-1",
-    "1e309", "NaN", "\u{2603}",
+    "stats",
+    "analyze",
+    "estimate",
+    "eco",
+    "simulate",
+    "optimize",
+    "atpg",
+    "workloads",
+    "stat",
+    "load",
+    "flush",
+    "help",
+    "generate",
+    "s1",
+    "#1",
+    "#999999",
+    "#nope",
+    "--top",
+    "3",
+    "--json",
+    "--lint",
+    "--weights",
+    "0.5,0.5",
+    "0.25",
+    "--set",
+    "G10=OR",
+    "x=NAND",
+    "=",
+    "--patterns",
+    "64",
+    "--confidence",
+    "0.95",
+    "--grid",
+    "2",
+    "--threads",
+    "2",
+    "--seed",
+    "7",
+    "--gates",
+    "32",
+    "--engine",
+    "cop",
+    "--guidance",
+    "scoap",
+    "--max-evals",
+    "5",
+    "nonsense",
+    "--",
+    "-1",
+    "1e309",
+    "NaN",
+    "\u{2603}",
 ];
 
 proptest! {
@@ -138,7 +184,10 @@ fn unknown_verbs_and_bad_arguments_are_structured_errors() {
         "#7\n",
     ] {
         let response = raw_response(line.as_bytes()).expect("a frame must come back");
-        assert!(response.is_err(), "{line:?} must be an err frame: {response:?}");
+        assert!(
+            response.is_err(),
+            "{line:?} must be an err frame: {response:?}"
+        );
     }
 }
 

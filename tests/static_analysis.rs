@@ -15,11 +15,7 @@ fn registry_is_lint_clean() {
     for name in wrt::workloads::WORKLOAD_NAMES {
         let circuit = wrt::workloads::by_name(name).expect("registered");
         let report = analyze(&circuit);
-        assert!(
-            report.findings.is_empty(),
-            "{name}: {:?}",
-            report.findings
-        );
+        assert!(report.findings.is_empty(), "{name}: {:?}", report.findings);
         assert_eq!(
             report.scoap.undetectable, 0,
             "{name}: SCOAP flags undetectable faults in an irredundant workload"
@@ -35,13 +31,15 @@ fn registry_is_lint_clean() {
 /// +0.91, c2670ish +0.64, c7552ish +0.57) with slack.
 #[test]
 fn scoap_ranks_agree_with_cop_on_tractable_circuits() {
-    let strong = [("s1", 0.9), ("c499ish", 0.8), ("c2670ish", 0.5), ("c7552ish", 0.5)];
+    let strong = [
+        ("s1", 0.9),
+        ("c499ish", 0.8),
+        ("c2670ish", 0.5),
+        ("c7552ish", 0.5),
+    ];
     for (name, threshold) in strong {
         let r = rank_correlation(name);
-        assert!(
-            r > threshold,
-            "{name}: spearman {r:.3} below {threshold}"
-        );
+        assert!(r > threshold, "{name}: spearman {r:.3} below {threshold}");
     }
 }
 

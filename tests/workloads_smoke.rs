@@ -8,7 +8,11 @@ use wrt::workloads::{all_paper_circuits, by_name, starred_circuits, WORKLOAD_NAM
 
 #[test]
 fn every_registry_circuit_builds_levelizes_and_round_trips() {
-    assert_eq!(WORKLOAD_NAMES.len(), 12, "the paper evaluates twelve circuits");
+    assert_eq!(
+        WORKLOAD_NAMES.len(),
+        12,
+        "the paper evaluates twelve circuits"
+    );
     for name in WORKLOAD_NAMES {
         let circuit = by_name(name).unwrap_or_else(|| panic!("{name} not registered"));
         assert_eq!(circuit.name(), name);
@@ -45,15 +49,30 @@ fn every_registry_circuit_builds_levelizes_and_round_trips() {
         assert_eq!(stats.depth, levels.depth(), "{name}: stats depth");
         assert_eq!(stats.stems, circuit.fanout_stems().len(), "{name}: stems");
         let by_kind_total: usize = stats.by_kind.values().sum();
-        assert_eq!(by_kind_total, stats.gates, "{name}: by_kind must sum to gates");
+        assert_eq!(
+            by_kind_total, stats.gates,
+            "{name}: by_kind must sum to gates"
+        );
 
         // `.bench` write → parse round trip preserves the structure.
         let text = to_bench(&circuit);
         let reparsed = parse_bench_named(&text, name)
             .unwrap_or_else(|e| panic!("{name}: failed to reparse own .bench: {e}"));
-        assert_eq!(reparsed.num_inputs(), circuit.num_inputs(), "{name}: reparse inputs");
-        assert_eq!(reparsed.num_outputs(), circuit.num_outputs(), "{name}: reparse outputs");
-        assert_eq!(reparsed.num_gates(), circuit.num_gates(), "{name}: reparse gates");
+        assert_eq!(
+            reparsed.num_inputs(),
+            circuit.num_inputs(),
+            "{name}: reparse inputs"
+        );
+        assert_eq!(
+            reparsed.num_outputs(),
+            circuit.num_outputs(),
+            "{name}: reparse outputs"
+        );
+        assert_eq!(
+            reparsed.num_gates(),
+            circuit.num_gates(),
+            "{name}: reparse gates"
+        );
     }
 }
 
@@ -64,7 +83,10 @@ fn every_registry_circuit_builds_levelizes_and_round_trips() {
 fn tiled_generator_is_lint_clean_levelized_and_deterministic() {
     for (target, seed) in [(2_000usize, 11u64), (10_000, 11), (30_000, 5)] {
         let circuit = wrt::workloads::tiled(target, seed);
-        assert!(circuit.num_gates() >= target, "tiled({target}, {seed}) undershoots");
+        assert!(
+            circuit.num_gates() >= target,
+            "tiled({target}, {seed}) undershoots"
+        );
 
         // Structural lints (floating inputs, dead gates, constant gates)
         // must not fire at any size: the stitching marks every
@@ -89,8 +111,7 @@ fn tiled_generator_is_lint_clean_levelized_and_deterministic() {
 
         // `.bench` write → parse round trip preserves the structure.
         let text = to_bench(&circuit);
-        let reparsed =
-            parse_bench_named(&text, circuit.name()).expect("tiled netlist reparses");
+        let reparsed = parse_bench_named(&text, circuit.name()).expect("tiled netlist reparses");
         assert_eq!(reparsed.num_gates(), circuit.num_gates());
         assert_eq!(reparsed.num_inputs(), circuit.num_inputs());
         assert_eq!(reparsed.num_outputs(), circuit.num_outputs());
