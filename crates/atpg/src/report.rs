@@ -90,8 +90,10 @@ pub struct AtpgReport {
 }
 
 impl AtpgReport {
-    /// Fault coverage over the detectable faults
-    /// (`detected / (total − redundant)`).
+    /// Fault coverage over the faults PODEM reached or dropping caught:
+    /// `detected / (detected + aborted)`, 1.0 when both are empty.
+    /// Redundant faults and [`survivors`](Self::survivors) count in
+    /// neither, so an interrupted run with no aborts reports 100 %.
     pub fn coverage(&self) -> f64 {
         let detectable = self.detected.len() + self.aborted.len();
         if detectable == 0 {

@@ -17,6 +17,13 @@
 //! the detection model reads depends on `F`'s probabilities and `B`'s
 //! observabilities alone, so passes over `F` ascending and `B` descending
 //! compute it from the same operands in the same order: same f64 bits.
+//!
+//! PREPARE's two endpoints differ in one input, so both ride one
+//! traversal: the recurrences and pass loops are generic over a [`Lane`],
+//! `f64` for one point and `[f64; 2]` for the pair.  Each lane performs
+//! the scalar operations in the scalar order (products fold from 1.0 in
+//! pin order, no fused multiply-add), so it holds the scalar pass's bits
+//! at its endpoint; the two lanes are two independent dependency chains.
 
 use wrt_circuit::{Circuit, GateKind, NodeId};
 
@@ -35,17 +42,66 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
         "one probability per primary input"
     );
     let mut p = vec![0.0f64; circuit.num_nodes()];
-    forward_on(circuit, input_probs, 0..circuit.num_nodes(), &mut p);
+    forward_on(circuit, &|k| input_probs[k], 0..circuit.num_nodes(), &mut p);
     p
+}
+
+/// One value per evaluation point: `f64` for one point, `[f64; 2]` for
+/// PREPARE's two endpoints carried through one traversal.  Each lane
+/// goes through exactly the scalar operations, in the scalar order.
+pub(crate) trait Lane: Copy {
+    /// Every lane set to `x`.
+    fn splat(x: f64) -> Self;
+    /// `f` of each lane.
+    fn map_lanes(self, f: impl Fn(f64) -> f64) -> Self;
+    /// `f` of each lane of `self` and the same lane of `other`.
+    fn zip_lanes(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self;
+}
+
+impl Lane for f64 {
+    fn splat(x: f64) -> Self {
+        x
+    }
+    fn map_lanes(self, f: impl Fn(f64) -> f64) -> Self {
+        f(self)
+    }
+    fn zip_lanes(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        f(self, other)
+    }
+}
+
+impl Lane for [f64; 2] {
+    fn splat(x: f64) -> Self {
+        [x; 2]
+    }
+    fn map_lanes(self, f: impl Fn(f64) -> f64) -> Self {
+        [f(self[0]), f(self[1])]
+    }
+    fn zip_lanes(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        [f(self[0], other[0]), f(self[1], other[1])]
+    }
+}
+
+fn not<L: Lane>(x: L) -> L {
+    x.map_lanes(|v| 1.0 - v)
+}
+
+fn mul<L: Lane>(a: L, b: L) -> L {
+    a.zip_lanes(b, |x, y| x * y)
+}
+
+/// `f64`'s `Product`, lane by lane: a fold from 1.0 in iteration order.
+fn product<L: Lane>(xs: impl Iterator<Item = L>) -> L {
+    xs.fold(L::splat(1.0), mul)
 }
 
 /// The forward pass over `nodes` (ascending ids, closed under fanin):
 /// writes each listed node's signal probability into `p`.
-pub(crate) fn forward_on(
+pub(crate) fn forward_on<L: Lane>(
     circuit: &Circuit,
-    input_probs: &[f64],
+    input_prob: &impl Fn(usize) -> L,
     nodes: impl IntoIterator<Item = usize>,
-    p: &mut [f64],
+    p: &mut [L],
 ) {
     let (offsets, data) = circuit.fanin_csr();
     let kinds = circuit.kinds();
@@ -56,7 +112,7 @@ pub(crate) fn forward_on(
             NodeId::from_index(i),
             kinds[i],
             fanin,
-            &|k| input_probs[k],
+            input_prob,
             &|f: NodeId| p[f.index()],
         );
     }
@@ -73,35 +129,36 @@ pub(crate) fn forward_on(
 /// function with the overridden kind and the *unchanged* fanin list, so a
 /// later cold recompute of the really-mutated circuit produces
 /// bit-identical values (same function, same operand order).
-pub(crate) fn node_probability_of_kind(
+pub(crate) fn node_probability_of_kind<L: Lane>(
     circuit: &Circuit,
     id: NodeId,
     kind: GateKind,
     fanin: &[NodeId],
-    input_prob: &impl Fn(usize) -> f64,
-    p: &impl Fn(NodeId) -> f64,
-) -> f64 {
+    input_prob: &impl Fn(usize) -> L,
+    p: &impl Fn(NodeId) -> L,
+) -> L {
+    let probs = || fanin.iter().map(|&f| p(f));
     match kind {
         GateKind::Input => input_prob(circuit.input_position(id).expect("input")),
-        GateKind::Const0 => 0.0,
-        GateKind::Const1 => 1.0,
-        GateKind::And => fanin.iter().map(|&f| p(f)).product(),
-        GateKind::Nand => 1.0 - fanin.iter().map(|&f| p(f)).product::<f64>(),
-        GateKind::Or => 1.0 - fanin.iter().map(|&f| 1.0 - p(f)).product::<f64>(),
-        GateKind::Nor => fanin.iter().map(|&f| 1.0 - p(f)).product::<f64>(),
-        GateKind::Xor => xor_prob(fanin.iter().map(|&f| p(f))),
-        GateKind::Xnor => 1.0 - xor_prob(fanin.iter().map(|&f| p(f))),
-        GateKind::Not => 1.0 - p(fanin[0]),
+        GateKind::Const0 => L::splat(0.0),
+        GateKind::Const1 => L::splat(1.0),
+        GateKind::And => product(probs()),
+        GateKind::Nand => not(product(probs())),
+        GateKind::Or => not(product(probs().map(not))),
+        GateKind::Nor => product(probs().map(not)),
+        GateKind::Xor => xor_prob(probs()),
+        GateKind::Xnor => not(xor_prob(probs())),
+        GateKind::Not => not(p(fanin[0])),
         GateKind::Buf => p(fanin[0]),
     }
 }
 
 /// Probability that the XOR of independent bits with probabilities `ps`
 /// is 1.
-fn xor_prob(ps: impl Iterator<Item = f64>) -> f64 {
+fn xor_prob<L: Lane>(ps: impl Iterator<Item = L>) -> L {
     // P(odd) via the product identity: Π(1-2p) = 1 - 2 P(odd).
-    let prod: f64 = ps.map(|p| 1.0 - 2.0 * p).product();
-    (1.0 - prod) / 2.0
+    let prod = product(ps.map(|p| p.map_lanes(|v| 1.0 - 2.0 * v)));
+    prod.map_lanes(|v| (1.0 - v) / 2.0)
 }
 
 /// Reverse pass of COP observabilities.
@@ -136,12 +193,12 @@ pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>)
 /// The backward pass over `nodes` (descending ids, closed under fanout;
 /// `p` holds their fanins' probabilities): writes each listed node's
 /// observability and the pin observabilities of its fanin.
-pub(crate) fn backward_on(
+pub(crate) fn backward_on<L: Lane>(
     circuit: &Circuit,
-    p: &[f64],
+    p: &[L],
     nodes: impl IntoIterator<Item = usize>,
-    obs: &mut [f64],
-    pin_obs: &mut [f64],
+    obs: &mut [L],
+    pin_obs: &mut [L],
 ) {
     let (offsets, data) = circuit.fanin_csr();
     let kinds = circuit.kinds();
@@ -152,7 +209,7 @@ pub(crate) fn backward_on(
         let base = offsets[idx] as usize;
         let fanin = &data[base..offsets[idx + 1] as usize];
         pin_sensitivities_of_kind(kinds[idx], fanin, &|f: NodeId| p[f.index()], |pin, s| {
-            pin_obs[base + pin] = o * s;
+            pin_obs[base + pin] = mul(o, s);
         });
     }
 }
@@ -167,21 +224,21 @@ pub(crate) fn backward_on(
 /// (edge-indexed, see [`Circuit::fanin_offset`]).  Shared between the
 /// full backward pass ([`observabilities_cop`]), the ECO overlay and
 /// STAFAN, so all produce bit-identical values.
-pub(crate) fn stem_observability(
+pub(crate) fn stem_observability<L: Lane>(
     circuit: &Circuit,
     id: NodeId,
-    pin_obs: &impl Fn(usize) -> f64,
-) -> f64 {
+    pin_obs: &impl Fn(usize) -> L,
+) -> L {
     let edges = circuit.fanout_edges(id);
     let output = circuit.is_output(id);
-    let start = if output { 0.0 } else { 1.0 };
+    let start = L::splat(if output { 0.0 } else { 1.0 });
     let miss = edges
         .iter()
-        .fold(start, |miss, &e| miss * (1.0 - pin_obs(e as usize)));
+        .fold(start, |miss, &e| mul(miss, not(pin_obs(e as usize))));
     if output || !edges.is_empty() {
-        1.0 - miss
+        not(miss)
     } else {
-        0.0
+        L::splat(0.0)
     }
 }
 
@@ -190,32 +247,32 @@ pub(crate) fn stem_observability(
 /// non-controlling values (the pin observability is the gate's stem
 /// observability times this factor).  The gate kind is a parameter so the
 /// ECO overlay can override it (see [`node_probability_of_kind`]).
-pub(crate) fn pin_sensitivities_of_kind(
+pub(crate) fn pin_sensitivities_of_kind<L: Lane>(
     kind: GateKind,
     fanin: &[NodeId],
-    p: &impl Fn(NodeId) -> f64,
-    mut out: impl FnMut(usize, f64),
+    p: &impl Fn(NodeId) -> L,
+    mut out: impl FnMut(usize, L),
 ) {
     match kind {
         GateKind::And | GateKind::Nand => products_of_others(fanin, p, out),
-        GateKind::Or | GateKind::Nor => products_of_others(fanin, |f| 1.0 - p(f), out),
+        GateKind::Or | GateKind::Nor => products_of_others(fanin, |f| not(p(f)), out),
         // A change on one XOR input always flips the output.
         GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf => {
-            (0..fanin.len()).for_each(|pin| out(pin, 1.0));
+            (0..fanin.len()).for_each(|pin| out(pin, L::splat(1.0)));
         }
         GateKind::Input | GateKind::Const0 | GateKind::Const1 => {}
     }
 }
 
 /// For each pin, the product of `value` over the other pins, in pin order.
-fn products_of_others(
+fn products_of_others<L: Lane>(
     fanin: &[NodeId],
-    value: impl Fn(NodeId) -> f64,
-    mut out: impl FnMut(usize, f64),
+    value: impl Fn(NodeId) -> L,
+    mut out: impl FnMut(usize, L),
 ) {
     for pin in 0..fanin.len() {
         let others = fanin.iter().enumerate().filter(|&(k, _)| k != pin);
-        out(pin, others.map(|(_, &f)| value(f)).product());
+        out(pin, product(others.map(|(_, &f)| value(f))));
     }
 }
 
@@ -346,38 +403,41 @@ pub(crate) mod proptests {
     use proptest::prelude::*;
     use wrt_circuit::CircuitBuilder;
 
-    /// Random DAGs over 5 inputs; picks collide often, so many gates list
-    /// one driver on two pins.
+    /// Random DAGs over 5 inputs with every gate kind; picks collide
+    /// often, so many gates list one driver on two pins.  Input 0 is
+    /// always a primary output, and the first gate reads input 1 on two of
+    /// its five pins.
     pub(crate) fn arb_circuit() -> impl Strategy<Value = Circuit> {
+        use GateKind::*;
+        let wide = prop::sample::select(vec![And, Nand, Or, Nor, Xor, Xnor]);
         let kinds = prop::sample::select(vec![
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-            GateKind::Not,
-            GateKind::Buf,
+            And, Nand, Or, Nor, Xor, Xnor, Not, Buf, Const0, Const1,
         ]);
-        proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..4)), 3..20)
-            .prop_map(|specs| {
-                let mut b = CircuitBuilder::named("rand");
-                let mut ids: Vec<NodeId> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
-                for (kind, picks) in specs {
-                    let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
-                        1
-                    } else {
-                        picks.len()
-                    };
-                    let fanin: Vec<_> =
-                        picks[..arity].iter().map(|&p| ids[p % ids.len()]).collect();
-                    ids.push(b.gate_auto(kind, &fanin).expect("valid"));
-                }
-                for &o in ids.iter().rev().step_by(4) {
-                    b.mark_output(o);
-                }
-                b.build().expect("valid circuit")
-            })
+        let specs =
+            proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..6)), 3..20);
+        (wide, specs).prop_map(|(first, specs)| {
+            let mut b = CircuitBuilder::named("rand");
+            let mut ids: Vec<NodeId> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
+            let twice = [ids[1], ids[2], ids[1], ids[3], ids[4]];
+            ids.push(b.gate_auto(first, &twice).expect("valid"));
+            for (kind, picks) in specs {
+                let arity = match kind {
+                    Not | Buf => 1,
+                    Const0 | Const1 => 0,
+                    _ => picks.len(),
+                };
+                let fanin: Vec<_> = picks[..arity].iter().map(|&p| ids[p % ids.len()]).collect();
+                ids.push(b.gate_auto(kind, &fanin).expect("valid"));
+            }
+            let mut outputs: Vec<NodeId> = ids.iter().rev().step_by(4).copied().collect();
+            if !outputs.contains(&ids[0]) {
+                outputs.push(ids[0]);
+            }
+            for o in outputs {
+                b.mark_output(o);
+            }
+            b.build().expect("valid circuit")
+        })
     }
 
     proptest! {

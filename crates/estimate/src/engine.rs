@@ -43,8 +43,8 @@ pub trait DetectionProbabilityEngine: Send {
     /// The default materializes both perturbed vectors and makes two
     /// sequential [`estimate`](Self::estimate) calls; [`MonteCarloEngine`]
     /// overrides it to simulate both points concurrently on a split thread
-    /// budget, [`CopEngine`] to evaluate only the faults' query cone
-    /// (identical results either way).
+    /// budget, [`CopEngine`] to evaluate both points as two lanes of one
+    /// pass over the faults' query cone (identical results either way).
     ///
     /// # Panics
     ///
@@ -135,8 +135,11 @@ pub struct CopEngine {
     cone: Option<(u64, FaultList)>,
     forward: Vec<u32>,
     backward: Vec<u32>,
-    /// What the cone passes write; entries outside the cone are stale.
-    scratch: CopSolution,
+    /// What the two-lane cone passes write (lane 0 at `x_i = 0`, lane 1
+    /// at `x_i = 1`); entries outside the cone are stale.
+    p: Vec<[f64; 2]>,
+    obs: Vec<[f64; 2]>,
+    pin_obs: Vec<[f64; 2]>,
     node_evaluations: u64,
 }
 
@@ -175,9 +178,9 @@ impl CopEngine {
         self.forward = (0..n as u32).filter(|&i| in_f[i as usize]).collect();
         self.backward = (0..n as u32).rev().filter(|&i| in_b[i as usize]).collect();
         self.cone = Some((circuit.uid(), faults.clone()));
-        self.scratch.p.resize(n, 0.0);
-        self.scratch.obs.resize(n, 0.0);
-        self.scratch.pin_obs.resize(circuit.num_edges(), 0.0);
+        self.p.resize(n, [0.0; 2]);
+        self.obs.resize(n, [0.0; 2]);
+        self.pin_obs.resize(circuit.num_edges(), [0.0; 2]);
     }
 }
 
@@ -187,8 +190,9 @@ impl DetectionProbabilityEngine for CopEngine {
         CopSolution::compute(circuit, input_probs).detection_probabilities(circuit, faults)
     }
 
-    /// Both endpoints over the query cone of `faults`, kept while the
-    /// circuit and fault list stay the same; bit-identical to full passes.
+    /// Both endpoints in one two-lane pass over the query cone of
+    /// `faults`, kept while the circuit and fault list stay the same;
+    /// each lane is bit-identical to full passes at its endpoint.
     fn estimate_coordinate_pair(
         &mut self,
         circuit: &Circuit,
@@ -200,17 +204,28 @@ impl DetectionProbabilityEngine for CopEngine {
         if !matches!(&self.cone, Some((uid, f)) if *uid == circuit.uid() && f == faults) {
             self.build_cone(circuit, faults);
         }
-        let mut endpoint = |x: &[f64]| {
-            let (forward, backward) = (&self.forward, &self.backward);
-            let s = &mut self.scratch;
-            forward_on(circuit, x, forward.iter().map(|&i| i as usize), &mut s.p);
-            let nodes = backward.iter().map(|&i| i as usize);
-            backward_on(circuit, &s.p, nodes, &mut s.obs, &mut s.pin_obs);
-            self.node_evaluations += (forward.len() + backward.len()) as u64;
-            s.detection_probabilities(circuit, faults)
+        let mut x: Vec<[f64; 2]> = weights.iter().map(|&w| [w; 2]).collect();
+        x[coordinate] = [0.0, 1.0];
+        let nodes = self.forward.iter().map(|&i| i as usize);
+        forward_on(circuit, &|k| x[k], nodes, &mut self.p);
+        let nodes = self.backward.iter().map(|&i| i as usize);
+        backward_on(circuit, &self.p, nodes, &mut self.obs, &mut self.pin_obs);
+        self.node_evaluations += 2 * (self.forward.len() + self.backward.len()) as u64;
+        let lane = |l: usize| -> Vec<f64> {
+            let faults = faults.as_slice().iter();
+            faults
+                .map(|fault| {
+                    cop_fault_probability(
+                        circuit,
+                        fault,
+                        &|f: NodeId| self.p[f.index()][l],
+                        &|n: NodeId| self.obs[n.index()][l],
+                        &|g: NodeId, pin| self.pin_obs[circuit.fanin_offset(g) + pin][l],
+                    )
+                })
+                .collect()
         };
-        let (at_zero, at_one) = coordinate_endpoints(weights, coordinate);
-        (endpoint(&at_zero), endpoint(&at_one))
+        (lane(0), lane(1))
     }
 
     fn name(&self) -> &'static str {
@@ -587,6 +602,10 @@ mod tests {
         ) {
             // One engine across the whole sequence: a cone kept for the
             // wrong circuit or the wrong subset would show as a mismatch.
+            // Each lane of a pair is checked against a scalar full pass at
+            // its endpoint; the circuits hold every gate kind, five-pin
+            // gates, an input that is a primary output (i0) and one read
+            // on two pins of a gate (i1).
             // Shared subsets (output faults on nodes 0..8, which every
             // generated circuit has) recur on both circuits.
             let mut engine = CopEngine::new();

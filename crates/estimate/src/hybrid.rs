@@ -42,7 +42,7 @@ impl HybridEngine {
             let id = NodeId::from_index(i);
             match exact_signal_probability(circuit, id, input_probs, self.support_limit) {
                 Some(exact) => p[i] = exact,
-                None => forward_on(circuit, input_probs, [i], &mut p),
+                None => forward_on(circuit, &|k| input_probs[k], [i], &mut p),
             }
         }
         p

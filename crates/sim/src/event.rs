@@ -1255,24 +1255,25 @@ mod proptests {
             }
         }
 
-        /// Oversharding (more shards than faults) stays identical for the
-        /// event engine, including drop mode.
+        /// Oversharding with the full fault list and drop mode off: more
+        /// shards requested than the list has faults (the partition caps
+        /// them at one region each), yet first detections and detection
+        /// counts equal the dense oracle's.
         #[test]
         fn event_oversharding_is_identical(
             circuit in arb_circuit(),
-            seed in 0u64..100,
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            seed in 0u64..1_000,
+            patterns in 1u64..700,
         ) {
-            let faults = FaultList::primary_inputs(&circuit);
-            let dense = fault_coverage(
-                &circuit, &faults,
-                WeightedPatterns::equiprobable(4, seed),
-                300, true,
-            );
-            let (sharded, _) = coverage(
-                &circuit, &faults,
-                WeightedPatterns::equiprobable(4, seed),
-                300, true, faults.len() * 3 + 7,
-            );
+            let faults = FaultList::full(&circuit);
+            let source = || WeightedPatterns::new(weights.clone(), seed);
+            let shards = faults.len() * 3 + 7;
+            let (sharded_counts, _) = counts(&circuit, &faults, source(), patterns, shards);
+            let dense_counts = detection_counts(&circuit, &faults, source(), patterns);
+            prop_assert_eq!(dense_counts, sharded_counts);
+            let dense = fault_coverage(&circuit, &faults, source(), patterns, false);
+            let (sharded, _) = coverage(&circuit, &faults, source(), patterns, false, shards);
             prop_assert_eq!(dense.detected_at(), sharded.detected_at());
         }
     }
