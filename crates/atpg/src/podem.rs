@@ -47,6 +47,36 @@ enum Guidance {
     },
 }
 
+/// The X-path check's scratch, kept for one search: a node is visited in
+/// the current check when its stamp equals the current epoch, so a check
+/// starts with a bumped epoch instead of a cleared array.
+struct XPathScratch {
+    visited: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+}
+
+impl XPathScratch {
+    fn new(num_nodes: usize) -> Self {
+        XPathScratch {
+            visited: vec![0; num_nodes],
+            epoch: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Starts a check with every node unvisited; returns its epoch.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps of an old epoch could alias the new one.
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+}
+
 /// A PODEM test generator bound to one circuit.
 ///
 /// Constructing it once precomputes the controllability guidance (COP
@@ -154,6 +184,7 @@ impl<'c> Podem<'c> {
         // whose unknowns our objective cannot target): exhausting the
         // search then yields `Aborted`, never a false redundancy proof.
         let mut incomplete = false;
+        let mut x_path = XPathScratch::new(self.circuit.num_nodes());
 
         loop {
             let sim = self.simulate(fault, &assignment);
@@ -170,7 +201,7 @@ impl<'c> Podem<'c> {
             }
 
             let mut next_decision = None;
-            match self.objective(fault, &sim) {
+            match self.objective(fault, &sim, &mut x_path) {
                 Goal::Objective(node, value) => {
                     next_decision = self.backtrace(node, value, &sim.values);
                     if next_decision.is_none() {
@@ -270,7 +301,7 @@ impl<'c> Podem<'c> {
     }
 
     /// The next objective, a proven conflict, or a soft dead end.
-    fn objective(&self, fault: Fault, sim: &SimState) -> Goal {
+    fn objective(&self, fault: Fault, sim: &SimState, x_path: &mut XPathScratch) -> Goal {
         // Phase 1: excitation — the faulty line's good value must be the
         // complement of the stuck value.
         let driver = fault.site.driver(self.circuit);
@@ -285,7 +316,7 @@ impl<'c> Podem<'c> {
             .frontier
             .iter()
             .copied()
-            .filter(|&g| self.has_x_path(g, &sim.values))
+            .filter(|&g| self.has_x_path(g, &sim.values, x_path))
             .collect();
         if candidates.is_empty() {
             // No propagation path at all: a genuine dead end for this
@@ -319,11 +350,13 @@ impl<'c> Podem<'c> {
 
     /// Whether a fault effect at `from` can still reach an output through
     /// unknown-valued nodes.
-    fn has_x_path(&self, from: NodeId, values: &[Dv]) -> bool {
-        let mut stack = vec![from];
-        let mut seen = vec![false; self.circuit.num_nodes()];
+    fn has_x_path(&self, from: NodeId, values: &[Dv], scratch: &mut XPathScratch) -> bool {
+        let epoch = scratch.next_epoch();
+        let XPathScratch { visited, stack, .. } = scratch;
+        stack.clear();
+        stack.push(from);
         while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.index()], true) {
+            if std::mem::replace(&mut visited[n.index()], epoch) == epoch {
                 continue;
             }
             if !values[n.index()].is_unknown() {
@@ -521,6 +554,32 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn x_path_check_answers_alike_across_an_epoch_wrap() {
+        // `d` reaches no output; every other node has an X-path.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nm = NAND(a, b)\ny = NOT(m)\nd = AND(a, b)\n",
+        )
+        .unwrap();
+        let podem = Podem::new(&c);
+        let y = c.node_id("y").unwrap();
+        let sim = podem.simulate(Fault::output(y, false), &[Tri::X, Tri::X]);
+        // Stamps of epoch 1, left from the previous round of epochs,
+        // must not read as visited once the epoch wraps back to 1.
+        let mut scratch = XPathScratch::new(c.num_nodes());
+        scratch.epoch = u32::MAX;
+        scratch.visited.fill(1);
+        for _ in 0..2 {
+            for id in c.ids() {
+                let fresh = &mut XPathScratch::new(c.num_nodes());
+                let expected = podem.has_x_path(id, &sim.values, fresh);
+                assert_eq!(podem.has_x_path(id, &sim.values, &mut scratch), expected);
+                assert_eq!(expected, id != c.node_id("d").unwrap());
+            }
+        }
+        assert!(scratch.epoch < 16, "the epoch wrapped");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Runs the PROTEST-style optimizer once per circuit with [`CopEngine`]
 //! and writes `BENCH_optimize.json`: inputs, sweeps, engine calls, COP
 //! node evaluations (counted by the engine, PREPARE's query cones
-//! included), wall time, and the test length before and after.
+//! included; an input outside the cone runs no pass), wall time, and the
+//! test length before and after.
 //! `bit_identical` re-checks checkpoint/resume on every circuit: a run
 //! interrupted by an eval budget at half its engine calls, its checkpoint
 //! round-tripped through text, and resumed with a fresh engine must equal
@@ -192,7 +193,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"optimize_cop\",\n  \"note\": \"One optimizer run per circuit with the stateless COP engine on the experiment fault set. cop_node_evals is the machine-independent work, counted by the engine: one forward and one backward pass per call, over every node for ANALYSIS and over the relevant faults' query cone for each PREPARE endpoint. bench_guard requires cop_node_evals at most engine_calls x 2 x nodes (two full passes per call), and final_length finite and at most initial_length, on every row. bit_identical: a run interrupted by an eval budget at half its engine calls, then resumed from its checkpoint with a fresh engine, equals the uninterrupted run. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"optimize_cop\",\n  \"note\": \"One optimizer run per circuit with the stateless COP engine on the experiment fault set. cop_node_evals is the machine-independent work, counted by the engine: one forward and one backward pass per call, over every node for ANALYSIS and over the relevant faults' query cone for each PREPARE endpoint. An input outside the cone's forward set gets no pass at all: both endpoints would be bit-equal, so the optimizer keeps the input where it is and still counts the paper's two engine calls; cop_node_evals therefore falls where relevant cones miss inputs (c2670ish, c7552ish, s2) while engine_calls, sweeps and lengths stay put. bench_guard requires cop_node_evals at most engine_calls x 2 x nodes (two full passes per call), and final_length finite and at most initial_length, on every row. bit_identical: a run interrupted by an eval budget at half its engine calls, then resumed from its checkpoint with a fresh engine, equals the uninterrupted run. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         config.max_sweeps,
         smoke,
         body.join(",\n"),

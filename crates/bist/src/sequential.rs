@@ -134,7 +134,7 @@ impl SequentialCircuit {
         for (&(ppi, _), &v) in self.registers.iter().zip(state) {
             assignment[self.core.input_position(ppi).expect("ppi")] = v;
         }
-        let outputs = wrt_sim_compatible_eval(&self.core, &assignment);
+        let outputs = self.core.evaluate(&assignment);
         let next_state: Vec<bool> = self
             .registers
             .iter()
@@ -158,28 +158,6 @@ impl SequentialCircuit {
             .collect();
         (primary_outputs, next_state)
     }
-}
-
-/// Scalar core evaluation (kept local so `wrt-bist` does not need
-/// `wrt-sim` at runtime for this path).
-fn wrt_sim_compatible_eval(circuit: &Circuit, assignment: &[bool]) -> Vec<bool> {
-    let mut values = vec![false; circuit.num_nodes()];
-    let mut buf = Vec::new();
-    for (id, node) in circuit.iter() {
-        values[id.index()] = match node.kind() {
-            GateKind::Input => assignment[circuit.input_position(id).expect("pi")],
-            kind => {
-                buf.clear();
-                buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                kind.eval(&buf)
-            }
-        };
-    }
-    circuit
-        .outputs()
-        .iter()
-        .map(|&o| values[o.index()])
-        .collect()
 }
 
 /// A `width`-bit accumulator: registers hold `S`, each cycle computes

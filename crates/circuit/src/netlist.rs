@@ -364,6 +364,30 @@ impl Circuit {
         (p != u32::MAX).then_some(p as usize)
     }
 
+    /// The primary-output values (in output order) of one input
+    /// assignment, by scalar evaluation of every node in id order: the
+    /// reference every faster evaluator is checked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment.len() != self.num_inputs()`.
+    pub fn evaluate(&self, assignment: &[bool]) -> Vec<bool> {
+        assert_eq!(assignment.len(), self.num_inputs(), "one value per input");
+        let mut values = vec![false; self.num_nodes()];
+        let mut fanin = Vec::new();
+        for (id, node) in self.iter() {
+            values[id.index()] = match node.kind() {
+                GateKind::Input => assignment[self.input_position[id.index()] as usize],
+                kind => {
+                    fanin.clear();
+                    fanin.extend(node.fanin().iter().map(|f| values[f.index()]));
+                    kind.eval(&fanin)
+                }
+            };
+        }
+        self.outputs.iter().map(|&o| values[o.index()]).collect()
+    }
+
     /// Whether `id` is a primary output (`O(1)` bitmap lookup).
     pub fn is_output(&self, id: NodeId) -> bool {
         self.output_flags[id.index()]

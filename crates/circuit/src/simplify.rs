@@ -284,27 +284,11 @@ mod tests {
         assert!(n <= 16, "exhaustive check limited");
         for v in 0..(1u32 << n) {
             let assignment: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
-            if eval(a, &assignment) != eval(b, &assignment) {
+            if a.evaluate(&assignment) != b.evaluate(&assignment) {
                 return false;
             }
         }
         true
-    }
-
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
     }
 
     #[test]

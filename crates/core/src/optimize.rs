@@ -125,7 +125,10 @@ pub struct OptimizeResult {
     /// starting distribution (redundancy candidates, cf. the paper's
     /// PROTEST redundancy proofs).
     pub excluded: Vec<FaultId>,
-    /// Number of engine invocations performed.
+    /// Number of engine invocations performed, counting two per
+    /// coordinate update as the paper's PREPARE does — also for an input
+    /// the relevant faults cannot read, whose evaluations the engine
+    /// answers without running ([`DetectionProbabilityEngine::coordinate_reaches`]).
     pub engine_calls: usize,
 }
 
@@ -276,6 +279,11 @@ fn init_descent(
 /// completed sweep).  The optimizer's eval unit is engine calls, checked
 /// at sweep boundaries; deadline and cancellation are checked before
 /// every coordinate.
+///
+/// A coordinate the engine reports unreachable from the relevant faults
+/// ([`DetectionProbabilityEngine::coordinate_reaches`]) is inert: it skips
+/// PREPARE and MINIMIZE, whose answer on its bit-equal endpoints would be
+/// the clamped start, and takes that answer directly.
 fn run_sweeps(
     circuit: &Circuit,
     live_list: &FaultList,
@@ -312,13 +320,19 @@ fn run_sweeps(
             }
             // PREPARE: engine at x_i = 0 and x_i = 1, both boundary points
             // in one engine call so parallel engines (e.g. the sharded
-            // Monte-Carlo simulator) can run them concurrently.
+            // Monte-Carlo simulator) can run them concurrently.  Counted as
+            // two calls also when the coordinate is inert.
             let saved = d.weights[i];
-            let (p0, p1) = engine.estimate_coordinate_pair(circuit, &relevant_list, &d.weights, i);
             d.engine_calls += 2;
-            // MINIMIZE (with optional under-relaxation).
-            let problem = CoordinateProblem::new(p0, p1, d.n_current);
-            let optimum = minimize_coordinate(&problem, saved, lo, hi);
+            let optimum = if engine.coordinate_reaches(circuit, &relevant_list, i) {
+                let (p0, p1) =
+                    engine.estimate_coordinate_pair(circuit, &relevant_list, &d.weights, i);
+                // MINIMIZE (with optional under-relaxation).
+                let problem = CoordinateProblem::new(p0, p1, d.n_current);
+                minimize_coordinate(&problem, saved, lo, hi)
+            } else {
+                saved.clamp(lo, hi)
+            };
             d.weights[i] = saved + config.damping.clamp(f64::MIN_POSITIVE, 1.0) * (optimum - saved);
         }
 
@@ -893,6 +907,102 @@ mod tests {
         assert_eq!(got.sweeps, reference.sweeps, "{what}: sweep history");
         assert_eq!(got.excluded, reference.excluded, "{what}: exclusions");
         assert_eq!(got.engine_calls, reference.engine_calls, "{what}: calls");
+    }
+
+    /// A [`CopEngine`] whose `coordinate_reaches` is the default `true`:
+    /// the optimizer runs PREPARE and MINIMIZE for every input.
+    struct EveryCoordinateReaches(CopEngine);
+
+    impl DetectionProbabilityEngine for EveryCoordinateReaches {
+        fn estimate(&mut self, circuit: &Circuit, faults: &FaultList, probs: &[f64]) -> Vec<f64> {
+            self.0.estimate(circuit, faults, probs)
+        }
+
+        fn estimate_coordinate_pair(
+            &mut self,
+            circuit: &Circuit,
+            faults: &FaultList,
+            weights: &[f64],
+            coordinate: usize,
+        ) -> (Vec<f64>, Vec<f64>) {
+            self.0
+                .estimate_coordinate_pair(circuit, faults, weights, coordinate)
+        }
+
+        fn name(&self) -> &'static str {
+            "cop"
+        }
+    }
+
+    /// Random circuits over inputs `i0..i4` (every gate kind, fanins
+    /// drawn from earlier nodes), plus an input `z` that drives only its
+    /// own output `zo = NOT(z)`; the tests leave `z`'s and `zo`'s faults
+    /// out, so `z` is outside every query cone.
+    fn arb_circuit_with_idle_input() -> impl proptest::prelude::Strategy<Value = Circuit> {
+        use proptest::prelude::*;
+        use wrt_circuit::GateKind::*;
+        let kinds = prop::sample::select(vec![
+            And, Nand, Or, Nor, Xor, Xnor, Not, Buf, Const0, Const1,
+        ]);
+        let specs =
+            proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..5)), 3..16);
+        specs.prop_map(|specs| {
+            let mut b = wrt_circuit::CircuitBuilder::named("rand");
+            let mut ids: Vec<_> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
+            let z = b.input("z");
+            for (kind, picks) in specs {
+                let arity = match kind {
+                    Not | Buf => 1,
+                    Const0 | Const1 => 0,
+                    _ => picks.len(),
+                };
+                let fanin: Vec<_> = picks[..arity].iter().map(|&p| ids[p % ids.len()]).collect();
+                ids.push(b.gate_auto(kind, &fanin).expect("valid"));
+            }
+            for &o in ids.iter().rev().step_by(3) {
+                b.mark_output(o);
+            }
+            let zo = b.gate_auto(Not, &[z]).expect("valid");
+            b.mark_output(zo);
+            b.build().expect("valid circuit")
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn inert_coordinates_change_no_result(
+            c in arb_circuit_with_idle_input(),
+            mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..12),
+            slack in 0usize..4,
+        ) {
+            let z = c.node_id("z").expect("z");
+            let zo = c.fanout(z)[0];
+            let faults: FaultList = FaultList::full(&c)
+                .as_slice()
+                .iter()
+                .zip(mask.iter().cycle())
+                .filter(|&(f, &keep)| keep && ![z, zo].contains(&f.site.effect_root()))
+                .map(|(&f, _)| f)
+                .collect();
+            let config = OptimizeConfig {
+                relevant_slack: slack,
+                max_sweeps: 4,
+                min_improvement: 0.0,
+                ..OptimizeConfig::default()
+            };
+            let mut cop = CopEngine::new();
+            let got = optimize(&c, &faults, &mut cop, &config);
+            let mut every = EveryCoordinateReaches(CopEngine::new());
+            let reference = optimize(&c, &faults, &mut every, &config);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got.weights), bits(&reference.weights));
+            assert_same_result(&got, &reference, "inert coordinates skipped");
+            // `z` is inert in every sweep, so skipping it saves passes.
+            if !got.sweeps.is_empty() {
+                proptest::prop_assert!(cop.node_evaluations() < every.0.node_evaluations());
+            }
+        }
     }
 
     #[test]

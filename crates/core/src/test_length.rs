@@ -64,7 +64,10 @@ pub fn sort_by_difficulty(dprobs: &[f64], take: usize) -> Vec<usize> {
 /// `θ = −ln(confidence target)`.
 ///
 /// Finds the first power of two meeting the target by bisection over
-/// its exponent, then bisects on the monotone `J_N` below it; the
+/// its exponent, then bisects on the monotone `J_N` below it, over the
+/// terms that are not exactly zero at the bracket's lower end (the
+/// others are zero at every `N` it evaluates, so the result is the
+/// full-list bisection's bit for bit); the
 /// relevant-fault count is the number of faults whose individual term
 /// still matters at the resulting `N` (the paper's observation that
 /// `exp(−10·N·p_g)` drowns next to `exp(−N·p_g)`).  Returns
@@ -122,6 +125,16 @@ pub fn required_test_length(dprobs: &[f64], theta: f64) -> TestLength {
     }
     let mut hi = 2f64.powi(hi_k);
     let mut lo = hi / 2.0;
+    // Every N the bisection below evaluates is ≥ lo, so a term with
+    // lo·p > 746 is exactly +0.0 at each of them (`objective_value`
+    // skips it) and leaves every sum's comparison with θ unchanged; the
+    // live terms keep their list order, so the sums keep their bits.
+    // A NaN p stays, to poison the sums as it would there.
+    let live: Vec<f64> = dprobs
+        .iter()
+        .copied()
+        .filter(|&p| lo * p <= 746.0 || p.is_nan())
+        .collect();
     // Bisection to (relative) precision; N is conceptually an integer but
     // at 10^11 scales a relative tolerance is the honest answer.
     for _ in 0..200 {
@@ -129,7 +142,7 @@ pub fn required_test_length(dprobs: &[f64], theta: f64) -> TestLength {
             break;
         }
         let mid = 0.5 * (lo + hi);
-        if objective_value(dprobs, mid) > theta {
+        if objective_value(&live, mid) > theta {
             lo = mid;
         } else {
             hi = mid;
@@ -305,6 +318,106 @@ mod tests {
         let tl = required_test_length(&[0.01, f64::INFINITY], 1e-3);
         assert!(tl.patterns().is_finite());
         assert_eq!(tl.num_relevant(), 1);
+    }
+
+    /// `required_test_length` before the linear bisection dropped the
+    /// drowned terms: every evaluation sums the full list.
+    fn unfiltered_test_length(dprobs: &[f64], theta: f64) -> TestLength {
+        if dprobs.is_empty() {
+            return TestLength::Patterns {
+                n: 0.0,
+                num_relevant: 0,
+            };
+        }
+        if dprobs.iter().any(|&p| p <= 0.0) {
+            return TestLength::Infinite;
+        }
+        if objective_value(dprobs, 0.0) <= theta {
+            return TestLength::Patterns {
+                n: 0.0,
+                num_relevant: 0,
+            };
+        }
+        const MAX_EXPONENT: i32 = f64::MAX_EXP - 1;
+        if objective_value(dprobs, 2f64.powi(MAX_EXPONENT)) > theta {
+            return TestLength::Infinite;
+        }
+        let (mut lo_k, mut hi_k) = (-1, MAX_EXPONENT);
+        while hi_k - lo_k > 1 {
+            let mid = (lo_k + hi_k) / 2;
+            if objective_value(dprobs, 2f64.powi(mid)) > theta {
+                lo_k = mid;
+            } else {
+                hi_k = mid;
+            }
+        }
+        let mut hi = 2f64.powi(hi_k);
+        let mut lo = hi / 2.0;
+        for _ in 0..200 {
+            if hi - lo <= 1.0 || (hi - lo) / hi < 1e-12 {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if objective_value(dprobs, mid) > theta {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let n = hi.ceil();
+        let h = hardest(dprobs);
+        let num_relevant = dprobs
+            .iter()
+            .filter(|&&p| {
+                let excess = n * (p - h);
+                excess.is_finite() && excess <= (1e6f64).ln()
+            })
+            .count();
+        TestLength::Patterns {
+            n,
+            num_relevant: num_relevant.max(1),
+        }
+    }
+
+    fn length_bits(tl: TestLength) -> Option<(u64, usize)> {
+        match tl {
+            TestLength::Patterns { n, num_relevant } => Some((n.to_bits(), num_relevant)),
+            TestLength::Infinite => None,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn dropping_drowned_terms_keeps_every_bit(
+            exponents in proptest::collection::vec((0.0f64..300.0, 0u32..6), 1..60),
+            log_theta in 0.0f64..300.0,
+            tiny_theta in proptest::prelude::any::<bool>(),
+        ) {
+            // Probabilities spread over 1e-300..1, a third of them within
+            // a factor 2 of the first one (some within 1e-12 of it), so
+            // ties, near-ties and terms just past the cutoff sit at the
+            // hard end.  θ spreads over 1e-300..1, in half the cases over
+            // 1e-300..1e-290: there J ≈ θ needs N·p ≈ 690, and the terms
+            // with N·p in (690, 746] still decide comparisons.
+            let first = exponents[0].0;
+            let dprobs: Vec<f64> = exponents
+                .iter()
+                .map(|&(e, k)| {
+                    10f64.powf(-match k {
+                        0 => first + e * 1e-3,
+                        1 => first + e * 1e-14,
+                        _ => e,
+                    })
+                })
+                .collect();
+            let log_theta = if tiny_theta { 290.0 + log_theta / 30.0 } else { log_theta };
+            let theta = 10f64.powf(-log_theta);
+            proptest::prop_assert_eq!(
+                length_bits(required_test_length(&dprobs, theta)),
+                length_bits(unfiltered_test_length(&dprobs, theta))
+            );
+        }
     }
 
     #[test]

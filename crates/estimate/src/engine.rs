@@ -64,6 +64,29 @@ pub trait DetectionProbabilityEngine: Send {
         )
     }
 
+    /// Whether the estimates of `faults` can depend on input
+    /// `coordinate` at all.  `false` promises that
+    /// [`estimate_coordinate_pair`](Self::estimate_coordinate_pair) would
+    /// return two bit-equal vectors, so the optimizer skips PREPARE and
+    /// MINIMIZE for that input: its 1-D objective is constant.
+    ///
+    /// The default is `true`.  [`CopEngine`] answers from its query cone;
+    /// the sampling engines keep the default, because their two endpoints
+    /// draw different samples even where the input is unread.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `coordinate >= circuit.num_inputs()`.
+    fn coordinate_reaches(
+        &mut self,
+        circuit: &Circuit,
+        faults: &FaultList,
+        coordinate: usize,
+    ) -> bool {
+        let _ = (circuit, faults, coordinate);
+        true
+    }
+
     /// Short human-readable engine name for reports.
     fn name(&self) -> &'static str;
 }
@@ -89,35 +112,82 @@ fn sample_seed(seed: u64, input_probs: &[f64]) -> u64 {
     )
 }
 
+/// Where the COP detection model reads one fault: the line whose
+/// 1-probability activates it (the node of an output fault, the driver of
+/// a pin fault), the observability it is weighted by, and its stuck value.
+#[derive(Debug, Clone, Copy)]
+struct FaultRead {
+    driver: NodeId,
+    slot: ObsSlot,
+    stuck_value: bool,
+}
+
+/// The observability a fault reads: a node's, or a fanin edge's (pin `p`
+/// of gate `g` is edge `circuit.fanin_offset(g) + p`).
+#[derive(Debug, Clone, Copy)]
+enum ObsSlot {
+    Node(NodeId),
+    Edge(u32),
+}
+
+impl FaultRead {
+    /// Resolves `fault`'s site in `circuit`.
+    fn resolve(circuit: &Circuit, fault: &Fault) -> Self {
+        let (driver, slot) = match fault.site {
+            FaultSite::Output(node) => (node, ObsSlot::Node(node)),
+            FaultSite::InputPin { gate, pin } => (
+                circuit.fanin(gate)[pin],
+                ObsSlot::Edge((circuit.fanin_offset(gate) + pin) as u32),
+            ),
+        };
+        FaultRead {
+            driver,
+            slot,
+            stuck_value: fault.stuck_value,
+        }
+    }
+
+    /// The read's driver probability and observability, through lookups
+    /// into one consistent solution.
+    fn operands<T>(
+        &self,
+        p: impl Fn(NodeId) -> T,
+        obs: impl Fn(NodeId) -> T,
+        pin_obs: impl Fn(usize) -> T,
+    ) -> (T, T) {
+        let o = match self.slot {
+            ObsSlot::Node(node) => obs(node),
+            ObsSlot::Edge(edge) => pin_obs(edge as usize),
+        };
+        (p(self.driver), o)
+    }
+
+    /// The COP detection model: activation probability (`c1` is the
+    /// driver's 1-probability) times observability `o`, clamped to `[0, 1]`.
+    fn probability(&self, c1: f64, o: f64) -> f64 {
+        let act = if self.stuck_value { 1.0 - c1 } else { c1 };
+        (act * o).clamp(0.0, 1.0)
+    }
+}
+
 /// The COP detection-probability model for one fault: activation
 /// probability times observability, clamped to `[0, 1]`.
 ///
-/// `p`, `obs` and `pin_obs` are lookups into a consistent solution: full
-/// COP arrays for [`CopEngine`] and [`crate::HybridEngine`], a
-/// baseline-plus-overlay view for [`crate::SessionCop`], counted rates
-/// for [`StafanCounts`].  Every engine's detection model is this one
-/// function, which keeps the COP engines' estimates bit-identical.
+/// `p`, `obs` and `pin_obs` (edge-indexed) are lookups into a consistent
+/// solution: full COP arrays for [`CopEngine`] and [`crate::HybridEngine`],
+/// a baseline-plus-overlay view for [`crate::SessionCop`], counted rates
+/// for [`StafanCounts`].  Every engine's detection model is
+/// [`FaultRead`]'s, which keeps the COP engines' estimates bit-identical.
 pub(crate) fn cop_fault_probability(
     circuit: &Circuit,
     fault: &Fault,
     p: &impl Fn(NodeId) -> f64,
     obs: &impl Fn(NodeId) -> f64,
-    pin_obs: &impl Fn(NodeId, usize) -> f64,
+    pin_obs: &impl Fn(usize) -> f64,
 ) -> f64 {
-    let (act, o) = match fault.site {
-        FaultSite::Output(node) => {
-            let c1 = p(node);
-            let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-            (act, obs(node))
-        }
-        FaultSite::InputPin { gate, pin } => {
-            let driver = circuit.node(gate).fanin()[pin];
-            let c1 = p(driver);
-            let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-            (act, pin_obs(gate, pin))
-        }
-    };
-    (act * o).clamp(0.0, 1.0)
+    let read = FaultRead::resolve(circuit, fault);
+    let (c1, o) = read.operands(p, obs, pin_obs);
+    read.probability(c1, o)
 }
 
 /// Analytic COP-style engine: detection probability ≈ activation
@@ -129,12 +199,24 @@ pub(crate) fn cop_fault_probability(
 /// gives exactly `2^-32`), which no sampling engine can.  Reconvergent
 /// fanout introduces estimation error (it is a heuristic, like PROTEST's
 /// own estimator).
+///
+/// For PREPARE it keeps the relevant faults' query cone and where each
+/// fault reads it while the circuit and fault list stay the same, and
+/// answers [`coordinate_reaches`](DetectionProbabilityEngine::coordinate_reaches)
+/// from the cone, so the optimizer runs no pass for an input the faults
+/// cannot read.
 #[derive(Debug, Clone, Default)]
 pub struct CopEngine {
     /// Query-cone key (circuit uid, fault list); `F` ascending, `B` descending.
     cone: Option<(u64, FaultList)>,
     forward: Vec<u32>,
     backward: Vec<u32>,
+    /// Per input position: whether the input's node is in `F`.
+    reaches: Vec<bool>,
+    /// Per fault of the key, in list order: where the model reads it.
+    reads: Vec<FaultRead>,
+    /// The two-lane input probabilities of the last PREPARE.
+    x: Vec<[f64; 2]>,
     /// What the two-lane cone passes write (lane 0 at `x_i = 0`, lane 1
     /// at `x_i = 1`); entries outside the cone are stale.
     p: Vec<[f64; 2]>,
@@ -150,12 +232,22 @@ impl CopEngine {
     }
 
     /// COP node evaluations so far (forward plus backward): every node per
-    /// `estimate`, the query cone per PREPARE endpoint.
+    /// `estimate`, the query cone per PREPARE endpoint whose coordinate
+    /// the cone reads.
     pub fn node_evaluations(&self) -> u64 {
         self.node_evaluations
     }
 
-    /// Builds `faults`' query cone and sizes the scratch for `circuit`.
+    /// Keeps the query cone of `faults` on `circuit`, rebuilding it when
+    /// the circuit or the fault list differs from the cached key.
+    fn ensure_cone(&mut self, circuit: &Circuit, faults: &FaultList) {
+        if !matches!(&self.cone, Some((uid, f)) if *uid == circuit.uid() && f == faults) {
+            self.build_cone(circuit, faults);
+        }
+    }
+
+    /// Builds `faults`' query cone and reads and sizes the scratch for
+    /// `circuit`.
     fn build_cone(&mut self, circuit: &Circuit, faults: &FaultList) {
         let n = circuit.num_nodes();
         let (mut in_b, mut in_f) = (vec![false; n], vec![false; n]);
@@ -177,6 +269,12 @@ impl CopEngine {
         }
         self.forward = (0..n as u32).filter(|&i| in_f[i as usize]).collect();
         self.backward = (0..n as u32).rev().filter(|&i| in_b[i as usize]).collect();
+        self.reaches = circuit.inputs().iter().map(|id| in_f[id.index()]).collect();
+        self.reads = faults
+            .as_slice()
+            .iter()
+            .map(|fault| FaultRead::resolve(circuit, fault))
+            .collect();
         self.cone = Some((circuit.uid(), faults.clone()));
         self.p.resize(n, [0.0; 2]);
         self.obs.resize(n, [0.0; 2]);
@@ -201,31 +299,42 @@ impl DetectionProbabilityEngine for CopEngine {
         coordinate: usize,
     ) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(weights.len(), circuit.num_inputs());
-        if !matches!(&self.cone, Some((uid, f)) if *uid == circuit.uid() && f == faults) {
-            self.build_cone(circuit, faults);
-        }
-        let mut x: Vec<[f64; 2]> = weights.iter().map(|&w| [w; 2]).collect();
-        x[coordinate] = [0.0, 1.0];
+        self.ensure_cone(circuit, faults);
+        self.x.clear();
+        self.x.extend(weights.iter().map(|&w| [w; 2]));
+        self.x[coordinate] = [0.0, 1.0];
         let nodes = self.forward.iter().map(|&i| i as usize);
-        forward_on(circuit, &|k| x[k], nodes, &mut self.p);
+        forward_on(circuit, &|k| self.x[k], nodes, &mut self.p);
         let nodes = self.backward.iter().map(|&i| i as usize);
         backward_on(circuit, &self.p, nodes, &mut self.obs, &mut self.pin_obs);
         self.node_evaluations += 2 * (self.forward.len() + self.backward.len()) as u64;
-        let lane = |l: usize| -> Vec<f64> {
-            let faults = faults.as_slice().iter();
-            faults
-                .map(|fault| {
-                    cop_fault_probability(
-                        circuit,
-                        fault,
-                        &|f: NodeId| self.p[f.index()][l],
-                        &|n: NodeId| self.obs[n.index()][l],
-                        &|g: NodeId, pin| self.pin_obs[circuit.fanin_offset(g) + pin][l],
-                    )
-                })
-                .collect()
-        };
-        (lane(0), lane(1))
+        let (mut at_zero, mut at_one) = (
+            Vec::with_capacity(faults.len()),
+            Vec::with_capacity(faults.len()),
+        );
+        for read in &self.reads {
+            let (c1, o) = read.operands(
+                |f| self.p[f.index()],
+                |n| self.obs[n.index()],
+                |e| self.pin_obs[e],
+            );
+            at_zero.push(read.probability(c1[0], o[0]));
+            at_one.push(read.probability(c1[1], o[1]));
+        }
+        (at_zero, at_one)
+    }
+
+    /// Whether input `coordinate`'s node is in the query cone's `F`.
+    /// When it is not, no lane reads `x_i`, so both endpoints of the pair
+    /// are bit-equal.
+    fn coordinate_reaches(
+        &mut self,
+        circuit: &Circuit,
+        faults: &FaultList,
+        coordinate: usize,
+    ) -> bool {
+        self.ensure_cone(circuit, faults);
+        self.reaches[coordinate]
     }
 
     fn name(&self) -> &'static str {
@@ -631,6 +740,55 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&got1), bits(&oracle.estimate(c, &subset, &at_one)));
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        #[test]
+        fn unreached_coordinates_have_equal_lanes(
+            c in crate::cop::proptests::arb_circuit(),
+            weights in proptest::collection::vec(0.0f64..=1.0, 5),
+            mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..40),
+        ) {
+            // Sparse subsets leave some inputs outside the query cone.
+            let subset: FaultList = FaultList::full(&c)
+                .as_slice()
+                .iter()
+                .zip(mask.iter().cycle())
+                .filter(|&(_, &keep)| keep)
+                .map(|(&fault, _)| fault)
+                .collect();
+            let mut engine = CopEngine::new();
+            for coordinate in 0..5 {
+                let reaches = engine.coordinate_reaches(&c, &subset, coordinate);
+                let (p0, p1) = engine.estimate_coordinate_pair(&c, &subset, &weights, coordinate);
+                if !reaches {
+                    proptest::prop_assert_eq!(bits(&p0), bits(&p1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cop_answers_reach_from_the_query_cone() {
+        // z's cone: F = {d, z}; a and b are unread, d is read.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(b)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+             m = NAND(a, b)\ny = OR(m, d)\nz = NOT(d)\n",
+        )
+        .unwrap();
+        let z = c.node_id("z").unwrap();
+        let faults = FaultList::from_faults(vec![wrt_fault::Fault::output(z, false)]);
+        let mut engine = CopEngine::new();
+        let reach: Vec<bool> = (0..3)
+            .map(|i| engine.coordinate_reaches(&c, &faults, i))
+            .collect();
+        assert_eq!(reach, [false, false, true]);
+        // Every input reaches the full list; sampling engines always answer true.
+        let full = FaultList::full(&c);
+        assert!((0..3).all(|i| engine.coordinate_reaches(&c, &full, i)));
+        let mut stafan = StafanEngine::new(64, 1);
+        assert!(stafan.coordinate_reaches(&c, &faults, 0));
     }
 
     #[test]

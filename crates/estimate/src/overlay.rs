@@ -84,7 +84,7 @@ impl CopSolution {
                     fault,
                     &|f: NodeId| self.p[f.index()],
                     &|n: NodeId| self.obs[n.index()],
-                    &|g: NodeId, pin: usize| self.pin_obs[circuit.fanin_offset(g) + pin],
+                    &|e: usize| self.pin_obs[e],
                 )
             })
             .collect()
@@ -217,7 +217,7 @@ impl Overlay {
                     fault,
                     &|f: NodeId| self.p(base, f),
                     &|n: NodeId| self.obs(base, n),
-                    &|g: NodeId, pin: usize| self.pin_obs(base, circuit.fanin_offset(g) + pin),
+                    &|e: usize| self.pin_obs(base, e),
                 )
             })
             .collect()

@@ -146,7 +146,7 @@ impl StafanCounts {
             &fault,
             &|n: NodeId| self.controllability1(n),
             &|n: NodeId| self.observability[n.index()],
-            &|g: NodeId, pin: usize| self.pin_observability[self.pin(g, pin)],
+            &|e: usize| self.pin_observability[e],
         )
     }
 

@@ -204,34 +204,15 @@ impl<'c> LogicSim<'c> {
     }
 }
 
-/// Scalar reference simulation of a single pattern.
-///
-/// Returns the primary-output values in output order.  This is the ground
+/// Scalar reference simulation of a single pattern: the primary-output
+/// values in output order, from [`Circuit::evaluate`].  This is the ground
 /// truth the bit-parallel simulator is property-tested against.
 ///
 /// # Panics
 ///
 /// Panics if `assignment.len() != circuit.num_inputs()`.
 pub fn simulate_pattern(circuit: &Circuit, assignment: &[bool]) -> Vec<bool> {
-    assert_eq!(assignment.len(), circuit.num_inputs());
-    let mut values = vec![false; circuit.num_nodes()];
-    let mut fanin_buf = Vec::new();
-    for (id, node) in circuit.iter() {
-        let v = match node.kind() {
-            GateKind::Input => assignment[circuit.input_position(id).expect("input")],
-            kind => {
-                fanin_buf.clear();
-                fanin_buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                kind.eval(&fanin_buf)
-            }
-        };
-        values[id.index()] = v;
-    }
-    circuit
-        .outputs()
-        .iter()
-        .map(|&o| values[o.index()])
-        .collect()
+    circuit.evaluate(assignment)
 }
 
 #[cfg(test)]

@@ -81,22 +81,6 @@ pub fn c7552ish() -> Circuit {
 mod tests {
     use super::*;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     #[allow(clippy::too_many_arguments)] // direct mirror of the circuit's operand pins
     fn run(
         c: &Circuit,
@@ -123,7 +107,7 @@ mod tests {
         }
         assignment.push(sel);
         assignment.push(false); // CIN
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         let mut f = 0u64;
         for (i, &bit) in out.iter().enumerate().take(width) {
             if bit {

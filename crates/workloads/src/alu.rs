@@ -162,22 +162,6 @@ pub fn c5315ish() -> Circuit {
 mod tests {
     use super::*;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     fn run_alu(c: &Circuit, width: usize, a: u64, b: u64, sel: u8, cin: bool) -> (u64, bool, bool) {
         let mut assignment = Vec::new();
         for i in 0..width {
@@ -190,7 +174,7 @@ mod tests {
         assignment.push(sel & 2 == 2); // S1
         assignment.push(sel & 4 == 4); // S2
         assignment.push(cin);
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         let mut f = 0u64;
         for (i, &bit) in out.iter().enumerate().take(width) {
             if bit {
@@ -247,7 +231,7 @@ mod tests {
                 assignment.push((b >> i) & 1 == 1);
             }
             assignment.extend([false, false, false, false]);
-            *eval(&c, &assignment).last().expect("AEQB present")
+            *c.evaluate(&assignment).last().expect("AEQB present")
         };
         assert!(get(9, 9));
         assert!(!get(9, 8));

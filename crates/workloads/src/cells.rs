@@ -143,23 +143,7 @@ pub fn equality(b: &mut CircuitBuilder, xs: &[NodeId], ys: &[NodeId]) -> NodeId 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrt_circuit::{Circuit, CircuitBuilder};
-
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
+    use wrt_circuit::CircuitBuilder;
 
     #[test]
     fn full_adder_truth_table() {
@@ -174,7 +158,7 @@ mod tests {
         for v in 0..8u32 {
             let bits: Vec<bool> = (0..3).map(|i| (v >> i) & 1 == 1).collect();
             let total = bits.iter().filter(|&&x| x).count();
-            let out = eval(&circuit, &bits);
+            let out = circuit.evaluate(&bits);
             assert_eq!(out[0], total % 2 == 1, "sum for {bits:?}");
             assert_eq!(out[1], total >= 2, "carry for {bits:?}");
         }
@@ -189,8 +173,8 @@ mod tests {
         let m = mux2(&mut b, sel, lo, hi);
         b.mark_output(m);
         let c = b.build().unwrap();
-        assert_eq!(eval(&c, &[false, true, false]), vec![true]); // sel=0 -> lo
-        assert_eq!(eval(&c, &[true, true, false]), vec![false]); // sel=1 -> hi
+        assert_eq!(c.evaluate(&[false, true, false]), vec![true]); // sel=0 -> lo
+        assert_eq!(c.evaluate(&[true, true, false]), vec![false]); // sel=1 -> hi
     }
 
     #[test]
@@ -202,7 +186,7 @@ mod tests {
         b.mark_output(g);
         let c = b.build().unwrap();
         for (vx, vy) in [(false, false), (false, true), (true, false), (true, true)] {
-            assert_eq!(eval(&c, &[vx, vy])[0], vx ^ vy);
+            assert_eq!(c.evaluate(&[vx, vy])[0], vx ^ vy);
         }
     }
 
@@ -227,7 +211,7 @@ mod tests {
             for i in 0..w {
                 assignment.push((b_val >> i) & 1 == 1);
             }
-            let out = eval(&c, &assignment);
+            let out = c.evaluate(&assignment);
             let total = a_val + b_val;
             for (i, &bit) in out.iter().take(w).enumerate() {
                 assert_eq!(bit, (total >> i) & 1 == 1, "{a_val}+{b_val} bit {i}");
@@ -253,7 +237,7 @@ mod tests {
                 for i in 0..4 {
                     assignment.push((b_val >> i) & 1 == 1);
                 }
-                assert_eq!(eval(&c, &assignment)[0], a_val == b_val);
+                assert_eq!(c.evaluate(&assignment)[0], a_val == b_val);
             }
         }
     }
@@ -284,7 +268,7 @@ mod tests {
         for v in [0u32, 1, 0x1FFF, 0x1234, 0x1FFE] {
             let bits: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
             let ones = bits.iter().filter(|&&q| q).count();
-            let out = eval(&c, &bits);
+            let out = c.evaluate(&bits);
             assert_eq!(out[0], ones == n);
             assert_eq!(out[1], ones > 0);
             assert_eq!(out[2], ones % 2 == 1);

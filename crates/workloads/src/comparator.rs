@@ -148,22 +148,6 @@ mod tests {
     use super::*;
     use wrt_circuit::GateKind;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     fn compare_words(c: &Circuit, width: usize, a: u64, b: u64) -> (bool, bool, bool) {
         let mut assignment = Vec::new();
         for i in 0..width {
@@ -172,7 +156,7 @@ mod tests {
         for i in 0..width {
             assignment.push((b >> i) & 1 == 1);
         }
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         (out[0], out[1], out[2])
     }
 

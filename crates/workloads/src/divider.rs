@@ -148,22 +148,6 @@ pub fn s2() -> Circuit {
 mod tests {
     use super::*;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     /// Runs the divider circuit and returns `(quotient, remainder)`.
     fn divide(c: &Circuit, n: usize, dividend: u64, divisor: u64) -> (u64, u64) {
         let mut assignment = Vec::new();
@@ -173,7 +157,7 @@ mod tests {
         for i in 0..n {
             assignment.push((divisor >> i) & 1 == 1);
         }
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         let mut q = 0u64;
         for (i, &bit) in out.iter().enumerate().take(n) {
             if bit {
@@ -247,7 +231,7 @@ mod tests {
             for i in 0..n {
                 assignment.push((dv >> i) & 1 == 1);
             }
-            let out = eval(&c, &assignment);
+            let out = c.evaluate(&assignment);
             // outputs: Q(4), R(5), DIVZERO, OVFEQ
             (out[2 * n + 1], out[2 * n + 2])
         };

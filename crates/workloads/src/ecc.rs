@@ -144,22 +144,6 @@ pub fn c1908ish() -> Circuit {
 mod tests {
     use super::*;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     /// Encodes `data` into check bits per the circuit's parity groups.
     fn encode(data: u64, data_bits: usize) -> Vec<bool> {
         let sbits = syndrome_width(data_bits);
@@ -176,7 +160,7 @@ mod tests {
     fn run(c: &Circuit, data_bits: usize, data: u64, check: &[bool]) -> (u64, bool) {
         let mut assignment: Vec<bool> = (0..data_bits).map(|i| (data >> i) & 1 == 1).collect();
         assignment.extend_from_slice(check);
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         let mut corrected = 0u64;
         for (i, &bit) in out.iter().enumerate().take(data_bits) {
             if bit {

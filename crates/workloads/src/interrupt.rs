@@ -92,27 +92,11 @@ pub fn c432ish() -> Circuit {
 mod tests {
     use super::*;
 
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
-
     fn run(c: &Circuit, channels: usize, requests: u64, enables: u64) -> (Option<usize>, bool) {
         let groups = channels.div_ceil(3);
         let mut assignment: Vec<bool> = (0..channels).map(|i| (requests >> i) & 1 == 1).collect();
         assignment.extend((0..groups).map(|g| (enables >> g) & 1 == 1));
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         let idx_bits = usize::BITS as usize - (channels - 1).leading_zeros() as usize;
         let granted = out[idx_bits]; // GRANT follows the index bits
         if !granted {

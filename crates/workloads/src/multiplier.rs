@@ -79,23 +79,6 @@ pub fn c6288ish() -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrt_circuit::GateKind;
-
-    fn eval(c: &Circuit, assignment: &[bool]) -> Vec<bool> {
-        let mut values = vec![false; c.num_nodes()];
-        let mut buf = Vec::new();
-        for (id, node) in c.iter() {
-            values[id.index()] = match node.kind() {
-                GateKind::Input => assignment[c.input_position(id).expect("pi")],
-                kind => {
-                    buf.clear();
-                    buf.extend(node.fanin().iter().map(|f| values[f.index()]));
-                    kind.eval(&buf)
-                }
-            };
-        }
-        c.outputs().iter().map(|&o| values[o.index()]).collect()
-    }
 
     fn multiply(c: &Circuit, n: usize, a: u64, b: u64) -> u64 {
         let mut assignment = Vec::new();
@@ -105,7 +88,7 @@ mod tests {
         for i in 0..n {
             assignment.push((b >> i) & 1 == 1);
         }
-        let out = eval(c, &assignment);
+        let out = c.evaluate(&assignment);
         out.iter()
             .enumerate()
             .filter(|&(_, &bit)| bit)

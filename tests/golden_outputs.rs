@@ -1,12 +1,13 @@
-//! Pins `wrt optimize`'s stdout on the registry circuits of the paper's
-//! flow.  The golden files under `tests/golden/` hold the output the
-//! release binary printed before the COP passes were rewritten for
-//! speed; every f64 of the descent must stay bit-identical, so the
+//! Pins `wrt optimize`'s and `wrt estimate`'s stdout on the registry
+//! circuits of the paper's flow.  The golden files under `tests/golden/`
+//! hold the output the release binary printed before the COP passes and
+//! the coordinate loop were rewritten for speed; every f64 of the descent
+//! and of NORMALIZE's test length must stay bit-identical, so the
 //! rendered text must not move by a byte.
 //!
-//! The four small circuits run here through the same in-process
-//! `execute` the CLI and the server call; CI diffs all five, `s2`
-//! included, against the release binary.
+//! The circuits run here through the same in-process `execute` the CLI
+//! and the server call, all but `optimize s2`; CI diffs every file, that
+//! one included, against the release binary.
 
 use std::sync::Arc;
 
@@ -17,16 +18,33 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-#[test]
-fn optimize_output_matches_the_golden_files() {
+fn assert_matches_golden(verb: &str, circuits: &[&str]) {
     let ctx = ExecContext::new(Arc::new(Registry::new()));
-    for circuit in ["c2670ish", "c5315ish", "c6288ish", "c7552ish"] {
-        let argv = ["optimize".to_string(), circuit.to_string()];
-        let got = execute(&ctx, &argv).expect("optimize runs");
+    for circuit in circuits {
+        let argv = [verb.to_string(), circuit.to_string()];
+        let got = execute(&ctx, &argv).unwrap_or_else(|e| panic!("{verb} {circuit}: {e}"));
         assert_eq!(
             got,
-            golden(&format!("optimize_{circuit}.txt")),
-            "optimize {circuit}"
+            golden(&format!("{verb}_{circuit}.txt")),
+            "{verb} {circuit}"
         );
     }
+}
+
+#[test]
+fn optimize_output_matches_the_golden_files() {
+    assert_matches_golden(
+        "optimize",
+        &[
+            "c2670ish", "c5315ish", "c6288ish", "c7552ish", "c432ish", "c880ish", "s1",
+        ],
+    );
+}
+
+#[test]
+fn estimate_output_matches_the_golden_files() {
+    assert_matches_golden(
+        "estimate",
+        &["c2670ish", "c5315ish", "c6288ish", "c7552ish", "s2"],
+    );
 }
