@@ -3,13 +3,31 @@
 //! PODEM searches the space of primary-input assignments only (unlike the
 //! D-algorithm's internal-line decisions): pick an *objective* (excite the
 //! fault, then advance the D-frontier), *backtrace* it to an unassigned
-//! input, assign, imply by simulation, and backtrack on conflicts.  The
-//! search is complete: exhausting it proves the fault redundant.
+//! input, assign, imply, and backtrack on conflicts.  The search is
+//! complete: exhausting it proves the fault redundant.
+//!
+//! Implication is event-driven, as in SOCRATES' incremental implication
+//! (Schulz, Trischler & Sarfert, IEEE TCAD 1988).  One full 9-valued pass
+//! ([`Podem::simulate`]) builds the state at the start of a call; after
+//! that, each decision, flip or unassign queues only the changed input,
+//! and a gate is re-evaluated only when a fanin's value changed.  The
+//! queue is a min-heap of node ids: ids are topological, so it yields
+//! the changed cone in level order and every node is evaluated at most
+//! once per step, after all of its fanins.  Both paths call the one
+//! per-node evaluation, so the values are those of a full pass.  The
+//! D-frontier is kept in ascending node order, the order the full scan
+//! builds it in: `objective`'s stable sort by output distance breaks
+//! ties by that order, so any other order would pick other objectives
+//! and change tests and backtrack counts.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use wrt_analyze::Scoap;
 use wrt_circuit::{Circuit, GateKind, NodeId};
 use wrt_estimate::signal_probabilities_cop;
 use wrt_fault::{Fault, FaultSite};
+use wrt_robust::{Budget, BudgetExceeded};
 
 use crate::dvalue::{Dv, Tri};
 
@@ -175,10 +193,23 @@ impl<'c> Podem<'c> {
     /// the search needed — the cost metric guided and unguided
     /// configurations are compared on.
     pub fn generate_counted(&self, fault: Fault) -> (AtpgOutcome, usize) {
-        let num_inputs = self.circuit.num_inputs();
-        let mut assignment = vec![Tri::X; num_inputs];
-        // Decision stack: (input index, second branch already tried).
-        let mut stack: Vec<(usize, bool)> = Vec::new();
+        match self.search(fault, None) {
+            Ok(result) => result,
+            Err(reason) => unreachable!("a search without a budget tripped: {reason}"),
+        }
+    }
+
+    /// The PODEM search.  With a budget, its deadline and cancellation
+    /// are checked after every decision and backtrack (its deterministic
+    /// axes are the caller's, at fault boundaries); a trip abandons the
+    /// search.
+    pub(crate) fn search(
+        &self,
+        fault: Fault,
+        budget: Option<&Budget>,
+    ) -> Result<(AtpgOutcome, usize), BudgetExceeded> {
+        let mut imp = Implication::new(self, fault);
+        let mut decisions = Decisions::default();
         let mut backtracks = 0usize;
         // Set when a dead end was not a proven conflict (a frontier gate
         // whose unknowns our objective cannot target): exhausting the
@@ -187,23 +218,16 @@ impl<'c> Podem<'c> {
         let mut x_path = XPathScratch::new(self.circuit.num_nodes());
 
         loop {
-            let sim = self.simulate(fault, &assignment);
-            if self
-                .circuit
-                .outputs()
-                .iter()
-                .any(|&o| sim.values[o.index()].is_fault_effect())
-            {
-                return (
-                    AtpgOutcome::Test(assignment.iter().map(|t| t.value()).collect()),
-                    backtracks,
-                );
+            imp.propagate();
+            if imp.output_effects > 0 {
+                let test = imp.assignment.iter().map(|t| t.value()).collect();
+                return Ok((AtpgOutcome::Test(test), backtracks));
             }
 
             let mut next_decision = None;
-            match self.objective(fault, &sim, &mut x_path) {
+            match self.objective(fault, &imp.state, &mut x_path) {
                 Goal::Objective(node, value) => {
-                    next_decision = self.backtrace(node, value, &sim.values);
+                    next_decision = self.backtrace(node, value, &imp.state.values);
                     if next_decision.is_none() {
                         // Backtrace dead ends are heuristic, not proofs.
                         incomplete = true;
@@ -213,89 +237,41 @@ impl<'c> Podem<'c> {
                 Goal::SoftDeadEnd => incomplete = true,
             }
             match next_decision {
-                Some((pi, v)) => {
-                    stack.push((pi, false));
-                    assignment[pi] = Tri::known(v);
-                }
+                Some((pi, v)) => decisions.decide(&mut imp, pi, v),
                 None => {
-                    // Conflict: flip the most recent untried decision.
                     backtracks += 1;
                     if backtracks > self.backtrack_limit {
-                        return (AtpgOutcome::Aborted, backtracks);
+                        return Ok((AtpgOutcome::Aborted, backtracks));
                     }
-                    loop {
-                        match stack.pop() {
-                            None => {
-                                let outcome = if incomplete {
-                                    AtpgOutcome::Aborted
-                                } else {
-                                    AtpgOutcome::Redundant
-                                };
-                                return (outcome, backtracks);
-                            }
-                            Some((pi, true)) => assignment[pi] = Tri::X,
-                            Some((pi, false)) => {
-                                assignment[pi] = !assignment[pi];
-                                stack.push((pi, true));
-                                break;
-                            }
-                        }
+                    if !decisions.backtrack(&mut imp) {
+                        let outcome = if incomplete {
+                            AtpgOutcome::Aborted
+                        } else {
+                            AtpgOutcome::Redundant
+                        };
+                        return Ok((outcome, backtracks));
                     }
                 }
+            }
+            if let Some(Err(reason)) = budget.map(|b| b.check_in(0, 0)) {
+                return Err(reason);
             }
         }
     }
 
-    /// Forward 9-valued implication with the fault injected.
+    /// Forward 9-valued implication with the fault injected: the full
+    /// pass that starts each search, and the oracle the event-driven
+    /// updates are tested against.
     fn simulate(&self, fault: Fault, assignment: &[Tri]) -> SimState {
         let n = self.circuit.num_nodes();
         let mut values = vec![Dv::X; n];
         let mut frontier = Vec::new();
-        for (id, node) in self.circuit.iter() {
-            let mut pair = match node.kind() {
-                GateKind::Input => {
-                    let t = assignment[self.circuit.input_position(id).expect("pi")];
-                    Dv { good: t, faulty: t }
-                }
-                GateKind::Const0 => Dv::known(false),
-                GateKind::Const1 => Dv::known(true),
-                kind => {
-                    let fanin_value = |pin: usize, f: NodeId| -> Dv {
-                        let mut v = values[f.index()];
-                        if let FaultSite::InputPin { gate, pin: fp } = fault.site {
-                            if gate == id && fp == pin {
-                                v.faulty = Tri::known(fault.stuck_value);
-                            }
-                        }
-                        v
-                    };
-                    let mut effect_on_input = false;
-                    let mut acc: Option<Dv> = None;
-                    for (pin, &f) in node.fanin().iter().enumerate() {
-                        let v = fanin_value(pin, f);
-                        effect_on_input |= v.is_fault_effect();
-                        acc = Some(match (acc, kind) {
-                            (None, _) => v,
-                            (Some(a), GateKind::And | GateKind::Nand) => a.and(v),
-                            (Some(a), GateKind::Or | GateKind::Nor) => a.or(v),
-                            (Some(a), GateKind::Xor | GateKind::Xnor) => a.xor(v),
-                            (Some(_), _) => unreachable!("1-input kinds"),
-                        });
-                    }
-                    let mut out = acc.expect("gates have fanin");
-                    if kind.is_inverting() {
-                        out = !out;
-                    }
-                    if effect_on_input && out.is_unknown() {
-                        frontier.push(id);
-                    }
-                    out
-                }
-            };
-            if fault.site == FaultSite::Output(id) {
-                pair.faulty = Tri::known(fault.stuck_value);
+        for id in self.circuit.ids() {
+            let (value, on_frontier) = evaluate(self.circuit, fault, id, &values, assignment);
+            if on_frontier {
+                frontier.push(id);
             }
-            values[id.index()] = pair;
+            values[id.index()] = value;
         }
         SimState { values, frontier }
     }
@@ -478,9 +454,193 @@ fn kind_is_xnor(kind: GateKind) -> bool {
     kind == GateKind::Xnor
 }
 
+/// One node's 9-valued value under `fault`, read from its fanins' values
+/// in `values` (an input's from `assignment`), and whether the node is a
+/// D-frontier gate: a fault effect on an input, an output still unknown
+/// in some machine.  The one definition of the evaluation, shared by the
+/// full pass and the event-driven updates.
+fn evaluate(
+    circuit: &Circuit,
+    fault: Fault,
+    id: NodeId,
+    values: &[Dv],
+    assignment: &[Tri],
+) -> (Dv, bool) {
+    let node = circuit.node(id);
+    let mut on_frontier = false;
+    let mut value = match node.kind() {
+        GateKind::Input => {
+            let t = assignment[circuit.input_position(id).expect("pi")];
+            Dv { good: t, faulty: t }
+        }
+        GateKind::Const0 => Dv::known(false),
+        GateKind::Const1 => Dv::known(true),
+        kind => {
+            let mut effect_on_input = false;
+            let mut acc: Option<Dv> = None;
+            for (pin, &f) in node.fanin().iter().enumerate() {
+                let mut v = values[f.index()];
+                if fault.site == (FaultSite::InputPin { gate: id, pin }) {
+                    v.faulty = Tri::known(fault.stuck_value);
+                }
+                effect_on_input |= v.is_fault_effect();
+                acc = Some(match (acc, kind) {
+                    (None, _) => v,
+                    (Some(a), GateKind::And | GateKind::Nand) => a.and(v),
+                    (Some(a), GateKind::Or | GateKind::Nor) => a.or(v),
+                    (Some(a), GateKind::Xor | GateKind::Xnor) => a.xor(v),
+                    (Some(_), _) => unreachable!("1-input kinds"),
+                });
+            }
+            let mut out = acc.expect("gates have fanin");
+            if kind.is_inverting() {
+                out = !out;
+            }
+            on_frontier = effect_on_input && out.is_unknown();
+            out
+        }
+    };
+    if fault.site == FaultSite::Output(id) {
+        value.faulty = Tri::known(fault.stuck_value);
+    }
+    (value, on_frontier)
+}
+
+/// The values and the D-frontier (ascending node order) of one input
+/// assignment.
 struct SimState {
     values: Vec<Dv>,
     frontier: Vec<NodeId>,
+}
+
+/// The 9-valued state of one search, kept across its decisions: the
+/// assignment, the values and frontier implied by it, a frontier flag
+/// per node, and the queue of nodes whose fanins changed.
+struct Implication<'c> {
+    circuit: &'c Circuit,
+    fault: Fault,
+    assignment: Vec<Tri>,
+    state: SimState,
+    on_frontier: Vec<bool>,
+    /// Nodes to re-evaluate, smallest (= topologically first) id first.
+    queue: BinaryHeap<Reverse<NodeId>>,
+    /// Whether a node is in `queue`, so a gate whose fanins change
+    /// together (or that reads one fanin twice) is queued once.
+    queued: Vec<bool>,
+    /// Primary outputs carrying a fault effect.
+    output_effects: usize,
+}
+
+impl<'c> Implication<'c> {
+    /// The state of the all-X assignment, by one full pass.
+    fn new(podem: &Podem<'c>, fault: Fault) -> Self {
+        let circuit = podem.circuit;
+        let assignment = vec![Tri::X; circuit.num_inputs()];
+        let state = podem.simulate(fault, &assignment);
+        let mut on_frontier = vec![false; circuit.num_nodes()];
+        for &g in &state.frontier {
+            on_frontier[g.index()] = true;
+        }
+        let output_effects = circuit
+            .ids()
+            .filter(|&id| circuit.is_output(id) && state.values[id.index()].is_fault_effect())
+            .count();
+        Implication {
+            circuit,
+            fault,
+            assignment,
+            state,
+            on_frontier,
+            queue: BinaryHeap::new(),
+            queued: vec![false; circuit.num_nodes()],
+            output_effects,
+        }
+    }
+
+    /// Sets input `pi` and queues it; [`Implication::propagate`] brings
+    /// the values up to date.
+    fn assign(&mut self, pi: usize, value: Tri) {
+        self.assignment[pi] = value;
+        self.schedule(self.circuit.inputs()[pi]);
+    }
+
+    fn schedule(&mut self, id: NodeId) {
+        if !std::mem::replace(&mut self.queued[id.index()], true) {
+            self.queue.push(Reverse(id));
+        }
+    }
+
+    /// Re-evaluates the queued nodes in id order, queueing the fanouts
+    /// of every node whose value changed.
+    fn propagate(&mut self) {
+        let mut last: Option<NodeId> = None;
+        while let Some(Reverse(id)) = self.queue.pop() {
+            debug_assert!(
+                last < Some(id),
+                "node {id:?} evaluated twice or out of order"
+            );
+            last = Some(id);
+            self.queued[id.index()] = false;
+            let (value, on_frontier) = evaluate(
+                self.circuit,
+                self.fault,
+                id,
+                &self.state.values,
+                &self.assignment,
+            );
+            if on_frontier != self.on_frontier[id.index()] {
+                self.on_frontier[id.index()] = on_frontier;
+                let frontier = &mut self.state.frontier;
+                match frontier.binary_search(&id) {
+                    Err(pos) if on_frontier => frontier.insert(pos, id),
+                    Ok(pos) if !on_frontier => {
+                        frontier.remove(pos);
+                    }
+                    _ => unreachable!("frontier flag and list disagree at {id:?}"),
+                }
+            }
+            let old = std::mem::replace(&mut self.state.values[id.index()], value);
+            if old == value {
+                continue;
+            }
+            if self.circuit.is_output(id) {
+                self.output_effects -= usize::from(old.is_fault_effect());
+                self.output_effects += usize::from(value.is_fault_effect());
+            }
+            for &sink in self.circuit.fanout(id) {
+                self.schedule(sink);
+            }
+        }
+    }
+}
+
+/// PODEM's decision stack: (input index, second branch already tried).
+#[derive(Default)]
+struct Decisions {
+    stack: Vec<(usize, bool)>,
+}
+
+impl Decisions {
+    /// Assigns `value` to the unassigned input `pi`.
+    fn decide(&mut self, imp: &mut Implication<'_>, pi: usize, value: bool) {
+        self.stack.push((pi, false));
+        imp.assign(pi, Tri::known(value));
+    }
+
+    /// Flips the most recent untried decision, unassigning the tried
+    /// ones above it; `false` when every decision has been tried.
+    fn backtrack(&mut self, imp: &mut Implication<'_>) -> bool {
+        while let Some((pi, tried)) = self.stack.pop() {
+            if tried {
+                imp.assign(pi, Tri::X);
+            } else {
+                imp.assign(pi, !imp.assignment[pi]);
+                self.stack.push((pi, true));
+                return true;
+            }
+        }
+        false
+    }
 }
 
 enum Goal {
@@ -760,7 +920,8 @@ pub(crate) mod proptests {
     use wrt_estimate::exact_detection_probability;
     use wrt_fault::FaultList;
 
-    /// A small random 5-input circuit with two outputs.
+    /// A small random 5-input circuit with two outputs: gates may read
+    /// one fanin twice, and constant drivers may feed them.
     pub(crate) fn arb_circuit() -> impl Strategy<Value = Circuit> {
         let kinds = prop::sample::select(vec![
             GateKind::And,
@@ -770,6 +931,8 @@ pub(crate) mod proptests {
             GateKind::Xor,
             GateKind::Xnor,
             GateKind::Not,
+            GateKind::Const0,
+            GateKind::Const1,
         ]);
         proptest::collection::vec((kinds, proptest::collection::vec(0usize..50, 1..3)), 3..16)
             .prop_map(|specs| {
@@ -779,10 +942,17 @@ pub(crate) mod proptests {
                     ids.push(b.input(format!("i{i}")));
                 }
                 for (kind, picks) in specs {
-                    let fanin: Vec<_> = if kind == GateKind::Not {
-                        vec![ids[picks[0] % ids.len()]]
-                    } else {
-                        picks.iter().map(|&p| ids[p % ids.len()]).collect()
+                    let fanin: Vec<_> = match kind {
+                        GateKind::Const0 => {
+                            ids.push(b.const0());
+                            continue;
+                        }
+                        GateKind::Const1 => {
+                            ids.push(b.const1());
+                            continue;
+                        }
+                        GateKind::Not => vec![ids[picks[0] % ids.len()]],
+                        _ => picks.iter().map(|&p| ids[p % ids.len()]).collect(),
                     };
                     ids.push(b.gate_auto(kind, &fanin).expect("valid"));
                 }
@@ -794,6 +964,39 @@ pub(crate) mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Drives decisions, flips and unassigns through the search's own
+        /// decision stack, for every output and pin fault; after each step
+        /// the event-driven state must equal a full pass.
+        #[test]
+        fn event_implication_matches_a_full_pass_after_every_step(
+            circuit in arb_circuit(),
+            steps in proptest::collection::vec((any::<bool>(), 0usize..5, any::<bool>()), 1..40),
+        ) {
+            let podem = Podem::new(&circuit);
+            for (_, fault) in FaultList::full(&circuit).iter() {
+                let mut imp = Implication::new(&podem, fault);
+                let mut decisions = Decisions::default();
+                for &(decide, pi, value) in &steps {
+                    if decide && imp.assignment[pi] == Tri::X {
+                        decisions.decide(&mut imp, pi, value);
+                    } else if !decisions.backtrack(&mut imp) {
+                        break;
+                    }
+                    imp.propagate();
+                    let full = podem.simulate(fault, &imp.assignment);
+                    let what = fault.describe(&circuit);
+                    prop_assert_eq!(&imp.state.values, &full.values, "values, {}", what);
+                    prop_assert_eq!(&imp.state.frontier, &full.frontier, "frontier, {}", what);
+                    let effect = circuit
+                        .outputs()
+                        .iter()
+                        .any(|&o| full.values[o.index()].is_fault_effect());
+                    prop_assert_eq!(imp.output_effects > 0, effect, "outputs, {}", what);
+                }
+            }
+        }
+
         #[test]
         fn podem_agrees_with_exhaustive_ground_truth(circuit in arb_circuit()) {
             let podem = Podem::new(&circuit);

@@ -2,7 +2,8 @@
 //!
 //! [`generate_tests`] is the plain driver; [`generate_tests_budgeted`]
 //! runs the same loop under a [`Budget`] with fault-boundary check-ins
-//! and checkpoint/resume.  The budget's *backtrack* axis counts total
+//! (deadline and cancellation also after every PODEM decision) and
+//! checkpoint/resume.  The budget's *backtrack* axis counts total
 //! PODEM backtracks (the search-effort metric), its *eval* axis counts
 //! PODEM invocations; both are machine-independent, so interrupting on
 //! either axis is deterministic and the checkpointed state resumes
@@ -330,7 +331,8 @@ fn guided_podem<'c>(circuit: &'c Circuit, config: &AtpgConfig) -> Podem<'c> {
 }
 
 /// The shared fault loop.  Returns `Some(reason)` when the budget
-/// tripped at a fault boundary (state is left at that boundary).
+/// tripped, at a fault boundary or inside a PODEM search (state is left
+/// at the boundary before that fault either way).
 fn run_atpg_loop(
     circuit: &Circuit,
     faults: &FaultList,
@@ -365,17 +367,32 @@ fn run_atpg_loop(
                 return Some(reason);
             }
         }
+        // A budget trip inside a search abandons it: the counters go back
+        // to this fault's boundary, where `next_index` already stands.
+        let boundary = (state.podem_calls, state.backtracks);
         state.podem_calls += 1;
-        let (mut outcome, backtracks) = podem.generate_counted(fault);
+        let (mut outcome, backtracks) = match podem.search(fault, budget) {
+            Ok(result) => result,
+            Err(reason) => {
+                (state.podem_calls, state.backtracks) = boundary;
+                return Some(reason);
+            }
+        };
         state.backtracks += backtracks;
         if outcome == AtpgOutcome::Aborted {
             if let Some(fb) = &fallback {
+                state.podem_calls += 1;
+                let (retry, retry_backtracks) = match fb.search(fault, budget) {
+                    Ok(result) => result,
+                    Err(reason) => {
+                        (state.podem_calls, state.backtracks) = boundary;
+                        return Some(reason);
+                    }
+                };
                 state.ladder.record(
                     DegradeStep::GuidedToUnguided,
                     format!("fault {} aborted at {backtracks} backtracks", id.index()),
                 );
-                state.podem_calls += 1;
-                let (retry, retry_backtracks) = fb.generate_counted(fault);
                 state.backtracks += retry_backtracks;
                 outcome = retry;
             }
@@ -446,7 +463,9 @@ pub struct BudgetedAtpg {
 /// The budget is checked before each PODEM target: the *eval* axis
 /// counts PODEM invocations, the *backtrack* axis total backtracks.
 /// Both are machine-independent, so interrupting on either axis is
-/// deterministic; resuming from the returned checkpoint (same circuit,
+/// deterministic.  The deadline and cancellation are also checked after
+/// every decision of a search; a trip there abandons the search and
+/// leaves the state at that fault's boundary.  Resuming from the returned checkpoint (same circuit,
 /// fault list, and config) continues bit-identically — including the
 /// random-fill stream, whose mid-run RNG state the checkpoint carries.
 ///

@@ -540,6 +540,72 @@ fn injected_interruption_checkpoints_and_resumes_atpg_bit_identically() {
     assert_eq!(got.backtracks, reference.backtracks);
 }
 
+#[test]
+fn injected_interruption_inside_a_podem_search_resumes_atpg_bit_identically() {
+    let session = failpoint::session();
+    let (circuit, faults) = s1();
+    let config = AtpgConfig::default();
+    let reference = generate_tests(&circuit, &faults, &config);
+
+    // Count the check-ins: a run cut by the eval axis after k PODEM calls
+    // passes k + 1 fault boundaries and one check-in per decision of each
+    // of its k searches.
+    let cut_after = |calls: u64| {
+        let before = session.hits(sites::BUDGET_CHECK_IN);
+        let budget = Budget::unlimited().with_max_evals(calls);
+        let run = generate_tests_budgeted(&circuit, &faults, &config, &budget, None)
+            .expect("no resume state to validate");
+        assert_eq!(run.outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+        (run, session.hits(sites::BUDGET_CHECK_IN) - before)
+    };
+    let (one, hits_one) = cut_after(1);
+    let (_, hits_two) = cut_after(2);
+    let second_search_decisions = hits_two - hits_one - 1;
+    assert!(
+        second_search_decisions >= 2,
+        "the second search must decide more than once"
+    );
+
+    // Fire at the middle decision of the second search.
+    let skip = hits_one + second_search_decisions / 2 - 1;
+    session.arm(sites::BUDGET_CHECK_IN, FailAction::Error, skip);
+    let first = generate_tests_budgeted(&circuit, &faults, &config, &Budget::unlimited(), None)
+        .expect("no resume state to validate");
+    assert_eq!(
+        first.outcome.interrupt_reason(),
+        Some(BudgetExceeded::Injected)
+    );
+    // The abandoned search is not counted, and the state stands at its
+    // fault's boundary: exactly where the one-call run stopped.
+    assert_eq!(first.outcome.value().podem_calls, 1);
+    let ckpt = first
+        .checkpoint
+        .expect("interrupted runs carry resume state");
+    assert_eq!(
+        ckpt.render(),
+        one.checkpoint.expect("interrupted").render(),
+        "a trip inside a search checkpoints that fault's boundary"
+    );
+
+    let resumed = generate_tests_budgeted(
+        &circuit,
+        &faults,
+        &config,
+        &Budget::unlimited(),
+        Some(&ckpt),
+    )
+    .expect("checkpoint validates");
+    assert!(resumed.outcome.is_complete());
+    let got = resumed.outcome.into_value();
+    assert_eq!(got.tests, reference.tests);
+    assert_eq!(got.detected, reference.detected);
+    assert_eq!(got.redundant, reference.redundant);
+    assert_eq!(got.aborted, reference.aborted);
+    assert!(got.survivors.is_empty());
+    assert_eq!(got.podem_calls, reference.podem_calls);
+    assert_eq!(got.backtracks, reference.backtracks);
+}
+
 /// A valid optimize-shaped checkpoint to corrupt.
 fn sample_checkpoint_text() -> String {
     let mut ckpt = Checkpoint::new("optimize");
