@@ -590,13 +590,14 @@ impl<'c> Implication<'c> {
             );
             if on_frontier != self.on_frontier[id.index()] {
                 self.on_frontier[id.index()] = on_frontier;
+                // The flag says whether `id` is listed: the search finds
+                // its slot when it joins and its entry when it leaves.
                 let frontier = &mut self.state.frontier;
-                match frontier.binary_search(&id) {
-                    Err(pos) if on_frontier => frontier.insert(pos, id),
-                    Ok(pos) if !on_frontier => {
-                        frontier.remove(pos);
-                    }
-                    _ => unreachable!("frontier flag and list disagree at {id:?}"),
+                let pos = frontier.binary_search(&id).unwrap_or_else(|slot| slot);
+                if on_frontier {
+                    frontier.insert(pos, id);
+                } else {
+                    frontier.remove(pos);
                 }
             }
             let old = std::mem::replace(&mut self.state.values[id.index()], value);
