@@ -345,9 +345,10 @@ fn run_atpg_loop(
     // primary search is already unguided).
     let fallback = (config.degrade_on_abort && config.guidance != BacktraceGuidance::Unguided)
         .then(|| Podem::unguided(circuit).with_backtrack_limit(config.backtrack_limit));
-    // Fault dropping runs on the event kernel, one pattern per pass, over
-    // the still-undetected faults — rebuilt from `detected`, so a resumed
-    // run picks up exactly where its checkpoint left off.
+    // Fault dropping runs on the event kernel, one test per pass with 64
+    // region heads to a propagation, over the still-undetected faults —
+    // rebuilt from `detected`, so a resumed run picks up exactly where
+    // its checkpoint left off.
     let mut sim = EventSimulator::<1>::new(circuit, faults);
     let undetected: Vec<bool> = state.detected.iter().map(|&d| !d).collect();
     let mut worklist = FaultWorklist::from_active(&undetected);
@@ -411,10 +412,7 @@ fn run_atpg_loop(
                     })
                     .collect();
                 // Drop every fault this pattern detects.
-                let words: Vec<[u64; 1]> = filled.iter().map(|&b| [u64::from(b)]).collect();
-                sim.detect_superblock_worklist(&words, [1], &mut worklist, true, |k, _| {
-                    state.detected[k] = true;
-                });
+                sim.detect_pattern_worklist(&filled, &mut worklist, |k| state.detected[k] = true);
                 // The targeted fault must be among them.
                 debug_assert!(state.detected[id.index()], "PODEM test failed simulation");
                 state.detected[id.index()] = true;

@@ -64,6 +64,18 @@
 //! roots, and memoized per superblock, so a one-pattern pass pays for the
 //! chains its faults touch, not for a whole-circuit backward sweep.
 //!
+//! # One pattern: region heads in lanes
+//!
+//! ATPG's fault dropping simulates one test at a time, which would leave
+//! 63 of 64 lanes idle ([`EventSimulator::detect_pattern_worklist`]).
+//! There every lane holds the test, so the lanes carry heads instead: one
+//! propagation complements up to 64 heads, each in a lane of its own, and
+//! a lane is observed exactly when its head is (parallel-fault
+//! simulation of the heads).  A head inside the cone of another head of
+//! the same propagation is re-evaluated there and complemented again in
+//! its own lane.  Heads are taken in id order, so the heads of one
+//! propagation lie close together and share much of their cones.
+//!
 //! Detection results are bit-identical to the dense oracle for every
 //! drop mode and shard count — property-tested in this module and relied
 //! on by the whole stack (`MonteCarloEngine`, the CLI, the benches).
@@ -335,6 +347,14 @@ fn and_mask<const W: usize>(mut lanes: [u64; W], mask: &[u64; W]) -> [u64; W] {
     lanes
 }
 
+#[inline]
+fn xor_lanes<const W: usize>(mut lanes: [u64; W], flip: &[u64; W]) -> [u64; W] {
+    for (l, f) in lanes.iter_mut().zip(flip) {
+        *l ^= f;
+    }
+    lanes
+}
+
 /// Event-driven PPSFP fault simulator over `W`-word superblocks.
 ///
 /// Unlike [`crate::FaultSimulator`], no per-fault cones are stored at all: the
@@ -441,6 +461,9 @@ pub struct EventSimulator<'c, const W: usize> {
     /// back at the node — a sparse set, so nothing is cleared between
     /// superblocks.
     head_slot: Box<[u32]>,
+    /// Per node: its slot in the current propagation's roots, a sparse
+    /// set like `head_slot`.
+    root_slot: Box<[u32]>,
     stats: SimStats,
     /// Per-fault counters, allocated only when profiling is enabled so
     /// the hot path pays one branch otherwise.
@@ -495,6 +518,7 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             chain: Vec::new(),
             heads: Vec::new(),
             head_slot: vec![NIL; n].into_boxed_slice(),
+            root_slot: vec![NIL; n].into_boxed_slice(),
             stats: SimStats::default(),
             profile: None,
         }
@@ -547,6 +571,20 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         drop: bool,
         on_detect: impl FnMut(usize, [u64; W]),
     ) {
+        self.collect_heads(pi_words, worklist);
+        // Step 2: one propagation per reached head.
+        for k in 0..self.heads.len() {
+            self.heads[k].1 = self.propagate(&[self.heads[k]]);
+        }
+        self.stats.root_propagations += self.heads.len() as u64;
+        // Step 3: per-fault detection from its head's observed lanes.
+        worklist.visit(drop, [0; W], |i| self.detect_fault(i, &mask), on_detect);
+    }
+
+    /// Simulates one superblock fault-free and lists in `heads` every
+    /// region head reached by a fault of `worklist`, with the union of
+    /// those faults' lanes at the head (step 1 of region grouping).
+    fn collect_heads(&mut self, pi_words: &[[u64; W]], worklist: &FaultWorklist) {
         self.good.run(pi_words);
         self.superblock = self.superblock.wrapping_add(1);
         if self.superblock == 0 {
@@ -554,7 +592,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             self.local_stamp.fill(0);
             self.superblock = 1;
         }
-        // Step 1: the union of the faults' lanes at each region head.
         self.heads.clear();
         for &i in worklist.as_slice() {
             let fault = self.faults[i as usize];
@@ -580,14 +617,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 }
             }
         }
-        // Step 2: one propagation per reached head.
-        for k in 0..self.heads.len() {
-            let (head, flip) = self.heads[k];
-            self.heads[k].1 = self.propagate(head, flip);
-        }
-        self.stats.root_propagations += self.heads.len() as u64;
-        // Step 3: per-fault detection from its head's observed lanes.
-        worklist.visit(drop, [0; W], |i| self.detect_fault(i, &mask), on_detect);
     }
 
     /// The lanes where `fault` is excited: its injected root value differs
@@ -598,12 +627,8 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         } else {
             [0; W]
         };
-        let mut lanes = inject_root_lanes(self.circuit, fault, stuck, |f| self.good.value(f));
-        let good_root = self.good.value(fault.site.effect_root());
-        for (l, g) in lanes.iter_mut().zip(&good_root) {
-            *l ^= g;
-        }
-        lanes
+        let lanes = inject_root_lanes(self.circuit, fault, stuck, |f| self.good.value(f));
+        xor_lanes(lanes, &self.good.value(fault.site.effect_root()))
     }
 
     /// The lanes where complementing `node` complements its region's head
@@ -675,14 +700,30 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         }
     }
 
-    /// Complements `root` in the `flip` lanes against the current
-    /// fault-free state, propagates the effect until the frontier drains
+    /// Complements every root in its flip lanes against the current
+    /// fault-free state, propagates the effects until the frontier drains
     /// or every flipped lane is observed, and returns the flipped lanes
-    /// some primary output differs in.
-    fn propagate(&mut self, root: NodeId, flip: [u64; W]) -> [u64; W] {
+    /// some primary output differs in.  The roots' lanes are disjoint, so
+    /// each lane is the fault-free circuit with one root complemented.
+    fn propagate(&mut self, roots: &[(NodeId, [u64; W])]) -> [u64; W] {
         let circuit = self.circuit;
-        if circuit.is_output(root) {
-            return flip;
+        // Flipped lanes no primary output has differed in yet.  Node
+        // values are exact in every pending lane (a node differs there
+        // only through a fanin that differed there while it was pending,
+        // and that fanin scheduled it), so retiring an observed lane
+        // cannot change the result.
+        let mut flipped = [0; W];
+        let mut pending = [0; W];
+        for &(root, flip) in roots {
+            for ((a, p), f) in flipped.iter_mut().zip(&mut pending).zip(&flip) {
+                *a |= f;
+                if !circuit.is_output(root) {
+                    *p |= f;
+                }
+            }
+        }
+        if pending == [0; W] {
+            return flipped;
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -692,27 +733,24 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let mut root_value = self.good.value(root);
-        for (r, f) in root_value.iter_mut().zip(&flip) {
-            *r ^= f;
-        }
-        self.faulty[root.index()] = root_value;
-        self.touched[root.index()] = epoch;
-        // Flipped lanes no primary output has differed in yet.  Node
-        // values are exact in every pending lane (a node differs there
-        // only through a fanin that differed there while it was pending,
-        // and that fanin scheduled it), so retiring an observed lane
-        // cannot change the result.
-        let mut pending = flip;
 
-        // Seed the ready set with the root's fanouts, then drain occupied
+        // Seed the ready set with the roots' fanouts, then drain occupied
         // buckets in increasing level order until the frontier dies out
         // or no lane is pending.  `circuit` is the copied `&'c` reference,
         // so fanout slices do not hold a borrow of `self` across the
-        // `schedule` calls.
-        let root_level = self.level[root.index()];
-        for &s in circuit.fanout(root) {
-            self.schedule(s, epoch, root_level);
+        // `schedule` calls.  A root another root's effect reaches is
+        // re-evaluated there and complemented again in its own lanes,
+        // where its fanins keep their fault-free values.
+        for (k, &(root, flip)) in roots.iter().enumerate() {
+            self.root_slot[root.index()] = k as u32;
+            self.faulty[root.index()] = xor_lanes(self.good.value(root), &flip);
+            self.touched[root.index()] = epoch;
+            if !circuit.is_output(root) {
+                let root_level = self.level[root.index()];
+                for &s in circuit.fanout(root) {
+                    self.schedule(s, epoch, root_level);
+                }
+            }
         }
         'drain: while let Some(std::cmp::Reverse(lvl)) = self.active_levels.pop() {
             // Detach the whole chain; draining schedules only into strictly
@@ -723,7 +761,7 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 let node = circuit.node(n);
                 debug_assert!(node.kind() != GateKind::Input);
                 self.stats.node_evals += 1;
-                let w = eval_gate_lanes(
+                let mut w = eval_gate_lanes(
                     node.kind(),
                     node.fanin().iter().map(|f| {
                         if self.touched[f.index()] == epoch {
@@ -733,6 +771,13 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                         }
                     }),
                 );
+                if roots.len() > 1 && self.touched[ni as usize] == epoch {
+                    // Touched before its evaluation: one of the roots (a
+                    // lone root is never reached, nothing above it differs).
+                    let (root, flip) = roots[self.root_slot[ni as usize] as usize];
+                    debug_assert_eq!(root, n);
+                    w = xor_lanes(w, &flip);
+                }
                 let good_n = self.good.value(n);
                 if w != good_n {
                     self.faulty[ni as usize] = w;
@@ -764,7 +809,7 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 ni = self.bucket_next[ni as usize];
             }
         }
-        and_mask(flip, &pending.map(|p| !p))
+        and_mask(flipped, &pending.map(|p| !p))
     }
 
     /// Detection lanes for fault index `i` from its head's observed lanes
@@ -805,6 +850,55 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
                 .count() as u64;
         }
         masked
+    }
+}
+
+impl EventSimulator<'_, 1> {
+    /// Simulates one pattern, invokes `on_detect(fault_index)` for every
+    /// fault in `worklist` it detects, and drops those faults: the
+    /// detections of [`EventSimulator::detect_superblock_worklist`] on a
+    /// one-pattern superblock with `drop = true`.
+    ///
+    /// Every lane holds the pattern, so the lanes carry region heads
+    /// instead of patterns: one propagation flips up to 64 heads, each in
+    /// a lane of its own (see the module docs).
+    pub fn detect_pattern_worklist(
+        &mut self,
+        pattern: &[bool],
+        worklist: &mut FaultWorklist,
+        mut on_detect: impl FnMut(usize),
+    ) {
+        let pi_words: Vec<[u64; 1]> = pattern
+            .iter()
+            .map(|&b| [if b { u64::MAX } else { 0 }])
+            .collect();
+        self.collect_heads(&pi_words, worklist);
+        // Step 2: the heads in id order, 64 to a propagation, head `k` of
+        // a propagation in lane `k`.
+        self.heads.sort_unstable_by_key(|&(head, _)| head);
+        let mut roots = Vec::with_capacity(64);
+        for base in (0..self.heads.len()).step_by(64) {
+            let batch = base..self.heads.len().min(base + 64);
+            roots.clear();
+            for (k, slot) in batch.clone().enumerate() {
+                let head = self.heads[slot].0;
+                self.head_slot[head.index()] = slot as u32;
+                roots.push((head, [1 << k]));
+            }
+            let [observed] = self.propagate(&roots);
+            for (k, slot) in batch.enumerate() {
+                let seen = observed >> k & 1 == 1;
+                self.heads[slot].1 = [if seen { u64::MAX } else { 0 }];
+            }
+        }
+        self.stats.root_propagations += self.heads.len() as u64;
+        // Step 3: per-fault detection from its head's observed lanes.
+        worklist.visit(
+            true,
+            [0],
+            |i| self.detect_fault(i, &[u64::MAX]),
+            |i, _| on_detect(i),
+        );
     }
 }
 
@@ -1097,6 +1191,88 @@ mod tests {
             dense.node_evals
         );
     }
+
+    /// Runs `patterns` one at a time, with drop, through
+    /// [`EventSimulator::detect_pattern_worklist`] and through one-word
+    /// superblocks holding the pattern in every lane (one head per
+    /// propagation), and checks that both detect the same faults in the
+    /// same order, leave the same worklist, and count the same work but
+    /// for gate evaluations.  Returns the two gate-evaluation counts.
+    pub(super) fn assert_packed_heads_match_one_lane(
+        circuit: &Circuit,
+        faults: &wrt_fault::FaultList,
+        patterns: &[Vec<bool>],
+    ) -> (u64, u64) {
+        let mut packed = EventSimulator::<1>::new(circuit, faults);
+        let mut one_lane = EventSimulator::<1>::new(circuit, faults);
+        let mut packed_list = FaultWorklist::full(faults.len());
+        let mut one_lane_list = FaultWorklist::full(faults.len());
+        for (p, pattern) in patterns.iter().enumerate() {
+            let mut got = Vec::new();
+            packed.detect_pattern_worklist(pattern, &mut packed_list, |i| got.push(i));
+            let words: Vec<[u64; 1]> = pattern
+                .iter()
+                .map(|&b| [if b { u64::MAX } else { 0 }])
+                .collect();
+            let mut want = Vec::new();
+            one_lane.detect_superblock_worklist(&words, [!0], &mut one_lane_list, true, |i, _| {
+                want.push(i)
+            });
+            assert_eq!(got, want, "pattern {p}");
+            assert_eq!(
+                packed_list.as_slice(),
+                one_lane_list.as_slice(),
+                "pattern {p}"
+            );
+        }
+        let (a, b) = (packed.stats(), one_lane.stats());
+        assert_eq!(
+            SimStats { node_evals: 0, ..a },
+            SimStats { node_evals: 0, ..b }
+        );
+        (a.node_evals, b.node_evals)
+    }
+
+    #[test]
+    fn packed_heads_match_one_lane_passes_beyond_one_word_of_heads() {
+        // Random gates over random earlier nodes: hundreds of stems, so a
+        // pattern reaches more heads than one propagation holds, and heads
+        // lie in the cones of other heads of the same propagation.
+        let mut rng = crate::Xoshiro256::seed_from(11);
+        let mut b = wrt_circuit::CircuitBuilder::named("wide");
+        let mut ids: Vec<NodeId> = (0..24).map(|i| b.input(format!("i{i}"))).collect();
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Not,
+        ];
+        for g in 0..600 {
+            let kind = kinds[(rng.next_u64() % kinds.len() as u64) as usize];
+            let arity = if kind == GateKind::Not { 1 } else { 2 };
+            let fanin: Vec<NodeId> = (0..arity)
+                .map(|_| ids[(rng.next_u64() % ids.len() as u64) as usize])
+                .collect();
+            let id = b.gate_auto(kind, &fanin).expect("valid");
+            if g % 17 == 0 {
+                b.mark_output(id);
+            }
+            ids.push(id);
+        }
+        b.mark_output(*ids.last().expect("nonempty"));
+        let c = b.build().expect("valid circuit");
+        let faults = wrt_fault::FaultList::full(&c);
+        let patterns: Vec<Vec<bool>> = (0..12)
+            .map(|_| (0..24).map(|_| rng.next_u64() & 1 == 1).collect())
+            .collect();
+        let heads = FanoutFreeRegions::new(&c);
+        let stems = c.ids().filter(|&id| heads.is_head(id)).count();
+        assert!(stems > 2 * 64, "{stems} heads");
+        let (packed, one_lane) = assert_packed_heads_match_one_lane(&c, &faults, &patterns);
+        assert!(packed < one_lane, "packed {packed} vs one-lane {one_lane}");
+    }
 }
 
 #[cfg(test)]
@@ -1183,6 +1359,21 @@ mod proptests {
             prop_assert!(event.root_propagations <= dense.root_propagations);
             prop_assert_eq!(unpropagated(event), unpropagated(dense));
             prop_assert!(event.faults_per_propagation() >= 1.0);
+        }
+
+        /// One pattern with its region heads packed into lanes detects,
+        /// drops and counts what one-lane superblocks do, on reconvergent
+        /// and on chain-shaped circuits.
+        #[test]
+        fn packed_heads_match_one_lane_passes(
+            circuit in arb_circuit(),
+            chains in arb_chain_circuit(),
+            patterns in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 4), 1..8),
+        ) {
+            for c in [&circuit, &chains] {
+                let faults = FaultList::full(c);
+                super::tests::assert_packed_heads_match_one_lane(c, &faults, &patterns);
+            }
         }
 
         /// The profile's per-fault excited blocks reproduce the dense
