@@ -288,40 +288,49 @@ impl<'c> Podem<'c> {
         }
         // Phase 2: propagation — advance the D-frontier gate closest to a
         // primary output, provided an X-path to an output still exists.
-        let mut candidates: Vec<NodeId> = sim
-            .frontier
-            .iter()
-            .copied()
-            .filter(|&g| self.has_x_path(g, &sim.values, x_path))
-            .collect();
-        if candidates.is_empty() {
-            // No propagation path at all: a genuine dead end for this
-            // branch (the classic X-path check).
-            return Goal::Conflict;
-        }
-        candidates.sort_by_key(|&g| self.po_dist[g.index()]);
-        for &gate in &candidates {
-            let node = self.circuit.node(gate);
-            // Set an unknown, non-fault-carrying input to the
-            // non-controlling value.
-            if let Some(&pin) = node
+        // The sort is stable, so ties keep the frontier's node order.
+        let mut gates = sim.frontier.clone();
+        gates.sort_by_key(|&g| self.po_dist[g.index()]);
+        // Set an unknown, non-fault-carrying input of the first such gate
+        // to the non-controlling value.  Filtering the sorted list keeps
+        // the order of sorting the filtered one, and only gates with such
+        // an input can give the objective, so the costly X-path check
+        // runs on them first.
+        let unknown_input = |gate: NodeId| {
+            self.circuit
+                .node(gate)
                 .fanin()
                 .iter()
-                .find(|&&f| sim.values[f.index()].good == Tri::X)
-            {
-                let value = match node.kind() {
-                    GateKind::And | GateKind::Nand => true,
-                    GateKind::Or | GateKind::Nor => false,
-                    // Either value propagates through XOR; pick 0.
-                    _ => false,
-                };
-                return Goal::Objective(pin, value);
+                .copied()
+                .find(|&f| sim.values[f.index()].good == Tri::X)
+        };
+        for &gate in &gates {
+            if let Some(pin) = unknown_input(gate) {
+                if self.has_x_path(gate, &sim.values, x_path) {
+                    let value = match self.circuit.node(gate).kind() {
+                        GateKind::And | GateKind::Nand => true,
+                        GateKind::Or | GateKind::Nor => false,
+                        // Either value propagates through XOR; pick 0.
+                        _ => false,
+                    };
+                    return Goal::Objective(pin, value);
+                }
             }
         }
-        // Frontier gates exist but none has an input our good-side
-        // objective can target (mixed good-known/faulty-unknown pairs):
-        // backtrack, but remember this was not a proof.
-        Goal::SoftDeadEnd
+        if gates
+            .iter()
+            .any(|&g| unknown_input(g).is_none() && self.has_x_path(g, &sim.values, x_path))
+        {
+            // Frontier gates with an X-path exist but none has an input
+            // our good-side objective can target (mixed good-known/
+            // faulty-unknown pairs): backtrack, but remember this was not
+            // a proof.
+            Goal::SoftDeadEnd
+        } else {
+            // No propagation path at all: a genuine dead end for this
+            // branch (the classic X-path check).
+            Goal::Conflict
+        }
     }
 
     /// Whether a fault effect at `from` can still reach an output through
